@@ -1,13 +1,13 @@
 """Finite 2-dimensional symmetric monoidal algebra and its K-theory.
 
-The package provides, at desk scale: fully tabulated 2-categories with
-exhaustive axiom validation; permutative 2-categories and permutative
-Gray-monoids in cubical form; truncated diagrams on pointed finite sets
-with Segal diagnostics; level-by-level K-theory of both permutative
-flavors; the block-tuple indexing category and the lazily evaluated
-Grothendieck construction inverse to K-theory; and the unit/counit pair
-with machine-checked triangle identities and the span rectification of
-lax maps.
+The package provides, at desk scale: finite 2-categories, tabulated or
+composed by formula, with exhaustive axiom validation; permutative
+2-categories and permutative Gray-monoids in cubical form; truncated
+diagrams on pointed finite sets with Segal diagnostics; level-by-level
+K-theory of both permutative flavors; the block-tuple indexing category
+and the lazily evaluated Grothendieck construction inverse to K-theory;
+and the unit/counit pair with machine-checked triangle identities and
+the span rectification of lax maps.
 """
 
 from .twocat import (

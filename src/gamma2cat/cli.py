@@ -119,6 +119,7 @@ def _canonical_names(C: FiniteTwoCategory):
 
 def _emit_category(out: list[str], name: str, C: FiniteTwoCategory, names):
     omap, fmap, amap = names
+    C.fill()
     out.append(f"[category {name}]")
     for x in C.objects:
         out.append(f"object {omap[x]}")

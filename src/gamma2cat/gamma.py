@@ -20,6 +20,8 @@ from .twocat import (
     Cell,
     EquivalenceReport,
     FiniteTwoCategory,
+    LazyPathLevel,
+    SquareFormula,
     TwoFunctor,
     ValidationReport,
     identity_functor,
@@ -200,6 +202,7 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
     rep = ValidationReport(f"gamma-lax map {h.name or '?'}")
     for m in range(X.cap + 1):
         S, T = X.level(m), Y.level(m)
+        S.fill()
         for x in S.objects:
             h.apply(m, 0, x)  # must not raise
         for f in S.one_src:
@@ -526,54 +529,6 @@ def gamma_path_object(X: GammaTruncation) -> GammaPathObject:
     return GammaPathObject(X, total, e0, e1, i, paths)
 
 
-class LazyPathLevel:
-    """Arrow-2-category operations over an arbitrary level, without
-    enumeration: objects are the level's 1-cells, and the higher cells are
-    the usual commuting pairs, tagged tuples computed on demand."""
-
-    def __init__(self, L):
-        self.L = L
-
-    def id1(self, f):
-        L = self.L
-        return ("p1", f, f, L.id1(L.src1(f)), L.id1(L.tgt1(f)))
-
-    def id2(self, k):
-        L = self.L
-        return ("p2", k, k, L.id2(k[3]), L.id2(k[4]))
-
-    def comp1(self, kg, kf):
-        L = self.L
-        return ("p1", kf[1], kg[2], L.comp1(kg[3], kf[3]), L.comp1(kg[4], kf[4]))
-
-    def vcomp(self, b, a):
-        L = self.L
-        return ("p2", a[1], b[2], L.vcomp(b[3], a[3]), L.vcomp(b[4], a[4]))
-
-    def hcomp2(self, b, a):
-        L = self.L
-        return ("p2", self.comp1(b[1], a[1]), self.comp1(b[2], a[2]),
-                L.hcomp2(b[3], a[3]), L.hcomp2(b[4], a[4]))
-
-    def src1(self, k):
-        return k[1]
-
-    def tgt1(self, k):
-        return k[2]
-
-    def src2(self, k):
-        return k[1]
-
-    def tgt2(self, k):
-        return k[2]
-
-    def is_id1(self, k):
-        return k[1] == k[2] and self.L.is_id1(k[3]) and self.L.is_id1(k[4])
-
-    def is_id2(self, k):
-        return k[1] == k[2] and self.L.is_id2(k[3]) and self.L.is_id2(k[4])
-
-
 class LazyPathGamma:
     """The levelwise arrow diagram of any diagram, with formula levels."""
 
@@ -710,34 +665,8 @@ def e_construction(k: GammaLaxMap) -> ESpan:
                         if lhs == rhs:
                             ident = key1 == key2 and S.is_id2(be) and T.is_id2(al)
                             two[("e2c", key1, key2, be, al)] = (key1, key2, ident)
-        vcomp = {}
-        for kb, (s1b, t1b, _) in two.items():
-            for ka, (s1a, t1a, _) in two.items():
-                if t1a != s1b:
-                    continue
-                be = S.vcomp(kb[3], ka[3])
-                al = T.vcomp(kb[4], ka[4])
-                vcomp[(kb, ka)] = ("e2c", s1a, t1b, be, al)
-        hcomp1 = {}
-        for kg, (og1, og2, _) in one.items():
-            for kf, (of1, of2, _) in one.items():
-                if of2 != og1:
-                    continue
-                hcomp1[(kg, kf)] = (
-                    "e1c", of1, og2, S.comp1(kg[3], kf[3]), T.comp1(kg[4], kf[4])
-                )
-        hcomp2 = {}
-        for kb in two:
-            for ka in two:
-                if one[two[ka][0]][1] != one[two[kb][0]][0]:
-                    continue
-                s1 = hcomp1[(two[kb][0], two[ka][0])]
-                t1 = hcomp1[(two[kb][1], two[ka][1])]
-                hcomp2[(kb, ka)] = (
-                    "e2c", s1, t1, S.hcomp2(kb[3], ka[3]), T.hcomp2(kb[4], ka[4])
-                )
-        levels.append(FiniteTwoCategory(
-            f"E({k.name})({m})", objs, one, two, vcomp, hcomp1, hcomp2))
+        levels.append(FiniteTwoCategory(f"E({k.name})({m})", objs, one, two,
+                                        formula=SquareFormula(S, T, "e1c", "e2c")))
         keyed.append((objs, one, two))
 
     maps = {}

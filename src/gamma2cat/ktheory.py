@@ -35,6 +35,7 @@ from .subsets import (
 )
 from .twocat import (
     Cell,
+    CellCeilingExceeded,
     FiniteTwoCategory,
     InternedCell,
     TwoFunctor,
@@ -55,16 +56,6 @@ from .gamma import GammaTruncation
 
 
 DEFAULT_CELL_CEILING = int(os.environ.get("GAMMA2CAT_CELL_CEILING", "1000000"))
-
-
-class CellCeilingExceeded(Exception):
-    def __init__(self, stage: str, count: int, ceiling: int):
-        self.stage = stage
-        self.count = count
-        self.ceiling = ceiling
-        super().__init__(
-            f"cell ceiling exceeded during {stage}: {count} > {ceiling}"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -425,22 +416,6 @@ def is_identity_system_map(C, mp: SystemMap) -> bool:
     return True
 
 
-def vcomp_system_cells(C, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
-    return mk_system_two_cell(
-        a.n, a.src, b.tgt,
-        tuple(C.vcomp(x, y) for x, y in zip(b.alpha, a.alpha)),
-    )
-
-
-def hcomp_system_cells(C, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
-    return mk_system_two_cell(
-        a.n,
-        compose_system_maps(C, b.src, a.src),
-        compose_system_maps(C, b.tgt, a.tgt),
-        tuple(C.hcomp2(x, y) for x, y in zip(b.alpha, a.alpha)),
-    )
-
-
 def identity_system_two_cell(C, mp: SystemMap) -> SystemTwoCell:
     return mk_system_two_cell(mp.n, mp, mp, tuple(C.id2(v) for v in mp.f))
 
@@ -632,9 +607,8 @@ def _build_level(C, n: int, gray: bool, name: str, ceiling: int,
                 if total > ceiling:
                     raise CellCeilingExceeded("level build", total, ceiling)
     two: dict = {}
-    maps = list(one)
     by_pair: dict = {}
-    for mp in maps:
+    for mp in one:
         by_pair.setdefault((mp.src, mp.tgt), []).append(mp)
     for (a, b), cells in by_pair.items():
         for u in cells:
@@ -644,28 +618,8 @@ def _build_level(C, n: int, gray: bool, name: str, ceiling: int,
                     total += 1
                     if total > ceiling:
                         raise CellCeilingExceeded("level build", total, ceiling)
-    vcomp = {}
-    for b2 in two:
-        for a2 in two:
-            if a2.tgt is b2.src or a2.tgt == b2.src:
-                vcomp[(b2, a2)] = vcomp_system_cells(C, b2, a2)
-    hcomp1 = {}
-    for g in maps:
-        for f in maps:
-            if f.tgt == g.src:
-                hcomp1[(g, f)] = compose_system_maps(C, g, f)
-    hcomp2 = {}
-    for b2 in two:
-        for a2 in two:
-            if a2.src.tgt == b2.src.src:
-                hcomp2[(b2, a2)] = mk_system_two_cell(
-                    n,
-                    hcomp1[(b2.src, a2.src)],
-                    hcomp1[(b2.tgt, a2.tgt)],
-                    tuple(C.hcomp2(x, y) for x, y in zip(b2.alpha, a2.alpha)),
-                )
-    level = FiniteTwoCategory(name, systems, one, two, vcomp, hcomp1, hcomp2)
-    return level
+    return FiniteTwoCategory(name, systems, one, two, formula=LazyKtLevel(C, n),
+                             ceiling=ceiling)
 
 
 def ko_level(C: PermutativeGrayMonoid, n: int,
@@ -910,9 +864,11 @@ def partition_filling(C, mp: SystemMap, s: Subset, parts: list[Subset]):
 
 class LazyKtLevel:
     """Cell operations of a level over an arbitrary permutative carrier,
-    without enumeration.  Cells are strict system maps (gamma=None) and
-    componentwise 2-cells; everything is computed on demand, so this works
-    over carriers that are too large to tabulate."""
+    without enumeration.  Composition takes system maps with or without
+    filling cells (cubical or strict levels) and componentwise 2-cells; the
+    identities are strict system maps (gamma=None).  Everything is computed
+    on demand, so this works over carriers that are too large to tabulate,
+    and it is the composition formula of the enumerated levels."""
 
     def __init__(self, C, m: int):
         self.C = C
@@ -928,10 +884,19 @@ class LazyKtLevel:
         return compose_system_maps(self.C, g, f)
 
     def vcomp(self, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
-        return vcomp_system_cells(self.C, b, a)
+        return mk_system_two_cell(
+            a.n, a.src, b.tgt,
+            tuple(self.C.vcomp(x, y) for x, y in zip(b.alpha, a.alpha)),
+        )
 
     def hcomp2(self, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
-        return hcomp_system_cells(self.C, b, a)
+        C = self.C
+        return mk_system_two_cell(
+            a.n,
+            compose_system_maps(C, b.src, a.src),
+            compose_system_maps(C, b.tgt, a.tgt),
+            tuple(C.hcomp2(x, y) for x, y in zip(b.alpha, a.alpha)),
+        )
 
     def src1(self, mp: SystemMap) -> SubsetSystem:
         return mp.src

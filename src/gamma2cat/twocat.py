@@ -1,17 +1,21 @@
-"""Finite 2-categories with fully tabulated composition.
+"""Finite 2-categories with composition tables.
 
 Cells are identified by arbitrary hashable values; equality of cells is
-equality of identifiers.  All three composition operations are stored as
-total tables on their composability domains:
+equality of identifiers.  The three composition operations are tables on
+their composability domains:
 
 * ``vcomp[(b, a)]``  -- vertical composite "a then b" of 2-cells,
 * ``hcomp1[(g, f)]`` -- composite 1-cell g after f,
 * ``hcomp2[(b, a)]`` -- horizontal composite of 2-cells, a over the first
   leg and b over the second, living over ``hcomp1[(g, f)]``.
 
-Because composition is a finite table, every pasting diagram is evaluated
-by folding these tables; associativity and interchange (checked by
-``validate_two_category``) make the fold order immaterial.
+A category given by its tables (a fixture) holds them in full.  A derived
+category (a K-theory level, an arrow 2-category, a product, a span level)
+is given instead by the formula its cells compose by: a lookup computes a
+composite on first use and memoizes it, and ``fill`` completes the tables
+for the scans that read them whole.  Associativity and interchange
+(checked by ``validate_two_category``) make the fold order of any pasting
+diagram immaterial.
 """
 
 from __future__ import annotations
@@ -96,11 +100,25 @@ class ValidationReport:
         return head + "\n" + body + more
 
 
+class CellCeilingExceeded(Exception):
+    def __init__(self, stage: str, count: int, ceiling: int):
+        self.stage = stage
+        self.count = count
+        self.ceiling = ceiling
+        super().__init__(
+            f"cell ceiling exceeded during {stage}: {count} > {ceiling}"
+        )
+
+
 class FiniteTwoCategory:
-    """A 2-category given by finite cell sets and total composition tables.
+    """A 2-category given by finite cell sets and composition tables.
 
     ``one_cells`` / ``two_cells`` map identifiers to ``(src, tgt, is_identity)``
-    triples.  Instances are treated as immutable once validated.
+    triples.  The tables are either given in full, or computed from
+    ``formula``, an object with the methods ``comp1``, ``vcomp`` and
+    ``hcomp2`` of the composites.  ``ceiling`` bounds the cells plus table
+    entries that ``fill`` may hold.  Instances are treated as immutable once
+    validated.
     """
 
     def __init__(
@@ -109,9 +127,11 @@ class FiniteTwoCategory:
         objects: Iterable[Cell],
         one_cells: Mapping[Cell, tuple[Cell, Cell, bool]],
         two_cells: Mapping[Cell, tuple[Cell, Cell, bool]],
-        vcomp: Mapping[tuple[Cell, Cell], Cell],
-        hcomp1: Mapping[tuple[Cell, Cell], Cell],
-        hcomp2: Mapping[tuple[Cell, Cell], Cell],
+        vcomp: Mapping[tuple[Cell, Cell], Cell] | None = None,
+        hcomp1: Mapping[tuple[Cell, Cell], Cell] | None = None,
+        hcomp2: Mapping[tuple[Cell, Cell], Cell] | None = None,
+        formula=None,
+        ceiling: int | None = None,
     ):
         self.name = name
         self.objects = list(objects)
@@ -121,9 +141,11 @@ class FiniteTwoCategory:
         self.two_src = {a: s for a, (s, _, _) in two_cells.items()}
         self.two_tgt = {a: t for a, (_, t, _) in two_cells.items()}
         self.two_identity = {a: bool(i) for a, (_, _, i) in two_cells.items()}
-        self.vcomp_table = dict(vcomp)
-        self.hcomp1_table = dict(hcomp1)
-        self.hcomp2_table = dict(hcomp2)
+        self.vcomp_table = dict(vcomp or {})
+        self.hcomp1_table = dict(hcomp1 or {})
+        self.hcomp2_table = dict(hcomp2 or {})
+        self._formula = formula
+        self._ceiling = ceiling
         self._id1: dict[Cell, Cell] = {}
         self._id2: dict[Cell, Cell] = {}
         self._hom1: dict[tuple[Cell, Cell], list[Cell]] = {}
@@ -172,14 +194,61 @@ class FiniteTwoCategory:
     def is_id2(self, a: Cell) -> bool:
         return self.two_identity[a]
 
+    # A missed lookup composes by the formula only on a composable pair;
+    # anything else raises the lookup's KeyError, as a full table does.
+
     def comp1(self, g: Cell, f: Cell) -> Cell:
-        return self.hcomp1_table[(g, f)]
+        try:
+            return self.hcomp1_table[(g, f)]
+        except KeyError:
+            if self._formula is None or self.one_src[g] != self.one_tgt[f]:
+                raise
+        out = self.hcomp1_table[(g, f)] = self._formula.comp1(g, f)
+        return out
 
     def vcomp(self, b: Cell, a: Cell) -> Cell:
-        return self.vcomp_table[(b, a)]
+        try:
+            return self.vcomp_table[(b, a)]
+        except KeyError:
+            if self._formula is None or self.two_src[b] != self.two_tgt[a]:
+                raise
+        out = self.vcomp_table[(b, a)] = self._formula.vcomp(b, a)
+        return out
 
     def hcomp2(self, b: Cell, a: Cell) -> Cell:
-        return self.hcomp2_table[(b, a)]
+        try:
+            return self.hcomp2_table[(b, a)]
+        except KeyError:
+            if (self._formula is None
+                    or self.one_src[self.two_src[b]] != self.one_tgt[self.two_src[a]]):
+                raise
+        out = self.hcomp2_table[(b, a)] = self._formula.hcomp2(b, a)
+        return out
+
+    def fill(self) -> None:
+        """Complete all three tables over their composability domains, keys
+        ordered by first then second cell in cell order, reusing memoized
+        composites.  Raises ``CellCeilingExceeded``, before composing
+        anything, when cells plus entries would pass the ceiling."""
+        F = self._formula
+        if F is None:
+            return
+        one, two = self.one_src, self.two_src
+        one_by_tgt = _group(one, self.one_tgt.__getitem__)
+        two_by_tgt = _group(two, self.two_tgt.__getitem__)
+        two_by_tgt_obj = _group(two, lambda a: self.one_tgt[two[a]])
+        v_dom = [(b, two_by_tgt.get(two[b], ())) for b in two]
+        h1_dom = [(g, one_by_tgt.get(one[g], ())) for g in one]
+        h2_dom = [(b, two_by_tgt_obj.get(one[two[b]], ())) for b in two]
+        if self._ceiling is not None:
+            total = sum(self.counts()) + sum(
+                len(firsts) for dom in (v_dom, h1_dom, h2_dom) for _, firsts in dom)
+            if total > self._ceiling:
+                raise CellCeilingExceeded("table fill", total, self._ceiling)
+        self.vcomp_table = _complete(self.vcomp_table, v_dom, F.vcomp)
+        self.hcomp1_table = _complete(self.hcomp1_table, h1_dom, F.comp1)
+        self.hcomp2_table = _complete(self.hcomp2_table, h2_dom, F.hcomp2)
+        self._formula = None
 
     def one_cells_between(self, a: Cell, b: Cell) -> list[Cell]:
         return self._hom1.get((a, b), [])
@@ -193,6 +262,8 @@ class FiniteTwoCategory:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteTwoCategory):
             return NotImplemented
+        self.fill()
+        other.fill()
         return (
             self.objects == other.objects
             and self.one_src == other.one_src
@@ -212,6 +283,23 @@ class FiniteTwoCategory:
     def __repr__(self) -> str:
         o, m, a = self.counts()
         return f"<FiniteTwoCategory {self.name}: {o} objects, {m} 1-cells, {a} 2-cells>"
+
+
+def _group(cells: Iterable[Cell], key) -> dict[Cell, list[Cell]]:
+    out: dict[Cell, list[Cell]] = {}
+    for c in cells:
+        out.setdefault(key(c), []).append(c)
+    return out
+
+
+def _complete(memo: dict, domain: list, op) -> dict:
+    """The table over ``domain`` (pairs of a cell and its composable firsts)."""
+    out = {}
+    for b, firsts in domain:
+        for a in firsts:
+            c = memo.get((b, a))
+            out[(b, a)] = op(b, a) if c is None else c
+    return out
 
 
 # -- pasting helpers --------------------------------------------------------
@@ -299,6 +387,7 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     if rep.issues:
         return rep
     C._index()
+    C.fill()
 
     one = list(C.one_src)
     two = list(C.two_src)
@@ -447,30 +536,37 @@ def _check_domain(rep: ValidationReport, name: str, table: Mapping, want: set) -
 # -- pi0 and equivalences -----------------------------------------------------
 
 
-def pi0(C: FiniteTwoCategory) -> list[frozenset]:
-    """Objects modulo zigzags of 1-cells, in canonical object order."""
-    parent: dict[Cell, Cell] = {x: x for x in C.objects}
+class _Partition:
+    """Union-find over a list of objects."""
 
-    def find(x):
+    def __init__(self, objects: list[Cell]):
+        self.objects = objects
+        self.parent: dict[Cell, Cell] = {x: x for x in objects}
+
+    def find(self, x: Cell) -> Cell:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, a: Cell, b: Cell) -> None:
+        self.parent[self.find(b)] = self.find(a)
+
+    def classes(self) -> list[frozenset]:
+        """The classes, ordered by their first member in object order."""
+        groups: dict[Cell, list[Cell]] = {}
+        for x in self.objects:
+            groups.setdefault(self.find(x), []).append(x)
+        return [frozenset(g) for g in groups.values()]
+
+
+def pi0(C: FiniteTwoCategory) -> list[frozenset]:
+    """Objects modulo zigzags of 1-cells, in canonical object order."""
+    part = _Partition(C.objects)
     for f in C.one_src:
-        a, b = find(C.one_src[f]), find(C.one_tgt[f])
-        if a != b:
-            parent[b] = a
-    classes: dict[Cell, set] = {}
-    for x in C.objects:
-        classes.setdefault(find(x), set()).add(x)
-    seen, out = set(), []
-    for x in C.objects:
-        r = find(x)
-        if r not in seen:
-            seen.add(r)
-            out.append(frozenset(classes[r]))
-    return out
+        part.union(C.one_src[f], C.one_tgt[f])
+    return part.classes()
 
 
 def _equivalence_witness(C: FiniteTwoCategory, a: Cell, b: Cell):
@@ -497,31 +593,13 @@ def _iso_between(C: FiniteTwoCategory, f: Cell, g: Cell) -> Cell | None:
 
 def internal_equivalence_classes(C: FiniteTwoCategory) -> list[frozenset]:
     """Partition of objects by internal equivalence (exhaustive search)."""
-    parent: dict[Cell, Cell] = {x: x for x in C.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     objs = C.objects
+    part = _Partition(objs)
     for i, a in enumerate(objs):
         for b in objs[i + 1:]:
-            if find(a) == find(b):
-                continue
-            if _equivalence_witness(C, a, b) is not None:
-                parent[find(b)] = find(a)
-    classes: dict[Cell, set] = {}
-    for x in objs:
-        classes.setdefault(find(x), set()).add(x)
-    seen, out = set(), []
-    for x in objs:
-        r = find(x)
-        if r not in seen:
-            seen.add(r)
-            out.append(frozenset(classes[r]))
-    return out
+            if part.find(a) != part.find(b) and _equivalence_witness(C, a, b) is not None:
+                part.union(a, b)
+    return part.classes()
 
 
 # -- 2-functors ---------------------------------------------------------------
@@ -580,6 +658,7 @@ def identity_functor(C: FiniteTwoCategory) -> TwoFunctor:
 def validate_two_functor(F: TwoFunctor) -> ValidationReport:
     rep = ValidationReport(f"2-functor {F.name or '?'}")
     C, D = F.source, F.target
+    C.fill()
     for x in C.objects:
         if x not in F.omap:
             rep.add("structure", f"object {x!r} missing from object map")
@@ -670,6 +749,7 @@ def validate_transformation(t: Transformation2) -> ValidationReport:
     rep = ValidationReport(f"transformation ({t.kind})")
     C = t.F.source
     D = t.F.target
+    C.fill()
     if t.G.source is not C or t.G.target is not D:
         rep.add("structure", "functors not parallel")
         return rep
@@ -804,6 +884,65 @@ def two_equivalence_check(F: TwoFunctor) -> EquivalenceReport:
 # -- path objects --------------------------------------------------------------
 
 
+class SquareFormula:
+    """Composition of squares between two 2-categories S and T.
+
+    A 1-cell is a tagged tuple ``(tag1, src, tgt, l, r)`` and a 2-cell a
+    tuple ``(tag2, src, tgt, l, r)``: the legs ``l`` compose in S and the
+    legs ``r`` in T.  The arrow 2-category has S = T; the span construction
+    pairs a source level with a target level.
+    """
+
+    def __init__(self, S, T, tag1: str, tag2: str):
+        self.S, self.T = S, T
+        self.tag1, self.tag2 = tag1, tag2
+
+    def comp1(self, kg, kf):
+        return (self.tag1, kf[1], kg[2],
+                self.S.comp1(kg[3], kf[3]), self.T.comp1(kg[4], kf[4]))
+
+    def vcomp(self, b, a):
+        return (self.tag2, a[1], b[2],
+                self.S.vcomp(b[3], a[3]), self.T.vcomp(b[4], a[4]))
+
+    def hcomp2(self, b, a):
+        return (self.tag2, self.comp1(b[1], a[1]), self.comp1(b[2], a[2]),
+                self.S.hcomp2(b[3], a[3]), self.T.hcomp2(b[4], a[4]))
+
+
+class LazyPathLevel(SquareFormula):
+    """Arrow-2-category operations over an arbitrary level, without
+    enumeration: objects are the level's 1-cells, and the higher cells are
+    the commuting pairs ``("p1", f, g, r, s)`` and ``("p2", k1, k2, al,
+    be)``, computed on demand."""
+
+    def __init__(self, L):
+        super().__init__(L, L, "p1", "p2")
+        self.L = L
+
+    def id1(self, f):
+        L = self.L
+        return ("p1", f, f, L.id1(L.src1(f)), L.id1(L.tgt1(f)))
+
+    def id2(self, k):
+        L = self.L
+        return ("p2", k, k, L.id2(k[3]), L.id2(k[4]))
+
+    def src1(self, k):
+        return k[1]
+
+    def tgt1(self, k):
+        return k[2]
+
+    src2, tgt2 = src1, tgt1
+
+    def is_id1(self, k):
+        return k[1] == k[2] and self.L.is_id1(k[3]) and self.L.is_id1(k[4])
+
+    def is_id2(self, k):
+        return k[1] == k[2] and self.L.is_id2(k[3]) and self.L.is_id2(k[4])
+
+
 @dataclass
 class PathObject:
     base: FiniteTwoCategory
@@ -842,45 +981,17 @@ def path_object(C: FiniteTwoCategory) -> PathObject:
                     if whisker_l(C, g, al) == whisker_r(C, be, f):
                         ident = k1 == k2 and C.is_id2(al) and C.is_id2(be)
                         two[("p2", k1, k2, al, be)] = (k1, k2, ident)
-    vcomp = {}
-    for kb, (s1b, _, _) in two.items():
-        for ka, (_, t1a, _) in two.items():
-            if two[ka][1] != two[kb][0]:
-                continue
-            al = C.vcomp(kb[3], ka[3])
-            be = C.vcomp(kb[4], ka[4])
-            vcomp[(kb, ka)] = ("p2", ka[1], kb[2], al, be)
-    hcomp1 = {}
-    for kg, (fg, gg, _) in one.items():
-        for kf, (ff, gf, _) in one.items():
-            if fg != gf:
-                continue
-            hcomp1[(kg, kf)] = (
-                "p1", ff, gg, C.comp1(kg[3], kf[3]), C.comp1(kg[4], kf[4])
-            )
-    hcomp2 = {}
-    for kb in two:
-        for ka in two:
-            if one[two[ka][0]][1] != one[two[kb][0]][0]:
-                continue
-            s1 = hcomp1[(two[kb][0], two[ka][0])]
-            t1 = hcomp1[(two[kb][1], two[ka][1])]
-            hcomp2[(kb, ka)] = (
-                "p2", s1, t1, C.hcomp2(kb[3], ka[3]), C.hcomp2(kb[4], ka[4])
-            )
-    total = FiniteTwoCategory(
-        f"{C.name}^arrow", objs_path := objs, one, two, vcomp, hcomp1, hcomp2
-    )
+    total = FiniteTwoCategory(f"{C.name}^arrow", objs, one, two, formula=LazyPathLevel(C))
     e0 = TwoFunctor(
         total, C,
-        {f: C.one_src[f] for f in objs_path},
+        {f: C.one_src[f] for f in objs},
         {k: k[3] for k in one},
         {k: k[3] for k in two},
         name="e0",
     )
     e1 = TwoFunctor(
         total, C,
-        {f: C.one_tgt[f] for f in objs_path},
+        {f: C.one_tgt[f] for f in objs},
         {k: k[4] for k in one},
         {k: k[4] for k in two},
         name="e1",
@@ -942,34 +1053,24 @@ def product_two_category(factors: list[FiniteTwoCategory], name: str = "") -> Fi
             tuple(c.two_tgt[a] for c, a in zip(factors, al)),
             all(c.two_identity[a] for c, a in zip(factors, al)),
         )
-    vcomp = {}
-    hcomp2 = {}
-    for b in two:
-        for a in two:
-            if all(
-                c.two_src[bb] == c.two_tgt[aa]
-                for c, bb, aa in zip(factors, b, a)
-            ):
-                vcomp[(b, a)] = tuple(
-                    c.vcomp(bb, aa) for c, bb, aa in zip(factors, b, a)
-                )
-            if all(
-                c.one_src[c.two_src[bb]] == c.one_tgt[c.two_src[aa]]
-                for c, bb, aa in zip(factors, b, a)
-            ):
-                hcomp2[(b, a)] = tuple(
-                    c.hcomp2(bb, aa) for c, bb, aa in zip(factors, b, a)
-                )
-    hcomp1 = {}
-    for g in one:
-        for f in one:
-            if all(c.one_src[gg] == c.one_tgt[ff] for c, gg, ff in zip(factors, g, f)):
-                hcomp1[(g, f)] = tuple(
-                    c.comp1(gg, ff) for c, gg, ff in zip(factors, g, f)
-                )
-    return FiniteTwoCategory(
-        name or "x".join(c.name for c in factors), objs, one, two, vcomp, hcomp1, hcomp2
-    )
+    return FiniteTwoCategory(name or "x".join(c.name for c in factors), objs, one, two,
+                             formula=ProductFormula(factors))
+
+
+class ProductFormula:
+    """Componentwise composition of tuples of factor cells."""
+
+    def __init__(self, factors: list):
+        self.factors = factors
+
+    def comp1(self, g: tuple, f: tuple) -> tuple:
+        return tuple(c.comp1(x, y) for c, x, y in zip(self.factors, g, f))
+
+    def vcomp(self, b: tuple, a: tuple) -> tuple:
+        return tuple(c.vcomp(x, y) for c, x, y in zip(self.factors, b, a))
+
+    def hcomp2(self, b: tuple, a: tuple) -> tuple:
+        return tuple(c.hcomp2(x, y) for c, x, y in zip(self.factors, b, a))
 
 
 def tuple_functor(functors: list[TwoFunctor], product: FiniteTwoCategory) -> TwoFunctor:

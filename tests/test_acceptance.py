@@ -406,8 +406,6 @@ def _naive_pgm_ok(P: PermutativeGrayMonoid) -> bool:
                 return False
             if not ok_typed(rf, one, SO[(C.one_src[f], a)], SO[(C.one_tgt[f], a)], 1):
                 return False
-        if L1[(a, ids1[e])] != ids1[a] and False:
-            return False
     for f in one:
         if L1[(e, f)] != f or R1[(f, e)] != f:
             return False

@@ -17,7 +17,9 @@ from gamma2cat.cli import (
     run,
     save,
 )
-from gamma2cat.monoidal import FIXTURE_BUILDERS, fixture
+from gamma2cat.gamma import validate_gamma
+from gamma2cat.ktheory import ko_gamma
+from gamma2cat.monoidal import FIXTURE_BUILDERS, fixture, promote
 from gamma2cat.twocat import FiniteTwoCategory
 
 
@@ -57,6 +59,15 @@ def test_gamma_truncation_export_import(f2_gamma2, tmp_path):
     doc3.categories.update(doc2.categories)
     doc3.gammas["KoF2"] = loaded
     assert save(doc3) == text
+
+
+def test_save_of_an_unvalidated_truncation(f2):
+    fresh = ko_gamma(promote(f2), 2)
+    validated = ko_gamma(promote(f2), 2)
+    assert validate_gamma(validated).ok
+    text = save(FixtureDocument(gammas={"K": fresh}))
+    assert text == save(FixtureDocument(gammas={"K": validated}))
+    assert save(load(text)) == text
 
 
 def test_corrupt_reference_reported_with_line(tmp_path):
@@ -116,6 +127,12 @@ def test_exit_code_two_on_unknown_fixture(capsys):
 
 def test_exit_code_three_on_resource_ceiling(monkeypatch):
     monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "3")
+    assert run(["ko", "--fixture", "F5", "--level", "2"]) == 3
+
+
+def test_exit_code_three_when_composites_pass_the_ceiling(monkeypatch):
+    # the level has 290 cells but 35,328 composites
+    monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "2000")
     assert run(["ko", "--fixture", "F5", "--level", "2"]) == 3
 
 

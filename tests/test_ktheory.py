@@ -209,6 +209,53 @@ def test_cell_ceiling_aborts(f5):
         ko_level(f5, 2, ceiling=10)
 
 
+def test_fill_counts_composites_against_the_ceiling(f5):
+    level = ko_level(f5, 2, ceiling=2000)  # 290 cells pass enumeration
+    with pytest.raises(CellCeilingExceeded) as exc:
+        level.fill()
+    assert exc.value.count == 290 + 35328
+    assert _entries(level) == 0
+
+
+def _entries(level):
+    return len(level.vcomp_table) + len(level.hcomp1_table) + len(level.hcomp2_table)
+
+
+def test_level_holds_no_composites_when_built(f3):
+    level = ko_level(promote(f3), 3)
+    assert level.counts() == (1, 16, 2048)
+    assert _entries(level) == 0
+
+
+def test_specialness_reads_part_of_the_composition_tables(f5):
+    X = ko_gamma(f5, 2)
+    assert special_check(X).ok
+    read = [_entries(X.level(m)) for m in range(3)]
+    for m in range(3):
+        X.level(m).fill()
+    full = [_entries(X.level(m)) for m in range(3)]
+    assert all(r < f for r, f in zip(read, full))
+
+
+def test_formula_level_refuses_non_composable_pairs(f5):
+    level = ko_level(f5, 2)
+    x, y = level.objects
+    hom = level.one_cells_between(x, y)
+    # two 1-cells with equal components and different filling cells: the
+    # componentwise formula alone would compose their identity 2-cells
+    f, g = next((f, g) for f in hom for g in hom if f != g and f.f == g.f)
+    a = level.id2(f)
+    with pytest.raises(KeyError):
+        level.comp1(f, f)
+    with pytest.raises(KeyError):
+        level.vcomp(level.id2(g), a)
+    with pytest.raises(KeyError):
+        level.hcomp2(a, a)
+    assert _entries(level) == 0
+    assert level.comp1(f, level.id1(x)) == f
+    assert _entries(level) == 1
+
+
 def test_partition_cell_three_blocks_on_cubical_systems(f5):
     # systems at three elements over the cubical carrier, without building
     # the whole level: canonical peeling agrees with the other association

@@ -133,6 +133,25 @@ def test_path_object_f4_squares():
     assert validate_two_category(po.total).ok
 
 
+def test_path_object_refuses_non_composable_pairs():
+    # legs of squares over a one-object base always compose, so only the
+    # typing of the squares themselves rules these pairs out
+    P = path_object(fixture("F4").base).total
+    one, two = list(P.one_src), list(P.two_src)
+    pairs = [
+        (P.comp1, [(g, f) for g in one for f in one if P.src1(g) != P.tgt1(f)]),
+        (P.vcomp, [(b, a) for b in two for a in two if P.src2(b) != P.tgt2(a)]),
+        (P.hcomp2, [(b, a) for b in two for a in two
+                    if P.src1(P.src2(b)) != P.tgt1(P.src2(a))]),
+    ]
+    for op, ill_typed in pairs:
+        assert ill_typed
+        for b, a in ill_typed:
+            with pytest.raises(KeyError):
+                op(b, a)
+    assert not (P.vcomp_table or P.hcomp1_table or P.hcomp2_table)
+
+
 @pytest.mark.parametrize("name", ["F2", "F3", "F4"])
 def test_path_object_round_trip(name):
     C = fixture(name)
@@ -143,6 +162,7 @@ def test_path_object_round_trip(name):
     assert po.i.then(po.e1) == ident
     # the section followed by both evaluations is the diagonal
     prod = product_two_category([base, base])
+    assert validate_two_category(prod).ok
     from gamma2cat.twocat import tuple_functor
     diag = tuple_functor([ident, ident], prod)
     both = tuple_functor([po.i.then(po.e0), po.i.then(po.e1)], prod)
