@@ -172,8 +172,8 @@ def identity_lax_map(X) -> GammaLaxMap:
 def compose_lax(j: GammaLaxMap, h: GammaLaxMap) -> GammaLaxMap:
     """The composite j . h, with pasted structure cells."""
     if h.target is not j.source and getattr(h.target, "name", None) != getattr(j.source, "name", None):
-        # composition is by formulas; trust the caller on level compatibility
-        pass
+        raise ValueError(f"lax maps not composable: {h.name or '?'} does not land "
+                         f"in the source of {j.name or '?'}")
     X, Z = h.source, j.target
 
     def apply_fn(m, dim, cell):
@@ -463,10 +463,13 @@ def very_special_check(X: GammaTruncation) -> VerySpecialReport:
     incl = X.maps[PointedMap(0, 1, ())]
     e_class = class_of(classes1, incl.omap[X.level(0).objects[0]])
 
+    def members(c) -> str:
+        return "{" + ", ".join(repr(x) for x in L1.objects if x in c) + "}"
+
     elems = classes1
     for a in elems:
         if table[(e_class, a)] != a or table[(a, e_class)] != a:
-            return VerySpecialReport(False, f"unit law fails at {set(a)}", elems, table, e_class)
+            return VerySpecialReport(False, f"unit law fails at {members(a)}", elems, table, e_class)
     for a in elems:
         for b in elems:
             for c in elems:
@@ -474,7 +477,7 @@ def very_special_check(X: GammaTruncation) -> VerySpecialReport:
                     return VerySpecialReport(False, "operation not associative", elems, table, e_class)
     for a in elems:
         if not any(table[(a, b)] == e_class and table[(b, a)] == e_class for b in elems):
-            return VerySpecialReport(False, f"no inverse for {set(a)}", elems, table, e_class)
+            return VerySpecialReport(False, f"no inverse for {members(a)}", elems, table, e_class)
     return VerySpecialReport(True, "", elems, table, e_class)
 
 

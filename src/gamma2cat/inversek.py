@@ -24,7 +24,7 @@ from .twocat import InternedCell, ValidationReport
 from .ktheory import LazyKtGamma  # noqa: F401  (re-exported for callers)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AMorphism(InternedCell):
     """A block-respecting map between tuples.
 
@@ -36,20 +36,12 @@ class AMorphism(InternedCell):
     tgt: tuple
     table: tuple
 
-    def _key(self):
-        return (self.src, self.tgt, self.table)
-
     @property
     def is_identity(self) -> bool:
-        return self.src == self.tgt and self.table == a_identity(self.src).table
+        return self.src == self.tgt and self is a_identity(self.src)
 
     def block_condition_holds(self) -> bool:
-        owner: dict[int, int] = {}
-        for i, row in enumerate(self.table):
-            for (j, _b) in row:
-                if owner.setdefault(j, i) != i:
-                    return False
-        return True
+        return _block_condition(self.table)
 
     def covering_block(self, j: int) -> int | None:
         """The unique source block hitting target block j, or None."""
@@ -63,8 +55,18 @@ class AMorphism(InternedCell):
 AMorphism._pool = {}
 
 
+def _block_condition(table: tuple) -> bool:
+    """Each target block is hit from at most one source block."""
+    owner: dict[int, int] = {}
+    for i, row in enumerate(table):
+        for (j, _b) in row:
+            if owner.setdefault(j, i) != i:
+                return False
+    return True
+
+
 def mk_amorphism(src: tuple, tgt: tuple, table: tuple) -> AMorphism:
-    return AMorphism._intern(AMorphism(src, tgt, table))
+    return AMorphism._make(src, tgt, table)
 
 
 @lru_cache(maxsize=None)
@@ -93,9 +95,8 @@ def a_hom(mvec: tuple, nvec: tuple) -> tuple[AMorphism, ...]:
         for m in mvec:
             table.append(tuple(imgs[k:k + m]))
             k += m
-        phim = AMorphism(mvec, nvec, tuple(table))
-        if phim.block_condition_holds():
-            out.append(AMorphism._intern(phim))
+        if _block_condition(table):
+            out.append(mk_amorphism(mvec, nvec, tuple(table)))
     return tuple(out)
 
 
@@ -106,10 +107,9 @@ def a_compose(psi: AMorphism, phi: AMorphism) -> AMorphism:
     table = tuple(
         tuple(psi.table[j][b - 1] for (j, b) in row) for row in phi.table
     )
-    out = AMorphism(phi.src, psi.tgt, table)
-    if not out.block_condition_holds():
+    if not _block_condition(table):
         raise ValueError("composite violates the block condition")
-    return AMorphism._intern(out)
+    return mk_amorphism(phi.src, psi.tgt, table)
 
 
 def a_concat(phi: AMorphism, psi: AMorphism) -> AMorphism:
@@ -210,55 +210,46 @@ def ax_apply(X, phim: AMorphism, dim: int, cells: tuple) -> tuple:
 # -- Grothendieck cells -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GrothObj(InternedCell):
     mvec: tuple
     xs: tuple
-
-    def _key(self):
-        return (self.mvec, self.xs)
 
 
 GrothObj._pool = {}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GrothOne(InternedCell):
     phim: AMorphism
     src: GrothObj
     tgt: GrothObj
     fs: tuple
 
-    def _key(self):
-        return (self.phim, self.src, self.tgt, self.fs)
-
 
 GrothOne._pool = {}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GrothTwo(InternedCell):
     src: GrothOne
     tgt: GrothOne
     alphas: tuple
-
-    def _key(self):
-        return (self.src, self.tgt, self.alphas)
 
 
 GrothTwo._pool = {}
 
 
 def mk_groth_obj(mvec, xs) -> GrothObj:
-    return GrothObj._intern(GrothObj(tuple(mvec), tuple(xs)))
+    return GrothObj._make(tuple(mvec), tuple(xs))
 
 
 def mk_groth_one(phim, src, tgt, fs) -> GrothOne:
-    return GrothOne._intern(GrothOne(phim, src, tgt, tuple(fs)))
+    return GrothOne._make(phim, src, tgt, tuple(fs))
 
 
 def mk_groth_two(src, tgt, alphas) -> GrothTwo:
-    return GrothTwo._intern(GrothTwo(src, tgt, tuple(alphas)))
+    return GrothTwo._make(src, tgt, tuple(alphas))
 
 
 class GrothPerm:
@@ -330,6 +321,10 @@ class GrothPerm:
         return mk_groth_two(a.src, b.tgt, alphas)
 
     def hcomp2(self, b: GrothTwo, a: GrothTwo) -> GrothTwo:
+        # a shape mismatch would misindex ax_apply; mismatched components
+        # raise in the level composites below
+        if a.src.tgt.mvec != b.src.src.mvec:
+            raise ValueError("cells not composable")
         pushed = ax_apply(self.X, b.src.phim, 2, a.alphas)
         alphas = tuple(
             self._lvl(m).hcomp2(x, y)
@@ -505,15 +500,18 @@ class BoundedGroth(GrothPerm):
 # -- extension to lax maps ---------------------------------------------------------
 
 
-def _guarded(rep, kind, label, fn) -> None:
-    """Run one axiom instance; an ill-typed composite counts as a violation."""
+def _guarded(rep, kind, what, where, holds) -> None:
+    """Run one axiom instance; an ill-typed composite counts as a violation.
+
+    ``where`` renders the instance, and is called only when it is reported.
+    """
     try:
-        ok, message = fn()
+        ok = holds()
     except (ValueError, KeyError) as exc:
-        rep.add(kind, f"{label}: ill-typed instance ({exc})")
+        rep.add(kind, f"{what} at {where()}: ill-typed instance ({exc})")
         return
     if not ok:
-        rep.add(kind, message)
+        rep.add(kind, f"{what} fails at {where()}")
 
 
 class BlockwiseLax:
@@ -626,9 +624,8 @@ def validate_p_truncation(X, L: int, E: int, braiding=None) -> ValidationReport:
             if len(o1.mvec) + len(o2.mvec) > L:
                 continue
             rep.checked += 1
-            _guarded(rep, "braiding", f"involution at ({o1!r},{o2!r})", lambda o1=o1, o2=o2: (
-                B.comp1(beta(o2, o1), beta(o1, o2)) == B.id1(B.sum_obj(o1, o2)),
-                f"involution fails at ({o1!r},{o2!r})"))
+            _guarded(rep, "braiding", "involution", lambda: f"({o1!r},{o2!r})",
+                     lambda: B.comp1(beta(o2, o1), beta(o1, o2)) == B.id1(B.sum_obj(o1, o2)))
             if o1 == e and not B.is_id1(beta(o1, o2)):
                 rep.add("braiding", f"unit braiding not the identity at {o2!r}")
     for la, lb, lc in itertools.product(by_len, by_len, by_len):
@@ -638,12 +635,9 @@ def validate_p_truncation(X, L: int, E: int, braiding=None) -> ValidationReport:
             for b in by_len[lb]:
                 for c in by_len[lc]:
                     rep.checked += 1
-                    _guarded(rep, "braiding", f"hexagon at ({a!r},{b!r},{c!r})",
-                             lambda a=a, b=b, c=c: (
-                                 beta(a, B.sum_obj(b, c)) == B.comp1(
-                                     B.lsum_one(b, beta(a, c)),
-                                     B.rsum_one(beta(a, b), c)),
-                                 f"hexagon fails at ({a!r},{b!r},{c!r})"))
+                    _guarded(rep, "braiding", "hexagon", lambda: f"({a!r},{b!r},{c!r})",
+                             lambda: beta(a, B.sum_obj(b, c)) == B.comp1(
+                                 B.lsum_one(b, beta(a, c)), B.rsum_one(beta(a, b), c)))
 
     # naturality of the braiding on bounded 1-cell pairs: bucket cells by the
     # lengths of their endpoint shapes so only fitting pairs are visited
@@ -659,11 +653,9 @@ def validate_p_truncation(X, L: int, E: int, braiding=None) -> ValidationReport:
             for u in bucket1:
                 for v in bucket2:
                     rep.checked += 1
-                    _guarded(rep, "braiding", f"naturality at ({u!r},{v!r})",
-                             lambda u=u, v=v: (
-                                 B.comp1(beta(u.tgt, v.tgt), B.sum_one(u, v))
-                                 == B.comp1(B.sum_one(v, u), beta(u.src, v.src)),
-                                 f"naturality fails at ({u!r},{v!r})"))
+                    _guarded(rep, "braiding", "naturality", lambda: f"({u!r},{v!r})",
+                             lambda: B.comp1(beta(u.tgt, v.tgt), B.sum_one(u, v))
+                             == B.comp1(B.sum_one(v, u), beta(u.src, v.src)))
 
     comp_pairs: dict[tuple[int, int], list[tuple[GrothOne, GrothOne]]] = {}
     by_src: dict[GrothObj, list[GrothOne]] = {}
@@ -708,13 +700,9 @@ def validate_p_truncation(X, L: int, E: int, braiding=None) -> ValidationReport:
             for a in bucket1:
                 for b in bucket2:
                     rep.checked += 1
-                    _guarded(rep, "braiding", f"2-cell naturality at ({a!r},{b!r})",
-                             lambda a=a, b=b: (
-                                 B.hcomp2(B.sum_two(b, a),
-                                          B.id2(beta(a.src.src, b.src.src)))
-                                 == B.hcomp2(B.id2(beta(a.src.tgt, b.src.tgt)),
-                                             B.sum_two(a, b)),
-                                 f"2-cell naturality fails at ({a!r},{b!r})"))
+                    _guarded(rep, "braiding", "2-cell naturality", lambda: f"({a!r},{b!r})",
+                             lambda: B.hcomp2(B.sum_two(b, a), B.id2(beta(a.src.src, b.src.src)))
+                             == B.hcomp2(B.id2(beta(a.src.tgt, b.src.tgt)), B.sum_two(a, b)))
 
     if rep.checked == 0:
         rep.add("empty-scan", "bounds admit no axiom instances")

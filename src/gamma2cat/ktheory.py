@@ -68,7 +68,7 @@ def _pair_index(n: int) -> dict[tuple[Subset, Subset], int]:
     return {p: i for i, p in enumerate(disjoint_pairs(n))}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SubsetSystem(InternedCell):
     """The object data {x_s, c_{s,t}} of a level, stored positionally in the
     canonical subset order (the empty-subset entries are derived)."""
@@ -76,9 +76,6 @@ class SubsetSystem(InternedCell):
     n: int
     x: tuple
     c: tuple
-
-    def _key(self):
-        return (self.n, self.x, self.c)
 
     def x_at(self, C, s: Subset):
         if not s:
@@ -94,7 +91,7 @@ class SubsetSystem(InternedCell):
 SubsetSystem._pool = {}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SystemMap(InternedCell):
     """A 1-cell of a level: components f_s with filling cells gamma (cubical
     carrier) or gamma=None (strict squares over a product carrier)."""
@@ -104,9 +101,6 @@ class SystemMap(InternedCell):
     tgt: SubsetSystem
     f: tuple
     gamma: tuple | None
-
-    def _key(self):
-        return (self.n, self.src, self.tgt, self.f, self.gamma)
 
     def f_at(self, C, s: Subset):
         if not s:
@@ -123,7 +117,7 @@ class SystemMap(InternedCell):
 SystemMap._pool = {}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SystemTwoCell(InternedCell):
     """A 2-cell of a level: componentwise 2-cells alpha_s."""
 
@@ -131,9 +125,6 @@ class SystemTwoCell(InternedCell):
     src: SystemMap
     tgt: SystemMap
     alpha: tuple
-
-    def _key(self):
-        return (self.n, self.src, self.tgt, self.alpha)
 
     def alpha_at(self, C, s: Subset):
         if not s:
@@ -145,15 +136,15 @@ SystemTwoCell._pool = {}
 
 
 def mk_system(n: int, x: tuple, c: tuple) -> SubsetSystem:
-    return SubsetSystem._intern(SubsetSystem(n, x, c))
+    return SubsetSystem._make(n, x, c)
 
 
 def mk_system_map(n: int, src, tgt, f: tuple, gamma) -> SystemMap:
-    return SystemMap._intern(SystemMap(n, src, tgt, f, gamma))
+    return SystemMap._make(n, src, tgt, f, gamma)
 
 
 def mk_system_two_cell(n: int, src, tgt, alpha: tuple) -> SystemTwoCell:
-    return SystemTwoCell._intern(SystemTwoCell(n, src, tgt, alpha))
+    return SystemTwoCell._make(n, src, tgt, alpha)
 
 
 def make_system(C, n: int, xmap: dict, cmap: dict) -> SubsetSystem:

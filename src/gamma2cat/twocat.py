@@ -1,8 +1,10 @@
 """Finite 2-categories with composition tables.
 
 Cells are identified by arbitrary hashable values; equality of cells is
-equality of identifiers.  The three composition operations are tables on
-their composability domains:
+equality of identifiers.  Composite cell values (``InternedCell``) are
+interned, so equal composites are one object and compare by identity.
+The three composition operations are tables on their composability
+domains:
 
 * ``vcomp[(b, a)]``  -- vertical composite "a then b" of 2-cells,
 * ``hcomp1[(g, f)]`` -- composite 1-cell g after f,
@@ -37,38 +39,24 @@ class Issue:
 
 
 class InternedCell:
-    """Base for composite cell values: value-interned with a cached hash.
+    """Base for composite cell values: equal values are one object.
 
-    Interning makes repeated dictionary lookups on deeply nested cells cheap,
-    since CPython's dict probes compare identities before equality.
-    Subclasses define ``_key()`` and set a class-level ``_pool`` dict.
+    ``_make`` is the only constructor.  It looks the field tuple up in the
+    class-level ``_pool`` dict and builds a cell only on a miss, so equality
+    and hashing are ``object``'s identity versions, which dict probes run
+    without calling back into Python.  Subclasses are slotted frozen
+    dataclasses with ``eq=False`` that set their own ``_pool``.
     """
 
+    __slots__ = ()
     _pool: dict
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        try:
-            return self.__hash_cache
-        except AttributeError:
-            h = hash((type(self).__name__, self._key()))
-            object.__setattr__(self, "_InternedCell__hash_cache", h)
-            return h
-
     @classmethod
-    def _intern(cls, obj):
-        pool = cls._pool
-        found = pool.get(obj)
-        if found is None:
-            pool[obj] = obj
-            return obj
-        return found
+    def _make(cls, *fields):
+        cell = cls._pool.get(fields)
+        if cell is None:
+            cell = cls._pool[fields] = cls(*fields)
+        return cell
 
 
 @dataclass
@@ -393,16 +381,16 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     two = list(C.two_src)
 
     # table domains
-    want_h1 = {(g, f) for g in one for f in one if C.one_src[g] == C.one_tgt[f]}
+    want_h1 = [(g, f) for g in one for f in one if C.one_src[g] == C.one_tgt[f]]
     _check_domain(rep, "hcomp1", C.hcomp1_table, want_h1)
-    want_v = {(b, a) for b in two for a in two if C.two_src[b] == C.two_tgt[a]}
+    want_v = [(b, a) for b in two for a in two if C.two_src[b] == C.two_tgt[a]]
     _check_domain(rep, "vcomp", C.vcomp_table, want_v)
-    want_h2 = {
+    want_h2 = [
         (b, a)
         for b in two
         for a in two
         if C.one_src[C.two_src[b]] == C.one_tgt[C.two_src[a]]
-    }
+    ]
     _check_domain(rep, "hcomp2", C.hcomp2_table, want_h2)
     if rep.issues:
         return rep
@@ -525,12 +513,15 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     return rep
 
 
-def _check_domain(rep: ValidationReport, name: str, table: Mapping, want: set) -> None:
-    have = set(table)
-    for k in want - have:
-        rep.add("structure", f"{name} missing entry for {k!r}")
-    for k in have - want:
-        rep.add("structure", f"{name} has entry outside composability domain: {k!r}")
+def _check_domain(rep: ValidationReport, name: str, table: Mapping, want: list) -> None:
+    """Report, in cell-list and then table order, the domain mismatches."""
+    for k in want:
+        if k not in table:
+            rep.add("structure", f"{name} missing entry for {k!r}")
+    wanted = set(want)
+    for k in table:
+        if k not in wanted:
+            rep.add("structure", f"{name} has entry outside composability domain: {k!r}")
 
 
 # -- pi0 and equivalences -----------------------------------------------------

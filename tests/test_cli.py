@@ -1,12 +1,14 @@
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import gamma2cat
 from gamma2cat.cli import (
     FixtureDocument,
     FixtureError,
@@ -144,6 +146,26 @@ def test_reports_byte_deterministic():
     payload = json.loads(out1)
     assert payload["result"] == "pass"
     assert {c["name"] for c in payload["checks"]} == {"diagram-valid", "segal-2"}
+    # across processes: string hashes follow PYTHONHASHSEED, and interned
+    # cells hash by identity, so by memory address
+    script = "\n".join([
+        "from gamma2cat.cli import run",
+        "run(['segal', '--fixture', 'F2', '--max', '2', '--format', 'json'])",
+        "run(['very-special', '--fixture', 'M3'])",
+        "run(['triangle-p', '--fixture', 'F2'])",
+    ])
+    src = str(Path(gamma2cat.__file__).parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(out1.encode())
+    assert b"no inverse for {SubsetSystem(" in outs[0]
+    assert b"command: triangle-p" in outs[0]
 
 
 def test_ko_command_counts():

@@ -74,6 +74,11 @@ def test_compose_lax_identity_laws(f2_gamma2):
             assert left.lax(phi, x) == ident.lax(phi, x)
 
 
+def test_compose_lax_refuses_maps_that_do_not_meet(f2_gamma2, f1_gamma):
+    with pytest.raises(ValueError, match="not composable"):
+        compose_lax(identity_lax_map(f1_gamma), identity_lax_map(f2_gamma2))
+
+
 def test_compose_lax_associativity(f2_gamma2):
     from gamma2cat.adjunction import unit_map
     X = f2_gamma2

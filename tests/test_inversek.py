@@ -312,3 +312,14 @@ def test_validate_p_truncation(f2_gamma2):
 
     rep3 = validate_p_truncation(f2_gamma2, 2, 2, braiding=bad_beta)
     assert not rep3.ok
+
+
+def test_ill_typed_braiding_is_reported_not_raised(f2_gamma2):
+    # beta(a, b) = id(a) has the wrong target, so the 2-cell naturality
+    # instances whisker cells whose block shapes do not compose
+    B = BoundedGroth(f2_gamma2, 2, 2)
+    rep = validate_p_truncation(f2_gamma2, 2, 2, braiding=lambda a, b: B.id1(a))
+    assert not rep.ok
+    assert any(i.message.startswith("2-cell naturality at ")
+               and i.message.endswith(": ill-typed instance (cells not composable)")
+               for i in rep.issues)

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamma2cat.monoidal import fixture
+from gamma2cat.ktheory import ko_level
+from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
     FiniteTwoCategory,
     Transformation2,
@@ -27,6 +28,27 @@ from gamma2cat.twocat import (
 
 def disc_z2():
     return fixture("F2").base
+
+
+def test_domain_issues_follow_cell_order():
+    L = ko_level(promote(fixture("F5")), 2)
+    L.fill()
+    one = list(L.one_src)
+    want = [(g, f) for g in one for f in one if L.one_src[g] == L.one_tgt[f]]
+    dropped = want[::40]
+    extra = [(g, f) for g in one for f in one if L.one_src[g] != L.one_tgt[f]][::60]
+    hcomp1 = {k: v for k, v in L.hcomp1_table.items() if k not in dropped}
+    hcomp1.update((k, one[0]) for k in extra)
+    holed = FiniteTwoCategory(
+        "holed", L.objects,
+        {f: (L.one_src[f], L.one_tgt[f], L.one_identity[f]) for f in one},
+        {a: (L.two_src[a], L.two_tgt[a], L.two_identity[a]) for a in L.two_src},
+        L.vcomp_table, hcomp1, L.hcomp2_table)
+    rep = validate_two_category(holed)
+    assert len(dropped) > 3 and len(extra) > 3
+    assert [i.message for i in rep.issues] == (
+        [f"hcomp1 missing entry for {k!r}" for k in dropped]
+        + [f"hcomp1 has entry outside composability domain: {k!r}" for k in extra])
 
 
 def test_terminal_valid():
