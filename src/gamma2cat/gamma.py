@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .subsets import PointedMap, all_pointed_maps, fold_map, pointed_identity, segal_injection
+from .subsets import (PointedMap, all_pointed_maps, fold_map, maps_up_to,
+                      pointed_identity, segal_injection)
 from .twocat import (
     Cell,
     EquivalenceReport,
@@ -50,9 +51,6 @@ class GammaTruncation:
     def level(self, m: int) -> FiniteTwoCategory:
         return self.levels[m]
 
-    def functor(self, phi: PointedMap) -> TwoFunctor:
-        return self.maps[phi]
-
     def phi_star(self, phi: PointedMap, dim: int, cell: Cell) -> Cell:
         F = self.maps[phi]
         return (F.omap, F.fmap, F.amap)[dim][cell]
@@ -67,12 +65,8 @@ class GammaTruncation:
             return L0.id1(obj)
         return L0.id2(L0.id1(obj))
 
-    def all_maps(self) -> list[PointedMap]:
-        out = []
-        for m in range(self.cap + 1):
-            for n in range(self.cap + 1):
-                out.extend(all_pointed_maps(m, n))
-        return out
+    def all_maps(self) -> tuple[PointedMap, ...]:
+        return maps_up_to(self.cap)
 
     def __repr__(self):
         return f"<GammaTruncation {self.name} cap={self.cap}>"

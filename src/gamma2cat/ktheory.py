@@ -26,9 +26,9 @@ from functools import lru_cache
 from .subsets import (
     PointedMap,
     Subset,
-    all_pointed_maps,
     disjoint_pairs,
     disjoint_triples,
+    maps_up_to,
     nonempty_subsets_of,
     subset_key,
     union,
@@ -698,11 +698,7 @@ def ko_phi(C, phi: PointedMap, level_m: FiniteTwoCategory,
 def _gamma_truncation(C, N: int, gray: bool, name: str, ceiling: int) -> GammaTruncation:
     build = ko_level if gray else kt_level
     levels = [build(C, m, ceiling) for m in range(N + 1)]
-    maps = {}
-    for m in range(N + 1):
-        for n in range(N + 1):
-            for phi in all_pointed_maps(m, n):
-                maps[phi] = ko_phi(C, phi, levels[m], levels[n])
+    maps = {phi: ko_phi(C, phi, levels[phi.m], levels[phi.n]) for phi in maps_up_to(N)}
     return GammaTruncation(name, N, levels, maps)
 
 
@@ -934,11 +930,7 @@ class LazyKtGamma:
         return reindex_system_two_cell(self.C, cell, phi)
 
     def all_maps(self):
-        out = []
-        for m in range(self.cap + 1):
-            for n in range(self.cap + 1):
-                out.extend(all_pointed_maps(m, n))
-        return out
+        return maps_up_to(self.cap)
 
     def point(self, dim: int):
         sys = mk_system(0, (), ())
@@ -971,22 +963,16 @@ def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]],
     changed = True
     while changed:
         changed = False
-        for m in range(N + 1):
-            for n in range(N + 1):
-                for phi in all_pointed_maps(m, n):
-                    for sys in list(per_level[m]):
-                        img = reindex_system(C, sys, phi)
-                        if img not in seen[n]:
-                            seen[n].add(img)
-                            per_level[n].append(img)
-                            changed = True
+        for phi in maps_up_to(N):
+            for sys in list(per_level[phi.m]):
+                img = reindex_system(C, sys, phi)
+                if img not in seen[phi.n]:
+                    seen[phi.n].add(img)
+                    per_level[phi.n].append(img)
+                    changed = True
     levels = [
         _build_level(C, m, False, f"{name}({m})", ceiling, systems=per_level[m])
         for m in range(N + 1)
     ]
-    maps = {}
-    for m in range(N + 1):
-        for n in range(N + 1):
-            for phi in all_pointed_maps(m, n):
-                maps[phi] = ko_phi(C, phi, levels[m], levels[n])
+    maps = {phi: ko_phi(C, phi, levels[phi.m], levels[phi.n]) for phi in maps_up_to(N)}
     return GammaTruncation(name or f"K({getattr(C, 'name', '?')})|gen", N, levels, maps)

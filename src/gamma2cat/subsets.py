@@ -117,6 +117,13 @@ def all_pointed_maps(m: int, n: int) -> tuple[PointedMap, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def maps_up_to(cap: int) -> tuple[PointedMap, ...]:
+    """Every pointed map m+ -> n+ with m, n <= cap, by source, then target."""
+    return tuple(phi for m in range(cap + 1) for n in range(cap + 1)
+                 for phi in all_pointed_maps(m, n))
+
+
 def segal_injection(k: int, n: int) -> PointedMap:
     """The map n+ -> 1+ sending only k to the non-basepoint element."""
     return PointedMap(n, 1, tuple(1 if i == k else 0 for i in range(1, n + 1)))

@@ -311,14 +311,6 @@ def vseq(C, *cells: Cell) -> Cell:
     return acc
 
 
-def compose_chain(C, chain: list[Cell]) -> Cell:
-    """Composite of a chain of 1-cells, leftmost applied last."""
-    acc = chain[-1]
-    for f in reversed(chain[:-1]):
-        acc = C.comp1(f, acc)
-    return acc
-
-
 def vertical_inverse(C, a: Cell) -> Cell | None:
     """The vertical inverse of a 2-cell, or None if not invertible."""
     f, g = C.src2(a), C.tgt2(a)
@@ -606,15 +598,6 @@ class TwoFunctor:
     fmap: dict[Cell, Cell]
     amap: dict[Cell, Cell]
     name: str = ""
-
-    def on_obj(self, x: Cell) -> Cell:
-        return self.omap[x]
-
-    def on_one(self, f: Cell) -> Cell:
-        return self.fmap[f]
-
-    def on_two(self, a: Cell) -> Cell:
-        return self.amap[a]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwoFunctor):

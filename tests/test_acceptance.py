@@ -2,52 +2,19 @@
 pass/fail line each.  All equalities are exact (identifier equality); the
 only tolerances are the stated wall-clock bounds.
 
-The mutation criterion uses an independent exhaustive scanner written here
-with direct table loops, deliberately sharing no code with the package's
-validators.
+Criteria 1-10 run the package's named-check battery (``gamma2cat.cli.BATTERY``,
+the same checks ``gamma2cat report`` prints) and hold it to the bounds here.
+Criterion 10 also judges the battery's mutation sample with an independent
+exhaustive scanner written here with direct table loops, deliberately sharing
+no code with the package's validators.
 """
 
-import copy
-import itertools
-import random
 import time
 
-import pytest
-
-from gamma2cat.monoidal import (
-    PermutativeGrayMonoid,
-    PermutativeTwoCategory,
-    fixture,
-    promote,
-    validate_permutative,
-    validate_pgm,
-)
-from gamma2cat.twocat import (
-    FiniteTwoCategory,
-    is_isomorphism_of_two_categories,
-    two_equivalence_check,
-    validate_two_category,
-    validate_two_functor,
-)
-from gamma2cat.ktheory import ko_gamma, ko_level, level_one_comparison
-from gamma2cat.gamma import (
-    e_adjunction_check,
-    e_construction,
-    identity_lax_map,
-    is_identity_transformation,
-    segal_map,
-    validate_espan,
-    validate_transformation_gamma,
-    very_special_check,
-)
-from gamma2cat.inversek import validate_p_truncation
-from gamma2cat.adjunction import (
-    bounded_unit_target,
-    lambda_of,
-    triangle_K,
-    triangle_P,
-    unit_map,
-)
+from gamma2cat.cli import BATTERY, mutation_sample
+from gamma2cat.ktheory import DEFAULT_CELL_CEILING
+from gamma2cat.monoidal import PermutativeGrayMonoid, PermutativeTwoCategory
+from gamma2cat.twocat import FiniteTwoCategory
 
 
 def _line(num, ok, text):
@@ -55,105 +22,59 @@ def _line(num, ok, text):
     assert ok, f"criterion {num}: {text}"
 
 
-def test_criterion_01_level_counts(f2):
+def _battery(num, text, bound=None):
+    """Run criterion ``num`` of the package battery: every check passes,
+    within ``bound`` seconds when one is given."""
+    number, stage, criterion = BATTERY[num - 1]
+    assert number == num
     t0 = time.time()
-    P = promote(f2)
-    counts = []
-    all_identity = True
-    for n in range(4):
-        lvl = ko_level(P, n)
-        counts.append(len(lvl.objects))
-        for sys in lvl.objects:
-            all_identity = all_identity and all(P.is_id1(c) for c in sys.c)
+    lines = criterion(DEFAULT_CELL_CEILING)
     elapsed = time.time() - t0
-    ok = counts == [1, 2, 4, 8] and all_identity and elapsed < 10
-    _line(1, ok, f"level counts {counts}, connecting cells trivial, {elapsed:.1f}s")
+    failed = [f"{name} ({detail})" if detail else name
+              for name, passed, detail in lines if not passed]
+    ok = bool(lines) and not failed and (bound is None or elapsed < bound)
+    names = ", ".join(name for name, _, _ in lines)
+    failing = f"; failing: {', '.join(failed)}" if failed else ""
+    _line(num, ok, f"{text} [{stage}: {names}{failing}], {elapsed:.1f}s")
+
+
+def test_criterion_01_level_counts():
+    _battery(1, "level counts 1, 2, 4, 8, connecting cells trivial", bound=10)
 
 
 def test_criterion_02_level_one_comparison():
-    ok = True
-    for name in ("F1", "F2", "F3", "F4", "F5"):
-        C = fixture(name)
-        gray = C if isinstance(C, PermutativeGrayMonoid) else promote(C)
-        cmp1 = level_one_comparison(gray, ko_level(gray, 1))
-        ok = ok and validate_two_functor(cmp1).ok and is_isomorphism_of_two_categories(cmp1)
-    _line(2, ok, "level one is isomorphic to the carrier for F1-F5")
+    _battery(2, "level one is isomorphic to the carrier for F1-F5 and M3")
 
 
-def test_criterion_03_specialness(f2_gamma3, f5_gamma2):
-    t0 = time.time()
-    ok = True
-    details = []
-    for name, cap in (("F1", 3), ("F2", 3), ("F3", 3)):
-        X = f2_gamma3 if name == "F2" else ko_gamma(promote(fixture(name)), cap)
-        for n in range(2, cap + 1):
-            rep = two_equivalence_check(segal_map(X, n))
-            ok = ok and rep.ok
-            details.append(f"{name}@{n}")
-    rep5 = two_equivalence_check(segal_map(f5_gamma2, 2))
-    ok = ok and rep5.ok and not rep5.bijective_on_cells
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 120
-    _line(3, ok, f"comparison maps are equivalences ({', '.join(details)}; "
-                 f"F5@2 non-isomorphism), {elapsed:.1f}s")
+def test_criterion_03_specialness():
+    _battery(3, "comparison maps are equivalences (F1-F3 to level 3, F5 to 2; "
+                "F5@2 non-isomorphism)", bound=120)
 
 
-def test_criterion_04_very_special(f2_gamma2):
-    vs = very_special_check(f2_gamma2)
-    ok = vs.ok and len(vs.elements) == 2
-    if ok:
-        e = vs.identity
-        other = next(c for c in vs.elements if c != e)
-        ok = vs.table[(other, other)] == e and vs.table[(e, other)] == other
-    _line(4, ok, "class set at level one is the group of order two")
+def test_criterion_04_very_special():
+    _battery(4, "class set at level one is the group of order two")
 
 
 def test_criterion_05_triangle_counit_after_unit():
-    t0 = time.time()
-    ok = True
-    for name in ("F1", "F2", "F3"):
-        rep = triangle_K(fixture(name), 2)
-        ok = ok and rep.ok
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 120
-    _line(5, ok, f"counit after unit is the identity on all cells and "
-                 f"structure cells collapse, {elapsed:.1f}s")
+    _battery(5, "counit after unit is the identity on all cells and "
+                "structure cells collapse", bound=120)
 
 
-def test_criterion_06_triangle_counit_after_unit_image(f2_gamma2):
-    t0 = time.time()
-    rep = triangle_P(f2_gamma2, 2, 2)
-    elapsed = time.time() - t0
-    ok = rep.ok and elapsed < 120
-    _line(6, ok, f"counit after unit image fixes every bounded cell "
-                 f"({rep.checked} instances), {elapsed:.1f}s")
+def test_criterion_06_triangle_counit_after_unit_image():
+    _battery(6, "counit after unit image fixes every bounded cell", bound=120)
 
 
-def test_criterion_07_span_construction(f2_unit_target):
-    eta, _ = f2_unit_target
-    span = e_construction(eta)
-    rep = validate_espan(span)
-    rep2 = e_adjunction_check(span)
-    ok = rep.ok and rep2.ok
-    _line(7, ok, "span legs factor the unit and the retraction adjunction "
-                 f"holds ({rep.checked + rep2.checked} instances)")
+def test_criterion_07_span_construction():
+    _battery(7, "span legs factor the unit and the retraction adjunction holds")
 
 
-def test_criterion_08_bounded_permutativity(f2_gamma2):
-    rep = validate_p_truncation(f2_gamma2, 2, 2)
-    ok = rep.ok and rep.checked > 0
-    _line(8, ok, f"bounded inverse construction is permutative "
-                 f"({rep.checked} instances)")
+def test_criterion_08_bounded_permutativity():
+    _battery(8, "bounded inverse construction is permutative")
 
 
-def test_criterion_09_lambda_coherence(f2_gamma2):
-    eta = unit_map(f2_gamma2)
-    lam = lambda_of(eta)
-    rep = validate_transformation_gamma(lam)
-    lam0 = lambda_of(identity_lax_map(f2_gamma2))
-    ok = rep.ok and is_identity_transformation(lam0)
-    _line(9, ok, f"comparison transformation coherent on the unit "
-                 f"({rep.checked} instances); identity for strict maps")
+def test_criterion_09_lambda_coherence():
+    _battery(9, "comparison transformation coherent on the unit; "
+                "identity for strict maps")
 
 
 # -- criterion 10: mutation completeness with an independent scanner -----------
@@ -536,77 +457,26 @@ def _naive_pgm_ok(P: PermutativeGrayMonoid) -> bool:
     return True
 
 
-def _mutate_once(F, rng):
-    """One random single-entry table mutation, preserving the table shapes."""
-    C = F.base
-    one, two, objs = list(C.one_src), list(C.two_src), list(C.objects)
-    muts = [("vcomp_table", two), ("hcomp1_table", one), ("hcomp2_table", two)]
-    if isinstance(F, PermutativeTwoCategory):
-        extra = [("sum_obj_table", objs), ("sum_one_table", one),
-                 ("sum_two_table", two), ("beta_table", one)]
-    else:
-        extra = [("sum_obj_table", objs), ("lsum1_table", one), ("rsum1_table", one),
-                 ("lsum2_table", two), ("rsum2_table", two),
-                 ("sigma_table", two), ("beta_table", one)]
-    base_tables = {"vcomp_table", "hcomp1_table", "hcomp2_table"}
-    while True:
-        tname, pool = rng.choice(muts + extra)
-        holder = C if tname in base_tables else F
-        table = getattr(holder, tname)
-        if not table:
-            continue
-        key = rng.choice(list(table))
-        candidates = [v for v in pool if v != table[key]]
-        if not candidates:
-            continue
-        new_val = rng.choice(candidates)
-        break
-    new_base = FiniteTwoCategory(
-        C.name + "?", objs,
-        {f: (C.one_src[f], C.one_tgt[f], C.one_identity[f]) for f in one},
-        {a: (C.two_src[a], C.two_tgt[a], C.two_identity[a]) for a in two},
-        dict(C.vcomp_table), dict(C.hcomp1_table), dict(C.hcomp2_table),
-    )
-    if tname in base_tables:
-        getattr(new_base, tname)[key] = new_val
-    if isinstance(F, PermutativeTwoCategory):
-        out = PermutativeTwoCategory(
-            F.name + "?", new_base, F.unit, dict(F.sum_obj_table),
-            dict(F.sum_one_table), dict(F.sum_two_table), dict(F.beta_table))
-    else:
-        out = PermutativeGrayMonoid(
-            F.name + "?", new_base, F.unit, dict(F.sum_obj_table),
-            dict(F.lsum1_table), dict(F.rsum1_table),
-            dict(F.lsum2_table), dict(F.rsum2_table),
-            dict(F.sigma_table), dict(F.beta_table))
-    if tname not in base_tables:
-        getattr(out, tname)[key] = new_val
-    return out
-
-
 def test_criterion_10_mutation_completeness():
-    rng = random.Random(20260810)
+    # the battery: every mutation is rejected with a witness or re-validates
+    _battery(10, "every single-entry mutation is rejected with a witness")
+    # and the package validator agrees with the independent scanner on the sample
     silent, disagreements, rejected, total = 0, 0, 0, 0
-    for name in ("F2", "F3", "F5"):
-        F = fixture(name)
-        for _ in range(100):
-            total += 1
-            mutated = _mutate_once(F, rng)
-            if isinstance(mutated, PermutativeTwoCategory):
-                rep = validate_permutative(mutated)
-                naive_ok = _naive_p2cat_ok(mutated)
-            else:
-                rep = validate_pgm(mutated)
-                naive_ok = _naive_pgm_ok(mutated)
-            if rep.ok != naive_ok:
+    for mutated, rep in mutation_sample():
+        total += 1
+        if isinstance(mutated, PermutativeTwoCategory):
+            naive_ok = _naive_p2cat_ok(mutated)
+        else:
+            naive_ok = _naive_pgm_ok(mutated)
+        if rep.ok != naive_ok:
+            disagreements += 1
+        if rep.ok and not naive_ok:
+            silent += 1
+        if not rep.ok:
+            rejected += 1
+            if rep.first() is None:
                 disagreements += 1
-            if rep.ok and not naive_ok:
-                silent += 1
-            if not rep.ok:
-                rejected += 1
-                if rep.first() is None:
-                    disagreements += 1
-    ok = silent == 0 and disagreements == 0
+    ok = silent == 0 and disagreements == 0 and total == 300
     _line(10, ok, f"{total} mutations, {rejected} rejected with witnesses, "
                   f"{silent} silent passes, {disagreements} scanner disagreements")
 

@@ -10,9 +10,12 @@ import pytest
 
 import gamma2cat
 from gamma2cat.cli import (
+    BATTERY,
     FixtureDocument,
     FixtureError,
+    build_parser,
     builtin_document,
+    cmd_report,
     fixtures_dir,
     load,
     resolve_fixture,
@@ -93,6 +96,14 @@ def _capture(argv):
     return code, buf.getvalue()
 
 
+def _python(args, **env):
+    """Run the interpreter on this checkout's package; returns the process."""
+    src = str(Path(gamma2cat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
 def test_exit_code_zero_on_pass():
     code, out = _capture(["validate", "--fixture", "F2"])
     assert code == 0
@@ -154,13 +165,10 @@ def test_reports_byte_deterministic():
         "run(['very-special', '--fixture', 'M3'])",
         "run(['triangle-p', '--fixture', 'F2'])",
     ])
-    src = str(Path(gamma2cat.__file__).parents[1])
     outs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, check=True)
+        proc = _python(["-c", script], PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert outs[0].startswith(out1.encode())
@@ -168,10 +176,57 @@ def test_reports_byte_deterministic():
     assert b"command: triangle-p" in outs[0]
 
 
-def test_ko_command_counts():
-    code, out = _capture(["ko", "--fixture", "F1", "--level", "3", "--format", "json"])
+@pytest.mark.parametrize("argv, counters", [
+    (["ko", "--fixture", "F1", "--level", "3"], {"objects": 1}),
+    (["kt", "--fixture", "F3", "--level", "2"],
+     {"objects": 1, "one_cells": 1, "two_cells": 4}),
+    (["path-object", "--fixture", "F4"], {"objects": 2, "one_cells": 8, "two_cells": 8}),
+    (["espan", "--fixture", "F2", "--cap", "2"], {"instances": 38964}),
+], ids=["ko", "kt", "path-object", "espan"])
+def test_ko_command_counts(argv, counters):
+    code, out = _capture(argv + ["--format", "json"])
     assert code == 0
-    assert json.loads(out)["counters"]["objects"] == 1
+    got = json.loads(out)["counters"]
+    assert {k: got[k] for k in counters} == counters
+
+
+REPORT_TEXT = """\
+command: report
+PASS ko-level-counts  ([1, 2, 4, 8])
+PASS level-one-comparison
+PASS special-F1
+PASS special-F2
+PASS special-F3
+PASS special-F5
+PASS very-special-F2
+PASS triangle-k-F1
+PASS triangle-k-F2
+PASS triangle-k-F3
+PASS triangle-p-F2
+PASS espan-F2
+PASS inverse-permutativity
+PASS lambda-coherence
+PASS mutation-screen
+result: pass
+"""
+
+
+def test_report_runs_the_battery():
+    rep = cmd_report(build_parser().parse_args(["report"]))
+    # one time per criterion, specialness included
+    assert list(rep.timings) == [stage for _, stage, _ in BATTERY]
+    assert "specialness" in rep.timings
+    # exit code 0 (run() returns 0 exactly when the report is ok) and the
+    # default text, byte for byte
+    assert rep.ok
+    rep.timings = None
+    assert rep.to_text() == REPORT_TEXT
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python(["-m", "gamma2cat", "validate", "--fixture", "F2"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b"result: pass\n")
 
 
 def test_triangle_commands():
