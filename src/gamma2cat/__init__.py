@@ -81,7 +81,6 @@ from .inversek import (
 )
 from .adjunction import (
     Counit,
-    counit_for,
     eta_on_cell,
     eta_phi,
     lambda_of,

@@ -27,7 +27,6 @@ from .monoidal import sum_many_obj, sum_many_two, sum_one_cells
 from .ktheory import (
     LazyKtGamma,
     SystemMap,
-    identity_system_map,
     make_system,
     make_system_map,
     mk_system_two_cell,
@@ -315,6 +314,8 @@ class Counit:
     def __init__(self, C, gray: bool = False):
         self.C = C
         self.gray = gray
+        # system reindexing, as a diagram for block application
+        self.diagram = LazyKtGamma(C, 0)
 
     # -- evaluation at the full subset
 
@@ -369,7 +370,7 @@ class Counit:
         perm = _sort_permutation(keys)
         reorder = perm_beta(C, factors, perm)
         out = C.comp1(reorder, total)
-        pushed = ax_apply(_SystemDiagramView(C), phim, 0, systems)
+        pushed = ax_apply(self.diagram, phim, 0, systems)
         want_tgt = sum_many_obj(C, [
             sys.x_at(C, tuple(range(1, n + 1))) for n, sys in zip(phim.tgt, pushed)
         ])
@@ -382,7 +383,7 @@ class Counit:
         """The structure cell of a composite equals the evident pasting."""
         C = self.C
         lhs = self.laxity(a_compose(psim, phim), systems)
-        pushed = ax_apply(_SystemDiagramView(C), phim, 0, systems)
+        pushed = ax_apply(self.diagram, phim, 0, systems)
         rhs = C.comp1(self.laxity(psim, pushed), self.laxity(phim, systems))
         return lhs == rhs
 
@@ -412,7 +413,7 @@ class Counit:
         lax_src = self.laxity(phim, src_systems)
         lax_tgt = self.laxity(phim, tgt_systems)
         f_total = self.on_tuple(phim.src, 1, sysmaps)
-        pushed = ax_apply(_SystemDiagramView(C), phim, 1, sysmaps)
+        pushed = ax_apply(self.diagram, phim, 1, sysmaps)
         g_total = sum_one_cells(C, [
             mp.f_at(C, tuple(range(1, n + 1))) for n, mp in zip(phim.tgt, pushed)
         ])
@@ -436,10 +437,7 @@ class Counit:
             d_i = partition_cell(C, sysmaps[i].tgt, full, parts[i])
             squares.append((F_i, c_i, d_i, sysmaps[i].f_at(C, full), delta))
         big = sum_of_squares(C, squares)
-        base = C.base if hasattr(C, "base") else None
-        if base is None:
-            raise NotImplementedError("pseudonaturality needs a tabulated carrier")
-        big_inv = vertical_inverse(base, big)
+        big_inv = vertical_inverse(C, big)
         if big_inv is None:
             raise AssertionError("partition filling sum not invertible")
         # factor list for the reordering, against the part components
@@ -460,29 +458,6 @@ class Counit:
            C.tgt2(out) != C.comp1(g_total, lax_src):
             raise AssertionError("pseudonaturality cell endpoints mismatch")
         return out
-
-
-class _SystemDiagramView:
-    """Adapter presenting system reindexing as a diagram for block application."""
-
-    def __init__(self, C):
-        self.C = C
-
-    def phi_star(self, phi: PointedMap, dim: int, cell):
-        from .ktheory import reindex_system, reindex_system_map, reindex_system_two_cell
-        fn = (reindex_system, reindex_system_map, reindex_system_two_cell)[dim]
-        return fn(self.C, cell, phi)
-
-    def point(self, dim: int):
-        sys = make_system(self.C, 0, {}, {})
-        if dim == 0:
-            return sys
-        mp = identity_system_map(self.C, sys, gray=False)
-        return mp if dim == 1 else mk_system_two_cell(0, mp, mp, ())
-
-
-def counit_for(C, gray: bool = False) -> Counit:
-    return Counit(C, gray=gray)
 
 
 # -- permutation machinery for the braiding ------------------------------------------

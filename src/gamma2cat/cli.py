@@ -21,9 +21,10 @@ The fixture format is line-oriented UTF-8 text with canonical field order:
     map 1 2 0,2 obj m0 s t    (one table line per cell of the source level)
 
 Saving canonicalizes cell identifiers, so load(save(d)) is byte-identical
-for canonicalized documents.  Reports are byte-deterministic unless timings
-are requested; ``report`` runs ``BATTERY``, the named checks of acceptance
-criteria 1-10, which the acceptance tests run too.
+for canonicalized documents.  Reports are byte-deterministic unless
+``report --timings`` asks for wall-clock times; ``report`` runs ``BATTERY``,
+the named checks of acceptance criteria 1-10, which the acceptance tests run
+too.
 """
 
 from __future__ import annotations
@@ -747,14 +748,14 @@ def cmd_report(args) -> Report:
         for name, ok, detail in criterion(ceiling):
             rep.add(name, ok, detail)
         rep.timings[stage] = time.perf_counter() - t0
+    if not args.timings:
+        rep.timings = None
     return rep
 
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "json"), default="text")
-    shared.add_argument("--timings", action="store_true",
-                        help="include wall-clock times (breaks byte determinism)")
     p = argparse.ArgumentParser(prog="gamma2cat", parents=[shared],
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -779,7 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-entry", type=int, default=2)
     add("espan", cmd_espan).add_argument("--cap", type=int, default=2)
     add("path-object", cmd_path_object)
-    add("report", cmd_report, fixture=False)
+    add("report", cmd_report, fixture=False).add_argument(
+        "--timings", action="store_true",
+        help="include wall-clock times (breaks byte determinism)")
     return p
 
 
@@ -797,8 +800,6 @@ def run(argv: list[str] | None = None) -> int:
     except FixtureError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    if not args.timings:
-        report.timings = None
     sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.ok else 1
 

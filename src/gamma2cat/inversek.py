@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .subsets import PointedMap
-from .twocat import InternedCell, ValidationReport
+from .twocat import FieldEndpoints, InternedCell, ValidationReport
 from .ktheory import LazyKtGamma  # noqa: F401  (re-exported for callers)
 
 
@@ -252,7 +252,7 @@ def mk_groth_two(src, tgt, alphas) -> GrothTwo:
     return GrothTwo._make(src, tgt, tuple(alphas))
 
 
-class GrothPerm:
+class GrothPerm(FieldEndpoints):
     """The permutative 2-category assembled from a reduced diagram: cells are
     pairs of a block map and a component tuple, evaluated lazily.
 
@@ -333,18 +333,6 @@ class GrothPerm:
         return mk_groth_two(
             self.comp1(b.src, a.src), self.comp1(b.tgt, a.tgt), alphas
         )
-
-    def src1(self, u: GrothOne) -> GrothObj:
-        return u.src
-
-    def tgt1(self, u: GrothOne) -> GrothObj:
-        return u.tgt
-
-    def src2(self, a: GrothTwo) -> GrothOne:
-        return a.src
-
-    def tgt2(self, a: GrothTwo) -> GrothOne:
-        return a.tgt
 
     def is_id1(self, u: GrothOne) -> bool:
         return u.phim.is_identity and u.src == u.tgt and all(

@@ -36,6 +36,7 @@ from .subsets import (
 from .twocat import (
     Cell,
     CellCeilingExceeded,
+    FieldEndpoints,
     FiniteTwoCategory,
     InternedCell,
     TwoFunctor,
@@ -166,15 +167,6 @@ def make_system_map(C, src: SubsetSystem, tgt: SubsetSystem, fmap: dict,
     return mk_system_map(n, src, tgt, tuple(fmap[s] for s in subs), gamma)
 
 
-def _invertible_in_carrier(C, g) -> bool:
-    base = getattr(C, "base", None)
-    if isinstance(base, FiniteTwoCategory):
-        return vertical_inverse(base, g) is not None
-    # lazily evaluated carriers cannot enumerate candidate inverses; the
-    # bounded validators cover invertibility where it is decidable
-    return True
-
-
 def _gamma_source(C, mp: SystemMap, s: Subset, t: Subset):
     """(1 (+) f_t).(f_s (+) 1).c[s,t] as a 1-cell of the carrier."""
     fs, ft = mp.f_at(C, s), mp.f_at(C, t)
@@ -256,7 +248,7 @@ def validate_system_map(C, mp: SystemMap, gray: bool) -> ValidationReport:
         rep.checked += 1
         if C.src2(g) != _gamma_source(C, mp, s, t) or C.tgt2(g) != _gamma_target(C, mp, s, t):
             rep.add("structure", f"filling cell at {(s, t)} has wrong endpoints")
-        elif not _invertible_in_carrier(C, g):
+        elif vertical_inverse(C, g) is None:
             rep.add("structure", f"filling cell at {(s, t)} not invertible")
     if rep.issues:
         return rep
@@ -540,9 +532,8 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
         stub = make_system_map(C, src, tgt, fmap, None)
         src1 = _gamma_source(C, stub, s, t)
         tgt1 = _gamma_target(C, stub, s, t)
-        base = C.base if hasattr(C, "base") else C
         for g in C.two_cells_between(src1, tgt1):
-            if vertical_inverse(base, g) is None:
+            if vertical_inverse(C, g) is None:
                 continue
             gmap[(s, t)] = g
             place_gamma(j + 1, fmap, gmap)
@@ -849,7 +840,7 @@ def partition_filling(C, mp: SystemMap, s: Subset, parts: list[Subset]):
 # -- lazy levels ------------------------------------------------------------------
 
 
-class LazyKtLevel:
+class LazyKtLevel(FieldEndpoints):
     """Cell operations of a level over an arbitrary permutative carrier,
     without enumeration.  Composition takes system maps with or without
     filling cells (cubical or strict levels) and componentwise 2-cells; the
@@ -885,18 +876,6 @@ class LazyKtLevel:
             tuple(C.hcomp2(x, y) for x, y in zip(b.alpha, a.alpha)),
         )
 
-    def src1(self, mp: SystemMap) -> SubsetSystem:
-        return mp.src
-
-    def tgt1(self, mp: SystemMap) -> SubsetSystem:
-        return mp.tgt
-
-    def src2(self, cell: SystemTwoCell) -> SystemMap:
-        return cell.src
-
-    def tgt2(self, cell: SystemTwoCell) -> SystemMap:
-        return cell.tgt
-
     def is_id1(self, mp: SystemMap) -> bool:
         return is_identity_system_map(self.C, mp)
 
@@ -928,9 +907,6 @@ class LazyKtGamma:
         if dim == 1:
             return reindex_system_map(self.C, cell, phi)
         return reindex_system_two_cell(self.C, cell, phi)
-
-    def all_maps(self):
-        return maps_up_to(self.cap)
 
     def point(self, dim: int):
         sys = mk_system(0, (), ())

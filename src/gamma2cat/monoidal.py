@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .twocat import (
+    CELL_OPERATIONS,
+    ENUMERATION_OPERATIONS,
     Cell,
     FiniteTwoCategory,
     TwoFunctor,
@@ -35,65 +36,15 @@ from .twocat import (
 )
 
 
-class _CatDelegate:
-    """Mixin delegating plain 2-category operations to the underlying base."""
-
-    base: FiniteTwoCategory
-
-    def id1(self, a: Cell) -> Cell:
-        return self.base.id1(a)
-
-    def id2(self, f: Cell) -> Cell:
-        return self.base.id2(f)
-
-    def comp1(self, g: Cell, f: Cell) -> Cell:
-        return self.base.comp1(g, f)
-
-    def vcomp(self, b: Cell, a: Cell) -> Cell:
-        return self.base.vcomp(b, a)
-
-    def hcomp2(self, b: Cell, a: Cell) -> Cell:
-        return self.base.hcomp2(b, a)
-
-    def src1(self, f: Cell) -> Cell:
-        return self.base.src1(f)
-
-    def tgt1(self, f: Cell) -> Cell:
-        return self.base.tgt1(f)
-
-    def src2(self, a: Cell) -> Cell:
-        return self.base.src2(a)
-
-    def tgt2(self, a: Cell) -> Cell:
-        return self.base.tgt2(a)
-
-    def is_id1(self, f: Cell) -> bool:
-        return self.base.is_id1(f)
-
-    def is_id2(self, a: Cell) -> bool:
-        return self.base.is_id2(a)
-
-    def objects_iter(self) -> Iterable[Cell]:
-        return iter(self.base.objects)
-
-    def one_cells_between(self, a: Cell, b: Cell) -> list[Cell]:
-        return self.base.one_cells_between(a, b)
-
-    def two_cells_between(self, f: Cell, g: Cell) -> list[Cell]:
-        return self.base.two_cells_between(f, g)
-
-    def has_obj(self, a: Cell) -> bool:
-        return a in self._objset()
-
-    def _objset(self):
-        try:
-            return self.__objset
-        except AttributeError:
-            self.__objset = set(self.base.objects)
-            return self.__objset
+def _bind_base(carrier, base: FiniteTwoCategory) -> None:
+    """Set the carrier's base and answer the 2-category protocol with the
+    base's own bound operations, so a carrier call costs no extra frame."""
+    carrier.base = base
+    for op in CELL_OPERATIONS + ENUMERATION_OPERATIONS:
+        setattr(carrier, op, getattr(base, op))
 
 
-class PermutativeTwoCategory(_CatDelegate):
+class PermutativeTwoCategory:
     """A strict monoid in 2-categories under cartesian product, with symmetry.
 
     The sum is a genuine product 2-functor, tabulated on pairs of cells.
@@ -103,7 +54,7 @@ class PermutativeTwoCategory(_CatDelegate):
 
     def __init__(self, name, base, unit, sum_obj, sum_one, sum_two, beta):
         self.name = name
-        self.base = base
+        _bind_base(self, base)
         self.unit = unit
         self.sum_obj_table = dict(sum_obj)
         self.sum_one_table = dict(sum_one)
@@ -163,7 +114,7 @@ class PermutativeTwoCategory(_CatDelegate):
         return f"<PermutativeTwoCategory {self.name}>"
 
 
-class PermutativeGrayMonoid(_CatDelegate):
+class PermutativeGrayMonoid:
     """Cubical sum data: one-sided sum 2-functors, interchangers, braiding."""
 
     flavor = "pgm"
@@ -171,7 +122,7 @@ class PermutativeGrayMonoid(_CatDelegate):
     def __init__(self, name, base, unit, sum_obj, lsum1, rsum1, lsum2, rsum2,
                  sigma, beta):
         self.name = name
-        self.base = base
+        _bind_base(self, base)
         self.unit = unit
         self.sum_obj_table = dict(sum_obj)
         self.lsum1_table = dict(lsum1)

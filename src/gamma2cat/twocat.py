@@ -18,15 +18,27 @@ composite on first use and memoizes it, and ``fill`` completes the tables
 for the scans that read them whole.  Associativity and interchange
 (checked by ``validate_two_category``) make the fold order of any pasting
 diagram immaterial.
+
+Every 2-category of the package answers one protocol, the eleven
+``CELL_OPERATIONS``, whether it is tabulated or evaluated lazily (a formula
+level, the inverse construction).  ``FiniteTwoCategory`` is its tabulated
+case and also answers the ``ENUMERATION_OPERATIONS``; a permutative carrier
+binds all fifteen from its base 2-category.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping
 
 Cell = Hashable
+
+CELL_OPERATIONS = ("id1", "id2", "comp1", "vcomp", "hcomp2", "src1", "tgt1",
+                   "src2", "tgt2", "is_id1", "is_id2")
+ENUMERATION_OPERATIONS = ("objects_iter", "has_obj", "one_cells_between",
+                          "two_cells_between")
 
 
 @dataclass
@@ -155,6 +167,7 @@ class FiniteTwoCategory:
         self._hom2 = {}
         for a in self.two_src:
             self._hom2.setdefault((self.two_src[a], self.two_tgt[a]), []).append(a)
+        self._objset = set(self.objects)
 
     # -- cell accessors ----------------------------------------------------
 
@@ -238,6 +251,12 @@ class FiniteTwoCategory:
         self.hcomp2_table = _complete(self.hcomp2_table, h2_dom, F.hcomp2)
         self._formula = None
 
+    def objects_iter(self) -> Iterable[Cell]:
+        return iter(self.objects)
+
+    def has_obj(self, a: Cell) -> bool:
+        return a in self._objset
+
     def one_cells_between(self, a: Cell, b: Cell) -> list[Cell]:
         return self._hom1.get((a, b), [])
 
@@ -288,6 +307,14 @@ def _complete(memo: dict, domain: list, op) -> dict:
             c = memo.get((b, a))
             out[(b, a)] = op(b, a) if c is None else c
     return out
+
+
+class FieldEndpoints:
+    """``src1``/``tgt1``/``src2``/``tgt2`` for cells that carry their
+    endpoints in ``src``/``tgt`` fields."""
+
+    src1 = src2 = staticmethod(attrgetter("src"))
+    tgt1 = tgt2 = staticmethod(attrgetter("tgt"))
 
 
 # -- pasting helpers --------------------------------------------------------

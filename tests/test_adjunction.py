@@ -17,7 +17,6 @@ from gamma2cat.adjunction import (
     Counit,
     bounded_unit_target,
     check_projection_coherence,
-    counit_for,
     eta_on_cell,
     eta_phi,
     lambda_of,

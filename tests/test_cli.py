@@ -136,6 +136,8 @@ def test_exit_code_one_on_failing_check(tmp_path):
 
 def test_exit_code_two_on_unknown_fixture(capsys):
     assert run(["validate", "--fixture", "NOPE"]) == 2
+    # only report fills timings, so only report accepts --timings
+    assert run(["validate", "--fixture", "F2", "--timings"]) == 2
 
 
 def test_exit_code_three_on_resource_ceiling(monkeypatch):
@@ -212,7 +214,7 @@ result: pass
 
 
 def test_report_runs_the_battery():
-    rep = cmd_report(build_parser().parse_args(["report"]))
+    rep = cmd_report(build_parser().parse_args(["report", "--timings"]))
     # one time per criterion, specialness included
     assert list(rep.timings) == [stage for _, stage, _ in BATTERY]
     assert "specialness" in rep.timings

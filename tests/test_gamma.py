@@ -12,6 +12,7 @@ from gamma2cat.gamma import (
     e_construction,
     e_of_transformation,
     e_on_square,
+    e_section,
     gamma_path_object,
     identity_lax_map,
     identity_transformation,
@@ -179,6 +180,9 @@ def test_espan_for_identity_map(f2_gamma2):
     span = e_construction(identity_lax_map(X))
     assert validate_espan(span).ok
     assert e_adjunction_check(span).ok
+    # the section is a lax map, its laxity cells included
+    section = validate_lax_map(e_section(span))
+    assert section.ok and section.checked > 0
     # object count at level one: one triple per 1-cell of the level
     assert len(span.Ek.level(1).objects) == len(X.level(1).one_src)
 

@@ -44,6 +44,7 @@ def test_promote_then_demote_is_identity(name):
     P = promote(C)
     assert validate_pgm(P).ok
     assert demote(P) == C
+    assert promote(demote(P)) == P
 
 
 def test_demote_f5_refused_with_witness():

@@ -4,10 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamma2cat.ktheory import ko_level
+from gamma2cat.inversek import GrothPerm
+from gamma2cat.ktheory import LazyKtLevel, ko_level, kt_level
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
+    CELL_OPERATIONS,
+    ENUMERATION_OPERATIONS,
     FiniteTwoCategory,
+    LazyPathLevel,
     Transformation2,
     identity_functor,
     internal_equivalence_classes,
@@ -264,3 +268,64 @@ def test_single_entry_mutations_are_caught_or_harmless():
         rep = validate_two_category(mutated)
         if not rep.ok:
             assert rep.first() is not None
+
+
+# -- the 2-category protocol ---------------------------------------------------
+
+
+def test_every_two_category_answers_the_protocol(f2_gamma2):
+    F4, F5 = fixture("F4"), fixture("F5")
+    tabulated = [F4.base, F4, F5]
+    lazy = [LazyKtLevel(F4, 2), LazyPathLevel(F4.base), GrothPerm(f2_gamma2)]
+    assert [type(C).__name__ for C in tabulated + lazy] == [
+        "FiniteTwoCategory", "PermutativeTwoCategory", "PermutativeGrayMonoid",
+        "LazyKtLevel", "LazyPathLevel", "GrothPerm"]
+    for C in tabulated + lazy:
+        assert all(callable(getattr(C, op, None)) for op in CELL_OPERATIONS), C
+    for C in tabulated:
+        assert all(callable(getattr(C, op, None)) for op in ENUMERATION_OPERATIONS), C
+
+
+@pytest.mark.parametrize("name", ["F4", "F5"])
+def test_carriers_bind_their_base_operations(name):
+    C = fixture(name)
+    protocol = CELL_OPERATIONS + ENUMERATION_OPERATIONS
+    # no class defines a bound name, so binding cannot shadow a method
+    assert not any(set(protocol) & set(vars(k)) for k in type(C).__mro__)
+    assert all(getattr(C, op) == getattr(C.base, op) for op in protocol)
+
+
+def _agreement(lazy, level, identities=True) -> list[tuple]:
+    """(lazy value, tabulated value) over every cell and table entry."""
+    level.fill()
+    pairs = []
+    if identities:
+        pairs += [(lazy.id1(x), level.id1(x)) for x in level.objects]
+        pairs += [(lazy.id2(f), level.id2(f)) for f in level.one_src]
+    for ops, cells in ((("src1", "tgt1", "is_id1"), level.one_src),
+                       (("src2", "tgt2", "is_id2"), level.two_src)):
+        pairs += [(getattr(lazy, op)(c), getattr(level, op)(c)) for op in ops for c in cells]
+    for op, table in (("comp1", level.hcomp1_table), ("vcomp", level.vcomp_table),
+                      ("hcomp2", level.hcomp2_table)):
+        pairs += [(getattr(lazy, op)(b, a), c) for (b, a), c in table.items()]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4"])
+def test_lazy_kt_level_agrees_with_kt_level(name):
+    C = fixture(name)
+    pairs = _agreement(LazyKtLevel(C, 2), kt_level(C, 2))
+    assert pairs and [p for p in pairs if p[0] != p[1]] == []
+
+
+def test_lazy_kt_level_agrees_with_ko_level(f5, f5_level2):
+    # lazy identities are strict system maps, so identities do not compare
+    pairs = _agreement(LazyKtLevel(f5, 2), f5_level2, identities=False)
+    assert pairs and [p for p in pairs if p[0] != p[1]] == []
+
+
+@pytest.mark.parametrize("name", ["F4", "F5"])
+def test_lazy_path_level_agrees_with_path_object(name):
+    B = fixture(name).base
+    pairs = _agreement(LazyPathLevel(B), path_object(B).total)
+    assert pairs and [p for p in pairs if p[0] != p[1]] == []
