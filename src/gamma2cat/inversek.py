@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from .subsets import PointedMap
 from .twocat import FieldEndpoints, InternedCell, ValidationReport
-from .ktheory import LazyKtGamma  # noqa: F401  (re-exported for callers)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -39,6 +39,7 @@ from .twocat import (
     FieldEndpoints,
     FiniteTwoCategory,
     InternedCell,
+    LazyCellMap,
     TwoFunctor,
     ValidationReport,
     vertical_inverse,
@@ -316,25 +317,25 @@ def validate_system_two_cell(C, cell: SystemTwoCell, gray: bool) -> ValidationRe
         return rep
     for (s, t) in disjoint_pairs(n):
         rep.checked += 1
-        st = union(s, t)
-        summed = C.sum_two(cell.alpha_at(C, s), cell.alpha_at(C, t))
-        c_src = cell.src.src.c_at(C, s, t)
-        c_tgt = cell.src.tgt.c_at(C, s, t)
-        if gray:
-            lhs = C.vcomp(
-                whisker_l(C, c_tgt, cell.alpha_at(C, st)),
-                cell.src.gamma_at(C, s, t),
-            )
-            rhs = C.vcomp(
-                cell.tgt.gamma_at(C, s, t),
-                whisker_r(C, summed, c_src),
-            )
-        else:
-            lhs = whisker_l(C, c_tgt, cell.alpha_at(C, st))
-            rhs = whisker_r(C, summed, c_src)
-        if lhs != rhs:
+        if not _compat_square_holds(C, cell.src, cell.tgt, s, t, cell.alpha_at(C, s),
+                                    cell.alpha_at(C, t), cell.alpha_at(C, union(s, t)), gray):
             rep.add("compat", f"component compatibility fails at {(s, t)}")
     return rep
+
+
+def _compat_square_holds(C, u: SystemMap, v: SystemMap, s: Subset, t: Subset,
+                         a_s, a_t, a_st, gray: bool) -> bool:
+    """The compatibility square of the components a_s, a_t, a_{s+t} of a
+    2-cell u => v at the disjoint pair (s, t)."""
+    summed = C.sum_two(a_s, a_t)
+    c_src = u.src.c_at(C, s, t)
+    c_tgt = u.tgt.c_at(C, s, t)
+    lhs = whisker_l(C, c_tgt, a_st)
+    rhs = whisker_r(C, summed, c_src)
+    if gray:
+        lhs = C.vcomp(lhs, u.gamma_at(C, s, t))
+        rhs = C.vcomp(v.gamma_at(C, s, t), rhs)
+    return lhs == rhs
 
 
 # -- composition of level cells -------------------------------------------------
@@ -408,6 +409,15 @@ def is_identity_system_two_cell(C, cell: SystemTwoCell) -> bool:
 
 
 # -- enumeration -----------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _squares_closed_by(n: int) -> tuple[tuple[tuple[Subset, Subset], ...], ...]:
+    """For each nonempty subset in canonical order, the disjoint pairs (s, t)
+    of which it is the union.  Both parts come earlier in that order, so the
+    square at (s, t) is complete once the component at s+t is placed."""
+    return tuple(tuple((s, t) for (s, t) in disjoint_pairs(n) if union(s, t) == st)
+                 for st in nonempty_subsets_of(n))
 
 
 def _canonical_pairs(n: int) -> list[tuple[Subset, Subset]]:
@@ -549,6 +559,7 @@ def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
                                ceiling: int) -> list[SystemTwoCell]:
     n = u.n
     subs = nonempty_subsets_of(n)
+    squares = _squares_closed_by(n)
     out: list[SystemTwoCell] = []
 
     def place(i: int, amap: dict):
@@ -559,11 +570,14 @@ def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
                 if len(out) > ceiling:
                     raise CellCeilingExceeded("2-cell enumeration", len(out), ceiling)
             return
-        s = subs[i]
-        for a in C.two_cells_between(u.f_at(C, s), v.f_at(C, s)):
-            amap[s] = a
-            place(i + 1, amap)
-        amap.pop(s, None)
+        st = subs[i]
+        for a in C.two_cells_between(u.f_at(C, st), v.f_at(C, st)):
+            amap[st] = a
+            # prune: every square closed by placing a_{s+t} must commute
+            if all(_compat_square_holds(C, u, v, s, t, amap[s], amap[t], a, gray)
+                   for (s, t) in squares[i]):
+                place(i + 1, amap)
+        amap.pop(st, None)
 
     if u.src != v.src or u.tgt != v.tgt:
         return []
@@ -676,13 +690,17 @@ def reindex_system_two_cell(C, cell: SystemTwoCell, phi: PointedMap) -> SystemTw
 
 def ko_phi(C, phi: PointedMap, level_m: FiniteTwoCategory,
            level_n: FiniteTwoCategory) -> TwoFunctor:
-    """The transition 2-functor between built levels along a pointed map."""
+    """The transition 2-functor between built levels along a pointed map.
+
+    The object map is built here, so a reindexed system missing from the
+    target level raises at once; 1- and 2-cell images are reindexed when
+    first looked up."""
     omap = {s: reindex_system(C, s, phi) for s in level_m.objects}
-    fmap = {f: reindex_system_map(C, f, phi) for f in level_m.one_src}
-    amap = {a: reindex_system_two_cell(C, a, phi) for a in level_m.two_src}
     for v in omap.values():
-        if v not in set(level_n.objects):
+        if not level_n.has_obj(v):
             raise ValueError(f"reindexed system missing from target level: {v!r}")
+    fmap = LazyCellMap(level_m.one_src, lambda f: reindex_system_map(C, f, phi))
+    amap = LazyCellMap(level_m.two_src, lambda a: reindex_system_two_cell(C, a, phi))
     return TwoFunctor(level_m, level_n, omap, fmap, amap, name=f"phi*{phi.imgs}")
 
 

@@ -9,7 +9,7 @@ structures are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 Subset = tuple[int, ...]
@@ -69,12 +69,15 @@ def disjoint_triples(n: int) -> tuple[tuple[Subset, Subset, Subset], ...]:
 class PointedMap:
     """A basepoint-preserving map m+ -> n+, stored by its images on 1..m.
 
-    ``imgs[i-1]`` is the image of i; 0 denotes the basepoint.
+    ``imgs[i-1]`` is the image of i; 0 denotes the basepoint.  Pointed maps
+    key the transition tables and reindexing caches, so the hash of the
+    fields is computed once, at construction.
     """
 
     m: int
     n: int
     imgs: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.imgs) != self.m:
@@ -82,6 +85,10 @@ class PointedMap:
         for v in self.imgs:
             if not 0 <= v <= self.n:
                 raise ValueError(f"image {v} outside 0..{self.n}")
+        object.__setattr__(self, "_hash", hash((self.m, self.n, self.imgs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, i: int) -> int:
         if i == 0:

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
-from gamma2cat.subsets import PointedMap, fold_map, pointed_identity
+from gamma2cat.subsets import (PointedMap, all_pointed_maps, fold_map, maps_up_to,
+                               nonempty_subsets_of, pointed_identity)
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
     internal_equivalence_classes,
@@ -10,6 +13,7 @@ from gamma2cat.twocat import (
 )
 from gamma2cat.ktheory import (
     CellCeilingExceeded,
+    enumerate_system_two_cells,
     ko_gamma,
     ko_level,
     ko_map,
@@ -17,7 +21,10 @@ from gamma2cat.ktheory import (
     kt_level,
     kt_to_ko,
     level_one_comparison,
+    mk_system_two_cell,
     partition_cell,
+    reindex_system_map,
+    reindex_system_two_cell,
     validate_system,
     validate_system_map,
     validate_system_two_cell,
@@ -268,3 +275,103 @@ def test_partition_cell_three_blocks_on_cubical_systems(f5):
         head = sys.c_at(f5, (1, 2), (3,))
         tail = f5.rsum_one(sys.c_at(f5, (1,), (2,)), sys.x_at(f5, (3,)))
         assert left == f5.comp1(tail, head)
+
+
+# -- pruned 2-cell enumeration --------------------------------------------------
+
+
+def _brute_force_two_cells(C, u, v, gray):
+    """Every tuple of components filtered through the full validation, in
+    the enumerator's output order."""
+    if u.src != v.src or u.tgt != v.tgt:
+        return []
+    subs = nonempty_subsets_of(u.n)
+    choices = [C.two_cells_between(u.f_at(C, s), v.f_at(C, s)) for s in subs]
+    cells = [mk_system_two_cell(u.n, u, v, alpha) for alpha in itertools.product(*choices)]
+    out = [c for c in cells if validate_system_two_cell(C, c, gray).ok]
+    return sorted(out, key=lambda c: tuple(repr(a) for a in c.alpha))
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5"])
+def test_pruned_two_cell_enumeration_agrees_with_brute_force(name):
+    C = fixture(name)
+    carriers = [(C, True)] if name == "F5" else [(promote(C), True), (C, False)]
+    compared = 0
+    for carrier, gray in carriers:
+        build = ko_level if gray else kt_level
+        for m in range(3):
+            ones = list(build(carrier, m).one_src)
+            for u in ones:
+                for v in ones:
+                    got = enumerate_system_two_cells(carrier, u, v, gray, 10**6)
+                    assert got == _brute_force_two_cells(carrier, u, v, gray)
+                    compared += bool(got)
+    assert compared > 0
+
+
+def test_pruned_enumeration_keeps_counts_and_ceilings(f3):
+    P = promote(f3)
+    assert ko_level(P, 3).counts() == (1, 16, 2048)
+    with pytest.raises(CellCeilingExceeded) as exc:
+        ko_level(P, 3, ceiling=2000)
+    assert exc.value.stage == "level build"
+    level = ko_level(P, 2)
+    u = next(f for f in level.one_src if len(level.two_cells_between(f, f)) > 1)
+    with pytest.raises(CellCeilingExceeded) as exc:
+        enumerate_system_two_cells(P, u, u, True, 1)
+    assert exc.value.stage == "2-cell enumeration"
+
+
+# -- transitions computed on lookup ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["F2", "F3"])
+def test_transitions_are_computed_on_lookup(name):
+    P = promote(fixture(name))
+    X = ko_gamma(P, 2)
+    for phi in maps_up_to(2):
+        Lm, Ln = X.level(phi.m), X.level(phi.n)
+        eager_f = {f: reindex_system_map(P, f, phi) for f in Lm.one_src}
+        eager_a = {a: reindex_system_two_cell(P, a, phi) for a in Lm.two_src}
+        foreign_f = next(f for m in range(3) if m != phi.m for f in X.level(m).one_src)
+        foreign_a = next(a for m in range(3) if m != phi.m for a in X.level(m).two_src)
+        # never-filled maps answer membership, length and equality in full
+        fresh = ko_phi(P, phi, Lm, Ln)
+        assert all(f in fresh.fmap for f in Lm.one_src)
+        assert foreign_f not in ko_phi(P, phi, Lm, Ln).fmap
+        assert len(ko_phi(P, phi, Lm, Ln).amap) == len(eager_a)
+        assert ko_phi(P, phi, Lm, Ln).amap == eager_a
+        assert eager_f == ko_phi(P, phi, Lm, Ln).fmap
+        assert ko_phi(P, phi, Lm, Ln).fmap == ko_phi(P, phi, Lm, Ln).fmap
+        assert list(dict(ko_phi(P, phi, Lm, Ln).amap).items()) == list(eager_a.items())
+        # lookups out of order, then a fill: source order, same images
+        F = X.maps[phi]
+        for cell in reversed(list(Lm.one_src)):
+            assert F.fmap[cell] is eager_f[cell]
+        with pytest.raises(KeyError):
+            F.fmap[foreign_f]
+        with pytest.raises(KeyError):
+            F.amap[foreign_a]
+        assert list(F.fmap.items()) == list(eager_f.items())
+        assert list(F.amap.keys()) == list(eager_a)
+        assert list(F.amap.values()) == list(eager_a.values())
+        with pytest.raises(KeyError):
+            F.fmap[foreign_f]
+
+
+@pytest.mark.parametrize("name, checked", [("F2", 810), ("F3", 27706)])
+def test_validate_gamma_reads_whole_lazy_transitions(name, checked):
+    rep = validate_gamma(ko_gamma(promote(fixture(name)), 2))
+    assert rep.ok and rep.checked == checked
+
+
+def test_pointed_map_hash_is_cached_and_equal_by_value():
+    by_value = {phi: phi for phi in maps_up_to(2)}
+    for phi in all_pointed_maps(2, 2):
+        for psi in all_pointed_maps(2, 1):
+            comp = phi.then(psi)
+            assert hash(comp) == hash(by_value[comp]) == hash((comp.m, comp.n, comp.imgs))
+            assert comp == by_value[comp] and comp is not by_value[comp]
+    assert repr(fold_map(2)) == "PointedMap(m=2, n=1, imgs=(1, 1))"
+    with pytest.raises(ValueError):
+        PointedMap(2, 1, (1, 2))
