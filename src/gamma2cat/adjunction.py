@@ -29,6 +29,8 @@ from .ktheory import (
     SystemMap,
     make_system,
     make_system_map,
+    mk_system,
+    mk_system_map,
     mk_system_two_cell,
     partition_cell,
     partition_filling,
@@ -233,36 +235,23 @@ def validate_unit_cell(X, PX: GrothPerm, m: int, dim: int, cell) -> ValidationRe
 # -- the naturality transformation --------------------------------------------------
 
 
+def _levelwise(on, m: int, dim: int, cell):
+    """Map a K-theory cell of level m componentwise through a strict cell
+    function ``on(dim, c)`` of the carriers."""
+    if dim == 0:
+        return mk_system(m, tuple(on(0, x) for x in cell.x), tuple(on(1, c) for c in cell.c))
+    if dim == 1:
+        return mk_system_map(m, _levelwise(on, m, 0, cell.src), _levelwise(on, m, 0, cell.tgt),
+                             tuple(on(1, f) for f in cell.f), None)
+    return mk_system_two_cell(m, _levelwise(on, m, 1, cell.src), _levelwise(on, m, 1, cell.tgt),
+                              tuple(on(2, a) for a in cell.alpha))
+
+
 def k_of_p_of_lax(ph, KPX, KPY) -> GammaLaxMap:
     """Apply a strict monoidal functor between inverse constructions
     levelwise to K-theory systems."""
-
-    def apply_fn(m, dim, cell):
-        if dim == 0:
-            subs = nonempty_subsets_of(m)
-            return make_system(
-                None, m,
-                {s: ph.on(0, cell.x_at(None, s)) for s in subs},
-                {p: ph.on(1, cell.c_at(None, p[0], p[1])) for p in disjoint_pairs(m)},
-            )
-        if dim == 1:
-            subs = nonempty_subsets_of(m)
-            return make_system_map(
-                None,
-                apply_fn(m, 0, cell.src), apply_fn(m, 0, cell.tgt),
-                {s: ph.on(1, cell.f[_ix(m, s)]) for s in subs},
-                None,
-            )
-        return mk_system_two_cell(
-            m,
-            apply_fn(m, 1, cell.src), apply_fn(m, 1, cell.tgt),
-            tuple(ph.on(2, a) for a in cell.alpha),
-        )
-
-    def _ix(m, s):
-        return nonempty_subsets_of(m).index(s)
-
-    return strict_lax_map(KPX, KPY, apply_fn, name="KP(h)")
+    return strict_lax_map(KPX, KPY, lambda m, dim, cell: _levelwise(ph.on, m, dim, cell),
+                          name="KP(h)")
 
 
 def lambda_of(h: GammaLaxMap) -> GammaTransformation:
@@ -598,31 +587,12 @@ def triangle_K(C, nmax: int, ceiling: int | None = None) -> ValidationReport:
     PKC = GrothPerm(KC)
     eps = Counit(C, gray=False)
 
-    def k_eps(m, dim, cell):
-        # the counit applied levelwise to a K-theory system over PKC
-        if dim == 0:
-            return make_system(
-                C, m,
-                {s: eps.on_groth(0, cell.x_at(PKC, s)) for s in nonempty_subsets_of(m)},
-                {p: eps.on_groth(1, cell.c_at(PKC, p[0], p[1])) for p in disjoint_pairs(m)},
-            )
-        if dim == 1:
-            return make_system_map(
-                C, k_eps(m, 0, cell.src), k_eps(m, 0, cell.tgt),
-                {s: eps.on_groth(1, cell.f_at(PKC, s)) for s in nonempty_subsets_of(m)},
-                None,
-            )
-        return mk_system_two_cell(
-            m, k_eps(m, 1, cell.src), k_eps(m, 1, cell.tgt),
-            tuple(eps.on_groth(2, a) for a in cell.alpha),
-        )
-
     for m in range(nmax + 1):
         L = KC.level(m)
         for dim, cells in ((0, L.objects), (1, list(L.one_src)), (2, list(L.two_src))):
             for cell in cells:
                 rep.checked += 1
-                image = k_eps(m, dim, eta_on_cell(KC, PKC, m, dim, cell))
+                image = _levelwise(eps.on_groth, m, dim, eta_on_cell(KC, PKC, m, dim, cell))
                 if image != cell:
                     rep.add("triangle", f"level {m} dim {dim}: {cell!r} not fixed")
     for phi in KC.all_maps():

@@ -196,7 +196,7 @@ def save(doc: FixtureDocument, path: str | Path | None = None) -> str:
         out.append(f"cap {X.cap}")
         out.extend(f"level {m} {lname}" for m, lname in enumerate(level_names))
         for phi in maps_up_to(X.cap):
-            m, n, F = phi.m, phi.n, X.maps[phi]
+            m, n, F = phi.m, phi.n, X.transition(phi)
             som, sfm, sam = names[level_names[m]]
             tom, tfm, tam = names[level_names[n]]
             imgs = ",".join(str(v) for v in phi.imgs) or "-"
@@ -376,7 +376,7 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             Lm, Ln = levels[phi.m], levels[phi.n]
             maps[phi] = TwoFunctor(Lm, Ln, entry["obj"], entry["one"], entry["two"],
                                    name=f"phi*{phi.imgs}")
-        X = GammaTruncation(name, cap, levels, maps)
+        X = GammaTruncation(name, cap, levels, maps.get)
         if validate:
             rep = validate_gamma(X)
             if not rep.ok:

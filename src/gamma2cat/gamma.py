@@ -37,22 +37,38 @@ from .twocat import (
 
 
 class GammaTruncation:
-    """A reduced diagram on pointed sets 0+..N+ with all transition functors."""
+    """A reduced diagram on pointed sets 0+..N+ with all transition functors.
+
+    ``build`` gives the transition 2-functor of a pointed map inside the cap,
+    or ``None`` when the diagram has none; each transition is built whole on
+    first use and kept."""
 
     def __init__(self, name: str, cap: int, levels: list[FiniteTwoCategory],
-                 maps: dict[PointedMap, TwoFunctor]):
+                 build: Callable[[PointedMap], TwoFunctor | None]):
         if cap < 1 or len(levels) != cap + 1:
             raise ValueError("need one level per 0 <= m <= cap")
         self.name = name
         self.cap = cap
         self.levels = levels
-        self.maps = maps
+        self._build = build
+        self._transitions: dict[PointedMap, TwoFunctor | None] = {}
 
     def level(self, m: int) -> FiniteTwoCategory:
         return self.levels[m]
 
+    def transition(self, phi: PointedMap) -> TwoFunctor | None:
+        """The transition 2-functor along ``phi``, built on first use."""
+        try:
+            return self._transitions[phi]
+        except KeyError:
+            F = self._transitions[phi] = self._build(phi)
+            return F
+
     def phi_star(self, phi: PointedMap, dim: int, cell: Cell) -> Cell:
-        F = self.maps[phi]
+        try:
+            F = self._transitions[phi]
+        except KeyError:
+            F = self.transition(phi)
         return (F.omap, F.fmap, F.amap)[dim][cell]
 
     def point(self, dim: int) -> Cell:
@@ -84,7 +100,7 @@ def validate_gamma(X: GammaTruncation) -> ValidationReport:
         if not lrep.ok:
             rep.add("level", f"level {m} invalid: {lrep.first()}")
     for phi in X.all_maps():
-        F = X.maps.get(phi)
+        F = X.transition(phi)
         if F is None:
             rep.add("structure", f"missing transition functor for {phi}")
             continue
@@ -96,7 +112,7 @@ def validate_gamma(X: GammaTruncation) -> ValidationReport:
         return rep
     for m in range(X.cap + 1):
         rep.checked += 1
-        if X.maps[pointed_identity(m)] != identity_functor(X.level(m)):
+        if X.transition(pointed_identity(m)) != identity_functor(X.level(m)):
             rep.add("functoriality", f"identity map at level {m} is not the identity")
     for m in range(X.cap + 1):
         for n in range(X.cap + 1):
@@ -104,7 +120,7 @@ def validate_gamma(X: GammaTruncation) -> ValidationReport:
                 for phi in all_pointed_maps(m, n):
                     for psi in all_pointed_maps(n, p):
                         rep.checked += 1
-                        if X.maps[phi.then(psi)] != X.maps[phi].then(X.maps[psi]):
+                        if X.transition(phi.then(psi)) != X.transition(phi).then(X.transition(psi)):
                             rep.add("functoriality",
                                     f"composition fails at {psi} after {phi}")
     return rep
@@ -370,7 +386,7 @@ def segal_map(X: GammaTruncation, n: int) -> TwoFunctor:
     if n == 1:
         return identity_functor(X.level(1))
     prod = product_two_category([X.level(1)] * n, name=f"{X.name}(1)^{n}")
-    functors = [X.maps[segal_injection(k, n)] for k in range(1, n + 1)]
+    functors = [X.transition(segal_injection(k, n)) for k in range(1, n + 1)]
     return tuple_functor(functors, prod)
 
 
@@ -447,14 +463,14 @@ def very_special_check(X: GammaTruncation) -> VerySpecialReport:
             return VerySpecialReport(False, "class comparison not injective", [], {}, None)
         inverse_pairs[c2] = key
 
-    fold = X.maps[fold_map(2)]
+    fold = X.transition(fold_map(2))
     table = {}
     for (ca, cb), c2 in pairs.items():
         rep_obj = next(z for z in L2.objects if class_of(classes2, z) == c2)
         table[(ca, cb)] = class_of(classes1, fold.omap[rep_obj])
 
     # identity candidate: the image of the unique object at level 0
-    incl = X.maps[PointedMap(0, 1, ())]
+    incl = X.transition(PointedMap(0, 1, ()))
     e_class = class_of(classes1, incl.omap[X.level(0).objects[0]])
 
     def members(c) -> str:
@@ -494,7 +510,7 @@ def gamma_path_object(X: GammaTruncation) -> GammaPathObject:
     levels = [paths[m].total for m in range(X.cap + 1)]
     maps = {}
     for phi in X.all_maps():
-        F = X.maps[phi]
+        F = X.transition(phi)
         Pm, Pn = paths[phi.m], paths[phi.n]
         omap = {f: F.fmap[f] for f in Pm.total.objects}
         fmap = {}
@@ -506,23 +522,11 @@ def gamma_path_object(X: GammaTruncation) -> GammaPathObject:
             _, k1, k2, al, be = key
             amap[key] = ("p2", fmap[k1], fmap[k2], F.amap[al], F.amap[be])
         maps[phi] = TwoFunctor(Pm.total, Pn.total, omap, fmap, amap, name=f"path({phi})")
-    total = GammaTruncation(f"{X.name}^arrow", X.cap, levels, maps)
+    total = GammaTruncation(f"{X.name}^arrow", X.cap, levels, maps.get)
 
-    def mk(fn_obj, fn_one, fn_two, name):
-        def apply_fn(m, dim, cell):
-            P = paths[m]
-            return (fn_obj, fn_one, fn_two)[dim](P, cell)
-        return apply_fn, name
-
-    e0_apply, _ = mk(lambda P, c: P.e0.omap[c], lambda P, c: P.e0.fmap[c],
-                     lambda P, c: P.e0.amap[c], "e0")
-    e1_apply, _ = mk(lambda P, c: P.e1.omap[c], lambda P, c: P.e1.fmap[c],
-                     lambda P, c: P.e1.amap[c], "e1")
-    i_apply, _ = mk(lambda P, c: P.i.omap[c], lambda P, c: P.i.fmap[c],
-                    lambda P, c: P.i.amap[c], "i")
-    e0 = strict_lax_map(total, X, e0_apply, name="e0")
-    e1 = strict_lax_map(total, X, e1_apply, name="e1")
-    i = strict_lax_map(X, total, i_apply, name="i")
+    e0 = lax_map_from_functors(total, X, {m: P.e0 for m, P in paths.items()}, name="e0")
+    e1 = lax_map_from_functors(total, X, {m: P.e1 for m, P in paths.items()}, name="e1")
+    i = lax_map_from_functors(X, total, {m: P.i for m, P in paths.items()}, name="i")
     return GammaPathObject(X, total, e0, e1, i, paths)
 
 
@@ -685,7 +689,7 @@ def e_construction(k: GammaLaxMap) -> ESpan:
             amap[key] = ("e2c", fmap[k1], fmap[k2],
                          X.phi_star(phi, 2, key[3]), Z.phi_star(phi, 2, key[4]))
         maps[phi] = TwoFunctor(levels[m], levels[n], omap, fmap, amap, name=f"E({phi})")
-    Ek = GammaTruncation(f"E({k.name})", cap, levels, maps)
+    Ek = GammaTruncation(f"E({k.name})", cap, levels, maps.get)
 
     def omega_apply(m, dim, cell):
         if dim == 0:

@@ -24,6 +24,9 @@ Every 2-category of the package answers one protocol, the eleven
 level, the inverse construction).  ``FiniteTwoCategory`` is its tabulated
 case and also answers the ``ENUMERATION_OPERATIONS``; a permutative carrier
 binds all fifteen from its base 2-category.
+
+A strict 2-functor is given by plain cell maps; the transitions of a diagram
+are built whole on first use (``gamma.GammaTruncation.transition``).
 """
 
 from __future__ import annotations
@@ -615,82 +618,9 @@ def internal_equivalence_classes(C: FiniteTwoCategory) -> list[frozenset]:
 # -- 2-functors ---------------------------------------------------------------
 
 
-class LazyCellMap(dict):
-    """A cell map of a 2-functor, computed on lookup.
-
-    ``cells`` is a dict keyed by the source cells in cell order and ``image``
-    computes the image of one of them.  A lookup that misses computes the
-    image of a source cell once and memoizes it; any other key raises
-    ``KeyError``.  A hit is a plain dict lookup.  Every read of the whole map
-    (iteration, ``len``, ``in``, ``==``, ``keys``/``values``/``items``,
-    ``get``, ``copy``, ``repr`` and ``dict(...)``) fills it first, in source
-    cell order, so it sees the dict an eager comprehension over ``cells``
-    would build.
-    """
-
-    __slots__ = ("_cells", "_image")
-
-    def __init__(self, cells: Mapping[Cell, object], image):
-        super().__init__()
-        self._cells = cells
-        self._image = image
-
-    def __missing__(self, cell: Cell) -> Cell:
-        if self._image is None or cell not in self._cells:
-            raise KeyError(cell)
-        out = self[cell] = self._image(cell)
-        return out
-
-    def fill(self) -> "LazyCellMap":
-        """Complete the map in source cell order, reusing memoized images."""
-        image = self._image
-        if image is not None:
-            memo = dict(dict.items(self))
-            dict.clear(self)
-            dict.update(self, ((c, memo[c] if c in memo else image(c)) for c in self._cells))
-            self._image = None
-        return self
-
-    def __iter__(self):
-        return dict.__iter__(self.fill())
-
-    def __len__(self) -> int:
-        return dict.__len__(self.fill())
-
-    def __contains__(self, cell: object) -> bool:
-        return dict.__contains__(self.fill(), cell)
-
-    def __eq__(self, other: object):
-        if isinstance(other, LazyCellMap):
-            other.fill()
-        return dict.__eq__(self.fill(), other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def keys(self):
-        return dict.keys(self.fill())
-
-    def values(self):
-        return dict.values(self.fill())
-
-    def items(self):
-        return dict.items(self.fill())
-
-    def get(self, cell: Cell, default=None):
-        return dict.get(self.fill(), cell, default)
-
-    def copy(self) -> dict:
-        return dict(dict.items(self.fill()))
-
-    def __repr__(self) -> str:
-        return dict.__repr__(self.fill())
-
-
 @dataclass
 class TwoFunctor:
-    """A strict 2-functor between tabulated 2-categories, given by cell maps
-    (dicts, or ``LazyCellMap``s computed on lookup)."""
+    """A strict 2-functor between tabulated 2-categories, given by cell maps."""
 
     source: FiniteTwoCategory
     target: FiniteTwoCategory

@@ -184,7 +184,10 @@ def test_reports_byte_deterministic():
      {"objects": 1, "one_cells": 1, "two_cells": 4}),
     (["path-object", "--fixture", "F4"], {"objects": 2, "one_cells": 8, "two_cells": 8}),
     (["espan", "--fixture", "F2", "--cap", "2"], {"instances": 38964}),
-], ids=["ko", "kt", "path-object", "espan"])
+    (["ko", "--fixture", "F4", "--level", "2"],
+     {"objects": 2, "one_cells": 16, "two_cells": 16}),
+    (["ko", "--fixture", "M3", "--level", "2"], {"objects": 9, "one_cells": 9, "two_cells": 9}),
+], ids=["ko", "kt", "path-object", "espan", "ko-gray-F4", "ko-monoid-M3"])
 def test_ko_command_counts(argv, counters):
     code, out = _capture(argv + ["--format", "json"])
     assert code == 0

@@ -48,7 +48,7 @@ def test_ko_f2_truncation_valid(f2_gamma3):
 
 def test_broken_composition_detected(f2_gamma2):
     X = f2_gamma2
-    bad_maps = dict(X.maps)
+    bad_maps = {psi: X.transition(psi) for psi in X.all_maps()}
     phi = PointedMap(2, 1, (1, 1))
     F = bad_maps[phi]
     # swap the two object images at level 1
@@ -57,7 +57,7 @@ def test_broken_composition_detected(f2_gamma2):
     omap = {k: (b if v == a else a) for k, v in F.omap.items()}
     bad_maps[phi] = TwoFunctor(F.source, F.target, omap,
                                dict(F.fmap), dict(F.amap), name="broken")
-    broken = GammaTruncation("broken", X.cap, X.levels, bad_maps)
+    broken = GammaTruncation("broken", X.cap, X.levels, bad_maps.get)
     rep = validate_gamma(broken)
     assert not rep.ok
 

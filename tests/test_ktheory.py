@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from gamma2cat import ktheory
 from gamma2cat.subsets import (PointedMap, all_pointed_maps, fold_map, maps_up_to,
-                               nonempty_subsets_of, pointed_identity)
+                               nonempty_subsets_of, pointed_identity, segal_injection)
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
     internal_equivalence_classes,
@@ -13,16 +14,17 @@ from gamma2cat.twocat import (
 )
 from gamma2cat.ktheory import (
     CellCeilingExceeded,
+    enumerate_system_maps,
     enumerate_system_two_cells,
     ko_gamma,
     ko_level,
     ko_map,
-    ko_phi,
     kt_level,
     kt_to_ko,
     level_one_comparison,
     mk_system_two_cell,
     partition_cell,
+    reindex_system,
     reindex_system_map,
     reindex_system_two_cell,
     validate_system,
@@ -85,13 +87,13 @@ def test_kt_f3_level_one_isomorphic_to_carrier(f3):
 def test_ko_phi_identity(f2_gamma2):
     X = f2_gamma2
     for m in range(3):
-        F = X.maps[pointed_identity(m)]
+        F = X.transition(pointed_identity(m))
         assert F.omap == {x: x for x in X.level(m).objects}
 
 
 def test_ko_phi_fold_sums(f2, f2_gamma2):
     X = f2_gamma2
-    fold = X.maps[fold_map(2)]
+    fold = X.transition(fold_map(2))
     for sys in X.level(2).objects:
         a = sys.x_at(promote(f2), (1,))
         b = sys.x_at(promote(f2), (2,))
@@ -104,7 +106,7 @@ def test_ko_phi_constant_at_basepoint(f2_gamma2, f2):
     const = PointedMap(2, 2, (0, 0))
     P = promote(f2)
     for sys in X.level(2).objects:
-        img = X.maps[const].omap[sys]
+        img = X.transition(const).omap[sys]
         assert all(v == P.unit_obj() for v in img.x)
 
 
@@ -144,8 +146,8 @@ def test_ko_map_commutes_with_reindexing(f2, f2_gamma2):
     Y = ko_gamma(P1, 2)
     Fs = {m: ko_map(M, f2_gamma2.level(m), Y.level(m)) for m in range(3)}
     for phi in f2_gamma2.all_maps():
-        lhs = f2_gamma2.maps[phi].then(Fs[phi.n])
-        rhs = Fs[phi.m].then(Y.maps[phi])
+        lhs = f2_gamma2.transition(phi).then(Fs[phi.n])
+        rhs = Fs[phi.m].then(Y.transition(phi))
         assert lhs == rhs
 
 
@@ -156,8 +158,8 @@ def test_kt_to_ko_commutes_with_reindexing(f2):
     Xs = kt_gamma(f2, 2)
     Xo = ko_gamma(P, 2)
     for phi in Xs.all_maps():
-        lhs = Xs.maps[phi].then(incs[phi.n])
-        rhs = incs[phi.m].then(Xo.maps[phi])
+        lhs = Xs.transition(phi).then(incs[phi.n])
+        rhs = incs[phi.m].then(Xo.transition(phi))
         assert lhs == rhs
 
 
@@ -322,47 +324,78 @@ def test_pruned_enumeration_keeps_counts_and_ceilings(f3):
     assert exc.value.stage == "2-cell enumeration"
 
 
-# -- transitions computed on lookup ----------------------------------------------
+def test_strict_one_cell_enumeration_respects_the_ceiling():
+    C = fixture("F4")
+    (sys,) = kt_level(C, 1).objects
+    with pytest.raises(CellCeilingExceeded) as exc:
+        enumerate_system_maps(C, sys, sys, False, 1)
+    assert exc.value.stage == "1-cell enumeration"
+    with pytest.raises(CellCeilingExceeded) as exc:
+        kt_level(C, 1, ceiling=1)
+    assert exc.value.stage == "1-cell enumeration"
+
+
+# -- transitions built whole on first use -------------------------------------------
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The pointed maps whose transition functors get built, in build order."""
+    phis = []
+    real = ktheory.ko_phi
+
+    def counting(C, phi, level_m, level_n):
+        phis.append(phi)
+        return real(C, phi, level_m, level_n)
+
+    monkeypatch.setattr(ktheory, "ko_phi", counting)
+    return phis
+
+
+def test_specialness_builds_only_the_segal_injections(f3, built):
+    X = ko_gamma(promote(f3), 3)
+    assert built == [] and len(X.all_maps()) == 144
+    assert special_check(X).ok
+    assert sorted(built, key=repr) == sorted(
+        (segal_injection(k, n) for n in (2, 3) for k in range(1, n + 1)), key=repr)
 
 
 @pytest.mark.parametrize("name", ["F2", "F3"])
-def test_transitions_are_computed_on_lookup(name):
+def test_built_transitions_equal_the_eager_reindexing(name):
     P = promote(fixture(name))
     X = ko_gamma(P, 2)
     for phi in maps_up_to(2):
-        Lm, Ln = X.level(phi.m), X.level(phi.n)
+        Lm = X.level(phi.m)
+        F = X.transition(phi)
+        assert X.transition(phi) is F
+        assert list(F.omap.items()) == [(s, reindex_system(P, s, phi)) for s in Lm.objects]
         eager_f = {f: reindex_system_map(P, f, phi) for f in Lm.one_src}
         eager_a = {a: reindex_system_two_cell(P, a, phi) for a in Lm.two_src}
-        foreign_f = next(f for m in range(3) if m != phi.m for f in X.level(m).one_src)
-        foreign_a = next(a for m in range(3) if m != phi.m for a in X.level(m).two_src)
-        # never-filled maps answer membership, length and equality in full
-        fresh = ko_phi(P, phi, Lm, Ln)
-        assert all(f in fresh.fmap for f in Lm.one_src)
-        assert foreign_f not in ko_phi(P, phi, Lm, Ln).fmap
-        assert len(ko_phi(P, phi, Lm, Ln).amap) == len(eager_a)
-        assert ko_phi(P, phi, Lm, Ln).amap == eager_a
-        assert eager_f == ko_phi(P, phi, Lm, Ln).fmap
-        assert ko_phi(P, phi, Lm, Ln).fmap == ko_phi(P, phi, Lm, Ln).fmap
-        assert list(dict(ko_phi(P, phi, Lm, Ln).amap).items()) == list(eager_a.items())
-        # lookups out of order, then a fill: source order, same images
-        F = X.maps[phi]
-        for cell in reversed(list(Lm.one_src)):
-            assert F.fmap[cell] is eager_f[cell]
-        with pytest.raises(KeyError):
-            F.fmap[foreign_f]
-        with pytest.raises(KeyError):
-            F.amap[foreign_a]
         assert list(F.fmap.items()) == list(eager_f.items())
-        assert list(F.amap.keys()) == list(eager_a)
-        assert list(F.amap.values()) == list(eager_a.values())
-        with pytest.raises(KeyError):
-            F.fmap[foreign_f]
+        assert list(F.amap.items()) == list(eager_a.items())
+
+
+def test_missing_reindexed_system_raises_when_built(f2, monkeypatch):
+    real = ktheory.ko_level
+
+    def cut(C, n, ceiling=10**6):
+        level = real(C, n, ceiling)
+        if n != 1:
+            return level
+        return ktheory._build_level(C, 1, True, level.name, ceiling, systems=level.objects[1:])
+
+    monkeypatch.setattr(ktheory, "ko_level", cut)
+    X = ko_gamma(promote(f2), 2)
+    assert X.level(1).counts()[0] == 1
+    with pytest.raises(ValueError, match="missing from target level"):
+        X.transition(fold_map(2))
 
 
 @pytest.mark.parametrize("name, checked", [("F2", 810), ("F3", 27706)])
-def test_validate_gamma_reads_whole_lazy_transitions(name, checked):
+def test_validate_gamma_reads_whole_lazy_transitions(name, checked, built):
     rep = validate_gamma(ko_gamma(promote(fixture(name)), 2))
     assert rep.ok and rep.checked == checked
+    assert len(built) == len(set(built)) == len(maps_up_to(2)) == 23
 
 
 def test_pointed_map_hash_is_cached_and_equal_by_value():
