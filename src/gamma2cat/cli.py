@@ -197,6 +197,8 @@ def save(doc: FixtureDocument, path: str | Path | None = None) -> str:
         out.extend(f"level {m} {lname}" for m, lname in enumerate(level_names))
         for phi in maps_up_to(X.cap):
             m, n, F = phi.m, phi.n, X.transition(phi)
+            if F is None:
+                raise FixtureError(f"gamma {name} has no transition functor for {phi}")
             som, sfm, sam = names[level_names[m]]
             tom, tfm, tam = names[level_names[n]]
             imgs = ",".join(str(v) for v in phi.imgs) or "-"

@@ -13,6 +13,7 @@ evaluated) targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .subsets import (PointedMap, all_pointed_maps, fold_map, maps_up_to,
@@ -29,6 +30,8 @@ from .twocat import (
     path_object,
     product_two_category,
     pi0,
+    scan_functor,
+    scan_naturality,
     tuple_functor,
     two_equivalence_check,
     validate_two_category,
@@ -69,7 +72,10 @@ class GammaTruncation:
             F = self._transitions[phi]
         except KeyError:
             F = self.transition(phi)
-        return (F.omap, F.fmap, F.amap)[dim][cell]
+        try:
+            return (F.omap, F.fmap, F.amap)[dim][cell]
+        except AttributeError:  # F is None
+            raise LookupError(f"{self.name} has no transition functor for {phi}") from None
 
     def point(self, dim: int) -> Cell:
         """The unique cell of the terminal level in each dimension."""
@@ -150,6 +156,10 @@ class GammaLaxMap:
     def lax(self, phi: PointedMap, x: Cell) -> Cell:
         return self._lax(phi, x)
 
+    def cell_maps(self, m: int) -> tuple:
+        """``apply`` at level m on objects, 1-cells and 2-cells."""
+        return tuple(partial(self._apply, m, dim) for dim in range(3))
+
     def is_strict_on(self, X: GammaTruncation) -> bool:
         for phi in X.all_maps():
             L = self.target.level(phi.n)
@@ -201,6 +211,16 @@ def compose_lax(j: GammaLaxMap, h: GammaLaxMap) -> GammaLaxMap:
     return GammaLaxMap(X, Z, apply_fn, lax, name=f"{j.name}.{h.name}")
 
 
+def _star_maps(X, phi: PointedMap) -> tuple:
+    """``X.phi_star`` along phi on objects, 1-cells and 2-cells."""
+    return tuple(partial(X.phi_star, phi, dim) for dim in range(3))
+
+
+def _then(first: tuple, second: tuple) -> tuple:
+    """The cell maps ``second . first``, dimension by dimension."""
+    return tuple(lambda c, f=f, g=g: g(f(c)) for f, g in zip(first, second))
+
+
 def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
     """Check levelwise functoriality, unit and pasting laws, and 2-naturality.
 
@@ -211,40 +231,7 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
     Y = h.target
     rep = ValidationReport(f"gamma-lax map {h.name or '?'}")
     for m in range(X.cap + 1):
-        S, T = X.level(m), Y.level(m)
-        S.fill()
-        for x in S.objects:
-            h.apply(m, 0, x)  # must not raise
-        for f in S.one_src:
-            ff = h.apply(m, 1, f)
-            rep.checked += 1
-            if T.src1(ff) != h.apply(m, 0, S.src1(f)) or T.tgt1(ff) != h.apply(m, 0, S.tgt1(f)):
-                rep.add("functor", f"level {m}: 1-cell image endpoints wrong at {f!r}")
-        for a in S.two_src:
-            fa = h.apply(m, 2, a)
-            rep.checked += 1
-            if T.src2(fa) != h.apply(m, 1, S.src2(a)) or T.tgt2(fa) != h.apply(m, 1, S.tgt2(a)):
-                rep.add("functor", f"level {m}: 2-cell image endpoints wrong at {a!r}")
-        for x in S.objects:
-            rep.checked += 1
-            if h.apply(m, 1, S.id1(x)) != T.id1(h.apply(m, 0, x)):
-                rep.add("functor", f"level {m}: identity 1-cell not preserved at {x!r}")
-        for f in S.one_src:
-            rep.checked += 1
-            if h.apply(m, 2, S.id2(f)) != T.id2(h.apply(m, 1, f)):
-                rep.add("functor", f"level {m}: identity 2-cell not preserved at {f!r}")
-        for (g, f) in S.hcomp1_table:
-            rep.checked += 1
-            if h.apply(m, 1, S.comp1(g, f)) != T.comp1(h.apply(m, 1, g), h.apply(m, 1, f)):
-                rep.add("functor", f"level {m}: composition not preserved at ({g!r},{f!r})")
-        for (b, a) in S.vcomp_table:
-            rep.checked += 1
-            if h.apply(m, 2, S.vcomp(b, a)) != T.vcomp(h.apply(m, 2, b), h.apply(m, 2, a)):
-                rep.add("functor", f"level {m}: vcomp not preserved at ({b!r},{a!r})")
-        for (b, a) in S.hcomp2_table:
-            rep.checked += 1
-            if h.apply(m, 2, S.hcomp2(b, a)) != T.hcomp2(h.apply(m, 2, b), h.apply(m, 2, a)):
-                rep.add("functor", f"level {m}: hcomp2 not preserved at ({b!r},{a!r})")
+        scan_functor(rep, X.level(m), Y.level(m), h.cell_maps(m), f"level {m}: ")
     if rep.issues:
         return rep
 
@@ -270,21 +257,10 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
                 rep.add("lax", f"structure cell at {phi} has wrong endpoints at {x!r}")
         if rep.issues:
             return rep
-        for f in S.one_src:
-            x, y = S.src1(f), S.tgt1(f)
-            rep.checked += 1
-            lhs = T.comp1(h.apply(n, 1, X.phi_star(phi, 1, f)), h.lax(phi, x))
-            rhs = T.comp1(h.lax(phi, y), Y.phi_star(phi, 1, h.apply(m, 1, f)))
-            if lhs != rhs:
-                rep.add("lax", f"structure cell at {phi} not natural at 1-cell {f!r}")
-        for a in S.two_src:
-            f = S.src2(a)
-            x, y = S.src1(f), S.tgt1(f)
-            rep.checked += 1
-            lhs = T.hcomp2(h.apply(n, 2, X.phi_star(phi, 2, a)), T.id2(h.lax(phi, x)))
-            rhs = T.hcomp2(T.id2(h.lax(phi, y)), Y.phi_star(phi, 2, h.apply(m, 2, a)))
-            if lhs != rhs:
-                rep.add("lax", f"structure cell at {phi} not natural at 2-cell {a!r}")
+        scan_naturality(rep, S, T, partial(h.lax, phi),
+                        _then(h.cell_maps(m), _star_maps(Y, phi)),
+                        _then(_star_maps(X, phi), h.cell_maps(n)),
+                        "lax", f"structure cell at {phi}")
 
     for m in range(X.cap + 1):
         for n in range(X.cap + 1):
@@ -342,19 +318,8 @@ def validate_transformation_gamma(t: GammaTransformation) -> ValidationReport:
                 rep.add("structure", f"component at level {m}, {x!r} has wrong endpoints")
         if rep.issues:
             return rep
-        for f in S.one_src:
-            x, y = S.src1(f), S.tgt1(f)
-            rep.checked += 1
-            if T.comp1(t.k.apply(m, 1, f), t.at(m, x)) != T.comp1(t.at(m, y), t.h.apply(m, 1, f)):
-                rep.add("naturality", f"level {m} naturality fails at {f!r}")
-        for a in S.two_src:
-            f = S.src2(a)
-            x, y = S.src1(f), S.tgt1(f)
-            rep.checked += 1
-            lhs = T.hcomp2(t.k.apply(m, 2, a), T.id2(t.at(m, x)))
-            rhs = T.hcomp2(T.id2(t.at(m, y)), t.h.apply(m, 2, a))
-            if lhs != rhs:
-                rep.add("naturality", f"level {m} 2-cell naturality fails at {a!r}")
+        scan_naturality(rep, S, T, partial(t.at, m), t.h.cell_maps(m),
+                        t.k.cell_maps(m), "naturality", f"level {m} components")
     for phi in X.all_maps():
         m, n = phi.m, phi.n
         T = Y.level(n)
@@ -508,21 +473,16 @@ def gamma_path_object(X: GammaTruncation) -> GammaPathObject:
     """Levelwise arrow 2-categories, with the transition functors on squares."""
     paths = {m: path_object(X.level(m)) for m in range(X.cap + 1)}
     levels = [paths[m].total for m in range(X.cap + 1)]
-    maps = {}
-    for phi in X.all_maps():
-        F = X.transition(phi)
-        Pm, Pn = paths[phi.m], paths[phi.n]
-        omap = {f: F.fmap[f] for f in Pm.total.objects}
-        fmap = {}
-        for key in Pm.total.one_src:
-            _, f, g, r, s = key
-            fmap[key] = ("p1", F.fmap[f], F.fmap[g], F.fmap[r], F.fmap[s])
-        amap = {}
-        for key in Pm.total.two_src:
-            _, k1, k2, al, be = key
-            amap[key] = ("p2", fmap[k1], fmap[k2], F.amap[al], F.amap[be])
-        maps[phi] = TwoFunctor(Pm.total, Pn.total, omap, fmap, amap, name=f"path({phi})")
-    total = GammaTruncation(f"{X.name}^arrow", X.cap, levels, maps.get)
+    star = LazyPathGamma(X).phi_star
+
+    def build(phi: PointedMap) -> TwoFunctor:
+        S = levels[phi.m]
+        return TwoFunctor(S, levels[phi.n],
+                          {f: star(phi, 0, f) for f in S.objects},
+                          {k: star(phi, 1, k) for k in S.one_src},
+                          {k: star(phi, 2, k) for k in S.two_src}, name=f"path({phi})")
+
+    total = GammaTruncation(f"{X.name}^arrow", X.cap, levels, build)
 
     e0 = lax_map_from_functors(total, X, {m: P.e0 for m, P in paths.items()}, name="e0")
     e1 = lax_map_from_functors(total, X, {m: P.e1 for m, P in paths.items()}, name="e1")
@@ -815,6 +775,7 @@ def e_adjunction_check(span: ESpan) -> ValidationReport:
     X: GammaTruncation = span.k.source
     sec = e_section(span)
     Ek = span.Ek
+    ident, back = identity_lax_map(Ek), compose_lax(sec, span.omega)
     for m in range(Ek.cap + 1):
         L = Ek.level(m)
         S = X.level(m)
@@ -843,23 +804,9 @@ def e_adjunction_check(span: ESpan) -> ValidationReport:
             rep.checked += 1
             if not L.is_id1(unit_at(sec.apply(m, 0, x))):
                 rep.add("triangle", f"unit at section image not identity at level {m}, {x!r}")
-        # 2-naturality of the comparison cells
-        for key in L.one_src:
-            _, o1, o2, s, r = key
-            rep.checked += 1
-            lhs = L.comp1(sec.apply(m, 1, span.omega.apply(m, 1, key)), unit_at(o1))
-            rhs = L.comp1(unit_at(o2), key)
-            if lhs != rhs:
-                rep.add("naturality", f"comparison not natural at level {m}, {key!r}")
-        for key in L.two_src:
-            f1, g1 = L.src2(key), L.tgt2(key)
-            o1 = L.one_src[f1]
-            o2 = L.one_tgt[f1]
-            rep.checked += 1
-            lhs = L.hcomp2(L.id2(unit_at(o2)), key)
-            rhs = L.hcomp2(sec.apply(m, 2, span.omega.apply(m, 2, key)), L.id2(unit_at(o1)))
-            if lhs != rhs:
-                rep.add("naturality", f"comparison not natural at 2-cell, level {m}, {key!r}")
+        # the comparison cells are 2-natural from the identity to section . omega
+        scan_naturality(rep, L, L, unit_at, ident.cell_maps(m), back.cell_maps(m),
+                        "naturality", f"comparison at level {m}")
     return rep
 
 

@@ -42,14 +42,6 @@ class AMorphism(InternedCell):
     def block_condition_holds(self) -> bool:
         return _block_condition(self.table)
 
-    def covering_block(self, j: int) -> int | None:
-        """The unique source block hitting target block j, or None."""
-        for i, row in enumerate(self.table):
-            for (jj, _b) in row:
-                if jj == j:
-                    return i
-        return None
-
 
 AMorphism._pool = {}
 
@@ -520,7 +512,7 @@ class BlockwiseLax:
         dec = decompose(phim)
         out = []
         for j, n_j in enumerate(phim.tgt):
-            i = phim.covering_block(j)
+            i = dec.owner[j]
             if i is None:
                 bang = PointedMap(0, n_j, ())
                 out.append(self.h.lax(bang, X.point(0)))

@@ -27,6 +27,9 @@ binds all fifteen from its base 2-category.
 
 A strict 2-functor is given by plain cell maps; the transitions of a diagram
 are built whole on first use (``gamma.GammaTruncation.transition``).
+Transformations are 2-natural only.  The two laws are written once, in
+``scan_functor`` and ``scan_naturality``; the level validators here and the
+diagram validators of ``gamma`` all check them through these two scans.
 """
 
 from __future__ import annotations
@@ -615,6 +618,72 @@ def internal_equivalence_classes(C: FiniteTwoCategory) -> list[frozenset]:
     return part.classes()
 
 
+# -- the 2-functor and 2-naturality laws ---------------------------------------
+# Every validator of a strict 2-functor or a 2-natural transformation, of one
+# 2-category or levelwise over a diagram, checks the laws through these scans.
+# The source S is tabulated; the target T only answers ``CELL_OPERATIONS``.
+
+
+def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
+                 where: str = "") -> None:
+    """Check that the cell maps ``F = (f0, f1, f2)``, on objects, 1-cells
+    and 2-cells, form a strict 2-functor S -> T: endpoints first and, when
+    they all agree, identities and the three compositions, one instance
+    each.  Failures are ``functor`` issues whose messages begin with
+    ``where``."""
+    f0, f1, f2 = F
+    S.fill()
+    before = len(rep.issues)
+    rep.checked += len(S.one_src) + len(S.two_src)
+    for f, x in S.one_src.items():
+        ff = f1(f)
+        if T.src1(ff) != f0(x) or T.tgt1(ff) != f0(S.one_tgt[f]):
+            rep.add("functor", f"{where}1-cell {f!r}: image endpoints disagree")
+    for a, f in S.two_src.items():
+        fa = f2(a)
+        if T.src2(fa) != f1(f) or T.tgt2(fa) != f1(S.two_tgt[a]):
+            rep.add("functor", f"{where}2-cell {a!r}: image endpoints disagree")
+    if len(rep.issues) > before:
+        return
+    rep.checked += (len(S.objects) + len(S.one_src) + len(S.hcomp1_table)
+                    + len(S.vcomp_table) + len(S.hcomp2_table))
+    for x in S.objects:
+        if f1(S.id1(x)) != T.id1(f0(x)):
+            rep.add("functor", f"{where}identity 1-cell of {x!r} not preserved")
+    for f in S.one_src:
+        if f2(S.id2(f)) != T.id2(f1(f)):
+            rep.add("functor", f"{where}identity 2-cell of {f!r} not preserved")
+    for (g, f), h in S.hcomp1_table.items():
+        if f1(h) != T.comp1(f1(g), f1(f)):
+            rep.add("functor", f"{where}1-cell composition not preserved at ({g!r},{f!r})")
+    for (b, a), c in S.vcomp_table.items():
+        if f2(c) != T.vcomp(f2(b), f2(a)):
+            rep.add("functor", f"{where}vertical composition not preserved at ({b!r},{a!r})")
+    for (b, a), c in S.hcomp2_table.items():
+        if f2(c) != T.hcomp2(f2(b), f2(a)):
+            rep.add("functor", f"{where}horizontal composition not preserved at ({b!r},{a!r})")
+
+
+def scan_naturality(rep: ValidationReport, S: FiniteTwoCategory, T, comp, F, G,
+                    kind: str, what: str) -> None:
+    """Check that the 1-cells ``comp(x): F x -> G x`` of T are 2-natural
+    between the cell maps ``F`` and ``G`` (triples as for ``scan_functor``;
+    their object maps are not read): one square per 1-cell f: x -> y,
+    ``G f . comp(x) == comp(y) . F f``, and one whiskered condition per
+    2-cell.  Failures are ``kind`` issues naming ``what``."""
+    _, F1, F2 = F
+    _, G1, G2 = G
+    one_src, one_tgt = S.one_src, S.one_tgt
+    rep.checked += len(one_src) + len(S.two_src)
+    for f, x in one_src.items():
+        if T.comp1(G1(f), comp(x)) != T.comp1(comp(one_tgt[f]), F1(f)):
+            rep.add(kind, f"{what} not natural at 1-cell {f!r}")
+    for a, f in S.two_src.items():
+        lhs = T.hcomp2(G2(a), T.id2(comp(one_src[f])))
+        if lhs != T.hcomp2(T.id2(comp(one_tgt[f])), F2(a)):
+            rep.add(kind, f"{what} not natural at 2-cell {a!r}")
+
+
 # -- 2-functors ---------------------------------------------------------------
 
 
@@ -637,6 +706,10 @@ class TwoFunctor:
             and self.fmap == other.fmap
             and self.amap == other.amap
         )
+
+    def cell_maps(self) -> tuple:
+        """Lookups in the object, 1-cell and 2-cell maps."""
+        return (self.omap.__getitem__, self.fmap.__getitem__, self.amap.__getitem__)
 
     def then(self, G: "TwoFunctor") -> "TwoFunctor":
         return TwoFunctor(
@@ -662,58 +735,20 @@ def identity_functor(C: FiniteTwoCategory) -> TwoFunctor:
 def validate_two_functor(F: TwoFunctor) -> ValidationReport:
     rep = ValidationReport(f"2-functor {F.name or '?'}")
     C, D = F.source, F.target
-    C.fill()
     for x in C.objects:
         if x not in F.omap:
             rep.add("structure", f"object {x!r} missing from object map")
-        elif F.omap[x] not in D.objects:
+        elif not D.has_obj(F.omap[x]):
             rep.add("structure", f"object image {F.omap[x]!r} not in target")
-    for f in C.one_src:
-        if f not in F.fmap:
-            rep.add("structure", f"1-cell {f!r} missing from map")
-    for a in C.two_src:
-        if a not in F.amap:
-            rep.add("structure", f"2-cell {a!r} missing from map")
-    if rep.issues:
-        return rep
-    for f in C.one_src:
-        ff = F.fmap[f]
-        if ff not in D.one_src:
-            rep.add("structure", f"image of {f!r} not a target 1-cell")
-            continue
-        rep.checked += 1
-        if D.one_src[ff] != F.omap[C.one_src[f]] or D.one_tgt[ff] != F.omap[C.one_tgt[f]]:
-            rep.add("functor", f"1-cell {f!r}: image endpoints disagree")
-    for a in C.two_src:
-        fa = F.amap[a]
-        if fa not in D.two_src:
-            rep.add("structure", f"image of {a!r} not a target 2-cell")
-            continue
-        rep.checked += 1
-        if D.two_src[fa] != F.fmap[C.two_src[a]] or D.two_tgt[fa] != F.fmap[C.two_tgt[a]]:
-            rep.add("functor", f"2-cell {a!r}: image endpoints disagree")
-    if rep.issues:
-        return rep
-    for x in C.objects:
-        rep.checked += 1
-        if F.fmap[C.id1(x)] != D.id1(F.omap[x]):
-            rep.add("functor", f"identity 1-cell of {x!r} not preserved")
-    for f in C.one_src:
-        rep.checked += 1
-        if F.amap[C.id2(f)] != D.id2(F.fmap[f]):
-            rep.add("functor", f"identity 2-cell of {f!r} not preserved")
-    for (g, f), h in C.hcomp1_table.items():
-        rep.checked += 1
-        if F.fmap[h] != D.comp1(F.fmap[g], F.fmap[f]):
-            rep.add("functor", f"1-cell composition not preserved at ({g!r},{f!r})")
-    for (b, a), c in C.vcomp_table.items():
-        rep.checked += 1
-        if F.amap[c] != D.vcomp(F.amap[b], F.amap[a]):
-            rep.add("functor", f"vertical composition not preserved at ({b!r},{a!r})")
-    for (b, a), c in C.hcomp2_table.items():
-        rep.checked += 1
-        if F.amap[c] != D.hcomp2(F.amap[b], F.amap[a]):
-            rep.add("functor", f"horizontal composition not preserved at ({b!r},{a!r})")
+    for cells, cmap, dim, target in ((C.one_src, F.fmap, "1", D.one_src),
+                                     (C.two_src, F.amap, "2", D.two_src)):
+        for c in cells:
+            if c not in cmap:
+                rep.add("structure", f"{dim}-cell {c!r} missing from map")
+            elif cmap[c] not in target:
+                rep.add("structure", f"image of {c!r} not a target {dim}-cell")
+    if not rep.issues:
+        scan_functor(rep, C, D, F.cell_maps())
     return rep
 
 
@@ -727,33 +762,26 @@ def is_isomorphism_of_two_categories(F: TwoFunctor) -> bool:
     )
 
 
-# -- 2-natural / pseudonatural transformations --------------------------------
+# -- 2-natural transformations -----------------------------------------------
 
 
 @dataclass
 class Transformation2:
-    """A transformation between parallel 2-functors.
-
-    ``kind`` is "2natural" (all naturality squares commute strictly) or
-    "pseudo" (invertible component 2-cells ``comp2[f]: Gf.alpha_a =>
-    alpha_b.Ff`` with unit and composition coherence).
-    """
+    """A 2-natural transformation between parallel 2-functors: every
+    naturality square commutes strictly."""
 
     F: TwoFunctor
     G: TwoFunctor
     components: dict[Cell, Cell]
-    kind: str = "2natural"
-    comp2: dict[Cell, Cell] | None = None
 
     def at(self, x: Cell) -> Cell:
         return self.components[x]
 
 
 def validate_transformation(t: Transformation2) -> ValidationReport:
-    rep = ValidationReport(f"transformation ({t.kind})")
+    rep = ValidationReport("transformation (2natural)")
     C = t.F.source
     D = t.F.target
-    C.fill()
     if t.G.source is not C or t.G.target is not D:
         rep.add("structure", "functors not parallel")
         return rep
@@ -764,61 +792,9 @@ def validate_transformation(t: Transformation2) -> ValidationReport:
         c = t.components[x]
         if D.one_src.get(c) != t.F.omap[x] or D.one_tgt.get(c) != t.G.omap[x]:
             rep.add("structure", f"component at {x!r} has wrong endpoints")
-    if rep.issues:
-        return rep
-    if t.kind == "2natural":
-        for f in C.one_src:
-            a, b = C.one_src[f], C.one_tgt[f]
-            rep.checked += 1
-            if D.comp1(t.G.fmap[f], t.components[a]) != D.comp1(t.components[b], t.F.fmap[f]):
-                rep.add("naturality", f"square fails at 1-cell {f!r}")
-        for al in C.two_src:
-            f = C.two_src[al]
-            a, b = C.one_src[f], C.one_tgt[f]
-            rep.checked += 1
-            lhs = D.hcomp2(t.G.amap[al], D.id2(t.components[a]))
-            rhs = D.hcomp2(D.id2(t.components[b]), t.F.amap[al])
-            if lhs != rhs:
-                rep.add("naturality", f"2-cell condition fails at {al!r}")
-    else:
-        if t.comp2 is None:
-            rep.add("structure", "pseudo transformation lacks 1-cell components")
-            return rep
-        for f in C.one_src:
-            a, b = C.one_src[f], C.one_tgt[f]
-            cell = t.comp2.get(f)
-            if cell is None:
-                rep.add("structure", f"missing 2-cell component at {f!r}")
-                continue
-            want_src = D.comp1(t.G.fmap[f], t.components[a])
-            want_tgt = D.comp1(t.components[b], t.F.fmap[f])
-            if D.two_src.get(cell) != want_src or D.two_tgt.get(cell) != want_tgt:
-                rep.add("structure", f"2-cell component at {f!r} has wrong endpoints")
-            elif vertical_inverse(D, cell) is None:
-                rep.add("pseudo", f"2-cell component at {f!r} not invertible")
-        if rep.issues:
-            return rep
-        for x in C.objects:
-            rep.checked += 1
-            if t.comp2[C.id1(x)] != D.id2(t.components[x]):
-                rep.add("pseudo", f"unit coherence fails at {x!r}")
-        for (g, f) in C.hcomp1_table:
-            a = C.one_src[f]
-            rep.checked += 1
-            gf = C.comp1(g, f)
-            lhs = t.comp2[gf]
-            step1 = whisker_l(D, t.G.fmap[g], t.comp2[f])
-            step2 = whisker_r(D, t.comp2[g], t.F.fmap[f])
-            if lhs != D.vcomp(step2, step1):
-                rep.add("pseudo", f"composition coherence fails at ({g!r},{f!r})")
-        for al in C.two_src:
-            f, g = C.two_src[al], C.two_tgt[al]
-            a, b = C.one_src[f], C.one_tgt[f]
-            rep.checked += 1
-            lhs = D.vcomp(t.comp2[g], D.hcomp2(t.G.amap[al], D.id2(t.components[a])))
-            rhs = D.vcomp(D.hcomp2(D.id2(t.components[b]), t.F.amap[al]), t.comp2[f])
-            if lhs != rhs:
-                rep.add("pseudo", f"naturality vs 2-cells fails at {al!r}")
+    if not rep.issues:
+        scan_naturality(rep, C, D, t.components.__getitem__, t.F.cell_maps(),
+                        t.G.cell_maps(), "naturality", "components")
     return rep
 
 

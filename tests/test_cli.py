@@ -25,6 +25,7 @@ from gamma2cat.cli import (
 from gamma2cat.gamma import validate_gamma
 from gamma2cat.ktheory import ko_gamma
 from gamma2cat.monoidal import FIXTURE_BUILDERS, fixture, promote
+from gamma2cat.subsets import PointedMap
 from gamma2cat.twocat import FiniteTwoCategory
 
 
@@ -73,6 +74,22 @@ def test_save_of_an_unvalidated_truncation(f2):
     text = save(FixtureDocument(gammas={"K": fresh}))
     assert text == save(FixtureDocument(gammas={"K": validated}))
     assert save(load(text)) == text
+
+
+def test_missing_transition_named_by_save_and_phi_star():
+    text = save(FixtureDocument(gammas={"K": ko_gamma(promote(fixture("F1")), 1)}))
+    cut = "\n".join(l for l in text.splitlines() if not l.startswith("map 1 1 ")) + "\n"
+    assert cut != text
+    X = load(cut, validate=False).gammas["K"]
+    identity = PointedMap(1, 1, (1,))
+    with pytest.raises(FixtureError, match=r"gamma K has no transition functor for "
+                                           r"PointedMap\(m=1, n=1, imgs=\(0,\)\)"):
+        save(FixtureDocument(gammas={"K": X}))
+    with pytest.raises(LookupError, match=r"^K has no transition functor for "
+                                          r"PointedMap\(m=1, n=1, imgs=\(1,\)\)$"):
+        X.phi_star(identity, 0, X.level(1).objects[0])
+    with pytest.raises(FixtureError, match="missing transition functor"):
+        load(cut)
 
 
 def test_corrupt_reference_reported_with_line(tmp_path):

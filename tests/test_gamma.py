@@ -1,11 +1,14 @@
 import pytest
 
+import gamma2cat.gamma as gamma_module
 from gamma2cat.subsets import PointedMap, all_pointed_maps, pointed_identity
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.ktheory import ko_gamma, ko_map, kt_gamma
 from gamma2cat.monoidal import MonoidalFunctor
 from gamma2cat.twocat import TwoFunctor, validate_two_category, is_isomorphism_of_two_categories
 from gamma2cat.gamma import (
+    GammaLaxMap,
+    GammaTransformation,
     GammaTruncation,
     compose_lax,
     e_adjunction_check,
@@ -152,6 +155,87 @@ def test_path_characterizes_transformations(f2_gamma2):
             assert back.at(m, x) == t.at(m, x)
             assert back.h.apply(m, 0, x) == t.h.apply(m, 0, x)
             assert back.k.apply(m, 0, x) == t.k.apply(m, 0, x)
+
+
+# -- corrupted inputs the diagram validators must reject ---------------------------
+
+
+@pytest.fixture(scope="module")
+def f4_gamma():
+    return ko_gamma(promote(fixture("F4")), 2)
+
+
+def _not_identity(cells, is_id):
+    return next(c for c in cells if not is_id(c))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("F2", "image endpoints disagree"),   # sent to the 2-cell over the other 1-cell
+    ("F3", "not preserved"),              # the identity 2-cell sent to the other one
+])
+def test_lax_map_with_a_wrong_two_cell_image_rejected(name, message):
+    X = ko_gamma(promote(fixture(name)), 2)
+    L1 = X.level(1)
+    a, b = sorted(L1.two_src, key=lambda c: not L1.is_id2(c))
+
+    def apply_fn(m, dim, cell):
+        return b if (m, dim, cell) == (1, 2, a) else cell
+
+    rep = validate_lax_map(strict_lax_map(X, X, apply_fn, name="bad"))
+    assert rep.issues and {i.kind for i in rep.issues} == {"functor"}
+    assert rep.issues[0].message.startswith("level 1: ") and message in rep.issues[0].message
+
+
+def test_lax_map_with_a_non_natural_structure_cell_rejected(f4_gamma):
+    # the identity map with one structure cell replaced by the non-identity
+    # endomorphism of level one: well typed, but not natural
+    X = f4_gamma
+    ident = identity_lax_map(X)
+    phi, z = PointedMap(2, 1, (0, 1)), X.level(2).objects[0]
+    L1 = X.level(1)
+    c = _not_identity(L1.one_src, L1.is_id1)
+
+    def lax(psi, x):
+        return c if (psi, x) == (phi, z) else ident.lax(psi, x)
+
+    rep = validate_lax_map(GammaLaxMap(X, X, ident.apply, lax, name="bad"))
+    assert rep.first().kind == "lax"
+    assert rep.first().message.startswith(f"structure cell at {phi} not natural at 1-cell ")
+
+
+def test_transformation_with_a_wrong_component_rejected(f4_gamma):
+    X = f4_gamma
+    ident = identity_lax_map(X)
+    assert validate_transformation_gamma(identity_transformation(ident)).ok
+    L2 = X.level(2)
+    z = L2.objects[0]
+    u = _not_identity(L2.one_cells_between(z, z), L2.is_id1)
+    t = GammaTransformation(ident, ident,
+                            lambda m, x: u if (m, x) == (2, z) else X.level(m).id1(x))
+    rep = validate_transformation_gamma(t)
+    assert rep.first().kind == "naturality"
+    assert rep.first().message.startswith("level 2 components not natural at 1-cell ")
+
+
+def test_adjunction_rejects_an_altered_section(monkeypatch):
+    # the section of the identity map of Ko(F4) at cap 1, with the image of
+    # the non-identity 1-cell of level one replaced by that of the identity
+    X = ko_gamma(promote(fixture("F4")), 1)
+    span = e_construction(identity_lax_map(X))
+    assert e_adjunction_check(span).ok
+    L1 = X.level(1)
+    x = _not_identity(L1.one_src, L1.is_id1)
+    e = L1.id1(L1.objects[0])
+    good = e_section(span)
+
+    def apply_fn(m, dim, cell):
+        return good.apply(m, dim, e if (m, dim, cell) == (1, 1, x) else cell)
+
+    monkeypatch.setattr(gamma_module, "e_section",
+                        lambda sp: GammaLaxMap(X, sp.Ek, apply_fn, good.lax, name="section"))
+    rep = e_adjunction_check(span)
+    assert rep.first().kind == "retraction"
+    assert {"naturality"} == {i.kind for i in rep.issues} - {"retraction"}
 
 
 def _collapse_map(f2_gamma2, f1_gamma):

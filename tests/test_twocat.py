@@ -13,6 +13,7 @@ from gamma2cat.twocat import (
     FiniteTwoCategory,
     LazyPathLevel,
     Transformation2,
+    TwoFunctor,
     identity_functor,
     internal_equivalence_classes,
     is_isomorphism_of_two_categories,
@@ -209,6 +210,54 @@ def test_transformation_to_path_functor_bijection():
     assert validate_two_functor(tilde).ok
     assert tilde.then(po.e0) == ident
     assert tilde.then(po.e1) == ident
+
+
+def _trivializing_functor(C, name):
+    """The 2-functor of a one-object fixture onto its identity cells."""
+    (obj,) = C.objects
+    e = C.id1(obj)
+    return TwoFunctor(C, C, {obj: obj}, {f: e for f in C.one_src},
+                      {a: C.id2(e) for a in C.two_src}, name=name)
+
+
+def test_corrupted_functor_rejected():
+    # F2: the identity 1-cell of one object sent to that of the other
+    C = fixture("F2").base
+    F = identity_functor(C)
+    rep = validate_two_functor(TwoFunctor(C, C, F.omap, {**F.fmap, "i0": "i1"}, F.amap))
+    assert [str(i) for i in rep.issues] == [
+        "[functor] 1-cell 'i0': image endpoints disagree",
+        "[functor] 2-cell 'ii0': image endpoints disagree"]
+    # F3: the identity 2-cell sent to the non-identity one, endpoints intact
+    C = fixture("F3").base
+    F = identity_functor(C)
+    bad = TwoFunctor(C, C, dict(F.omap), dict(F.fmap), {"s0": "s1", "s1": "s1"})
+    rep = validate_two_functor(bad)
+    assert rep.issues[0].kind == "functor"
+    assert "identity 2-cell of 'i' not preserved" in rep.issues[0].message
+    # F4: the 2-cells collapsed while the 1-cells are kept
+    C = fixture("F4").base
+    G = _trivializing_functor(C, "collapse")
+    assert validate_two_functor(G).ok
+    bad = TwoFunctor(C, C, G.omap, dict(identity_functor(C).fmap), G.amap)
+    rep = validate_two_functor(bad)
+    assert [i.kind for i in rep.issues] == ["functor"]
+    assert "2-cell 'ix': image endpoints disagree" in rep.issues[0].message
+
+
+@pytest.mark.parametrize("name, bad_cells", [("F3", ["2-cell 's1'"]),
+                                             ("F4", ["1-cell 'x'", "2-cell 'ix'"])])
+def test_non_natural_components_rejected(name, bad_cells):
+    # identity-valued components from the identity to the functor onto the
+    # identity cells are natural only where the fixture has no other cells
+    C = fixture(name).base
+    ident, G = identity_functor(C), _trivializing_functor(C, "collapse")
+    assert validate_two_functor(G).ok
+    rep = validate_transformation(Transformation2(ident, G, {x: C.id1(x) for x in C.objects}))
+    assert rep.checked == len(C.one_src) + len(C.two_src)
+    assert [i.kind for i in rep.issues] == ["naturality"] * len(bad_cells)
+    assert [i.message for i in rep.issues] == [
+        f"components not natural at {cell}" for cell in bad_cells]
 
 
 def _composable_two_cell_chains(C, length):
