@@ -265,7 +265,7 @@ def lambda_of(h: GammaLaxMap) -> GammaTransformation:
     X, Y = h.source, h.target
     PX, PY = GrothPerm(X), GrothPerm(Y)
     KPX = LazyKtGamma(PX, X.cap, name="KPX")
-    KPY = LazyKtGamma(PY, getattr(Y, "cap", X.cap), name="KPY")
+    KPY = LazyKtGamma(PY, Y.cap, name="KPY")
     eta_x = unit_map(X, PX, KPX)
     eta_y = unit_map(Y, PY, KPY)
     ph = p_of_lax(h, PX, PY)
@@ -582,7 +582,7 @@ def triangle_K(C, nmax: int, ceiling: int | None = None) -> ValidationReport:
     the K-image of the counit returns it unchanged, and the whiskered
     structure cells of the unit collapse to identities."""
     from .ktheory import DEFAULT_CELL_CEILING
-    rep = ValidationReport(f"triangle (counit after unit) for {getattr(C, 'name', '?')}")
+    rep = ValidationReport(f"triangle (counit after unit) for {C.name}")
     KC = kt_gamma(C, nmax, ceiling or DEFAULT_CELL_CEILING)
     PKC = GrothPerm(KC)
     eps = Counit(C, gray=False)
@@ -613,7 +613,7 @@ def triangle_P(X, L: int, E: int) -> ValidationReport:
     construction through the image of the unit and then the counit returns
     it unchanged."""
     from .inversek import BoundedGroth
-    rep = ValidationReport(f"triangle (counit after unit image) for {getattr(X, 'name', '?')}")
+    rep = ValidationReport(f"triangle (counit after unit image) for {X.name}")
     PX = GrothPerm(X)
     B = BoundedGroth(X, L, E)
     KPX = LazyKtGamma(PX, X.cap)

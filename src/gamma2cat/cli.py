@@ -20,6 +20,9 @@ The fixture format is line-oriented UTF-8 text with canonical field order:
     level 0 NAME.L0
     map 1 2 0,2 obj m0 s t    (one table line per cell of the source level)
 
+Each flavor accepts only the tables its carrier class lists in ``TABLES``;
+any other field is an error that names its line.
+
 Saving canonicalizes cell identifiers, so load(save(d)) is byte-identical
 for canonicalized documents.  Reports are byte-deterministic unless
 ``report --timings`` asks for wall-clock times; ``report`` runs ``BATTERY``,
@@ -80,6 +83,14 @@ from .inversek import validate_p_truncation
 from .adjunction import bounded_unit_target, lambda_of, triangle_K, triangle_P, unit_map
 
 FORMAT_HEADER = "gamma2cat-fixture v1"
+
+# each structure type's validator, under the check name ``validate`` reports
+VALIDATORS = {
+    FiniteTwoCategory: ("2-category-axioms", validate_two_category),
+    PermutativeTwoCategory: ("permutative-axioms", validate_permutative),
+    PermutativeGrayMonoid: ("cubical-axioms", validate_pgm),
+}
+CARRIERS = {cls.flavor: cls for cls in (PermutativeTwoCategory, PermutativeGrayMonoid)}
 
 
 class FixtureError(Exception):
@@ -145,30 +156,14 @@ def _emit_category(out: list[str], name: str, C: FiniteTwoCategory, names):
 
 
 def _emit_permutative(out: list[str], name: str, P, names):
-    omap, fmap, amap = names
     out.append(f"[permutative {name}]")
     out.append(f"flavor {P.flavor}")
-    out.append(f"unit {omap[P.unit]}")
-    for (a, b) in sorted(P.sum_obj_table, key=lambda k: (omap[k[0]], omap[k[1]])):
-        out.append(f"sum_obj {omap[a]} {omap[b]} {omap[P.sum_obj_table[(a, b)]]}")
-    if P.flavor == "p2cat":
-        for (f, g) in sorted(P.sum_one_table, key=lambda k: (fmap[k[0]], fmap[k[1]])):
-            out.append(f"sum_one {fmap[f]} {fmap[g]} {fmap[P.sum_one_table[(f, g)]]}")
-        for (x, y) in sorted(P.sum_two_table, key=lambda k: (amap[k[0]], amap[k[1]])):
-            out.append(f"sum_two {amap[x]} {amap[y]} {amap[P.sum_two_table[(x, y)]]}")
-    else:
-        for (a, f) in sorted(P.lsum1_table, key=lambda k: (omap[k[0]], fmap[k[1]])):
-            out.append(f"lsum_one {omap[a]} {fmap[f]} {fmap[P.lsum1_table[(a, f)]]}")
-        for (f, a) in sorted(P.rsum1_table, key=lambda k: (fmap[k[0]], omap[k[1]])):
-            out.append(f"rsum_one {fmap[f]} {omap[a]} {fmap[P.rsum1_table[(f, a)]]}")
-        for (a, x) in sorted(P.lsum2_table, key=lambda k: (omap[k[0]], amap[k[1]])):
-            out.append(f"lsum_two {omap[a]} {amap[x]} {amap[P.lsum2_table[(a, x)]]}")
-        for (x, a) in sorted(P.rsum2_table, key=lambda k: (amap[k[0]], omap[k[1]])):
-            out.append(f"rsum_two {amap[x]} {omap[a]} {amap[P.rsum2_table[(x, a)]]}")
-        for (f, g) in sorted(P.sigma_table, key=lambda k: (fmap[k[0]], fmap[k[1]])):
-            out.append(f"sigma {fmap[f]} {fmap[g]} {amap[P.sigma_table[(f, g)]]}")
-    for (a, b) in sorted(P.beta_table, key=lambda k: (omap[k[0]], omap[k[1]])):
-        out.append(f"beta {omap[a]} {omap[b]} {fmap[P.beta_table[(a, b)]]}")
+    out.append(f"unit {names[0][P.unit]}")
+    for t in P.TABLES:
+        table = getattr(P, t.attr)
+        kx, ky = (names[d] for d in t.key)
+        for x, y in sorted(table, key=lambda k: (kx[k[0]], ky[k[1]])):
+            out.append(f"{t.field} {kx[x]} {ky[y]} {names[t.value][table[(x, y)]]}")
 
 
 def save(doc: FixtureDocument, path: str | Path | None = None) -> str:
@@ -255,7 +250,7 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
                                   "vcomp": {}, "hcomp1": {}, "hcomp2": {}, "line": ln}
             elif kind == "permutative":
                 section, sec_name = "permutative", rest
-                raw_perms[rest] = {"line": ln, "tables": []}
+                raw_perms[rest] = {"line": ln, "flavor": None, "unit": None, "tables": []}
             elif kind == "gamma":
                 section, sec_name = "gamma", rest
                 raw_gammas[rest] = {"cap": None, "levels": {}, "maps": [], "line": ln}
@@ -280,7 +275,11 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             else:
                 raise FixtureError(f"unknown category field {parts[0]!r}", ln)
         elif section == "permutative":
-            raw_perms[sec_name]["tables"].append((ln, parts))
+            if parts[0] in ("flavor", "unit"):
+                need(parts, 2, ln)
+                raw_perms[sec_name][parts[0]] = parts[1]
+            else:
+                raw_perms[sec_name]["tables"].append((ln, parts))
         elif section == "gamma":
             g = raw_gammas[sec_name]
             if parts[0] == "cap":
@@ -320,35 +319,18 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
     for name, p in raw_perms.items():
         if name not in doc.categories:
             raise FixtureError(f"permutative section {name} has no category", p["line"])
-        cat = doc.categories[name]
-        flavor, unit = None, None
-        tables = {k: {} for k in ("sum_obj", "sum_one", "sum_two", "lsum_one",
-                                  "rsum_one", "lsum_two", "rsum_two", "sigma", "beta")}
+        cls = CARRIERS.get(p["flavor"])
+        if cls is None:
+            raise FixtureError(f"unknown flavor {p['flavor']!r}", p["line"])
+        tables = {t.field: {} for t in cls.TABLES}
         for ln, parts in p["tables"]:
-            if parts[0] == "flavor":
-                flavor = parts[1]
-            elif parts[0] == "unit":
-                unit = parts[1]
-            elif parts[0] in tables:
-                need(parts, 4, ln)
-                tables[parts[0]][(parts[1], parts[2])] = parts[3]
-            else:
-                raise FixtureError(f"unknown permutative field {parts[0]!r}", ln)
-        if flavor == "p2cat":
-            P = PermutativeTwoCategory(name, cat, unit, tables["sum_obj"],
-                                       tables["sum_one"], tables["sum_two"],
-                                       tables["beta"])
-            check = validate_permutative
-        elif flavor == "pgm":
-            P = PermutativeGrayMonoid(name, cat, unit, tables["sum_obj"],
-                                      tables["lsum_one"], tables["rsum_one"],
-                                      tables["lsum_two"], tables["rsum_two"],
-                                      tables["sigma"], tables["beta"])
-            check = validate_pgm
-        else:
-            raise FixtureError(f"unknown flavor {flavor!r}", p["line"])
+            if parts[0] not in tables:
+                raise FixtureError(f"unknown {cls.flavor} field {parts[0]!r}", ln)
+            need(parts, 4, ln)
+            tables[parts[0]][(parts[1], parts[2])] = parts[3]
+        P = cls(name, doc.categories[name], p["unit"], *tables.values())
         if validate:
-            rep = check(P)
+            rep = VALIDATORS[cls][1](P)
             if not rep.ok:
                 raise FixtureError(f"permutative {name} invalid: {rep.first()}", p["line"])
         doc.permutative[name] = P
@@ -560,14 +542,9 @@ def _mutate_once(F, rng):
     """One random single-entry table mutation, preserving the table shapes."""
     C = F.base
     one, two, objs = list(C.one_src), list(C.two_src), list(C.objects)
+    pools = (objs, one, two)
     base = [("vcomp_table", two), ("hcomp1_table", one), ("hcomp2_table", two)]
-    if isinstance(F, PermutativeTwoCategory):
-        extra = [("sum_obj_table", objs), ("sum_one_table", one),
-                 ("sum_two_table", two), ("beta_table", one)]
-    else:
-        extra = [("sum_obj_table", objs), ("lsum1_table", one), ("rsum1_table", one),
-                 ("lsum2_table", two), ("rsum2_table", two), ("sigma_table", two),
-                 ("beta_table", one)]
+    extra = [(t.attr, pools[t.value]) for t in F.TABLES]
     # the base and sum tables, copied, in the order their constructors take them
     tables = {t: dict(getattr(C, t)) for t, _ in base}
     tables.update({t: dict(getattr(F, t)) for t, _ in extra})
@@ -596,16 +573,14 @@ def mutation_sample():
         F = build_fixture(name)
         for _ in range(100):
             mutated = _mutate_once(F, rng)
-            if isinstance(mutated, PermutativeTwoCategory):
-                yield mutated, validate_permutative(mutated)
-            else:
-                yield mutated, validate_pgm(mutated)
+            yield mutated, VALIDATORS[type(mutated)][1](mutated)
 
 
 def _mutation_screen(ceiling):
-    # every corruption is rejected with a witness or re-validates in full
-    ok = all(r.ok or r.first() is not None for _, r in mutation_sample())
-    return [("mutation-screen", ok, "")]
+    # every sampled corruption is rejected, with its first failure as witness
+    missed = sum(r.ok or r.first() is None for _, r in mutation_sample())
+    return [("mutation-screen", not missed,
+             f"{missed} mutations not rejected with a witness" if missed else "")]
 
 
 BATTERY = (
@@ -637,12 +612,8 @@ def cmd_validate(args) -> Report:
     # validation is this command's own check, so files are loaded raw
     rep = Report("validate", {"fixture": args.fixture})
     F = resolve_fixture(args.fixture, args.file, validate=False)
-    if isinstance(F, PermutativeGrayMonoid):
-        name, r = "cubical-axioms", validate_pgm(F)
-    elif isinstance(F, PermutativeTwoCategory):
-        name, r = "permutative-axioms", validate_permutative(F)
-    else:
-        name, r = "2-category-axioms", validate_two_category(F)
+    name, check = VALIDATORS[type(F)]
+    r = check(F)
     rep.add(name, r.ok, str(r.first() or ""))
     rep.counters["instances"] = r.checked
     return rep

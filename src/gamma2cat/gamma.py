@@ -186,12 +186,12 @@ def lax_map_from_functors(X, Y, functors: dict[int, TwoFunctor], name="") -> Gam
 def identity_lax_map(X) -> GammaLaxMap:
     def apply_fn(m, dim, cell):
         return cell
-    return strict_lax_map(X, X, apply_fn, name=f"id_{getattr(X, 'name', '?')}")
+    return strict_lax_map(X, X, apply_fn, name=f"id_{X.name}")
 
 
 def compose_lax(j: GammaLaxMap, h: GammaLaxMap) -> GammaLaxMap:
     """The composite j . h, with pasted structure cells."""
-    if h.target is not j.source and getattr(h.target, "name", None) != getattr(j.source, "name", None):
+    if h.target is not j.source:
         raise ValueError(f"lax maps not composable: {h.name or '?'} does not land "
                          f"in the source of {j.name or '?'}")
     X, Z = h.source, j.target
@@ -496,7 +496,7 @@ class LazyPathGamma:
     def __init__(self, Z):
         self.Z = Z
         self.cap = Z.cap
-        self.name = f"{getattr(Z, 'name', '?')}^arrow"
+        self.name = f"{Z.name}^arrow"
         self._levels: dict[int, LazyPathLevel] = {}
 
     def level(self, m: int) -> LazyPathLevel:

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .monoidal import ProductSum
 from .subsets import PointedMap
 from .twocat import FieldEndpoints, InternedCell, ValidationReport
 
@@ -243,7 +244,7 @@ def mk_groth_two(src, tgt, alphas) -> GrothTwo:
     return GrothTwo._make(src, tgt, tuple(alphas))
 
 
-class GrothPerm(FieldEndpoints):
+class GrothPerm(ProductSum, FieldEndpoints):
     """The permutative 2-category assembled from a reduced diagram: cells are
     pairs of a block map and a component tuple, evaluated lazily.
 
@@ -251,11 +252,9 @@ class GrothPerm(FieldEndpoints):
     interchangers are identities) and the braiding is [block swap, id].
     """
 
-    flavor = "p2cat"
-
     def __init__(self, X, name: str = ""):
         self.X = X
-        self.name = name or f"P({getattr(X, 'name', '?')})"
+        self.name = name or f"P({X.name})"
         # composites recur heavily in the bounded axiom scans; cache them
         # keyed by the interned argument cells
         self._memo_comp1: dict = {}
@@ -362,24 +361,6 @@ class GrothPerm(FieldEndpoints):
             a.alphas + b.alphas,
         )
 
-    def lsum_one(self, a: GrothObj, u: GrothOne) -> GrothOne:
-        return self.sum_one(self.id1(a), u)
-
-    def rsum_one(self, u: GrothOne, a: GrothObj) -> GrothOne:
-        return self.sum_one(u, self.id1(a))
-
-    def lsum_two(self, a: GrothObj, x: GrothTwo) -> GrothTwo:
-        return self.sum_two(self.id2(self.id1(a)), x)
-
-    def rsum_two(self, x: GrothTwo, a: GrothObj) -> GrothTwo:
-        return self.sum_two(x, self.id2(self.id1(a)))
-
-    def sigma(self, u: GrothOne, v: GrothOne) -> GrothTwo:
-        return self.id2(self.sum_one(u, v))
-
-    def sigma_inv(self, u: GrothOne, v: GrothOne) -> GrothTwo:
-        return self.sigma(u, v)
-
     def beta_obj(self, a: GrothObj, b: GrothObj) -> GrothOne:
         swapped = mk_groth_obj(b.mvec + a.mvec, b.xs + a.xs)
         fs = tuple(
@@ -392,8 +373,7 @@ class GrothPerm(FieldEndpoints):
     def has_obj(self, o) -> bool:
         if not isinstance(o, GrothObj) or len(o.mvec) != len(o.xs):
             return False
-        cap = getattr(self.X, "cap", None)
-        return all(m >= 1 and (cap is None or m <= cap) for m in o.mvec)
+        return all(1 <= m <= self.X.cap for m in o.mvec)
 
     def __repr__(self):
         return f"<GrothPerm {self.name}>"

@@ -47,6 +47,7 @@ from .twocat import (
     whisker_r,
 )
 from .monoidal import (
+    VARIANTS,
     MonoidalFunctor,
     PermutativeGrayMonoid,
     PermutativeTwoCategory,
@@ -631,7 +632,7 @@ def kt_level(C: PermutativeTwoCategory, n: int,
 
     Also accepts any carrier exposing a genuine product sum (for example the
     bounded inverse-construction fragment)."""
-    return _build_level(C, n, False, f"K({getattr(C, 'name', '?')})({n})", ceiling)
+    return _build_level(C, n, False, f"K({C.name})({n})", ceiling)
 
 
 # -- reindexing, functoriality, truncations ------------------------------------------
@@ -723,14 +724,14 @@ def ko_gamma(C: PermutativeGrayMonoid, N: int,
 
 def kt_gamma(C: PermutativeTwoCategory, N: int,
              ceiling: int = DEFAULT_CELL_CEILING) -> GammaTruncation:
-    return _gamma_truncation(C, N, False, f"K({getattr(C, 'name', '?')})", ceiling)
+    return _gamma_truncation(C, N, False, f"K({C.name})", ceiling)
 
 
 def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
            level_tgt: FiniteTwoCategory) -> TwoFunctor:
     """Apply a normal-oplax functor levelwise: images are re-validated, and a
     failing image is a hard error (it indicates an invalid input functor)."""
-    if M.variant not in ("strict", "normal-oplax"):
+    if M.variant not in VARIANTS:
         raise ValueError("levelwise image needs a strict or normal-oplax functor")
     C, D = M.source, M.target
     F = M.functor
@@ -916,7 +917,7 @@ class LazyKtGamma:
     def __init__(self, C, cap: int, name: str = ""):
         self.C = C
         self.cap = cap
-        self.name = name or f"K({getattr(C, 'name', '?')})"
+        self.name = name or f"K({C.name})"
         self._levels: dict[int, LazyKtLevel] = {}
 
     def level(self, m: int) -> LazyKtLevel:
@@ -971,4 +972,4 @@ def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]],
         _build_level(C, m, False, f"{name}({m})", ceiling, systems=per_level[m])
         for m in range(N + 1)
     ]
-    return _truncation(C, N, name or f"K({getattr(C, 'name', '?')})|gen", levels)
+    return _truncation(C, N, name or f"K({C.name})|gen", levels)

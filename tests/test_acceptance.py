@@ -458,7 +458,7 @@ def _naive_pgm_ok(P: PermutativeGrayMonoid) -> bool:
 
 
 def test_criterion_10_mutation_completeness():
-    # the battery: every mutation is rejected with a witness or re-validates
+    # the battery: every sampled mutation is rejected with a witness
     _battery(10, "every single-entry mutation is rejected with a witness")
     # and the package validator agrees with the independent scanner on the sample
     silent, disagreements, rejected, total = 0, 0, 0, 0

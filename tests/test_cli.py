@@ -11,6 +11,7 @@ import pytest
 import gamma2cat
 from gamma2cat.cli import (
     BATTERY,
+    VALIDATORS,
     FixtureDocument,
     FixtureError,
     build_parser,
@@ -24,9 +25,15 @@ from gamma2cat.cli import (
 )
 from gamma2cat.gamma import validate_gamma
 from gamma2cat.ktheory import ko_gamma
-from gamma2cat.monoidal import FIXTURE_BUILDERS, fixture, promote
+from gamma2cat.monoidal import (
+    FIXTURE_BUILDERS,
+    PermutativeGrayMonoid,
+    PermutativeTwoCategory,
+    fixture,
+    promote,
+)
 from gamma2cat.subsets import PointedMap
-from gamma2cat.twocat import FiniteTwoCategory
+from gamma2cat.twocat import FiniteTwoCategory, ValidationReport
 
 
 def test_builtin_files_round_trip():
@@ -104,6 +111,16 @@ def test_corrupt_reference_reported_with_line(tmp_path):
     with pytest.raises(FixtureError) as err:
         load(bad)
     assert err.value.line is not None
+
+
+@pytest.mark.parametrize("name, line", [("F2", "sigma m0 m0 a0"), ("F5", "sum_one m0 m0 m0")])
+def test_field_of_the_other_flavor_refused_with_line(name, line):
+    lines = (fixtures_dir() / f"{name}.fx").read_text(encoding="utf-8").splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith("unit ")) + 1
+    lines.insert(at, line)
+    with pytest.raises(FixtureError, match=repr(line.split()[0])) as err:
+        load("\n".join(lines) + "\n")
+    assert err.value.line == at + 1
 
 
 def _capture(argv):
@@ -243,6 +260,15 @@ def test_report_runs_the_battery():
     assert rep.ok
     rep.timings = None
     assert rep.to_text() == REPORT_TEXT
+
+
+def test_mutation_screen_fails_when_a_mutation_is_accepted(monkeypatch):
+    def accept(C):
+        return ValidationReport(C.name)
+    for cls in (PermutativeTwoCategory, PermutativeGrayMonoid):
+        monkeypatch.setitem(VALIDATORS, cls, (VALIDATORS[cls][0], accept))
+    screen = next(run for n, _, run in BATTERY if n == 10)
+    assert screen(0) == [("mutation-screen", False, "300 mutations not rejected with a witness")]
 
 
 def test_python_dash_m_runs_the_cli():

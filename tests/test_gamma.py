@@ -78,9 +78,13 @@ def test_compose_lax_identity_laws(f2_gamma2):
             assert left.lax(phi, x) == ident.lax(phi, x)
 
 
-def test_compose_lax_refuses_maps_that_do_not_meet(f2_gamma2, f1_gamma):
+def test_compose_lax_refuses_maps_that_do_not_meet(f2_gamma2, f2_gamma3, f1_gamma):
     with pytest.raises(ValueError, match="not composable"):
         compose_lax(identity_lax_map(f1_gamma), identity_lax_map(f2_gamma2))
+    # two truncations of one carrier share a name, but not a diagram
+    assert f2_gamma3.name == f2_gamma2.name
+    with pytest.raises(ValueError, match="not composable"):
+        compose_lax(identity_lax_map(f2_gamma3), identity_lax_map(f2_gamma2))
 
 
 def test_compose_lax_associativity(f2_gamma2):

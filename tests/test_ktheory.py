@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -130,6 +131,10 @@ def test_ko_map_identity_and_collapse(f2, f2_gamma2):
     G = ko_map(M, f2_gamma2.level(2), tgt)
     assert validate_two_functor(G).ok
     assert len(set(G.omap.values())) == 1
+    # only the strict and normal-oplax variants have a levelwise image
+    for variant in ("lax", "oplax", "pseudo"):
+        with pytest.raises(ValueError, match="strict or normal-oplax"):
+            ko_map(replace(M, variant=variant), f2_gamma2.level(2), tgt)
 
 
 def test_ko_map_commutes_with_reindexing(f2, f2_gamma2):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -82,12 +83,24 @@ def test_sum_one_cells_examples():
         assert sum_one_cells(P2, [f, P2.base.id1("0")]) == f
 
 
+@pytest.mark.parametrize("name", ["F2", "F5"])
+def test_carriers_differing_in_one_table_entry_are_unequal(name):
+    C = fixture(name)
+    tables = [getattr(C, t.attr) for t in C.TABLES]
+    assert type(C)(C.name, C.base, C.unit, *tables) == C
+    for i, table in enumerate(tables):
+        changed = list(tables)
+        changed[i] = {**table, next(iter(table)): "changed"}
+        other = type(C)(C.name, C.base, C.unit, *changed)
+        assert other != C and C != other, C.TABLES[i].field
+
+
 def test_identity_monoidal_functor_valid():
-    for name in ("F2", "F3"):
-        M = identity_monoidal_functor(fixture(name))
-        assert validate_monoidal_functor(M).ok
-    M5 = identity_monoidal_functor(fixture("F5"))
-    assert validate_monoidal_functor(M5).ok
+    counts = {"F1": 9, "F2": 33, "F3": 11, "F4": 16, "F5": 20, "M3": 73}
+    for name, checked in counts.items():
+        rep = validate_monoidal_functor(identity_monoidal_functor(fixture(name)))
+        assert rep.ok
+        assert rep.checked == checked, name
 
 
 def _collapse_f2_to_f1() -> MonoidalFunctor:
@@ -105,7 +118,15 @@ def _collapse_f2_to_f1() -> MonoidalFunctor:
 
 
 def test_sum_collapse_normal_oplax_valid():
-    assert validate_monoidal_functor(_collapse_f2_to_f1()).ok
+    rep = validate_monoidal_functor(_collapse_f2_to_f1())
+    assert rep.ok
+    assert rep.checked == 37
+
+
+@pytest.mark.parametrize("variant", ["lax", "oplax", "pseudo"])
+def test_unbuilt_variants_refused(variant):
+    rep = validate_monoidal_functor(replace(_collapse_f2_to_f1(), variant=variant))
+    assert [str(i) for i in rep.issues] == [f"[structure] unknown variant {variant!r}"]
 
 
 def _twisted_z2(name, twist: bool):
@@ -168,8 +189,8 @@ def test_strict_claim_with_broken_braiding_invalid():
     }
     M = MonoidalFunctor("strict", F, src, tgt, theta0, theta, name="claim")
     rep = validate_monoidal_functor(M)
-    assert not rep.ok
-    assert any("braiding" in i.message for i in rep.issues)
+    assert [str(i) for i in rep.issues] == ["[strict] braiding not preserved at ('1','1')"]
+    assert rep.checked == 61
 
 
 def test_composite_of_normal_oplax_validates():
@@ -180,7 +201,10 @@ def test_composite_of_normal_oplax_validates():
         second.theta0, second.theta, name="id",
     )
     comp = compose_monoidal(second, first)
-    assert validate_monoidal_functor(comp).ok
+    rep = validate_monoidal_functor(comp)
+    assert rep.ok
+    assert rep.checked == 37
+    assert {comp.theta0, *comp.theta.values()} == {"ie"}
 
 
 def test_qs3_follows_from_the_other_axioms():
