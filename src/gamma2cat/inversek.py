@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
-from .monoidal import ProductSum
+from .monoidal import Domains, ProductSum, scan_product_sum
 from .subsets import PointedMap
-from .twocat import FieldEndpoints, InternedCell, ValidationReport
+from .twocat import FieldEndpoints, InternedCell, ValidationReport, _group
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -428,6 +429,26 @@ class BoundedGroth(GrothPerm):
             and all(m <= self.E for m in o.mvec)
         )
 
+    @cached_property
+    def cells(self) -> tuple[dict, dict, dict]:
+        """The fragment's objects, 1-cells and 2-cells, each listed once and
+        bucketed by the lengths of its (source, target) shapes."""
+        objects = list(self.objects_iter())
+        ones = [u for o1 in objects for o2 in objects for u in self.one_cells_between(o1, o2)]
+        parallel = _group(ones, attrgetter("src", "tgt", "phim"))
+        twos = [a for group in parallel.values() for u in group for v in group
+                for a in self.two_cells_between(u, v)]
+        return (_group(objects, lambda o: (len(o.mvec),) * 2), _group(ones, _lengths),
+                _group(twos, _lengths2))
+
+    def domains(self) -> Domains:
+        """The cells and the composable ``comp1`` and ``vcomp`` pairs, a pair
+        bucketed by its composite's lengths; no ``hcomp2`` pairs (see
+        ``validate_p_truncation``)."""
+        objects, ones, twos = self.cells
+        return Domains(objects, ones, twos, _composable(ones, _lengths),
+                       _composable(twos, _lengths2), None, self.L)
+
     def objects_iter(self):
         for shape in bounded_shapes(self.L, self.E):
             pools = [self.X.level(m).objects for m in shape]
@@ -456,21 +477,24 @@ class BoundedGroth(GrothPerm):
         return [mk_groth_two(u, v, alphas) for alphas in itertools.product(*pools)]
 
 
+def _lengths(u: GrothOne) -> tuple[int, int]:
+    return len(u.src.mvec), len(u.tgt.mvec)
+
+
+def _lengths2(a: GrothTwo) -> tuple[int, int]:
+    return _lengths(a.src)
+
+
+def _composable(buckets: dict, lengths) -> dict:
+    """The pairs ``(v, u)`` with ``u.tgt == v.src``, bucketed by the source
+    length of u and the target length of v."""
+    cells = [c for bucket in buckets.values() for c in bucket]
+    by_src = _group(cells, attrgetter("src"))
+    return _group(((v, u) for u in cells for v in by_src.get(u.tgt, ())),
+                  lambda p: (lengths(p[1])[0], lengths(p[0])[1]))
+
+
 # -- extension to lax maps ---------------------------------------------------------
-
-
-def _guarded(rep, kind, what, where, holds) -> None:
-    """Run one axiom instance; an ill-typed composite counts as a violation.
-
-    ``where`` renders the instance, and is called only when it is reported.
-    """
-    try:
-        ok = holds()
-    except (ValueError, KeyError) as exc:
-        rep.add(kind, f"{what} at {where()}: ill-typed instance ({exc})")
-        return
-    if not ok:
-        rep.add(kind, f"{what} fails at {where()}")
 
 
 class BlockwiseLax:
@@ -543,126 +567,22 @@ def p_of_lax(h, PX: GrothPerm, PY: GrothPerm) -> POfLax:
 # -- bounded validation --------------------------------------------------------------
 
 
-def validate_p_truncation(X, L: int, E: int, braiding=None) -> ValidationReport:
-    """Verify every permutative-2-category axiom instance of the Grothendieck
-    construction expressible within the bounds.
+def validate_p_truncation(X, L: int, E: int) -> ValidationReport:
+    """Scan the permutative-2-category laws of ``monoidal.scan_product_sum``
+    on the (L, E)-bounded fragment of the Grothendieck construction, each
+    instance whose cells' summed lengths fit L.
 
-    ``braiding``, when given, replaces the built-in braiding components (used
-    by mutation tests).  An empty scan is reported explicitly.
+    Two laws are left out, both for cost, and the report subject names them.
+    The sum's preservation of ``hcomp2`` would add 143,021 instances at
+    (2, 2) over Ko(F2) and triple the scan's time, so the fragment supplies
+    no ``hcomp2`` pairs.  The fragment's own 2-category laws would be about
+    2.6 million ``comp1`` associativity triples there.  An empty scan is
+    reported explicitly.
     """
-    rep = ValidationReport(f"bounded inverse construction (L={L}, E={E})")
+    rep = ValidationReport(f"bounded inverse construction (L={L}, E={E}; not scanned: "
+                           "hcomp2 preservation, the fragment's 2-category laws)")
     B = BoundedGroth(X, L, E)
-    beta = braiding or B.beta_obj
-    objs = list(B.objects_iter())
-    by_len: dict[int, list[GrothObj]] = {}
-    for o in objs:
-        by_len.setdefault(len(o.mvec), []).append(o)
-
-    e = B.unit_obj()
-    for o in objs:
-        rep.checked += 1
-        if B.sum_obj(e, o) != o or B.sum_obj(o, e) != o:
-            rep.add("monoid", f"unit law fails at {o!r}")
-    for la, lb, lc in itertools.product(by_len, by_len, by_len):
-        if la + lb + lc > L:
-            continue
-        for a in by_len[la]:
-            for b in by_len[lb]:
-                for c in by_len[lc]:
-                    rep.checked += 1
-                    if B.sum_obj(B.sum_obj(a, b), c) != B.sum_obj(a, B.sum_obj(b, c)):
-                        rep.add("monoid", f"associativity fails at ({a!r},{b!r},{c!r})")
-
-    ones: list[GrothOne] = []
-    for o1 in objs:
-        for o2 in objs:
-            ones.extend(B.one_cells_between(o1, o2))
-    # braiding axioms
-    for o1 in objs:
-        for o2 in objs:
-            if len(o1.mvec) + len(o2.mvec) > L:
-                continue
-            rep.checked += 1
-            _guarded(rep, "braiding", "involution", lambda: f"({o1!r},{o2!r})",
-                     lambda: B.comp1(beta(o2, o1), beta(o1, o2)) == B.id1(B.sum_obj(o1, o2)))
-            if o1 == e and not B.is_id1(beta(o1, o2)):
-                rep.add("braiding", f"unit braiding not the identity at {o2!r}")
-    for la, lb, lc in itertools.product(by_len, by_len, by_len):
-        if la + lb + lc > L:
-            continue
-        for a in by_len[la]:
-            for b in by_len[lb]:
-                for c in by_len[lc]:
-                    rep.checked += 1
-                    _guarded(rep, "braiding", "hexagon", lambda: f"({a!r},{b!r},{c!r})",
-                             lambda: beta(a, B.sum_obj(b, c)) == B.comp1(
-                                 B.lsum_one(b, beta(a, c)), B.rsum_one(beta(a, b), c)))
-
-    # naturality of the braiding on bounded 1-cell pairs: bucket cells by the
-    # lengths of their endpoint shapes so only fitting pairs are visited
-    ones_by_shape_len: dict[tuple[int, int], list[GrothOne]] = {}
-    for u in ones:
-        ones_by_shape_len.setdefault(
-            (len(u.src.mvec), len(u.tgt.mvec)), []
-        ).append(u)
-    for (ls1, lt1), bucket1 in ones_by_shape_len.items():
-        for (ls2, lt2), bucket2 in ones_by_shape_len.items():
-            if ls1 + ls2 > L or lt1 + lt2 > L:
-                continue
-            for u in bucket1:
-                for v in bucket2:
-                    rep.checked += 1
-                    _guarded(rep, "braiding", "naturality", lambda: f"({u!r},{v!r})",
-                             lambda: B.comp1(beta(u.tgt, v.tgt), B.sum_one(u, v))
-                             == B.comp1(B.sum_one(v, u), beta(u.src, v.src)))
-
-    comp_pairs: dict[tuple[int, int], list[tuple[GrothOne, GrothOne]]] = {}
-    by_src: dict[GrothObj, list[GrothOne]] = {}
-    for u in ones:
-        by_src.setdefault(u.src, []).append(u)
-    for u in ones:
-        for v in by_src.get(u.tgt, []):
-            comp_pairs.setdefault(
-                (len(u.src.mvec), len(v.tgt.mvec)), []
-            ).append((v, u))
-    for (ls1, lt1), bucket1 in comp_pairs.items():
-        for (ls2, lt2), bucket2 in comp_pairs.items():
-            if ls1 + ls2 > L or lt1 + lt2 > L:
-                continue
-            for (v1, u1) in bucket1:
-                for (v2, u2) in bucket2:
-                    rep.checked += 1
-                    lhs = B.sum_one(B.comp1(v1, u1), B.comp1(v2, u2))
-                    rhs = B.comp1(B.sum_one(v1, v2), B.sum_one(u1, u2))
-                    if lhs != rhs:
-                        rep.add("sum-functor", "sum does not preserve composition "
-                                f"at ({v1!r},{u1!r};{v2!r},{u2!r})")
-
-    # 2-cells: whiskered naturality of the braiding on a bounded slice
-    twos: list[GrothTwo] = []
-    parallel: dict[tuple, list[GrothOne]] = {}
-    for u in ones:
-        parallel.setdefault((u.src, u.tgt, u.phim), []).append(u)
-    for group in parallel.values():
-        for u in group:
-            for v in group:
-                twos.extend(B.two_cells_between(u, v))
-    twos_by_shape_len: dict[tuple[int, int], list[GrothTwo]] = {}
-    for a in twos:
-        twos_by_shape_len.setdefault(
-            (len(a.src.src.mvec), len(a.src.tgt.mvec)), []
-        ).append(a)
-    for (ls1, lt1), bucket1 in twos_by_shape_len.items():
-        for (ls2, lt2), bucket2 in twos_by_shape_len.items():
-            if ls1 + ls2 > L or lt1 + lt2 > L:
-                continue
-            for a in bucket1:
-                for b in bucket2:
-                    rep.checked += 1
-                    _guarded(rep, "braiding", "2-cell naturality", lambda: f"({a!r},{b!r})",
-                             lambda: B.hcomp2(B.sum_two(b, a), B.id2(beta(a.src.src, b.src.src)))
-                             == B.hcomp2(B.id2(beta(a.src.tgt, b.src.tgt)), B.sum_two(a, b)))
-
+    scan_product_sum(rep, B, B.domains())
     if rep.checked == 0:
         rep.add("empty-scan", "bounds admit no axiom instances")
     return rep

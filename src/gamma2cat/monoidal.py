@@ -47,12 +47,14 @@ def _bind_base(carrier, base: FiniteTwoCategory) -> None:
 @dataclass(frozen=True)
 class Table:
     """One sum table of a tabulated carrier: its fixture field, the attribute
-    holding it, the cell dimension of each key part and of the value."""
+    holding it, the cell dimension of each key part and of the value, and the
+    noun its structure issues use."""
 
     field: str
     attr: str
     key: tuple[int, int]
     value: int
+    noun: str
 
 
 class TabulatedCarrier:
@@ -124,10 +126,10 @@ class PermutativeTwoCategory(ProductSum, TabulatedCarrier):
 
     flavor = "p2cat"
     TABLES = (
-        Table("sum_obj", "sum_obj_table", (0, 0), 0),
-        Table("sum_one", "sum_one_table", (1, 1), 1),
-        Table("sum_two", "sum_two_table", (2, 2), 2),
-        Table("beta", "beta_table", (0, 0), 1),
+        Table("sum_obj", "sum_obj_table", (0, 0), 0, "object sum"),
+        Table("sum_one", "sum_one_table", (1, 1), 1, "1-cell sum"),
+        Table("sum_two", "sum_two_table", (2, 2), 2, "2-cell sum"),
+        Table("beta", "beta_table", (0, 0), 1, "braiding"),
     )
 
     def sum_one(self, f: Cell, g: Cell) -> Cell:
@@ -142,13 +144,13 @@ class PermutativeGrayMonoid(TabulatedCarrier):
 
     flavor = "pgm"
     TABLES = (
-        Table("sum_obj", "sum_obj_table", (0, 0), 0),
-        Table("lsum_one", "lsum1_table", (0, 1), 1),
-        Table("rsum_one", "rsum1_table", (1, 0), 1),
-        Table("lsum_two", "lsum2_table", (0, 2), 2),
-        Table("rsum_two", "rsum2_table", (2, 0), 2),
-        Table("sigma", "sigma_table", (1, 1), 2),
-        Table("beta", "beta_table", (0, 0), 1),
+        Table("sum_obj", "sum_obj_table", (0, 0), 0, "object sum"),
+        Table("lsum_one", "lsum1_table", (0, 1), 1, "left sum"),
+        Table("rsum_one", "rsum1_table", (1, 0), 1, "right sum"),
+        Table("lsum_two", "lsum2_table", (0, 2), 2, "left 2-sum"),
+        Table("rsum_two", "rsum2_table", (2, 0), 2, "right 2-sum"),
+        Table("sigma", "sigma_table", (1, 1), 2, "interchanger"),
+        Table("beta", "beta_table", (0, 0), 1, "braiding"),
     )
 
     def __init__(self, *args):
@@ -236,231 +238,207 @@ def sum_many_two(C, als: list[Cell]) -> Cell:
 
 
 # -- validation ----------------------------------------------------------------
+# Each permutative law is written once, as a scan over a carrier that answers
+# ``CELL_OPERATIONS`` and the sum operations, and over the instance domains the
+# carrier supplies: a tabulated carrier's come from its base (``Domains.of``),
+# the bounded inverse construction lists its own (``inversek.BoundedGroth``).
+
+
+@dataclass
+class Domains:
+    """The cells a law scan visits: objects, 1-cells, 2-cells and the
+    composable pairs ``(second, first)`` of ``comp1``, ``vcomp`` and
+    ``hcomp2``, each split into buckets keyed by (source length, target
+    length).  A k-ary instance draws from bucket combinations whose summed
+    lengths fit ``bound``; ``None`` is no bound.  A carrier with no
+    ``hcomp2`` pairs leaves the sum's preservation of ``hcomp2`` unscanned."""
+
+    objects: dict
+    ones: dict
+    twos: dict
+    comp1: dict
+    vcomp: dict
+    hcomp2: dict | None
+    bound: int | None = None
+
+    @classmethod
+    def of(cls, B: FiniteTwoCategory) -> "Domains":
+        """A tabulated base's cells and composable pairs, in one bucket."""
+        B.fill()
+        return cls(*({(0, 0): list(cells)} for cells in (
+            B.objects, B.one_src, B.two_src,
+            B.hcomp1_table, B.vcomp_table, B.hcomp2_table)))
+
+    def tuples(self, buckets: dict, k: int):
+        L = self.bound
+        for keys in itertools.product(buckets, repeat=k):
+            if L is None or (sum(s for s, _ in keys) <= L and sum(t for _, t in keys) <= L):
+                yield from itertools.product(*(buckets[key] for key in keys))
+
+
+def _at(args) -> str:
+    return repr(args[0]) if len(args) == 1 else "(" + ",".join(map(repr, args)) + ")"
+
+
+def _at_pairs(args) -> str:
+    (b2, b1), (a2, a1) = args
+    return f"({b2!r},{b1!r};{a2!r},{a1!r})"
+
+
+def _scan(rep, kind, name, fails, instances, holds, per=1, where=_at) -> None:
+    """Check ``holds`` at every instance, counting ``per`` (the equations it
+    checks) each.  A failure is the ``kind`` issue ``"{fails} at {where}"``;
+    an instance whose cells do not compose, which only a lazily evaluated
+    carrier can meet, is an ill-typed instance of ``name``."""
+    for args in instances:
+        rep.checked += per
+        try:
+            if not holds(*args):
+                rep.add(kind, f"{fails} at {where(args)}")
+        except (ValueError, KeyError) as exc:
+            rep.add(kind, f"{name} at {where(args)}: ill-typed instance ({exc})")
+
+
+def scan_object_monoid(rep, C, D: Domains) -> None:
+    """The object sum is associative with two-sided unit ``C.unit_obj()``."""
+    e, add = C.unit_obj(), C.sum_obj
+    _scan(rep, "monoid", "object associativity", "object sum not associative",
+          D.tuples(D.objects, 3), lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)))
+    _scan(rep, "monoid", "object unit", "object sum not unital",
+          D.tuples(D.objects, 1), lambda a: add(e, a) == a and add(a, e) == a)
+
+
+def scan_braiding(rep, C, D: Domains) -> None:
+    """The braiding is an involution, trivial at the unit, and satisfies the
+    hexagon ``beta(a, b+c) = (1_b + beta(a, c)) . (beta(a, b) + 1_c)``."""
+    e, add, beta, comp1, id1 = C.unit_obj(), C.sum_obj, C.beta_obj, C.comp1, C.id1
+    _scan(rep, "braiding", "involution", "beta^2 != id", D.tuples(D.objects, 2),
+          lambda a, b: comp1(beta(b, a), beta(a, b)) == id1(add(a, b))
+          and comp1(beta(a, b), beta(b, a)) == id1(add(b, a)), per=2)
+    _scan(rep, "braiding", "unit braiding", "unit braiding not the identity",
+          D.tuples(D.objects, 1), lambda a: beta(e, a) == id1(a) and beta(a, e) == id1(a), per=2)
+    _scan(rep, "braiding", "hexagon", "hexagon fails", D.tuples(D.objects, 3),
+          lambda a, b, c: beta(a, add(b, c))
+          == comp1(C.lsum_one(b, beta(a, c)), C.rsum_one(beta(a, b), c)))
+
+
+def scan_product_sum(rep, C, D: Domains) -> None:
+    """The laws of a permutative 2-category whose sum is a product 2-functor
+    ``sum_one``/``sum_two``: the sum preserves identities and the three
+    compositions, the object, 1-cell and 2-cell sums are strict monoids, and
+    the braiding satisfies ``scan_braiding`` and is 2-natural."""
+    id1, id2, comp1, beta = C.id1, C.id2, C.comp1, C.beta_obj
+    src1, tgt1, src2 = C.src1, C.tgt1, C.src2
+    one, two = C.sum_one, C.sum_two
+    _scan(rep, "sum-functor", "identity 1-cell preservation", "identity 1-cells not preserved",
+          D.tuples(D.objects, 2), lambda a, b: one(id1(a), id1(b)) == id1(C.sum_obj(a, b)))
+    _scan(rep, "sum-functor", "identity 2-cell preservation", "identity 2-cells not preserved",
+          D.tuples(D.ones, 2), lambda f, g: two(id2(f), id2(g)) == id2(one(f, g)))
+    for what, op, add, pairs in (("1-cell composition", comp1, one, D.comp1),
+                                 ("vertical composition", C.vcomp, two, D.vcomp),
+                                 ("horizontal composition", C.hcomp2, two, D.hcomp2)):
+        if pairs is not None:
+            _scan(rep, "sum-functor", f"{what} preservation", f"{what} not preserved",
+                  D.tuples(pairs, 2), lambda p, q, op=op, add=add:
+                  add(op(*p), op(*q)) == op(add(p[0], q[0]), add(p[1], q[1])),
+                  where=_at_pairs)
+    scan_object_monoid(rep, C, D)
+    ide = id1(C.unit_obj())
+    for dim, unit, add, cells in (("1-cell", ide, one, D.ones), ("2-cell", id2(ide), two, D.twos)):
+        _scan(rep, "monoid", f"{dim} unit", f"{dim} sum not unital", D.tuples(cells, 1),
+              lambda f, unit=unit, add=add: add(unit, f) == f and add(f, unit) == f)
+        _scan(rep, "monoid", f"{dim} associativity", f"{dim} sum not associative",
+              D.tuples(cells, 3), lambda f, g, h, add=add: add(add(f, g), h) == add(f, add(g, h)))
+    scan_braiding(rep, C, D)
+    _scan(rep, "braiding", "naturality", "naturality square fails", D.tuples(D.ones, 2),
+          lambda f, g: comp1(beta(tgt1(f), tgt1(g)), one(f, g))
+          == comp1(one(g, f), beta(src1(f), src1(g))))
+    _scan(rep, "braiding", "2-cell naturality", "naturality on 2-cells fails",
+          D.tuples(D.twos, 2), lambda a, b:
+          C.hcomp2(two(b, a), id2(beta(src1(src2(a)), src1(src2(b)))))
+          == C.hcomp2(id2(beta(tgt1(src2(a)), tgt1(src2(b)))), two(a, b)))
+
+
+def _endpoint_rule(C, t: Table):
+    """The source and target the value of table ``t`` at ``(x, y)`` must
+    have, as a function of ``(x, y)``.  Only ``beta`` and ``sigma`` have
+    rules of their own.  Any other table's value lies over the table one
+    dimension down: its source (target) is that table at the sources
+    (targets) of the key parts of the value's dimension, a key part of lower
+    dimension standing for itself."""
+    B = C.base
+    if t.field == "beta":
+        return lambda a, b: (C.sum_obj(a, b), C.sum_obj(b, a))
+    if t.field == "sigma":
+        return lambda f, g: (B.comp1(C.rsum_one(f, B.tgt1(g)), C.lsum_one(B.src1(f), g)),
+                             B.comp1(C.lsum_one(B.tgt1(f), g), C.rsum_one(f, B.src1(g))))
+    v = t.value
+    key = tuple(min(d, v - 1) for d in t.key)
+    lower = next(getattr(C, s.attr) for s in C.TABLES if (s.key, s.value) == (key, v - 1))
+    ends = (B.src1, B.tgt1) if v == 1 else (B.src2, B.tgt2)
+    return lambda x, y: tuple(
+        lower[tuple(end(c) if d == v else c for c, d in zip((x, y), t.key))] for end in ends)
+
+
+def _structure_holds(rep, C) -> bool:
+    """The base satisfies the 2-category axioms, and each table of
+    ``C.TABLES`` is total on its key domain, names cells of its declared
+    dimensions, and types its values' endpoints; each failure is a
+    ``structure`` issue."""
+    B = C.base
+    base_rep = validate_two_category(B)
+    if not base_rep.ok:
+        rep.add("structure", "underlying 2-category invalid")
+        rep.merge(base_rep)
+        return False
+    cells = (B.objects, B.one_src, B.two_src)
+    kinds = ("an object", "a 1-cell", "a 2-cell")
+    for t in C.TABLES:
+        table = getattr(C, t.attr)
+        for x, y in itertools.product(*(cells[d] for d in t.key)):
+            if (x, y) not in table:
+                rep.add("structure", f"{t.noun} missing at ({x!r},{y!r})")
+        for (x, y), v in table.items():
+            for c, d in ((x, t.key[0]), (y, t.key[1]), (v, t.value)):
+                if c not in cells[d]:
+                    rep.add("structure", f"{t.noun} at ({x!r},{y!r}) names {c!r}, not {kinds[d]}")
+    if rep.issues:
+        return False
+    for t in C.TABLES:
+        if t.value == 0:
+            continue
+        src, tgt = (B.src1, B.tgt1) if t.value == 1 else (B.src2, B.tgt2)
+        endpoints = _endpoint_rule(C, t)
+        for (x, y), v in getattr(C, t.attr).items():
+            try:
+                typed = (src(v), tgt(v)) == endpoints(x, y)
+            except KeyError:
+                typed = False
+            if not typed:
+                rep.add("structure", f"{t.noun} at ({x!r},{y!r}) has wrong endpoints")
+    return not rep.issues
 
 
 def validate_permutative(C: PermutativeTwoCategory) -> ValidationReport:
     """Exhaustive axiom scan for a permutative 2-category."""
     rep = ValidationReport(f"permutative 2-category {C.name}")
-    base_rep = validate_two_category(C.base)
-    if not base_rep.ok:
-        rep.add("structure", "underlying 2-category invalid")
-        rep.merge(base_rep)
-        return rep
-    B = C.base
-    objs = B.objects
-    ones = list(B.one_src)
-    twos = list(B.two_src)
-
-    # structural totality
-    for pair in itertools.product(objs, objs):
-        if pair not in C.sum_obj_table:
-            rep.add("structure", f"sum missing on objects {pair!r}")
-        elif C.sum_obj_table[pair] not in set(objs):
-            rep.add("structure", f"object sum at {pair!r} outside object set")
-    for pair in itertools.product(ones, ones):
-        if pair not in C.sum_one_table:
-            rep.add("structure", f"sum missing on 1-cells {pair!r}")
-    for pair in itertools.product(twos, twos):
-        if pair not in C.sum_two_table:
-            rep.add("structure", f"sum missing on 2-cells {pair!r}")
-    for pair in itertools.product(objs, objs):
-        if pair not in C.beta_table:
-            rep.add("structure", f"braiding missing at {pair!r}")
-    if rep.issues:
-        return rep
-    for (f, g), h in C.sum_one_table.items():
-        if B.one_src[h] != C.sum_obj(B.one_src[f], B.one_src[g]) or \
-           B.one_tgt[h] != C.sum_obj(B.one_tgt[f], B.one_tgt[g]):
-            rep.add("structure", f"1-cell sum at ({f!r},{g!r}) has wrong endpoints")
-    for (a, b), cres in C.sum_two_table.items():
-        if B.two_src[cres] != C.sum_one(B.two_src[a], B.two_src[b]) or \
-           B.two_tgt[cres] != C.sum_one(B.two_tgt[a], B.two_tgt[b]):
-            rep.add("structure", f"2-cell sum at ({a!r},{b!r}) has wrong endpoints")
-    for (a, b), bc in C.beta_table.items():
-        if B.one_src[bc] != C.sum_obj(a, b) or B.one_tgt[bc] != C.sum_obj(b, a):
-            rep.add("structure", f"braiding at ({a!r},{b!r}) has wrong endpoints")
-    if rep.issues:
-        return rep
-
-    # the sum is a 2-functor from the cartesian square
-    for a, b in itertools.product(objs, objs):
-        rep.checked += 1
-        if C.sum_one(B.id1(a), B.id1(b)) != B.id1(C.sum_obj(a, b)):
-            rep.add("sum-functor", f"identity 1-cells not preserved at ({a!r},{b!r})")
-    for f, g in itertools.product(ones, ones):
-        rep.checked += 1
-        if C.sum_two(B.id2(f), B.id2(g)) != B.id2(C.sum_one(f, g)):
-            rep.add("sum-functor", f"identity 2-cells not preserved at ({f!r},{g!r})")
-    for (f2, f1) in B.hcomp1_table:
-        for (g2, g1) in B.hcomp1_table:
-            rep.checked += 1
-            lhs = C.sum_one(B.comp1(f2, f1), B.comp1(g2, g1))
-            rhs = B.comp1(C.sum_one(f2, g2), C.sum_one(f1, g1))
-            if lhs != rhs:
-                rep.add("sum-functor",
-                        f"1-cell composition not preserved at ({f2!r},{f1!r};{g2!r},{g1!r})")
-    for (a2, a1) in B.vcomp_table:
-        for (b2, b1) in B.vcomp_table:
-            rep.checked += 1
-            lhs = C.sum_two(B.vcomp(a2, a1), B.vcomp(b2, b1))
-            rhs = B.vcomp(C.sum_two(a2, b2), C.sum_two(a1, b1))
-            if lhs != rhs:
-                rep.add("sum-functor", "vertical composition not preserved "
-                        f"at ({a2!r},{a1!r};{b2!r},{b1!r})")
-    for (a2, a1) in B.hcomp2_table:
-        for (b2, b1) in B.hcomp2_table:
-            rep.checked += 1
-            lhs = C.sum_two(B.hcomp2(a2, a1), B.hcomp2(b2, b1))
-            rhs = B.hcomp2(C.sum_two(a2, b2), C.sum_two(a1, b1))
-            if lhs != rhs:
-                rep.add("sum-functor", "horizontal composition not preserved "
-                        f"at ({a2!r},{a1!r};{b2!r},{b1!r})")
-
-    _check_strict_monoid(rep, C, objs, ones, twos)
-
-    e = C.unit
-    for a, b in itertools.product(objs, objs):
-        rep.checked += 2
-        if B.comp1(C.beta_obj(b, a), C.beta_obj(a, b)) != B.id1(C.sum_obj(a, b)):
-            rep.add("braiding", f"beta^2 != id at ({a!r},{b!r})")
-    for a in objs:
-        rep.checked += 2
-        if C.beta_obj(e, a) != B.id1(a):
-            rep.add("braiding", f"beta(e,{a!r}) != id")
-        if C.beta_obj(a, e) != B.id1(a):
-            rep.add("braiding", f"beta({a!r},e) != id")
-    for a, b, c in itertools.product(objs, objs, objs):
-        rep.checked += 1
-        lhs = C.beta_obj(a, C.sum_obj(b, c))
-        rhs = B.comp1(C.lsum_one(b, C.beta_obj(a, c)), C.rsum_one(C.beta_obj(a, b), c))
-        if lhs != rhs:
-            rep.add("braiding", f"hexagon fails at ({a!r},{b!r},{c!r})")
-
-    # 2-naturality of beta for the cartesian product
-    for f, g in itertools.product(ones, ones):
-        rep.checked += 1
-        x, x2 = B.one_src[f], B.one_tgt[f]
-        y, y2 = B.one_src[g], B.one_tgt[g]
-        if B.comp1(C.beta_obj(x2, y2), C.sum_one(f, g)) != \
-           B.comp1(C.sum_one(g, f), C.beta_obj(x, y)):
-            rep.add("braiding", f"naturality square fails at ({f!r},{g!r})")
-    for a, b in itertools.product(twos, twos):
-        rep.checked += 1
-        f, g = B.two_src[a], B.two_src[b]
-        x, x2 = B.one_src[f], B.one_tgt[f]
-        y, y2 = B.one_src[g], B.one_tgt[g]
-        lhs = B.hcomp2(C.sum_two(b, a), B.id2(C.beta_obj(x, y)))
-        rhs = B.hcomp2(B.id2(C.beta_obj(x2, y2)), C.sum_two(a, b))
-        if lhs != rhs:
-            rep.add("braiding", f"naturality on 2-cells fails at ({a!r},{b!r})")
+    if _structure_holds(rep, C):
+        scan_product_sum(rep, C, Domains.of(C.base))
     return rep
-
-
-def _check_strict_monoid(rep, C, objs, ones, twos) -> None:
-    B = C.base
-    e = C.unit_obj()
-    for a, b, c in itertools.product(objs, objs, objs):
-        rep.checked += 1
-        if C.sum_obj(C.sum_obj(a, b), c) != C.sum_obj(a, C.sum_obj(b, c)):
-            rep.add("monoid", f"object sum not associative at ({a!r},{b!r},{c!r})")
-    for a in objs:
-        rep.checked += 1
-        if C.sum_obj(e, a) != a or C.sum_obj(a, e) != a:
-            rep.add("monoid", f"object sum not unital at {a!r}")
-    ide = B.id1(e)
-    for f in ones:
-        rep.checked += 1
-        if C.sum_one(ide, f) != f or C.sum_one(f, ide) != f:
-            rep.add("monoid", f"1-cell sum not unital at {f!r}")
-    for f, g, h in itertools.product(ones, ones, ones):
-        rep.checked += 1
-        if C.sum_one(C.sum_one(f, g), h) != C.sum_one(f, C.sum_one(g, h)):
-            rep.add("monoid", f"1-cell sum not associative at ({f!r},{g!r},{h!r})")
-    iide = B.id2(ide)
-    for a in twos:
-        rep.checked += 1
-        if C.sum_two(iide, a) != a or C.sum_two(a, iide) != a:
-            rep.add("monoid", f"2-cell sum not unital at {a!r}")
-    for a, b, c in itertools.product(twos, twos, twos):
-        rep.checked += 1
-        if C.sum_two(C.sum_two(a, b), c) != C.sum_two(a, C.sum_two(b, c)):
-            rep.add("monoid", f"2-cell sum not associative at ({a!r},{b!r},{c!r})")
 
 
 def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
     """Exhaustive axiom scan for a permutative Gray-monoid in cubical form."""
     rep = ValidationReport(f"permutative Gray-monoid {C.name}")
-    base_rep = validate_two_category(C.base)
-    if not base_rep.ok:
-        rep.add("structure", "underlying 2-category invalid")
-        rep.merge(base_rep)
+    if not _structure_holds(rep, C):
         return rep
     B = C.base
     objs = B.objects
     ones = list(B.one_src)
     twos = list(B.two_src)
-
-    for pair in itertools.product(objs, objs):
-        if pair not in C.sum_obj_table:
-            rep.add("structure", f"object sum missing at {pair!r}")
-        if pair not in C.beta_table:
-            rep.add("structure", f"braiding missing at {pair!r}")
-    for a in objs:
-        for f in ones:
-            if (a, f) not in C.lsum1_table:
-                rep.add("structure", f"left sum missing at ({a!r},{f!r})")
-            if (f, a) not in C.rsum1_table:
-                rep.add("structure", f"right sum missing at ({f!r},{a!r})")
-        for al in twos:
-            if (a, al) not in C.lsum2_table:
-                rep.add("structure", f"left sum missing at ({a!r},{al!r})")
-            if (al, a) not in C.rsum2_table:
-                rep.add("structure", f"right sum missing at ({al!r},{a!r})")
-    for pair in itertools.product(ones, ones):
-        if pair not in C.sigma_table:
-            rep.add("structure", f"interchanger missing at {pair!r}")
-    if rep.issues:
-        return rep
-
-    # endpoint typing
-    for (a, f), h in C.lsum1_table.items():
-        if B.one_src[h] != C.sum_obj(a, B.one_src[f]) or \
-           B.one_tgt[h] != C.sum_obj(a, B.one_tgt[f]):
-            rep.add("structure", f"left sum at ({a!r},{f!r}) has wrong endpoints")
-    for (f, a), h in C.rsum1_table.items():
-        if B.one_src[h] != C.sum_obj(B.one_src[f], a) or \
-           B.one_tgt[h] != C.sum_obj(B.one_tgt[f], a):
-            rep.add("structure", f"right sum at ({f!r},{a!r}) has wrong endpoints")
-    for (a, al), h in C.lsum2_table.items():
-        if B.two_src[h] != C.lsum_one(a, B.two_src[al]) or \
-           B.two_tgt[h] != C.lsum_one(a, B.two_tgt[al]):
-            rep.add("structure", f"left 2-sum at ({a!r},{al!r}) has wrong endpoints")
-    for (al, a), h in C.rsum2_table.items():
-        if B.two_src[h] != C.rsum_one(B.two_src[al], a) or \
-           B.two_tgt[h] != C.rsum_one(B.two_tgt[al], a):
-            rep.add("structure", f"right 2-sum at ({al!r},{a!r}) has wrong endpoints")
-    for (a, b), bc in C.beta_table.items():
-        if B.one_src[bc] != C.sum_obj(a, b) or B.one_tgt[bc] != C.sum_obj(b, a):
-            rep.add("structure", f"braiding at ({a!r},{b!r}) has wrong endpoints")
-    for (f, g), sg in C.sigma_table.items():
-        x, x2 = B.one_src[f], B.one_tgt[f]
-        y, y2 = B.one_src[g], B.one_tgt[g]
-        want_src = B.comp1(C.rsum_one(f, y2), C.lsum_one(x, g))
-        want_tgt = B.comp1(C.lsum_one(x2, g), C.rsum_one(f, y))
-        if B.two_src[sg] != want_src or B.two_tgt[sg] != want_tgt:
-            rep.add("structure", f"interchanger at ({f!r},{g!r}) has wrong endpoints")
-    if rep.issues:
-        return rep
-
+    D = Domains.of(B)
     e = C.unit
-    for a, b, c in itertools.product(objs, objs, objs):
-        rep.checked += 1
-        if C.sum_obj(C.sum_obj(a, b), c) != C.sum_obj(a, C.sum_obj(b, c)):
-            rep.add("monoid", f"object sum not associative at ({a!r},{b!r},{c!r})")
-    for a in objs:
-        rep.checked += 1
-        if C.sum_obj(e, a) != a or C.sum_obj(a, e) != a:
-            rep.add("monoid", f"object sum not unital at {a!r}")
+    scan_object_monoid(rep, C, D)
 
     # one-sided sums are strict 2-functors
     for a in objs:
@@ -569,21 +547,7 @@ def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
             if lhs != B.vcomp(stepB, stepA):
                 rep.add("interchanger", f"second-slot composite fails at ({f!r},{h2!r},{g2!r})")
 
-    # braiding axioms
-    for a, b in itertools.product(objs, objs):
-        rep.checked += 1
-        if B.comp1(C.beta_obj(b, a), C.beta_obj(a, b)) != B.id1(C.sum_obj(a, b)):
-            rep.add("braiding", f"beta^2 != id at ({a!r},{b!r})")
-    for a in objs:
-        rep.checked += 2
-        if C.beta_obj(e, a) != B.id1(a) or C.beta_obj(a, e) != B.id1(a):
-            rep.add("braiding", f"unit braiding not the identity at {a!r}")
-    for a, b, c in itertools.product(objs, objs, objs):
-        rep.checked += 1
-        lhs = C.beta_obj(a, C.sum_obj(b, c))
-        rhs = B.comp1(C.lsum_one(b, C.beta_obj(a, c)), C.rsum_one(C.beta_obj(a, b), c))
-        if lhs != rhs:
-            rep.add("braiding", f"hexagon fails at ({a!r},{b!r},{c!r})")
+    scan_braiding(rep, C, D)
 
     # quasi-strict naturality: the braiding naturality cells on generator
     # 1-cells are identities, and the whiskered 2-cell conditions hold

@@ -218,15 +218,42 @@ def test_reports_byte_deterministic():
      {"objects": 1, "one_cells": 1, "two_cells": 4}),
     (["path-object", "--fixture", "F4"], {"objects": 2, "one_cells": 8, "two_cells": 8}),
     (["espan", "--fixture", "F2", "--cap", "2"], {"instances": 38964}),
+    (["triangle-p", "--fixture", "F2"], {"instances": 3165}),
     (["ko", "--fixture", "F4", "--level", "2"],
      {"objects": 2, "one_cells": 16, "two_cells": 16}),
     (["ko", "--fixture", "M3", "--level", "2"], {"objects": 9, "one_cells": 9, "two_cells": 9}),
-], ids=["ko", "kt", "path-object", "espan", "ko-gray-F4", "ko-monoid-M3"])
+    *((["validate", "--fixture", name], {"instances": n}) for name, n in (
+        ("F1", 18), ("F2", 78), ("F3", 59), ("F4", 76), ("M3", 204), ("F5", 151))),
+], ids=["ko", "kt", "path-object", "espan", "triangle-p", "ko-gray-F4", "ko-monoid-M3",
+        *(f"validate-{name}" for name in ("F1", "F2", "F3", "F4", "M3", "F5"))])
 def test_ko_command_counts(argv, counters):
     code, out = _capture(argv + ["--format", "json"])
     assert code == 0
     got = json.loads(out)["counters"]
     assert {k: got[k] for k in counters} == counters
+
+
+@pytest.mark.parametrize("name, table, part", [
+    (name, t.field, part)
+    for name, cls in (("F2", PermutativeTwoCategory), ("F5", PermutativeGrayMonoid))
+    for t in cls.TABLES for part in ("key", "value")
+])
+def test_sum_table_naming_no_cell_fails_validation(name, table, part, tmp_path):
+    # a key part or value naming no cell of the base is a structure failure,
+    # not a lookup error
+    lines = (fixtures_dir() / f"{name}.fx").read_text(encoding="utf-8").splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(f"{table} "))
+    field, x, y, value = lines[at].split()
+    if part == "value":
+        lines[at] = f"{field} {x} {y} zz"
+    else:
+        lines.insert(at, f"{field} zz {y} {value}")
+    path = tmp_path / "bad.fx"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out = _capture(["validate", "--fixture", name, "--file", str(path)])
+    check = VALIDATORS[PermutativeTwoCategory if name == "F2" else PermutativeGrayMonoid][0]
+    assert code == 1
+    assert f"FAIL {check}  ([structure] " in out
 
 
 REPORT_TEXT = """\

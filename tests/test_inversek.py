@@ -24,6 +24,7 @@ from gamma2cat.inversek import (
     mk_amorphism,
     mk_groth_obj,
     mk_groth_one,
+    mk_groth_two,
     p_of_lax,
     reassemble,
     validate_p_truncation,
@@ -296,30 +297,118 @@ def test_p_of_lax_identity_and_preservation(f2_gamma2):
     assert pe.on(1, P.beta_obj(o1, o2)) == PKPX.beta_obj(pe.on(0, o1), pe.on(0, o2))
 
 
-def test_validate_p_truncation(f2_gamma2):
+def test_validate_p_truncation(f2_gamma2, monkeypatch):
     X1 = ko_gamma(promote(fixture("F1")), 1)
     rep = validate_p_truncation(X1, 1, 1)
-    assert rep.ok and rep.checked > 0
+    assert rep.ok and rep.checked == 70
     rep2 = validate_p_truncation(f2_gamma2, 2, 2)
-    assert rep2.ok
+    assert rep2.ok and rep2.checked == 176791
 
-    B = BoundedGroth(f2_gamma2, 2, 2)
+    beta_obj = BoundedGroth.beta_obj
 
-    def bad_beta(a, b):
+    def bad_beta(self, a, b):
         if a.mvec == (1,) and b.mvec == (1,):
-            return B.id1(B.sum_obj(a, b))
-        return B.beta_obj(a, b)
+            return self.id1(self.sum_obj(a, b))
+        return beta_obj(self, a, b)
 
-    rep3 = validate_p_truncation(f2_gamma2, 2, 2, braiding=bad_beta)
+    monkeypatch.setattr(BoundedGroth, "beta_obj", bad_beta)
+    rep3 = validate_p_truncation(f2_gamma2, 2, 2)
     assert not rep3.ok
 
 
-def test_ill_typed_braiding_is_reported_not_raised(f2_gamma2):
+def test_ill_typed_braiding_is_reported_not_raised(f2_gamma2, monkeypatch):
     # beta(a, b) = id(a) has the wrong target, so the 2-cell naturality
     # instances whisker cells whose block shapes do not compose
-    B = BoundedGroth(f2_gamma2, 2, 2)
-    rep = validate_p_truncation(f2_gamma2, 2, 2, braiding=lambda a, b: B.id1(a))
+    monkeypatch.setattr(BoundedGroth, "beta_obj", lambda self, a, b: self.id1(a))
+    rep = validate_p_truncation(f2_gamma2, 2, 2)
     assert not rep.ok
     assert any(i.message.startswith("2-cell naturality at ")
                and i.message.endswith(": ill-typed instance (cells not composable)")
                for i in rep.issues)
+
+
+# -- the laws the bounded scan covers since it shares the product scan --------
+# Each mutation below passed the bounded scan before it checked these laws.
+
+
+def _rejecting_laws(X, L, E):
+    return {i.message.split(" at ")[0] for i in validate_p_truncation(X, L, E).issues}
+
+
+def test_bounded_vcomp_preservation_catches_reordered_composites(f2_gamma2, monkeypatch):
+    vcomp = BoundedGroth.vcomp
+
+    def bad(self, b, a):
+        c = vcomp(self, b, a)
+        return mk_groth_two(c.src, c.tgt, c.alphas[::-1])
+
+    monkeypatch.setattr(BoundedGroth, "vcomp", bad)
+    assert _rejecting_laws(f2_gamma2, 2, 1) == {"vertical composition not preserved"}
+
+
+def test_bounded_id2_preservation_catches_reordered_identities(f2_gamma2, monkeypatch):
+    # identities of 1-cells out of one block list their components reversed
+    id2 = BoundedGroth.id2
+
+    def bad(self, u):
+        c = id2(self, u)
+        return mk_groth_two(u, u, c.alphas[::-1]) if len(u.src.mvec) == 1 else c
+
+    monkeypatch.setattr(BoundedGroth, "id2", bad)
+    assert _rejecting_laws(f2_gamma2, 2, 1) == {"identity 2-cells not preserved"}
+
+
+def test_bounded_sum_monoid_laws_catch_a_twisted_unit(f2_gamma2, monkeypatch):
+    # adding the unit 1-cell conjugates by the block swap of (x, x): a functor
+    # that fixes the braiding, so naturality, hexagon and comp1 preservation
+    # hold.  The unit and associativity laws of the 1-cell sum reject it; the
+    # 2-cell sum, built from the 1-cell sum, inherits the fault.  At L = 2 a
+    # fitting triple holds at most two cells besides the unit 1-cell, so no
+    # mutation separates associativity from the unit law.
+    sum_one = BoundedGroth.sum_one
+
+    def swap(P, o):
+        if o.mvec == (1, 1) and o.xs[0] == o.xs[1]:
+            x = mk_groth_obj((1,), o.xs[:1])
+            return P.beta_obj(x, x)
+        return P.id1(o)
+
+    def bad(self, u, v):
+        ide = self.id1(self.unit_obj())
+        if ide in (u, v) and u is not v:
+            f = v if u is ide else u
+            return self.comp1(swap(self, f.tgt), self.comp1(f, swap(self, f.src)))
+        return sum_one(self, u, v)
+
+    monkeypatch.setattr(BoundedGroth, "sum_one", bad)
+    assert _rejecting_laws(f2_gamma2, 2, 1) == {
+        "1-cell sum not unital", "1-cell sum not associative",
+        "2-cell sum not unital", "2-cell sum not associative"}
+
+
+def test_bounded_identity_and_unit_braiding_laws_are_scanned(f2_gamma2, monkeypatch):
+    # both follow from laws scanned before, which reject these mutations too:
+    # id_a + id_b = id by the hexagon at (e, a, b) with comp1 preservation,
+    # and beta(a, e) = id by the involution with beta(e, a) = id
+    sum_one = BoundedGroth.sum_one
+
+    def bad_sum(self, u, v):
+        if u is v and self.is_id1(u) and len(u.src.mvec) == 1:
+            return self.beta_obj(u.src, u.src)
+        return sum_one(self, u, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(BoundedGroth, "sum_one", bad_sum)
+        assert _rejecting_laws(f2_gamma2, 2, 1) == {
+            "identity 1-cells not preserved", "1-cell composition not preserved",
+            "hexagon fails"}
+
+    B = BoundedGroth(f2_gamma2, 1, 2)
+    a = next(o for o in B.objects_iter() if o.mvec == (2,))
+    f = next(u for u in B.one_cells_between(a, a) if not B.is_id1(u))
+    beta_obj = BoundedGroth.beta_obj
+    monkeypatch.setattr(BoundedGroth, "beta_obj",
+                        lambda self, x, y: f if x is a and not y.mvec else beta_obj(self, x, y))
+    assert _rejecting_laws(f2_gamma2, 1, 2) == {
+        "unit braiding not the identity", "beta^2 != id",
+        "naturality square fails", "naturality on 2-cells fails"}

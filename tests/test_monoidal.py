@@ -48,6 +48,15 @@ def test_promote_then_demote_is_identity(name):
     assert promote(demote(P)) == P
 
 
+def test_cubical_scan_counts_of_promoted_carriers():
+    # the involution counts both composites at each ordered pair
+    counts = {"F1": 37, "F2": 174, "F3": 59, "F4": 89, "M3": 471}
+    for name, checked in counts.items():
+        rep = validate_pgm(promote(fixture(name)))
+        assert rep.ok
+        assert rep.checked == checked, name
+
+
 def test_demote_f5_refused_with_witness():
     with pytest.raises(DemotionRefused) as err:
         demote(fixture("F5"))
@@ -249,3 +258,36 @@ def test_f2_braiding_redefined_is_structural_error():
     rep = validate_permutative(bad)
     assert not rep.ok
     assert rep.issues[0].kind == "structure"
+
+
+def _single_entry_mutations(C):
+    """Every carrier differing from C in one entry of one sum table."""
+    B = C.base
+    pools = (B.objects, list(B.one_src), list(B.two_src))
+    for i, t in enumerate(C.TABLES):
+        for key, old in getattr(C, t.attr).items():
+            for new in pools[t.value]:
+                if new != old:
+                    tables = [dict(getattr(C, s.attr)) for s in C.TABLES]
+                    tables[i][key] = new
+                    yield type(C)(C.name, B, C.unit, *tables)
+
+
+def test_product_scan_agrees_with_the_cubical_scan_plus_the_product_condition():
+    # an independent law set: the cubical scan of the promoted carrier, plus
+    # the 2-cell product condition  a (+) b = (1 (+) b) . (a (+) 1)
+    carriers = [fixture(name) for name in ("F2", "F3", "F4", "M3")]
+    carriers += [_twisted_z2("Z2T", True), _twisted_z2("Z2U", False)]
+    mutations = [M for C in carriers for M in _single_entry_mutations(C)]
+    assert len(mutations) == 325
+    accepted = 0
+    for M in mutations:
+        P = promote(M)
+        twos = list(M.base.two_src)
+        cubical = validate_pgm(P).ok and all(
+            M.sum_two(a, b) == P.sum_two(a, b) for a in twos for b in twos)
+        ok = validate_permutative(M).ok
+        assert ok == cubical
+        accepted += ok
+    # the two accepted mutations trade the twisted and untwisted beta(1,1)
+    assert accepted == 2
