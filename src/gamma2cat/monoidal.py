@@ -313,8 +313,7 @@ def scan_braiding(rep, C, D: Domains) -> None:
     hexagon ``beta(a, b+c) = (1_b + beta(a, c)) . (beta(a, b) + 1_c)``."""
     e, add, beta, comp1, id1 = C.unit_obj(), C.sum_obj, C.beta_obj, C.comp1, C.id1
     _scan(rep, "braiding", "involution", "beta^2 != id", D.tuples(D.objects, 2),
-          lambda a, b: comp1(beta(b, a), beta(a, b)) == id1(add(a, b))
-          and comp1(beta(a, b), beta(b, a)) == id1(add(b, a)), per=2)
+          lambda a, b: comp1(beta(b, a), beta(a, b)) == id1(add(a, b)), per=2)
     _scan(rep, "braiding", "unit braiding", "unit braiding not the identity",
           D.tuples(D.objects, 1), lambda a: beta(e, a) == id1(a) and beta(a, e) == id1(a), per=2)
     _scan(rep, "braiding", "hexagon", "hexagon fails", D.tuples(D.objects, 3),

@@ -362,9 +362,7 @@ def test_bounded_sum_monoid_laws_catch_a_twisted_unit(f2_gamma2, monkeypatch):
     # adding the unit 1-cell conjugates by the block swap of (x, x): a functor
     # that fixes the braiding, so naturality, hexagon and comp1 preservation
     # hold.  The unit and associativity laws of the 1-cell sum reject it; the
-    # 2-cell sum, built from the 1-cell sum, inherits the fault.  At L = 2 a
-    # fitting triple holds at most two cells besides the unit 1-cell, so no
-    # mutation separates associativity from the unit law.
+    # 2-cell sum, built from the 1-cell sum, inherits the fault.
     sum_one = BoundedGroth.sum_one
 
     def swap(P, o):
@@ -386,10 +384,85 @@ def test_bounded_sum_monoid_laws_catch_a_twisted_unit(f2_gamma2, monkeypatch):
         "2-cell sum not unital", "2-cell sum not associative"}
 
 
+def test_bounded_associativity_catches_a_conjugated_sum(f2_gamma2, monkeypatch):
+    # conjugating x + x by the block swap, for each one-block x, gives a sum
+    # that is a unital 2-functor with the braiding natural, so only
+    # associativity rejects it, and only once three one-block cells fit
+    # (L = 3).  The 2-cell law fails with the 1-cell law: its identity
+    # 2-cells have 1-cell sums as endpoints.
+    sum_one = BoundedGroth.sum_one
+
+    def swap(P, x, y):
+        return P.beta_obj(x, x) if len(x.mvec) == 1 and x == y else None
+
+    def bad_one(self, u, v):
+        out, t, s = sum_one(self, u, v), swap(self, u.tgt, v.tgt), swap(self, u.src, v.src)
+        out = out if t is None else self.comp1(t, out)
+        return out if s is None else self.comp1(out, s)
+
+    def bad_two(self, a, b):
+        out = mk_groth_two(sum_one(self, a.src, b.src), sum_one(self, a.tgt, b.tgt),
+                           a.alphas + b.alphas)
+        t, s = swap(self, a.src.tgt, b.src.tgt), swap(self, a.src.src, b.src.src)
+        out = out if t is None else self.hcomp2(self.id2(t), out)
+        return out if s is None else self.hcomp2(out, self.id2(s))
+
+    monkeypatch.setattr(BoundedGroth, "sum_one", bad_one)
+    monkeypatch.setattr(BoundedGroth, "sum_two", bad_two)
+    assert _rejecting_laws(f2_gamma2, 2, 1) == set()
+    assert _rejecting_laws(f2_gamma2, 3, 1) == {
+        "1-cell sum not associative", "2-cell sum not associative"}
+
+
+@pytest.fixture(scope="module")
+def f3_gamma2(f3):
+    return ko_gamma(promote(f3), 2)
+
+
+def test_bounded_2cell_unit_catches_collapsed_2cells(f3_gamma2, monkeypatch):
+    # Ko(F3) has non-identity 2-cells; adding the unit 2-cell sends every
+    # 2-cell on the block swap of (x, x) to the identity.  That is a
+    # vertical-composition-preserving idempotent, so only the 2-cell unit
+    # law rejects it.
+    sum_two = BoundedGroth.sum_two
+
+    def bad(self, a, b):
+        out = sum_two(self, a, b)
+        unit = [not c.src.src.mvec and not c.src.tgt.mvec for c in (a, b)]
+        u = out.src
+        if unit[0] != unit[1] and len(u.src.mvec) == len(u.tgt.mvec) == 2 \
+                and not u.phim.is_identity:
+            return self.id2(out.src)
+        return out
+
+    monkeypatch.setattr(BoundedGroth, "sum_two", bad)
+    assert _rejecting_laws(f3_gamma2, 2, 1) == {"2-cell sum not unital"}
+
+
+def test_bounded_2cell_associativity_catches_mixed_slots(f3_gamma2, monkeypatch):
+    # the sum of two 2-cells a, b on one single-block 1-cell is (a.b, b.a)
+    # instead of (a, b): unital, preserving vertical composition (the
+    # 2-cells there commute) and symmetric, so only 2-cell associativity
+    # rejects it, once three single-block cells fit (L = 3)
+    sum_one, sum_two = BoundedGroth.sum_one, BoundedGroth.sum_two
+
+    def bad(self, a, b):
+        u = a.src
+        if b.src is u and len(u.src.mvec) == 1 and len(u.tgt.mvec) == 1:
+            return mk_groth_two(sum_one(self, u, u), sum_one(self, u, u),
+                                self.vcomp(a, b).alphas + self.vcomp(b, a).alphas)
+        return sum_two(self, a, b)
+
+    monkeypatch.setattr(BoundedGroth, "sum_two", bad)
+    assert _rejecting_laws(f3_gamma2, 2, 1) == set()
+    assert _rejecting_laws(f3_gamma2, 3, 1) == {"2-cell sum not associative"}
+
+
 def test_bounded_identity_and_unit_braiding_laws_are_scanned(f2_gamma2, monkeypatch):
     # both follow from laws scanned before, which reject these mutations too:
     # id_a + id_b = id by the hexagon at (e, a, b) with comp1 preservation,
-    # and beta(a, e) = id by the involution with beta(e, a) = id
+    # and beta(a, e) = id by the involution with beta(e, a) = id, so no
+    # mutation of the sum or the braiding alone separates them
     sum_one = BoundedGroth.sum_one
 
     def bad_sum(self, u, v):
