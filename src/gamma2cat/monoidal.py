@@ -312,6 +312,7 @@ def scan_braiding(rep, C, D: Domains) -> None:
     """The braiding is an involution, trivial at the unit, and satisfies the
     hexagon ``beta(a, b+c) = (1_b + beta(a, c)) . (beta(a, b) + 1_c)``."""
     e, add, beta, comp1, id1 = C.unit_obj(), C.sum_obj, C.beta_obj, C.comp1, C.id1
+    # each ordered pair counts for both composites: the pair (b, a) checks the other
     _scan(rep, "braiding", "involution", "beta^2 != id", D.tuples(D.objects, 2),
           lambda a, b: comp1(beta(b, a), beta(a, b)) == id1(add(a, b)), per=2)
     _scan(rep, "braiding", "unit braiding", "unit braiding not the identity",

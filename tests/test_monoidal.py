@@ -49,7 +49,8 @@ def test_promote_then_demote_is_identity(name):
 
 
 def test_cubical_scan_counts_of_promoted_carriers():
-    # the involution counts both composites at each ordered pair
+    # the shared involution law counts two per ordered pair, as
+    # validate_permutative does
     counts = {"F1": 37, "F2": 174, "F3": 59, "F4": 89, "M3": 471}
     for name, checked in counts.items():
         rep = validate_pgm(promote(fixture(name)))
