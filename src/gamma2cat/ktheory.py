@@ -13,15 +13,30 @@ Orientation conventions (matching monoidal.py):
 * the swapped cell ``gamma[t,s]`` is determined from ``gamma[s,t]`` by the
   braiding/interchanger pasting and is never enumerated independently.
 
-Enumeration is exhaustive with early pruning and a configurable cell-count
-ceiling; exceeding the ceiling aborts loudly, never truncates silently.
+Systems, 1-cells and 2-cells are enumerated by one placement search: it
+places ``x_s`` then the canonical ``c[s,t]`` (with ``c[t,s]`` derived), or
+``f_s`` then the canonical ``gamma[s,t]``, or ``alpha_s``, and checks each
+law instance as soon as the slot completing it is placed:
+
+* ``x_{s+t}``: a connecting cell ``x_{s+t} -> x_s (+) x_t`` exists;
+* ``c[s,t]``: the system cocycles it completes;
+* ``f_{s+t}``: the strict square at (s, t), or, over a cubical carrier,
+  that the square admits an invertible filler;
+* ``gamma[s,t]``: the filling-cell cocycles it completes;
+* ``alpha_{s+t}``: the compatibility square at (s, t).
+
+Each law is written once and shared with the validators, which check every
+emitted cell in full.  Enumeration is exhaustive, with a configurable
+cell-count ceiling; exceeding the ceiling aborts loudly, never truncates
+silently.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import itemgetter
 
 from .subsets import (
     PointedMap,
@@ -113,7 +128,7 @@ class SystemMap(InternedCell):
         if self.gamma is not None and s and t:
             return self.gamma[_pair_index(self.n)[(s, t)]]
         # strict or empty-part case: identity on the (equal) boundary
-        return C.id2(_gamma_source(C, self, s, t))
+        return C.id2(_gamma_source(C, self.src, partial(self.f_at, C), s, t))
 
 
 SystemMap._pool = {}
@@ -168,60 +183,135 @@ def make_system_map(C, src: SubsetSystem, tgt: SubsetSystem, fmap: dict,
     return mk_system_map(n, src, tgt, tuple(fmap[s] for s in subs), gamma)
 
 
-def _gamma_source(C, mp: SystemMap, s: Subset, t: Subset):
+# -- the level laws ---------------------------------------------------------------
+#
+# Each law reads the components of a cell through accessors (``x(s)``,
+# ``c(s, t)``, ``f(s)``, ``gamma(s, t)``, ``alpha(s)``), so the validators
+# apply it to a built cell and the placement search to a partial assignment.
+
+
+def _gamma_source(C, src: SubsetSystem, f, s: Subset, t: Subset):
     """(1 (+) f_t).(f_s (+) 1).c[s,t] as a 1-cell of the carrier."""
-    fs, ft = mp.f_at(C, s), mp.f_at(C, t)
-    step1 = mp.src.c_at(C, s, t)
-    step2 = C.rsum_one(fs, mp.src.x_at(C, t))
+    fs, ft = f(s), f(t)
+    step1 = src.c_at(C, s, t)
+    step2 = C.rsum_one(fs, src.x_at(C, t))
     step3 = C.lsum_one(C.tgt1(fs), ft)
     return C.comp1(step3, C.comp1(step2, step1))
 
 
-def _gamma_target(C, mp: SystemMap, s: Subset, t: Subset):
+def _gamma_target(C, tgt: SubsetSystem, f, s: Subset, t: Subset):
     """c'[s,t].f_{s+t} as a 1-cell of the carrier."""
-    return C.comp1(mp.tgt.c_at(C, s, t), mp.f_at(C, union(s, t)))
+    return C.comp1(tgt.c_at(C, s, t), f(union(s, t)))
 
 
-def swapped_gamma(C, mp_src: SubsetSystem, mp_tgt: SubsetSystem, f_at, gamma_st,
+def _connecting_cells(C, x, s: Subset, t: Subset) -> list:
+    """The candidates for c[s,t]: the 1-cells x_{s+t} -> x_s (+) x_t."""
+    target = C.sum_obj(x(s), x(t))
+    if not C.has_obj(target):
+        return []
+    return C.one_cells_between(x(union(s, t)), target)
+
+
+def _invertible_fillers(C, src: SubsetSystem, tgt: SubsetSystem, f,
+                        s: Subset, t: Subset) -> list:
+    """The candidates for gamma[s,t]: the invertible 2-cells filling the
+    square of f at (s, t)."""
+    cells = C.two_cells_between(_gamma_source(C, src, f, s, t), _gamma_target(C, tgt, f, s, t))
+    return [g for g in cells if vertical_inverse(C, g) is not None]
+
+
+def swapped_c(C, x, c, s: Subset, t: Subset):
+    """The derived c[t,s] = beta(x_s, x_t).c[s,t]."""
+    return C.comp1(C.beta_obj(x(s), x(t)), c(s, t))
+
+
+def swapped_gamma(C, src: SubsetSystem, tgt: SubsetSystem, f, gamma,
                   s: Subset, t: Subset):
     """Derive gamma[t,s] from gamma[s,t] via the braiding and interchanger."""
-    fs, ft = f_at(s), f_at(t)
-    xs_t, xps_t = mp_src.x_at(C, t), mp_tgt.x_at(C, t)
-    beta_tgt = C.beta_obj(mp_tgt.x_at(C, s), xps_t)
-    c_ts = mp_src.c_at(C, t, s)
-    step1 = whisker_r(C, C.sigma_inv(ft, fs), c_ts)
-    step2 = whisker_l(C, beta_tgt, gamma_st)
+    beta_tgt = C.beta_obj(tgt.x_at(C, s), tgt.x_at(C, t))
+    step1 = whisker_r(C, C.sigma_inv(f(t), f(s)), src.c_at(C, t, s))
+    step2 = whisker_l(C, beta_tgt, gamma(s, t))
     return C.vcomp(step2, step1)
 
 
-# -- axiom checks on explicit systems ------------------------------------------
+def _system_cocycle_holds(C, x, c, s: Subset, t: Subset, u: Subset) -> bool:
+    lhs = C.comp1(C.rsum_one(c(s, t), x(u)), c(union(s, t), u))
+    rhs = C.comp1(C.lsum_one(x(s), c(t, u)), c(s, union(t, u)))
+    return lhs == rhs
+
+
+def _strict_square_holds(C, src: SubsetSystem, tgt: SubsetSystem, f,
+                         s: Subset, t: Subset, st: Subset) -> bool:
+    lhs = C.comp1(tgt.c_at(C, s, t), f(st))
+    rhs = C.comp1(C.sum_one(f(s), f(t)), src.c_at(C, s, t))
+    return lhs == rhs
+
+
+def _filling_cocycle_holds(C, src: SubsetSystem, tgt: SubsetSystem, f, gamma,
+                           s: Subset, t: Subset, u: Subset) -> bool:
+    """The filling-cell cocycle at the disjoint triple (s, t, u): pasting
+    gamma[t,u] then gamma[s,t+u] equals pasting gamma[s,t] then gamma[s+t,u]."""
+    st, tu = union(s, t), union(t, u)
+    f_s, f_t, f_u = f(s), f(t), f(u)
+    x_s1_tgt, x_u = C.tgt1(f_s), src.x_at(C, u)
+    c_s_tu, c_st_u = src.c_at(C, s, tu), src.c_at(C, st, u)
+    cp_st = tgt.c_at(C, s, t)
+
+    upper = C.comp1(
+        C.lsum_one(C.sum_obj(x_s1_tgt, C.tgt1(f_t)), f_u),
+        C.lsum_one(x_s1_tgt, C.rsum_one(f_t, x_u)),
+    )
+    th1 = whisker_l(C, upper, whisker_r(C, C.sigma(f_s, src.c_at(C, t, u)), c_s_tu))
+    lower = C.comp1(C.rsum_one(f_s, src.x_at(C, tu)), c_s_tu)
+    th2 = whisker_r(C, C.lsum_two(x_s1_tgt, gamma(t, u)), lower)
+    th3 = whisker_l(C, C.lsum_one(x_s1_tgt, tgt.c_at(C, t, u)), gamma(s, tu))
+    lhs = vseq(C, th1, th2, th3)
+
+    upper = C.lsum_one(C.sum_obj(x_s1_tgt, C.tgt1(f_t)), f_u)
+    th1 = whisker_l(C, upper, whisker_r(C, C.rsum_two(gamma(s, t), x_u), c_st_u))
+    lower = C.comp1(C.rsum_one(f(st), x_u), c_st_u)
+    th2 = whisker_r(C, C.sigma_inv(cp_st, f_u), lower)
+    th3 = whisker_l(C, C.rsum_one(cp_st, C.tgt1(f_u)), gamma(st, u))
+    return lhs == vseq(C, th1, th2, th3)
+
+
+def _compat_square_holds(C, u: SystemMap, v: SystemMap, gray: bool, alpha,
+                         s: Subset, t: Subset, st: Subset) -> bool:
+    """The compatibility square of the components alpha(s), alpha(t),
+    alpha(st) of a 2-cell u => v at the disjoint pair (s, t) of union st."""
+    summed = C.sum_two(alpha(s), alpha(t))
+    lhs = whisker_l(C, u.tgt.c_at(C, s, t), alpha(st))
+    rhs = whisker_r(C, summed, u.src.c_at(C, s, t))
+    if gray:
+        lhs = C.vcomp(lhs, u.gamma_at(C, s, t))
+        rhs = C.vcomp(v.gamma_at(C, s, t), rhs)
+    return lhs == rhs
+
+
+# -- axiom checks on explicit cells ----------------------------------------------
 
 
 def validate_system(C, sys: SubsetSystem) -> ValidationReport:
     rep = ValidationReport(f"subset system (n={sys.n})")
     n = sys.n
+    x, c = partial(sys.x_at, C), partial(sys.c_at, C)
     for s in nonempty_subsets_of(n):
-        if not C.has_obj(sys.x_at(C, s)):
+        if not C.has_obj(x(s)):
             rep.add("structure", f"value at {s} outside the carrier")
     for (s, t) in disjoint_pairs(n):
-        c = sys.c_at(C, s, t)
+        cst = c(s, t)
         rep.checked += 1
-        if C.src1(c) != sys.x_at(C, union(s, t)) or \
-           C.tgt1(c) != C.sum_obj(sys.x_at(C, s), sys.x_at(C, t)):
+        if C.src1(cst) != x(union(s, t)) or C.tgt1(cst) != C.sum_obj(x(s), x(t)):
             rep.add("structure", f"c at {(s, t)} has wrong endpoints")
     if rep.issues:
         return rep
     for (s, t) in disjoint_pairs(n):
         rep.checked += 1
-        lhs = sys.c_at(C, t, s)
-        rhs = C.comp1(C.beta_obj(sys.x_at(C, s), sys.x_at(C, t)), sys.c_at(C, s, t))
-        if lhs != rhs:
+        if c(t, s) != swapped_c(C, x, c, s, t):
             rep.add("symmetry", f"braiding compatibility fails at {(s, t)}")
     for (s, t, u) in disjoint_triples(n):
         rep.checked += 1
-        lhs = C.comp1(C.rsum_one(sys.c_at(C, s, t), sys.x_at(C, u)), sys.c_at(C, union(s, t), u))
-        rhs = C.comp1(C.lsum_one(sys.x_at(C, s), sys.c_at(C, t, u)), sys.c_at(C, s, union(t, u)))
-        if lhs != rhs:
+        if not _system_cocycle_holds(C, x, c, s, t, u):
             rep.add("cocycle", f"associativity fails at {(s, t, u)}")
     return rep
 
@@ -229,87 +319,47 @@ def validate_system(C, sys: SubsetSystem) -> ValidationReport:
 def validate_system_map(C, mp: SystemMap, gray: bool) -> ValidationReport:
     rep = ValidationReport(f"system map (n={mp.n})")
     n = mp.n
+    src, tgt = mp.src, mp.tgt
+    f, gamma = partial(mp.f_at, C), partial(mp.gamma_at, C)
     for s in nonempty_subsets_of(n):
-        fs = mp.f_at(C, s)
+        fs = f(s)
         rep.checked += 1
-        if C.src1(fs) != mp.src.x_at(C, s) or C.tgt1(fs) != mp.tgt.x_at(C, s):
+        if C.src1(fs) != src.x_at(C, s) or C.tgt1(fs) != tgt.x_at(C, s):
             rep.add("structure", f"component at {s} has wrong endpoints")
     if rep.issues:
         return rep
     if not gray:
         for (s, t) in disjoint_pairs(n):
             rep.checked += 1
-            lhs = C.comp1(mp.tgt.c_at(C, s, t), mp.f_at(C, union(s, t)))
-            rhs = C.comp1(C.sum_one(mp.f_at(C, s), mp.f_at(C, t)), mp.src.c_at(C, s, t))
-            if lhs != rhs:
+            if not _strict_square_holds(C, src, tgt, f, s, t, union(s, t)):
                 rep.add("square", f"strict square fails at {(s, t)}")
         return rep
     for (s, t) in disjoint_pairs(n):
-        g = mp.gamma_at(C, s, t)
+        g = gamma(s, t)
         rep.checked += 1
-        if C.src2(g) != _gamma_source(C, mp, s, t) or C.tgt2(g) != _gamma_target(C, mp, s, t):
+        if C.src2(g) != _gamma_source(C, src, f, s, t) or C.tgt2(g) != _gamma_target(C, tgt, f, s, t):
             rep.add("structure", f"filling cell at {(s, t)} has wrong endpoints")
         elif vertical_inverse(C, g) is None:
             rep.add("structure", f"filling cell at {(s, t)} not invertible")
     if rep.issues:
         return rep
-    # braiding compatibility: gamma[t,s] is the derived pasting
     for (s, t) in disjoint_pairs(n):
         rep.checked += 1
-        derived = swapped_gamma(C, mp.src, mp.tgt, lambda u: mp.f_at(C, u),
-                                mp.gamma_at(C, s, t), s, t)
-        if mp.gamma_at(C, t, s) != derived:
+        if gamma(t, s) != swapped_gamma(C, src, tgt, f, gamma, s, t):
             rep.add("swap", f"swapped filling cell disagrees at {(s, t)}")
     for (s, t, u) in disjoint_triples(n):
         rep.checked += 1
-        if _phistu_lhs(C, mp, s, t, u) != _phistu_rhs(C, mp, s, t, u):
+        if not _filling_cocycle_holds(C, src, tgt, f, gamma, s, t, u):
             rep.add("cocycle", f"filling-cell associativity fails at {(s, t, u)}")
     return rep
-
-
-def _phistu_lhs(C, mp: SystemMap, s: Subset, t: Subset, u: Subset):
-    src, tgt = mp.src, mp.tgt
-    tu = union(t, u)
-    f_s = mp.f_at(C, s)
-    x_s1_tgt = C.tgt1(f_s)
-    c_s_tu = src.c_at(C, s, tu)
-    c_tu = src.c_at(C, t, u)
-    cp_tu = tgt.c_at(C, t, u)
-    f_t, f_u = mp.f_at(C, t), mp.f_at(C, u)
-    upper = C.comp1(
-        C.lsum_one(C.sum_obj(x_s1_tgt, C.tgt1(f_t)), f_u),
-        C.lsum_one(x_s1_tgt, C.rsum_one(f_t, src.x_at(C, u))),
-    )
-    th1 = whisker_l(C, upper, whisker_r(C, C.sigma(f_s, c_tu), c_s_tu))
-    lower = C.comp1(C.rsum_one(f_s, src.x_at(C, tu)), c_s_tu)
-    gamma_tu = mp.gamma_at(C, t, u)
-    th2 = whisker_r(C, C.lsum_two(x_s1_tgt, gamma_tu), lower)
-    th3 = whisker_l(C, C.lsum_one(x_s1_tgt, cp_tu), mp.gamma_at(C, s, tu))
-    return vseq(C, th1, th2, th3)
-
-
-def _phistu_rhs(C, mp: SystemMap, s: Subset, t: Subset, u: Subset):
-    src, tgt = mp.src, mp.tgt
-    st = union(s, t)
-    x_u = src.x_at(C, u)
-    f_u = mp.f_at(C, u)
-    c_st_u = src.c_at(C, st, u)
-    c_st = src.c_at(C, s, t)
-    cp_st = tgt.c_at(C, s, t)
-    f_st = mp.f_at(C, st)
-    upper = C.lsum_one(C.sum_obj(C.tgt1(mp.f_at(C, s)), C.tgt1(mp.f_at(C, t))), f_u)
-    th1 = whisker_l(C, upper, whisker_r(C, C.rsum_two(mp.gamma_at(C, s, t), x_u), c_st_u))
-    lower = C.comp1(C.rsum_one(f_st, x_u), c_st_u)
-    th2 = whisker_r(C, C.sigma_inv(cp_st, f_u), lower)
-    th3 = whisker_l(C, C.rsum_one(cp_st, C.tgt1(f_u)), mp.gamma_at(C, st, u))
-    return vseq(C, th1, th2, th3)
 
 
 def validate_system_two_cell(C, cell: SystemTwoCell, gray: bool) -> ValidationReport:
     rep = ValidationReport(f"system 2-cell (n={cell.n})")
     n = cell.n
+    alpha = partial(cell.alpha_at, C)
     for s in nonempty_subsets_of(n):
-        a = cell.alpha_at(C, s)
+        a = alpha(s)
         rep.checked += 1
         if C.src2(a) != cell.src.f_at(C, s) or C.tgt2(a) != cell.tgt.f_at(C, s):
             rep.add("structure", f"component at {s} has wrong endpoints")
@@ -317,25 +367,9 @@ def validate_system_two_cell(C, cell: SystemTwoCell, gray: bool) -> ValidationRe
         return rep
     for (s, t) in disjoint_pairs(n):
         rep.checked += 1
-        if not _compat_square_holds(C, cell.src, cell.tgt, s, t, cell.alpha_at(C, s),
-                                    cell.alpha_at(C, t), cell.alpha_at(C, union(s, t)), gray):
+        if not _compat_square_holds(C, cell.src, cell.tgt, gray, alpha, s, t, union(s, t)):
             rep.add("compat", f"component compatibility fails at {(s, t)}")
     return rep
-
-
-def _compat_square_holds(C, u: SystemMap, v: SystemMap, s: Subset, t: Subset,
-                         a_s, a_t, a_st, gray: bool) -> bool:
-    """The compatibility square of the components a_s, a_t, a_{s+t} of a
-    2-cell u => v at the disjoint pair (s, t)."""
-    summed = C.sum_two(a_s, a_t)
-    c_src = u.src.c_at(C, s, t)
-    c_tgt = u.tgt.c_at(C, s, t)
-    lhs = whisker_l(C, c_tgt, a_st)
-    rhs = whisker_r(C, summed, c_src)
-    if gray:
-        lhs = C.vcomp(lhs, u.gamma_at(C, s, t))
-        rhs = C.vcomp(v.gamma_at(C, s, t), rhs)
-    return lhs == rhs
 
 
 # -- composition of level cells -------------------------------------------------
@@ -412,180 +446,134 @@ def is_identity_system_two_cell(C, cell: SystemTwoCell) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _squares_closed_by(n: int) -> tuple[tuple[tuple[Subset, Subset], ...], ...]:
-    """For each nonempty subset in canonical order, the disjoint pairs (s, t)
-    of which it is the union.  Both parts come earlier in that order, so the
-    square at (s, t) is complete once the component at s+t is placed."""
-    return tuple(tuple((s, t) for (s, t) in disjoint_pairs(n) if union(s, t) == st)
-                 for st in nonempty_subsets_of(n))
+def _placement_order(n: int, paired: bool) -> tuple:
+    """The slots of a level cell at n in placement order, each with the law
+    instances that its placement completes.
+
+    The subset slots come first, in canonical subset order; the slot at st
+    completes the squares (s, t, st) at the disjoint pairs of which st is
+    the union, both of whose parts come earlier.  With ``paired``, the canonical pairs (s, t), s before t,
+    follow; each one also fixes its derived swap (t, s), and completes the
+    triples (s, t, u) whose four pair components are then all placed."""
+    order = [(st, tuple((s, t, st) for (s, t) in disjoint_pairs(n) if union(s, t) == st))
+             for st in nonempty_subsets_of(n)]
+    if paired:
+        canon = [(s, t) for (s, t) in disjoint_pairs(n) if subset_key(s) < subset_key(t)]
+        rank = {}
+        for i, (s, t) in enumerate(canon):
+            rank[(s, t)] = rank[(t, s)] = i
+        closes: list[list] = [[] for _ in canon]
+        for (s, t, u) in disjoint_triples(n):
+            st, tu = union(s, t), union(t, u)
+            closes[max(rank[(s, t)], rank[(st, u)], rank[(t, u)], rank[(s, tu)])].append((s, t, u))
+        order += [(p, tuple(cl)) for p, cl in zip(canon, closes)]
+    return tuple(order)
 
 
-def _canonical_pairs(n: int) -> list[tuple[Subset, Subset]]:
-    return [(s, t) for (s, t) in disjoint_pairs(n) if subset_key(s) < subset_key(t)]
+def _search(asg: dict, n: int, component, pair, build, validate, stage: str,
+            ceiling: int) -> list:
+    """The one placement search behind the three enumerators.
+
+    Slots are placed in ``_placement_order``, writing into ``asg``, which the
+    enumerator's accessors read.  ``component`` is ``(candidates, law)`` for
+    the subset slots and ``pair`` is ``(candidates, law, swap)`` for the
+    canonical pair slots, or None: ``candidates(key)`` lists the values of a
+    slot given the earlier ones, ``law(*instance)`` checks one law instance
+    the slot completes, and ``swap(s, t)`` derives the value at (t, s).
+    Every complete assignment is built and passes the full validator before
+    it is emitted; the output is sorted by the reprs of the placed values."""
+    order = _placement_order(n, pair is not None)
+    k = len(nonempty_subsets_of(n))
+    plan = ([(key, *component, None, closes) for key, closes in order[:k]]
+            + [(key, *pair, closes) for key, closes in order[k:]])
+    keys = [key for key, _ in order]
+    last = len(plan)
+    out: list = []
+
+    def place(i: int) -> None:
+        if i == last:
+            cell = build()
+            if validate(cell).ok:
+                out.append((tuple(repr(asg[key]) for key in keys), cell))
+                if len(out) > ceiling:
+                    raise CellCeilingExceeded(stage, len(out), ceiling)
+            return
+        key, candidates, law, swap, closes = plan[i]
+        for val in candidates(key):
+            asg[key] = val
+            if swap is not None:
+                asg[key[::-1]] = swap(*key)
+            if all(law(*inst) for inst in closes):
+                place(i + 1)
+
+    place(0)
+    out.sort(key=itemgetter(0))
+    return [cell for _, cell in out]
 
 
 def enumerate_systems(C, n: int, ceiling: int) -> list[SubsetSystem]:
-    subs = nonempty_subsets_of(n)
-    canon = _canonical_pairs(n)
-    out: list[SubsetSystem] = []
+    """Objects of the level at n: each closed pair of x must admit a
+    connecting cell, and each cocycle is checked once its last c is placed."""
+    asg: dict = {}
+    x = asg.__getitem__
 
-    def place_x(i: int, xmap: dict):
-        if i == len(subs):
-            place_c(0, xmap, {})
-            return
-        s = subs[i]
-        for val in C.objects_iter():
-            xmap[s] = val
-            # prune: some connecting 1-cell must exist for each completed pair
-            ok = True
-            for (a, b) in canon:
-                if a in xmap and b in xmap and union(a, b) in xmap:
-                    target = C.sum_obj(xmap[a], xmap[b])
-                    if not C.has_obj(target) or not C.one_cells_between(xmap[union(a, b)], target):
-                        ok = False
-                        break
-            if ok:
-                place_x(i + 1, xmap)
-        xmap.pop(s, None)
+    def c(s, t):
+        return asg[s, t]
 
-    def place_c(j: int, xmap: dict, cmap: dict):
-        if j == len(canon):
-            full = dict(cmap)
-            for (s, t) in canon:
-                full[(t, s)] = C.comp1(C.beta_obj(xmap[s], xmap[t]), cmap[(s, t)])
-            sys = make_system(C, n, xmap, full)
-            if validate_system(C, sys).ok:
-                out.append(sys)
-                if len(out) > ceiling:
-                    raise CellCeilingExceeded("object enumeration", len(out), ceiling)
-            return
-        s, t = canon[j]
-        for c in C.one_cells_between(xmap[union(s, t)], C.sum_obj(xmap[s], xmap[t])):
-            cmap[(s, t)] = c
-            if _partial_cocycle_ok(C, n, xmap, cmap):
-                place_c(j + 1, xmap, cmap)
-        cmap.pop((s, t), None)
-
-    def _partial_cocycle_ok(C, n, xmap, cmap) -> bool:
-        full = dict(cmap)
-        for (s, t) in list(cmap):
-            full[(t, s)] = C.comp1(C.beta_obj(xmap[s], xmap[t]), cmap[(s, t)])
-        for (s, t, u) in disjoint_triples(n):
-            if (s, t) in full and union(s, t) and (union(s, t), u) in full \
-               and (t, u) in full and (s, union(t, u)) in full:
-                lhs = C.comp1(C.rsum_one(full[(s, t)], xmap[u]), full[(union(s, t), u)])
-                rhs = C.comp1(C.lsum_one(xmap[s], full[(t, u)]), full[(s, union(t, u))])
-                if lhs != rhs:
-                    return False
-        return True
-
-    if n == 0:
-        return [mk_system(0, (), ())]
-    place_x(0, {})
-    out.sort(key=lambda s: _system_sort_key(s))
-    return out
-
-
-def _system_sort_key(sys: SubsetSystem):
-    return (tuple(repr(v) for v in sys.x), tuple(repr(v) for v in sys.c))
+    connecting = partial(_connecting_cells, C, x)
+    return _search(
+        asg, n,
+        (lambda s: C.objects_iter(), lambda s, t, st: bool(connecting(s, t))),
+        (lambda st: connecting(*st), partial(_system_cocycle_holds, C, x, c),
+         partial(swapped_c, C, x, c)),
+        lambda: make_system(C, n, asg, asg), partial(validate_system, C),
+        "object enumeration", ceiling)
 
 
 def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
                           ceiling: int) -> list[SystemMap]:
+    """1-cells src -> tgt.  Strict: each square is checked once its f_{s+t}
+    is placed.  Cubical: each square of f must admit an invertible filler,
+    and each filling-cell cocycle is checked once its last gamma is placed."""
     n = src.n
-    subs = nonempty_subsets_of(n)
-    canon = _canonical_pairs(n)
-    out: list[SystemMap] = []
+    asg: dict = {}
+    f = asg.__getitem__
 
-    def place_f(i: int, fmap: dict):
-        if i == len(subs):
-            if gray:
-                place_gamma(0, fmap, {})
-            else:
-                mp = make_system_map(C, src, tgt, fmap, None)
-                if validate_system_map(C, mp, gray=False).ok:
-                    out.append(mp)
-                    if len(out) > ceiling:
-                        raise CellCeilingExceeded("1-cell enumeration", len(out), ceiling)
-            return
-        s = subs[i]
-        for val in C.one_cells_between(src.x_at(C, s), tgt.x_at(C, s)):
-            fmap[s] = val
-            if gray or _partial_squares_ok(fmap):
-                place_f(i + 1, fmap)
-        fmap.pop(s, None)
+    def gamma(s, t):
+        return asg[s, t]
 
-    def _partial_squares_ok(fmap: dict) -> bool:
-        for (s, t) in disjoint_pairs(n):
-            st = union(s, t)
-            if s in fmap and t in fmap and st in fmap:
-                lhs = C.comp1(tgt.c_at(C, s, t), fmap[st])
-                rhs = C.comp1(C.sum_one(fmap[s], fmap[t]), src.c_at(C, s, t))
-                if lhs != rhs:
-                    return False
-        return True
+    fillers = partial(_invertible_fillers, C, src, tgt, f)
 
-    def place_gamma(j: int, fmap: dict, gmap: dict):
-        if j == len(canon):
-            full = dict(gmap)
-            for (s, t) in canon:
-                full[(t, s)] = swapped_gamma(
-                    C, src, tgt,
-                    lambda u: fmap[u] if u else C.id1(C.unit_obj()),
-                    gmap[(s, t)], s, t,
-                )
-            mp = make_system_map(C, src, tgt, fmap, full)
-            if validate_system_map(C, mp, gray=True).ok:
-                out.append(mp)
-                if len(out) > ceiling:
-                    raise CellCeilingExceeded("1-cell enumeration", len(out), ceiling)
-            return
-        s, t = canon[j]
-        stub = make_system_map(C, src, tgt, fmap, None)
-        src1 = _gamma_source(C, stub, s, t)
-        tgt1 = _gamma_target(C, stub, s, t)
-        for g in C.two_cells_between(src1, tgt1):
-            if vertical_inverse(C, g) is None:
-                continue
-            gmap[(s, t)] = g
-            place_gamma(j + 1, fmap, gmap)
-        gmap.pop((s, t), None)
+    def components(s):
+        return C.one_cells_between(src.x_at(C, s), tgt.x_at(C, s))
 
-    place_f(0, {})
-    out.sort(key=lambda m: (tuple(repr(v) for v in m.f),
-                            tuple(repr(v) for v in (m.gamma or ()))))
-    return out
+    if gray:
+        component = (components, lambda s, t, st: bool(fillers(s, t)))
+        pair = (lambda st: fillers(*st), partial(_filling_cocycle_holds, C, src, tgt, f, gamma),
+                partial(swapped_gamma, C, src, tgt, f, gamma))
+    else:
+        component, pair = (components, partial(_strict_square_holds, C, src, tgt, f)), None
+    return _search(
+        asg, n, component, pair,
+        lambda: make_system_map(C, src, tgt, asg, asg if gray else None),
+        lambda mp: validate_system_map(C, mp, gray), "1-cell enumeration", ceiling)
 
 
 def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
                                ceiling: int) -> list[SystemTwoCell]:
-    n = u.n
-    subs = nonempty_subsets_of(n)
-    squares = _squares_closed_by(n)
-    out: list[SystemTwoCell] = []
-
-    def place(i: int, amap: dict):
-        if i == len(subs):
-            cell = mk_system_two_cell(n, u, v, tuple(amap[s] for s in subs))
-            if validate_system_two_cell(C, cell, gray).ok:
-                out.append(cell)
-                if len(out) > ceiling:
-                    raise CellCeilingExceeded("2-cell enumeration", len(out), ceiling)
-            return
-        st = subs[i]
-        for a in C.two_cells_between(u.f_at(C, st), v.f_at(C, st)):
-            amap[st] = a
-            # prune: every square closed by placing a_{s+t} must commute
-            if all(_compat_square_holds(C, u, v, s, t, amap[s], amap[t], a, gray)
-                   for (s, t) in squares[i]):
-                place(i + 1, amap)
-        amap.pop(st, None)
-
+    """2-cells u => v: each compatibility square is checked once its
+    component at s+t is placed."""
     if u.src != v.src or u.tgt != v.tgt:
         return []
-    place(0, {})
-    out.sort(key=lambda c: tuple(repr(a) for a in c.alpha))
-    return out
+    n = u.n
+    asg: dict = {}
+    return _search(
+        asg, n,
+        (lambda s: C.two_cells_between(u.f_at(C, s), v.f_at(C, s)),
+         partial(_compat_square_holds, C, u, v, gray, asg.__getitem__)),
+        None,
+        lambda: mk_system_two_cell(n, u, v, tuple(asg[s] for s in nonempty_subsets_of(n))),
+        lambda cell: validate_system_two_cell(C, cell, gray), "2-cell enumeration", ceiling)
 
 
 # -- level builders ----------------------------------------------------------------
@@ -782,15 +770,9 @@ def kt_to_ko(C: PermutativeTwoCategory, n: int,
     loose = ko_level(P, n, ceiling)
 
     def widen(mp: SystemMap) -> SystemMap:
-        gmap = {}
-        stub = make_system_map(P, mp.src, mp.tgt,
-                               {s: mp.f_at(C, s) for s in nonempty_subsets_of(n)}, None)
-        for (s, t) in disjoint_pairs(n):
-            gmap[(s, t)] = P.id2(_gamma_source(P, stub, s, t))
-        return make_system_map(
-            P, mp.src, mp.tgt,
-            {s: mp.f_at(C, s) for s in nonempty_subsets_of(n)}, gmap,
-        )
+        f = partial(mp.f_at, P)
+        return mk_system_map(n, mp.src, mp.tgt, mp.f, tuple(
+            P.id2(_gamma_source(P, mp.src, f, s, t)) for (s, t) in disjoint_pairs(n)))
 
     omap = {s: s for s in strict.objects}
     fmap = {f: widen(f) for f in strict.one_src}

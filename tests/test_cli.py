@@ -185,6 +185,14 @@ def test_exit_code_three_when_composites_pass_the_ceiling(monkeypatch):
     assert run(["ko", "--fixture", "F5", "--level", "2"]) == 3
 
 
+def test_cubical_level_three_stops_at_the_ceiling(monkeypatch, capsys):
+    # 16 systems with 128 1-cells between each pair: the level build passes
+    # the ceiling at the eighth pair, before any single enumeration does
+    monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "1000")
+    assert run(["ko", "--fixture", "F5", "--level", "3"]) == 3
+    assert "during level build: 1001 > 1000" in capsys.readouterr().err
+
+
 def test_reports_byte_deterministic():
     code1, out1 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])
     code2, out2 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])
@@ -223,7 +231,7 @@ def test_reports_byte_deterministic():
      {"objects": 2, "one_cells": 16, "two_cells": 16}),
     (["ko", "--fixture", "M3", "--level", "2"], {"objects": 9, "one_cells": 9, "two_cells": 9}),
     *((["validate", "--fixture", name], {"instances": n}) for name, n in (
-        ("F1", 18), ("F2", 78), ("F3", 59), ("F4", 76), ("M3", 204), ("F5", 151))),
+        ("F1", 17), ("F2", 74), ("F3", 58), ("F4", 75), ("M3", 195), ("F5", 150))),
 ], ids=["ko", "kt", "path-object", "espan", "triangle-p", "ko-gray-F4", "ko-monoid-M3",
         *(f"validate-{name}" for name in ("F1", "F2", "F3", "F4", "M3", "F5"))])
 def test_ko_command_counts(argv, counters):

@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from gamma2cat import ktheory
-from gamma2cat.subsets import (PointedMap, all_pointed_maps, fold_map, maps_up_to,
-                               nonempty_subsets_of, pointed_identity, segal_injection)
+from gamma2cat.subsets import (PointedMap, all_pointed_maps, disjoint_pairs, fold_map,
+                               maps_up_to, nonempty_subsets_of, pointed_identity,
+                               segal_injection, subset_key, union)
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
     internal_equivalence_classes,
@@ -17,12 +18,15 @@ from gamma2cat.ktheory import (
     CellCeilingExceeded,
     enumerate_system_maps,
     enumerate_system_two_cells,
+    enumerate_systems,
     ko_gamma,
     ko_level,
     ko_map,
     kt_level,
     kt_to_ko,
     level_one_comparison,
+    make_system,
+    make_system_map,
     mk_system_two_cell,
     partition_cell,
     reindex_system,
@@ -273,7 +277,6 @@ def test_formula_level_refuses_non_composable_pairs(f5):
 def test_partition_cell_three_blocks_on_cubical_systems(f5):
     # systems at three elements over the cubical carrier, without building
     # the whole level: canonical peeling agrees with the other association
-    from gamma2cat.ktheory import enumerate_systems
     systems = enumerate_systems(f5, 3, 10**6)
     assert systems
     full = (1, 2, 3)
@@ -284,34 +287,100 @@ def test_partition_cell_three_blocks_on_cubical_systems(f5):
         assert left == f5.comp1(tail, head)
 
 
-# -- pruned 2-cell enumeration --------------------------------------------------
+# -- the placement search against brute force ------------------------------------
+#
+# Each oracle takes the product of every slot's candidates, derives the
+# swapped pair components, and filters through the full validation.
+
+_SEARCH_CASES = [*((name, m) for name in ("F1", "F2", "F3", "F4", "F5", "M3") for m in range(3)),
+                 ("F2", 3)]
+
+
+def _carriers(name):
+    C = fixture(name)
+    return [(C, True)] if name == "F5" else [(promote(C), True), (C, False)]
+
+
+def _canonical_pairs(n):
+    return [(s, t) for (s, t) in disjoint_pairs(n) if subset_key(s) < subset_key(t)]
+
+
+def _by_repr(cells, *fields):
+    return sorted(cells, key=lambda c: tuple(tuple(repr(v) for v in (getattr(c, k) or ()))
+                                             for k in fields))
+
+
+def _brute_force_systems(C, n):
+    subs, canon = nonempty_subsets_of(n), _canonical_pairs(n)
+    out = []
+    for xs in itertools.product(list(C.objects_iter()), repeat=len(subs)):
+        xmap = dict(zip(subs, xs))
+        x = xmap.__getitem__
+        choices = [C.one_cells_between(x(union(s, t)), C.sum_obj(x(s), x(t))) for (s, t) in canon]
+        for cs in itertools.product(*choices):
+            cmap = dict(zip(canon, cs))
+            for (s, t) in canon:
+                cmap[(t, s)] = ktheory.swapped_c(C, x, lambda p, q: cmap[p, q], s, t)
+            sys = make_system(C, n, xmap, cmap)
+            if validate_system(C, sys).ok:
+                out.append(sys)
+    return _by_repr(out, "x", "c")
+
+
+def _brute_force_maps(C, a, b, gray):
+    n = a.n
+    subs, canon = nonempty_subsets_of(n), _canonical_pairs(n)
+    out = []
+    for fs in itertools.product(*(C.one_cells_between(a.x_at(C, s), b.x_at(C, s)) for s in subs)):
+        fmap = dict(zip(subs, fs))
+        f = fmap.__getitem__
+        if not gray:
+            out.append(make_system_map(C, a, b, fmap, None))
+            continue
+        choices = [C.two_cells_between(ktheory._gamma_source(C, a, f, s, t),
+                                       ktheory._gamma_target(C, b, f, s, t)) for (s, t) in canon]
+        for gs in itertools.product(*choices):
+            gmap = dict(zip(canon, gs))
+            for (s, t) in canon:
+                gmap[(t, s)] = ktheory.swapped_gamma(C, a, b, f, lambda p, q: gmap[p, q], s, t)
+            out.append(make_system_map(C, a, b, fmap, gmap))
+    return _by_repr([mp for mp in out if validate_system_map(C, mp, gray).ok], "f", "gamma")
 
 
 def _brute_force_two_cells(C, u, v, gray):
-    """Every tuple of components filtered through the full validation, in
-    the enumerator's output order."""
     if u.src != v.src or u.tgt != v.tgt:
         return []
     subs = nonempty_subsets_of(u.n)
     choices = [C.two_cells_between(u.f_at(C, s), v.f_at(C, s)) for s in subs]
     cells = [mk_system_two_cell(u.n, u, v, alpha) for alpha in itertools.product(*choices)]
-    out = [c for c in cells if validate_system_two_cell(C, c, gray).ok]
-    return sorted(out, key=lambda c: tuple(repr(a) for a in c.alpha))
+    return _by_repr([c for c in cells if validate_system_two_cell(C, c, gray).ok], "alpha")
 
 
-@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5"])
-def test_pruned_two_cell_enumeration_agrees_with_brute_force(name):
-    C = fixture(name)
-    carriers = [(C, True)] if name == "F5" else [(promote(C), True), (C, False)]
+@pytest.mark.parametrize("name, m", _SEARCH_CASES)
+def test_system_and_one_cell_enumeration_agrees_with_brute_force(name, m):
     compared = 0
-    for carrier, gray in carriers:
+    for C, gray in _carriers(name):
+        systems = enumerate_systems(C, m, 10**6)
+        assert systems == _brute_force_systems(C, m)
+        for a in systems:
+            for b in systems:
+                got = enumerate_system_maps(C, a, b, gray, 10**6)
+                assert got == _brute_force_maps(C, a, b, gray)
+                compared += len(got)
+    assert compared > 0
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5", "M3"])
+def test_pruned_two_cell_enumeration_agrees_with_brute_force(name):
+    compared = 0
+    for C, gray in _carriers(name):
         build = ko_level if gray else kt_level
-        for m in range(3):
-            ones = list(build(carrier, m).one_src)
+        for m in (0, 1, 2, 3) if name == "F2" else (0, 1, 2):
+            ones = list(build(C, m).one_src)
             for u in ones:
                 for v in ones:
-                    got = enumerate_system_two_cells(carrier, u, v, gray, 10**6)
-                    assert got == _brute_force_two_cells(carrier, u, v, gray)
+                    got = enumerate_system_two_cells(C, u, v, gray, 10**6)
+                    assert got == _brute_force_two_cells(C, u, v, gray)
                     compared += bool(got)
     assert compared > 0
 
