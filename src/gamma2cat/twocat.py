@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Hashable, Iterable, Mapping
 
 Cell = Hashable
@@ -361,7 +361,8 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
 
     Structural problems (dangling references, non-total tables, missing
     identities) are reported first; the axiom scan runs only on structurally
-    sound input.
+    sound input.  It checks every law instance, a bucket of instances in
+    lockstep at a time, and lists the failures in instance order.
     """
     rep = ValidationReport(f"2-category {C.name}")
     objset = set(C.objects)
@@ -404,19 +405,13 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
 
     one = list(C.one_src)
     two = list(C.two_src)
-
-    # table domains
-    want_h1 = [(g, f) for g in one for f in one if C.one_src[g] == C.one_tgt[f]]
-    _check_domain(rep, "hcomp1", C.hcomp1_table, want_h1)
-    want_v = [(b, a) for b in two for a in two if C.two_src[b] == C.two_tgt[a]]
-    _check_domain(rep, "vcomp", C.vcomp_table, want_v)
-    want_h2 = [
-        (b, a)
-        for b in two
-        for a in two
-        if C.one_src[C.two_src[b]] == C.one_tgt[C.two_src[a]]
-    ]
-    _check_domain(rep, "hcomp2", C.hcomp2_table, want_h2)
+    _check_domain(rep, "hcomp1", C.hcomp1_table,
+                  [(g, f) for g in one for f in one if C.one_src[g] == C.one_tgt[f]])
+    _check_domain(rep, "vcomp", C.vcomp_table,
+                  [(b, a) for b in two for a in two if C.two_src[b] == C.two_tgt[a]])
+    _check_domain(rep, "hcomp2", C.hcomp2_table,
+                  [(b, a) for b in two for a in two
+                   if C.one_src[C.two_src[b]] == C.one_tgt[C.two_src[a]]])
     if rep.issues:
         return rep
 
@@ -442,9 +437,13 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     if rep.issues:
         return rep
 
-    # Axiom scans run on an integer encoding of the cell sets: the tables are
-    # rebuilt as int-keyed dictionaries so that the quadratic/cubic instance
-    # enumerations below stay cheap on large generated levels.
+    # Axiom scans run on an integer encoding of the cell sets.  Each table
+    # becomes sparse rows: ``R[a][b]`` is the number of the composite of the
+    # entry ``(b, a)``.  An associativity or interchange bucket (every third
+    # cell for one pair, every right pair for one left pair) is looked up in
+    # lockstep by ``map`` and compared as two lists; only a bucket whose lists
+    # differ is walked again, instance by instance, so the issues keep the
+    # order of a one-instance-at-a-time scan.
     obj_ix = {x: i for i, x in enumerate(C.objects)}
     one_ix = {f: i for i, f in enumerate(one)}
     two_ix = {a: i for i, a in enumerate(two)}
@@ -455,87 +454,93 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     t_tgt = [one_ix[C.two_tgt[a]] for a in two]
     id1_of = [one_ix[C.id1(x)] for x in C.objects]
     id2_of = [two_ix[C.id2(f)] for f in one]
-    H1 = {(one_ix[g], one_ix[f]): one_ix[v] for (g, f), v in C.hcomp1_table.items()}
-    V = {(two_ix[b], two_ix[a]): two_ix[v] for (b, a), v in C.vcomp_table.items()}
-    H2 = {(two_ix[b], two_ix[a]): two_ix[v] for (b, a), v in C.hcomp2_table.items()}
+    H1 = _rows(C.hcomp1_table, one_ix)
+    V = _rows(C.vcomp_table, two_ix)
+    H2 = _rows(C.hcomp2_table, two_ix)
 
     # unit laws
     for fi in range(n1):
         rep.checked += 2
-        if H1[(fi, id1_of[o_src[fi]])] != fi:
+        if H1[id1_of[o_src[fi]]][fi] != fi:
             rep.add("unit", f"f . id != f for 1-cell {one[fi]!r}")
-        if H1[(id1_of[o_tgt[fi]], fi)] != fi:
+        if H1[fi][id1_of[o_tgt[fi]]] != fi:
             rep.add("unit", f"id . f != f for 1-cell {one[fi]!r}")
     for ai in range(n2):
         rep.checked += 4
-        if V[(ai, id2_of[t_src[ai]])] != ai:
+        if V[id2_of[t_src[ai]]][ai] != ai:
             rep.add("unit", f"a . id2 != a (vertical) for {two[ai]!r}")
-        if V[(id2_of[t_tgt[ai]], ai)] != ai:
+        if V[ai][id2_of[t_tgt[ai]]] != ai:
             rep.add("unit", f"id2 . a != a (vertical) for {two[ai]!r}")
         s_obj = o_src[t_src[ai]]
         t_obj = o_tgt[t_src[ai]]
-        if H2[(ai, id2_of[id1_of[s_obj]])] != ai:
+        if H2[id2_of[id1_of[s_obj]]][ai] != ai:
             rep.add("unit", f"a * id != a (horizontal) for {two[ai]!r}")
-        if H2[(id2_of[id1_of[t_obj]], ai)] != ai:
+        if H2[ai][id2_of[id1_of[t_obj]]] != ai:
             rep.add("unit", f"id * a != a (horizontal) for {two[ai]!r}")
-    for (gi, fi) in H1:
+    for (g, f), gf in C.hcomp1_table.items():
+        gi, fi = one_ix[g], one_ix[f]
         rep.checked += 1
-        if H2[(id2_of[gi], id2_of[fi])] != id2_of[H1[(gi, fi)]]:
+        if H2[id2_of[fi]][id2_of[gi]] != id2_of[one_ix[gf]]:
             rep.add("unit", f"id2(g)*id2(f) != id2(g.f) for ({one[gi]!r},{one[fi]!r})")
 
-    # associativity
-    by_src2 = [[] for _ in range(n1)]
-    for ci in range(n2):
-        by_src2[t_src[ci]].append(ci)
-    for (bi, ai) in V:
-        ba = V[(bi, ai)]
-        for ci in by_src2[t_tgt[bi]]:
-            rep.checked += 1
-            if V[(ci, ba)] != V[(V[(ci, bi)], ai)]:
-                rep.add("assoc", f"vcomp not associative at ({two[ci]!r},{two[bi]!r},{two[ai]!r})")
-    by_src1 = [[] for _ in range(len(C.objects))]
-    for hi in range(n1):
-        by_src1[o_src[hi]].append(hi)
-    for (gi, fi) in H1:
-        gf = H1[(gi, fi)]
-        for hi in by_src1[o_tgt[gi]]:
-            rep.checked += 1
-            if H1[(hi, gf)] != H1[(H1[(hi, gi)], fi)]:
-                rep.add("assoc", f"hcomp1 not associative at ({one[hi]!r},{one[gi]!r},{one[fi]!r})")
-    by_src_obj2 = [[] for _ in range(len(C.objects))]
-    for ci in range(n2):
-        by_src_obj2[o_src[t_src[ci]]].append(ci)
-    for (bi, ai) in H2:
-        ba = H2[(bi, ai)]
-        for ci in by_src_obj2[o_tgt[t_src[bi]]]:
-            rep.checked += 1
-            if H2[(ci, ba)] != H2[(H2[(ci, bi)], ai)]:
-                rep.add("assoc", f"hcomp2 not associative at ({two[ci]!r},{two[bi]!r},{two[ai]!r})")
+    # associativity, over each pair (b, a) and its bucket of third cells c
+    by_src2 = _group(range(n2), t_src.__getitem__)
+    by_src1 = _group(range(n1), o_src.__getitem__)
+    by_src_obj2 = _group(range(n2), lambda ci: o_src[t_src[ci]])
+    _scan_assoc(rep, "vcomp", C.vcomp_table, two, two_ix, V,
+                [by_src2.get(t, []) for t in t_tgt])
+    _scan_assoc(rep, "hcomp1", C.hcomp1_table, one, one_ix, H1,
+                [by_src1.get(o, []) for o in o_tgt])
+    _scan_assoc(rep, "hcomp2", C.hcomp2_table, two, two_ix, H2,
+                [by_src_obj2.get(o_tgt[t], []) for t in t_src])
 
-    # interchange
-    homs: dict[tuple[int, int], list[int]] = {}
-    for ai in range(n2):
-        fi = t_src[ai]
-        homs.setdefault((o_src[fi], o_tgt[fi]), []).append(ai)
-    vpairs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for key, cells in homs.items():
-        vpairs[key] = [
-            (a2, a1, V[(a2, a1)]) for a1 in cells for a2 in cells
-            if t_src[a2] == t_tgt[a1]
-        ]
+    # interchange, over each left vertical pair and the right pairs of a hom
+    homs = _group(range(n2), lambda ai: (o_src[t_src[ai]], o_tgt[t_src[ai]]))
+    vpairs = {key: [(a2, a1, V[a1][a2]) for a1 in cells for a2 in cells
+                    if t_src[a2] == t_tgt[a1]]
+              for key, cells in homs.items()}
     for (x, y), left in vpairs.items():
         for (y2, z), right in vpairs.items():
             if y2 != y:
                 continue
+            b2s, b1s, vbs = zip(*right)
             for (a2, a1, va) in left:
+                rep.checked += len(right)
+                if (list(map(getitem, map(V.__getitem__, map(H2[a1].__getitem__, b1s)),
+                             map(H2[a2].__getitem__, b2s)))
+                        == list(map(H2[va].__getitem__, vbs))):
+                    continue
                 for (b2, b1, vb) in right:
-                    rep.checked += 1
-                    if V[(H2[(b2, a2)], H2[(b1, a1)])] != H2[(vb, va)]:
-                        rep.add(
-                            "interchange",
-                            f"interchange fails at ({two[b2]!r},{two[b1]!r};{two[a2]!r},{two[a1]!r})",
-                        )
+                    if V[H2[a1][b1]][H2[a2][b2]] != H2[va][vb]:
+                        rep.add("interchange", f"interchange fails at "
+                                f"({two[b2]!r},{two[b1]!r};{two[a2]!r},{two[a1]!r})")
     return rep
+
+
+def _rows(table: Mapping, ix: Mapping) -> list[dict]:
+    """``rows[a][b]`` is the number of ``table[(b, a)]``, cells numbered by
+    ``ix``."""
+    rows: list[dict] = [{} for _ in ix]
+    for (b, a), c in table.items():
+        rows[ix[a]][ix[b]] = ix[c]
+    return rows
+
+
+def _scan_assoc(rep: ValidationReport, name: str, table: Mapping, cells: list,
+                ix: Mapping, R: list, third: list) -> None:
+    """Associativity ``c.(b.a) == (c.b).a`` of one table, in rows ``R``, for
+    each entry ``(b, a)`` in table order and each c in ``third[b]``."""
+    for (b, a), ba in table.items():
+        bi, ai = ix[b], ix[a]
+        cs, row_b, row_ba = third[bi], R[bi], R[ix[ba]]
+        rep.checked += len(cs)
+        if list(map(row_ba.__getitem__, cs)) == list(map(R[ai].__getitem__,
+                                                         map(row_b.__getitem__, cs))):
+            continue
+        for ci in cs:
+            if row_ba[ci] != R[ai][row_b[ci]]:
+                rep.add("assoc", f"{name} not associative at "
+                                 f"({cells[ci]!r},{cells[bi]!r},{cells[ai]!r})")
 
 
 def _check_domain(rep: ValidationReport, name: str, table: Mapping, want: list) -> None:
@@ -623,6 +628,8 @@ def internal_equivalence_classes(C: FiniteTwoCategory) -> list[frozenset]:
 # 2-category or levelwise over a diagram, checks the laws through these scans.
 # The source S is tabulated; the target T only answers ``CELL_OPERATIONS``.
 
+_first, _second = itemgetter(0), itemgetter(1)
+
 
 def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
                  where: str = "") -> None:
@@ -653,15 +660,16 @@ def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
     for f in S.one_src:
         if f2(S.id2(f)) != T.id2(f1(f)):
             rep.add("functor", f"{where}identity 2-cell of {f!r} not preserved")
-    for (g, f), h in S.hcomp1_table.items():
-        if f1(h) != T.comp1(f1(g), f1(f)):
-            rep.add("functor", f"{where}1-cell composition not preserved at ({g!r},{f!r})")
-    for (b, a), c in S.vcomp_table.items():
-        if f2(c) != T.vcomp(f2(b), f2(a)):
-            rep.add("functor", f"{where}vertical composition not preserved at ({b!r},{a!r})")
-    for (b, a), c in S.hcomp2_table.items():
-        if f2(c) != T.hcomp2(f2(b), f2(a)):
-            rep.add("functor", f"{where}horizontal composition not preserved at ({b!r},{a!r})")
+    # each table in lockstep, walked entry by entry only when it disagrees
+    for table, fc, op, what in ((S.hcomp1_table, f1, T.comp1, "1-cell"),
+                                (S.vcomp_table, f2, T.vcomp, "vertical"),
+                                (S.hcomp2_table, f2, T.hcomp2, "horizontal")):
+        if list(map(fc, table.values())) == list(map(
+                op, map(fc, map(_first, table)), map(fc, map(_second, table)))):
+            continue
+        for (b, a), c in table.items():
+            if fc(c) != op(fc(b), fc(a)):
+                rep.add("functor", f"{where}{what} composition not preserved at ({b!r},{a!r})")
 
 
 def scan_naturality(rep: ValidationReport, S: FiniteTwoCategory, T, comp, F, G,

@@ -219,7 +219,14 @@ def test_f5_level2_objects_internally_equivalent(f5_level2):
 
 
 def test_level_validation(f5_level2):
-    assert validate_two_category(f5_level2).ok
+    rep = validate_two_category(f5_level2)
+    assert rep.ok and rep.checked == 6_317_632
+
+
+def test_diagram_validation_counts_every_instance(f5):
+    # levels 0-2, every transition's functor laws and the functoriality
+    rep = validate_gamma(ko_gamma(f5, 2))
+    assert rep.ok and rep.checked == 6_817_398
 
 
 def test_cell_ceiling_aborts(f5):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamma2cat.inversek import GrothPerm
-from gamma2cat.ktheory import LazyKtLevel, ko_level, kt_level
+from gamma2cat.ktheory import LazyKtLevel, ko_gamma, ko_level, kt_level
 from gamma2cat.monoidal import fixture, promote
+from gamma2cat.subsets import all_pointed_maps
 from gamma2cat.twocat import (
     CELL_OPERATIONS,
     ENUMERATION_OPERATIONS,
@@ -14,6 +15,7 @@ from gamma2cat.twocat import (
     LazyPathLevel,
     Transformation2,
     TwoFunctor,
+    ValidationReport,
     identity_functor,
     internal_equivalence_classes,
     is_isomorphism_of_two_categories,
@@ -291,32 +293,224 @@ def test_interchange_on_f3(p, q, r, s):
     assert lhs == rhs
 
 
-def test_single_entry_mutations_are_caught_or_harmless():
-    C = fixture("F5").base
+def _naive_axiom_scan(C) -> tuple[list[str], int]:
+    """The axiom scan one instance at a time on tuple-keyed tables, as
+    ``validate_two_category`` once ran it: its issue strings and count."""
+    rep = ValidationReport("naive")
+    one, two = list(C.one_src), list(C.two_src)
+    obj_ix = {x: i for i, x in enumerate(C.objects)}
+    one_ix = {f: i for i, f in enumerate(one)}
+    two_ix = {a: i for i, a in enumerate(two)}
+    n1, n2 = len(one), len(two)
+    o_src = [obj_ix[C.one_src[f]] for f in one]
+    o_tgt = [obj_ix[C.one_tgt[f]] for f in one]
+    t_src = [one_ix[C.two_src[a]] for a in two]
+    t_tgt = [one_ix[C.two_tgt[a]] for a in two]
+    id1_of = [one_ix[C.id1(x)] for x in C.objects]
+    id2_of = [two_ix[C.id2(f)] for f in one]
+    H1 = {(one_ix[g], one_ix[f]): one_ix[v] for (g, f), v in C.hcomp1_table.items()}
+    V = {(two_ix[b], two_ix[a]): two_ix[v] for (b, a), v in C.vcomp_table.items()}
+    H2 = {(two_ix[b], two_ix[a]): two_ix[v] for (b, a), v in C.hcomp2_table.items()}
+
+    for fi in range(n1):
+        rep.checked += 2
+        if H1[(fi, id1_of[o_src[fi]])] != fi:
+            rep.add("unit", f"f . id != f for 1-cell {one[fi]!r}")
+        if H1[(id1_of[o_tgt[fi]], fi)] != fi:
+            rep.add("unit", f"id . f != f for 1-cell {one[fi]!r}")
+    for ai in range(n2):
+        rep.checked += 4
+        if V[(ai, id2_of[t_src[ai]])] != ai:
+            rep.add("unit", f"a . id2 != a (vertical) for {two[ai]!r}")
+        if V[(id2_of[t_tgt[ai]], ai)] != ai:
+            rep.add("unit", f"id2 . a != a (vertical) for {two[ai]!r}")
+        s_obj = o_src[t_src[ai]]
+        t_obj = o_tgt[t_src[ai]]
+        if H2[(ai, id2_of[id1_of[s_obj]])] != ai:
+            rep.add("unit", f"a * id != a (horizontal) for {two[ai]!r}")
+        if H2[(id2_of[id1_of[t_obj]], ai)] != ai:
+            rep.add("unit", f"id * a != a (horizontal) for {two[ai]!r}")
+    for (gi, fi) in H1:
+        rep.checked += 1
+        if H2[(id2_of[gi], id2_of[fi])] != id2_of[H1[(gi, fi)]]:
+            rep.add("unit", f"id2(g)*id2(f) != id2(g.f) for ({one[gi]!r},{one[fi]!r})")
+
+    by_src2 = [[] for _ in range(n1)]
+    for ci in range(n2):
+        by_src2[t_src[ci]].append(ci)
+    for (bi, ai) in V:
+        ba = V[(bi, ai)]
+        for ci in by_src2[t_tgt[bi]]:
+            rep.checked += 1
+            if V[(ci, ba)] != V[(V[(ci, bi)], ai)]:
+                rep.add("assoc", f"vcomp not associative at ({two[ci]!r},{two[bi]!r},{two[ai]!r})")
+    by_src1 = [[] for _ in range(len(C.objects))]
+    for hi in range(n1):
+        by_src1[o_src[hi]].append(hi)
+    for (gi, fi) in H1:
+        gf = H1[(gi, fi)]
+        for hi in by_src1[o_tgt[gi]]:
+            rep.checked += 1
+            if H1[(hi, gf)] != H1[(H1[(hi, gi)], fi)]:
+                rep.add("assoc", f"hcomp1 not associative at ({one[hi]!r},{one[gi]!r},{one[fi]!r})")
+    by_src_obj2 = [[] for _ in range(len(C.objects))]
+    for ci in range(n2):
+        by_src_obj2[o_src[t_src[ci]]].append(ci)
+    for (bi, ai) in H2:
+        ba = H2[(bi, ai)]
+        for ci in by_src_obj2[o_tgt[t_src[bi]]]:
+            rep.checked += 1
+            if H2[(ci, ba)] != H2[(H2[(ci, bi)], ai)]:
+                rep.add("assoc", f"hcomp2 not associative at ({two[ci]!r},{two[bi]!r},{two[ai]!r})")
+
+    homs: dict[tuple[int, int], list[int]] = {}
+    for ai in range(n2):
+        fi = t_src[ai]
+        homs.setdefault((o_src[fi], o_tgt[fi]), []).append(ai)
+    vpairs = {key: [(a2, a1, V[(a2, a1)]) for a1 in cells for a2 in cells
+                    if t_src[a2] == t_tgt[a1]]
+              for key, cells in homs.items()}
+    for (x, y), left in vpairs.items():
+        for (y2, z), right in vpairs.items():
+            if y2 != y:
+                continue
+            for (a2, a1, va) in left:
+                for (b2, b1, vb) in right:
+                    rep.checked += 1
+                    if V[(H2[(b2, a2)], H2[(b1, a1)])] != H2[(vb, va)]:
+                        rep.add("interchange", f"interchange fails at "
+                                f"({two[b2]!r},{two[b1]!r};{two[a2]!r},{two[a1]!r})")
+    return [str(i) for i in rep.issues], rep.checked
+
+
+def _retabulated(C, name, **tables):
+    """C with its tables copied, some replaced by ``tables``."""
+    return FiniteTwoCategory(
+        name, C.objects,
+        {f: (C.one_src[f], C.one_tgt[f], C.one_identity[f]) for f in C.one_src},
+        {a: (C.two_src[a], C.two_tgt[a], C.two_identity[a]) for a in C.two_src},
+        tables.get("vcomp_table", C.vcomp_table),
+        tables.get("hcomp1_table", C.hcomp1_table),
+        tables.get("hcomp2_table", C.hcomp2_table))
+
+
+def _parallel_swaps(C, rng, limit):
+    """Up to ``limit`` mutations per table, each a dict from table names to
+    the entries it changes, every new value parallel to the old one so that
+    the structure checks pass.  A 1-cell composite g.f is swapped only where
+    every 2-cell at g or f is an identity; the 2-cell composite of their
+    identities follows it."""
+    only_ids = {f for f in C.one_src
+                if all(C.two_identity[a] for a in C.two_src
+                       if f in (C.two_src[a], C.two_tgt[a]))}
+    for tname, src, tgt in (("vcomp_table", C.two_src, C.two_tgt),
+                            ("hcomp1_table", C.one_src, C.one_tgt),
+                            ("hcomp2_table", C.two_src, C.two_tgt)):
+        swaps = []
+        for key, value in getattr(C, tname).items():
+            if tname == "hcomp1_table" and not only_ids.issuperset(key):
+                continue
+            others = [c for c in src if c != value
+                      and src[c] == src[value] and tgt[c] == tgt[value]]
+            if others:
+                swaps.append((key, rng.choice(others)))
+        for (b, a), new in rng.sample(swaps, min(limit, len(swaps))):
+            changes = {tname: {(b, a): new}}
+            if tname == "hcomp1_table":
+                changes["hcomp2_table"] = {(C.id2(b), C.id2(a)): C.id2(new)}
+            yield changes
+
+
+def test_single_entry_mutations_match_the_naive_scan():
+    # every parallel swap of the fixture bases, fewer of the levels, whose
+    # issue messages are long
     rng = random.Random(7)
-    tables = ["vcomp_table", "hcomp1_table", "hcomp2_table"]
-    pools = {
-        "vcomp_table": list(C.two_src),
-        "hcomp1_table": list(C.one_src),
-        "hcomp2_table": list(C.two_src),
-    }
-    for _ in range(30):
-        tname = rng.choice(tables)
-        table = dict(getattr(C, tname))
-        key = rng.choice(list(table))
-        new = rng.choice([v for v in pools[tname] if v != table[key]])
-        table[key] = new
-        mutated = FiniteTwoCategory(
-            "F5mut", C.objects,
-            {f: (C.one_src[f], C.one_tgt[f], C.one_identity[f]) for f in C.one_src},
-            {a: (C.two_src[a], C.two_tgt[a], C.two_identity[a]) for a in C.two_src},
-            table if tname == "vcomp_table" else dict(C.vcomp_table),
-            table if tname == "hcomp1_table" else dict(C.hcomp1_table),
-            table if tname == "hcomp2_table" else dict(C.hcomp2_table),
-        )
-        rep = validate_two_category(mutated)
-        if not rep.ok:
-            assert rep.first() is not None
+    cases = [(fixture(n).base, 50) for n in ("F1", "F2", "F3", "F4", "F5", "M3")]
+    cases += [(ko_level(fixture(n), 2), limit) for n, limit in (("F3", 8), ("F4", 48), ("M3", 8))]
+    mutations = caught = 0
+    for C, limit in cases:
+        C.fill()
+        assert _naive_axiom_scan(C) == ([], validate_two_category(C).checked)
+        for changes in _parallel_swaps(C, rng, limit):
+            mutated = _retabulated(C, f"{C.name}-mut", **{
+                tname: {**getattr(C, tname), **entries} for tname, entries in changes.items()})
+            rep = validate_two_category(mutated)
+            issues, checked = _naive_axiom_scan(mutated)
+            assert ([str(i) for i in rep.issues], rep.checked) == (issues, checked)
+            mutations += 1
+            caught += bool(issues)
+    assert (mutations, caught) == (100, 99)
+
+
+def _naive_functor_scan(F) -> tuple[list[str], int]:
+    """The strict 2-functor laws one entry at a time, as ``scan_functor``
+    once checked them: the issue strings and count."""
+    S, T = F.source, F.target
+    f0, f1, f2 = F.cell_maps()
+    rep = ValidationReport("naive")
+    rep.checked += len(S.one_src) + len(S.two_src)
+    for f, x in S.one_src.items():
+        ff = f1(f)
+        if T.src1(ff) != f0(x) or T.tgt1(ff) != f0(S.one_tgt[f]):
+            rep.add("functor", f"1-cell {f!r}: image endpoints disagree")
+    for a, f in S.two_src.items():
+        fa = f2(a)
+        if T.src2(fa) != f1(f) or T.tgt2(fa) != f1(S.two_tgt[a]):
+            rep.add("functor", f"2-cell {a!r}: image endpoints disagree")
+    if not rep.issues:
+        rep.checked += (len(S.objects) + len(S.one_src) + len(S.hcomp1_table)
+                        + len(S.vcomp_table) + len(S.hcomp2_table))
+        for x in S.objects:
+            if f1(S.id1(x)) != T.id1(f0(x)):
+                rep.add("functor", f"identity 1-cell of {x!r} not preserved")
+        for f in S.one_src:
+            if f2(S.id2(f)) != T.id2(f1(f)):
+                rep.add("functor", f"identity 2-cell of {f!r} not preserved")
+        for (g, f), h in S.hcomp1_table.items():
+            if f1(h) != T.comp1(f1(g), f1(f)):
+                rep.add("functor", f"1-cell composition not preserved at ({g!r},{f!r})")
+        for (b, a), c in S.vcomp_table.items():
+            if f2(c) != T.vcomp(f2(b), f2(a)):
+                rep.add("functor", f"vertical composition not preserved at ({b!r},{a!r})")
+        for (b, a), c in S.hcomp2_table.items():
+            if f2(c) != T.hcomp2(f2(b), f2(a)):
+                rep.add("functor", f"horizontal composition not preserved at ({b!r},{a!r})")
+    return [str(i) for i in rep.issues], rep.checked
+
+
+def _parallel_to(cells: dict, ends: dict, c):
+    """The first cell other than c with c's endpoints, or None."""
+    return next((d for d in cells if d != c and ends[d] == ends[c]), None)
+
+
+@pytest.mark.parametrize("name, swap", [("F3", "amap"), ("F4", "fmap")])
+def test_functor_swaps_match_the_naive_scan(name, swap):
+    # F4's levels have no parallel 2-cells, but only identity 2-cells: a
+    # 1-cell image swapped with its identity's image keeps every endpoint
+    X = ko_gamma(fixture(name), 2)
+    swapped = 0
+    for phi in all_pointed_maps(2, 2):
+        F = X.transition(phi)
+        S, T = F.source, F.target
+        rep = validate_two_functor(F)
+        assert rep.ok and _naive_functor_scan(F) == ([], rep.checked)
+        fmap, amap = dict(F.fmap), dict(F.amap)
+        if swap == "amap":
+            ends = {a: (T.two_src[a], T.two_tgt[a]) for a in T.two_src}
+            a = next(a for a in S.two_src if _parallel_to(T.two_src, ends, amap[a]))
+            amap[a] = _parallel_to(T.two_src, ends, amap[a])
+        else:
+            assert all(T.two_identity.values())
+            ends = {f: (T.one_src[f], T.one_tgt[f]) for f in T.one_src}
+            f = next(f for f in S.one_src if _parallel_to(T.one_src, ends, fmap[f]))
+            fmap[f] = _parallel_to(T.one_src, ends, fmap[f])
+            amap[S.id2(f)] = T.id2(fmap[f])
+        G = TwoFunctor(S, T, dict(F.omap), fmap, amap, name="swapped")
+        rep = validate_two_functor(G)
+        assert rep.issues
+        assert ([str(i) for i in rep.issues], rep.checked) == _naive_functor_scan(G)
+        swapped += 1
+    assert swapped == 9
 
 
 # -- the 2-category protocol ---------------------------------------------------
