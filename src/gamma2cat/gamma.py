@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .subsets import (PointedMap, all_pointed_maps, fold_map, maps_up_to,
+from .subsets import (PointedMap, composable_maps, fold_map, maps_up_to,
                       pointed_identity, segal_injection)
 from .twocat import (
     Cell,
@@ -32,6 +32,7 @@ from .twocat import (
     pi0,
     scan_functor,
     scan_naturality,
+    then_maps,
     tuple_functor,
     two_equivalence_check,
     validate_two_category,
@@ -120,15 +121,10 @@ def validate_gamma(X: GammaTruncation) -> ValidationReport:
         rep.checked += 1
         if X.transition(pointed_identity(m)) != identity_functor(X.level(m)):
             rep.add("functoriality", f"identity map at level {m} is not the identity")
-    for m in range(X.cap + 1):
-        for n in range(X.cap + 1):
-            for p in range(X.cap + 1):
-                for phi in all_pointed_maps(m, n):
-                    for psi in all_pointed_maps(n, p):
-                        rep.checked += 1
-                        if X.transition(phi.then(psi)) != X.transition(phi).then(X.transition(psi)):
-                            rep.add("functoriality",
-                                    f"composition fails at {psi} after {phi}")
+    for phi, psi in composable_maps(X.cap):
+        rep.checked += 1
+        if X.transition(phi.then(psi)) != X.transition(phi).then(X.transition(psi)):
+            rep.add("functoriality", f"composition fails at {psi} after {phi}")
     return rep
 
 
@@ -216,11 +212,6 @@ def _star_maps(X, phi: PointedMap) -> tuple:
     return tuple(partial(X.phi_star, phi, dim) for dim in range(3))
 
 
-def _then(first: tuple, second: tuple) -> tuple:
-    """The cell maps ``second . first``, dimension by dimension."""
-    return tuple(lambda c, f=f, g=g: g(f(c)) for f, g in zip(first, second))
-
-
 def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
     """Check levelwise functoriality, unit and pasting laws, and 2-naturality.
 
@@ -258,26 +249,21 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
         if rep.issues:
             return rep
         scan_naturality(rep, S, T, partial(h.lax, phi),
-                        _then(h.cell_maps(m), _star_maps(Y, phi)),
-                        _then(_star_maps(X, phi), h.cell_maps(n)),
+                        then_maps(h.cell_maps(m), _star_maps(Y, phi)),
+                        then_maps(_star_maps(X, phi), h.cell_maps(n)),
                         "lax", f"structure cell at {phi}")
 
-    for m in range(X.cap + 1):
-        for n in range(X.cap + 1):
-            for p in range(X.cap + 1):
-                for phi in all_pointed_maps(m, n):
-                    for psi in all_pointed_maps(n, p):
-                        T = Y.level(p)
-                        comp = phi.then(psi)
-                        for x in X.level(m).objects:
-                            rep.checked += 1
-                            pasted = T.comp1(
-                                h.lax(psi, X.phi_star(phi, 0, x)),
-                                Y.phi_star(psi, 1, h.lax(phi, x)),
-                            )
-                            if h.lax(comp, x) != pasted:
-                                rep.add("lax-pasting",
-                                        f"pasting law fails at {psi} after {phi}, object {x!r}")
+    for phi, psi in composable_maps(X.cap):
+        T = Y.level(psi.n)
+        comp = phi.then(psi)
+        for x in X.level(phi.m).objects:
+            rep.checked += 1
+            pasted = T.comp1(
+                h.lax(psi, X.phi_star(phi, 0, x)),
+                Y.phi_star(psi, 1, h.lax(phi, x)),
+            )
+            if h.lax(comp, x) != pasted:
+                rep.add("lax-pasting", f"pasting law fails at {psi} after {phi}, object {x!r}")
     return rep
 
 

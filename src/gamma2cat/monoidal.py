@@ -29,6 +29,9 @@ from .twocat import (
     TwoFunctor,
     ValidationReport,
     identity_functor,
+    scan_functor,
+    scan_naturality,
+    then_maps,
     validate_two_category,
     validate_two_functor,
     vertical_inverse,
@@ -427,6 +430,16 @@ def validate_permutative(C: PermutativeTwoCategory) -> ValidationReport:
     return rep
 
 
+def one_sided(C, a: Cell, left: bool) -> tuple:
+    """The cell maps of the one-sided sum 2-functor ``a (+) -`` (``left``)
+    or ``- (+) a`` of carrier ``C``, on objects, 1-cells and 2-cells."""
+    if left:
+        return (lambda x: C.sum_obj(a, x), lambda f: C.lsum_one(a, f),
+                lambda al: C.lsum_two(a, al))
+    return (lambda x: C.sum_obj(x, a), lambda f: C.rsum_one(f, a),
+            lambda al: C.rsum_two(al, a))
+
+
 def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
     """Exhaustive axiom scan for a permutative Gray-monoid in cubical form."""
     rep = ValidationReport(f"permutative Gray-monoid {C.name}")
@@ -437,70 +450,27 @@ def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
     ones = list(B.one_src)
     twos = list(B.two_src)
     D = Domains.of(B)
-    e = C.unit
     scan_object_monoid(rep, C, D)
 
     # one-sided sums are strict 2-functors
     for a in objs:
-        for x in objs:
-            rep.checked += 2
-            if C.lsum_one(a, B.id1(x)) != B.id1(C.sum_obj(a, x)):
-                rep.add("cubical", f"a(+)- does not preserve id1 at ({a!r},{x!r})")
-            if C.rsum_one(B.id1(x), a) != B.id1(C.sum_obj(x, a)):
-                rep.add("cubical", f"-(+)a does not preserve id1 at ({x!r},{a!r})")
-        for f in ones:
-            rep.checked += 2
-            if C.lsum_two(a, B.id2(f)) != B.id2(C.lsum_one(a, f)):
-                rep.add("cubical", f"a(+)- does not preserve id2 at ({a!r},{f!r})")
-            if C.rsum_two(B.id2(f), a) != B.id2(C.rsum_one(f, a)):
-                rep.add("cubical", f"-(+)a does not preserve id2 at ({f!r},{a!r})")
-        for (g, f) in B.hcomp1_table:
-            rep.checked += 2
-            if C.lsum_one(a, B.comp1(g, f)) != B.comp1(C.lsum_one(a, g), C.lsum_one(a, f)):
-                rep.add("cubical", f"a(+)- not functorial on 1-cells at ({a!r},{g!r},{f!r})")
-            if C.rsum_one(B.comp1(g, f), a) != B.comp1(C.rsum_one(g, a), C.rsum_one(f, a)):
-                rep.add("cubical", f"-(+)a not functorial on 1-cells at ({g!r},{f!r},{a!r})")
-        for (b2, b1) in B.vcomp_table:
-            rep.checked += 2
-            if C.lsum_two(a, B.vcomp(b2, b1)) != B.vcomp(C.lsum_two(a, b2), C.lsum_two(a, b1)):
-                rep.add("cubical", f"a(+)- not functorial (vert) at ({a!r},{b2!r},{b1!r})")
-            if C.rsum_two(B.vcomp(b2, b1), a) != B.vcomp(C.rsum_two(b2, a), C.rsum_two(b1, a)):
-                rep.add("cubical", f"-(+)a not functorial (vert) at ({b2!r},{b1!r},{a!r})")
-        for (b2, b1) in B.hcomp2_table:
-            rep.checked += 2
-            if C.lsum_two(a, B.hcomp2(b2, b1)) != B.hcomp2(C.lsum_two(a, b2), C.lsum_two(a, b1)):
-                rep.add("cubical", f"a(+)- not functorial (horiz) at ({a!r},{b2!r},{b1!r})")
-            if C.rsum_two(B.hcomp2(b2, b1), a) != B.hcomp2(C.rsum_two(b2, a), C.rsum_two(b1, a)):
-                rep.add("cubical", f"-(+)a not functorial (horiz) at ({b2!r},{b1!r},{a!r})")
+        scan_functor(rep, B, B, one_sided(C, a, True), f"{a!r}(+)-: ")
+        scan_functor(rep, B, B, one_sided(C, a, False), f"-(+){a!r}: ")
 
-    # unit and associativity of the cubical data
-    for f in ones:
-        rep.checked += 2
-        if C.lsum_one(e, f) != f:
-            rep.add("cubical", f"e(+)f != f at {f!r}")
-        if C.rsum_one(f, e) != f:
-            rep.add("cubical", f"f(+)e != f at {f!r}")
-    for al in twos:
-        rep.checked += 2
-        if C.lsum_two(e, al) != al or C.rsum_two(al, e) != al:
-            rep.add("cubical", f"unit 2-sum fails at {al!r}")
-    for a, b in itertools.product(objs, objs):
-        for f in ones:
-            rep.checked += 3
-            if C.lsum_one(a, C.lsum_one(b, f)) != C.lsum_one(C.sum_obj(a, b), f):
-                rep.add("cubical", f"left sums not associative at ({a!r},{b!r},{f!r})")
-            if C.rsum_one(C.rsum_one(f, a), b) != C.rsum_one(f, C.sum_obj(a, b)):
-                rep.add("cubical", f"right sums not associative at ({f!r},{a!r},{b!r})")
-            if C.lsum_one(a, C.rsum_one(f, b)) != C.rsum_one(C.lsum_one(a, f), b):
-                rep.add("cubical", f"left/right sums do not commute at ({a!r},{f!r},{b!r})")
-        for al in twos:
-            rep.checked += 3
-            if C.lsum_two(a, C.lsum_two(b, al)) != C.lsum_two(C.sum_obj(a, b), al):
-                rep.add("cubical", f"left 2-sums not associative at ({a!r},{b!r},{al!r})")
-            if C.rsum_two(C.rsum_two(al, a), b) != C.rsum_two(al, C.sum_obj(a, b)):
-                rep.add("cubical", f"right 2-sums not associative at ({al!r},{a!r},{b!r})")
-            if C.lsum_two(a, C.rsum_two(al, b)) != C.rsum_two(C.lsum_two(a, al), b):
-                rep.add("cubical", f"left/right 2-sums do not commute at ({a!r},{al!r},{b!r})")
+    # unit and associativity of the cubical data, in each dimension
+    e, add = C.unit, C.sum_obj
+    for dim, lsum, rsum, cells in (("1-cell", C.lsum_one, C.rsum_one, ones),
+                                   ("2-cell", C.lsum_two, C.rsum_two, twos)):
+        _scan(rep, "cubical", f"{dim} unit", f"unit {dim} sums fail", zip(cells),
+              lambda c, lsum=lsum, rsum=rsum: lsum(e, c) == c and rsum(c, e) == c, per=2)
+        triples = list(itertools.product(objs, objs, cells))
+        _scan(rep, "cubical", f"left {dim} associativity", f"left {dim} sums not associative",
+              triples, lambda a, b, c, lsum=lsum: lsum(a, lsum(b, c)) == lsum(add(a, b), c))
+        _scan(rep, "cubical", f"right {dim} associativity", f"right {dim} sums not associative",
+              triples, lambda a, b, c, rsum=rsum: rsum(rsum(c, a), b) == rsum(c, add(a, b)))
+        _scan(rep, "cubical", f"left/right {dim} sums", f"left/right {dim} sums do not commute",
+              triples, lambda a, b, c, lsum=lsum, rsum=rsum:
+              lsum(a, rsum(c, b)) == rsum(lsum(a, c), b))
 
     # interchanger axioms
     for (f, g), sg in C.sigma_table.items():
@@ -549,31 +519,13 @@ def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
 
     scan_braiding(rep, C, D)
 
-    # quasi-strict naturality: the braiding naturality cells on generator
-    # 1-cells are identities, and the whiskered 2-cell conditions hold
-    for f in ones:
-        x, x2 = B.one_src[f], B.one_tgt[f]
-        for b in objs:
-            rep.checked += 2
-            if B.comp1(C.beta_obj(x2, b), C.rsum_one(f, b)) != \
-               B.comp1(C.lsum_one(b, f), C.beta_obj(x, b)):
-                rep.add("quasi-strict", f"beta naturality (f,1) fails at ({f!r},{b!r})")
-            if B.comp1(C.beta_obj(b, x2), C.lsum_one(b, f)) != \
-               B.comp1(C.rsum_one(f, b), C.beta_obj(b, x)):
-                rep.add("quasi-strict", f"beta naturality (1,f) fails at ({b!r},{f!r})")
-    for al in twos:
-        f = B.two_src[al]
-        x, x2 = B.one_src[f], B.one_tgt[f]
-        for b in objs:
-            rep.checked += 2
-            lhs = B.hcomp2(C.lsum_two(b, al), B.id2(C.beta_obj(x, b)))
-            rhs = B.hcomp2(B.id2(C.beta_obj(x2, b)), C.rsum_two(al, b))
-            if lhs != rhs:
-                rep.add("quasi-strict", f"beta 2-cell condition (al,1) fails at ({al!r},{b!r})")
-            lhs = B.hcomp2(C.rsum_two(al, b), B.id2(C.beta_obj(b, x)))
-            rhs = B.hcomp2(B.id2(C.beta_obj(b, x2)), C.lsum_two(b, al))
-            if lhs != rhs:
-                rep.add("quasi-strict", f"beta 2-cell condition (1,al) fails at ({b!r},{al!r})")
+    # quasi-strict naturality: the braiding is 2-natural in each slot, so its
+    # naturality cells on generator 1-cells are identities
+    for b in objs:
+        scan_naturality(rep, B, B, lambda x, b=b: C.beta_obj(x, b), one_sided(C, b, False),
+                        one_sided(C, b, True), "quasi-strict", f"beta(-,{b!r})")
+        scan_naturality(rep, B, B, lambda x, b=b: C.beta_obj(b, x), one_sided(C, b, True),
+                        one_sided(C, b, False), "quasi-strict", f"beta({b!r},-)")
     # interchangers against braiding components are identities
     for (a, b), bc in C.beta_table.items():
         for g in ones:
@@ -746,68 +698,27 @@ def validate_monoidal_functor(M: MonoidalFunctor) -> ValidationReport:
     if rep.issues:
         return rep
 
-    if M.variant == "strict":
-        rep.checked += 1
-        if not E.one_identity[M.theta0]:
-            rep.add("strict", "unit comparison not the identity")
-        for (x, y), t in M.theta.items():
-            rep.checked += 1
-            if not E.one_identity[t]:
-                rep.add("strict", f"sum comparison at ({x!r},{y!r}) not the identity")
-        for x, y in itertools.product(B.objects, B.objects):
-            rep.checked += 1
-            if F.omap[C.sum_obj(x, y)] != D.sum_obj(F.omap[x], F.omap[y]):
-                rep.add("strict", f"object sum not preserved at ({x!r},{y!r})")
-            rep.checked += 1
-            if F.fmap[C.beta_obj(x, y)] != D.beta_obj(F.omap[x], F.omap[y]):
-                rep.add("strict", f"braiding not preserved at ({x!r},{y!r})")
-        for a in B.objects:
-            for f in B.one_src:
-                rep.checked += 2
-                if F.fmap[C.lsum_one(a, f)] != D.lsum_one(F.omap[a], F.fmap[f]):
-                    rep.add("strict", f"left sum not preserved at ({a!r},{f!r})")
-                if F.fmap[C.rsum_one(f, a)] != D.rsum_one(F.fmap[f], F.omap[a]):
-                    rep.add("strict", f"right sum not preserved at ({f!r},{a!r})")
-            for al in B.two_src:
-                rep.checked += 2
-                if F.amap[C.lsum_two(a, al)] != D.lsum_two(F.omap[a], F.amap[al]):
-                    rep.add("strict", f"left 2-sum not preserved at ({a!r},{al!r})")
-                if F.amap[C.rsum_two(al, a)] != D.rsum_two(F.amap[al], F.omap[a]):
-                    rep.add("strict", f"right 2-sum not preserved at ({al!r},{a!r})")
-        for f, g in itertools.product(B.one_src, B.one_src):
-            rep.checked += 1
-            if F.amap[C.sigma(f, g)] != D.sigma(F.fmap[f], F.fmap[g]):
-                rep.add("strict", f"interchanger not preserved at ({f!r},{g!r})")
-        return rep
-
     rep.checked += 1
     if not E.one_identity[M.theta0]:
         rep.add("normal", "unit comparison must be the identity")
+    if M.variant == "strict":
+        # with identity comparisons the oplax laws below are the preservation
+        # of the sums (theta-naturality), of sigma and of beta (the squares)
+        for x, y in itertools.product(B.objects, B.objects):
+            rep.checked += 1
+            if M.theta[(x, y)] != E.id1(D.sum_obj(F.omap[x], F.omap[y])):
+                rep.add("strict", f"sum comparison at ({x!r},{y!r}) not the identity")
 
-    # 2-naturality of theta on generator 1-cells and 2-cells
-    for f in B.one_src:
-        x, x2 = B.one_src[f], B.one_tgt[f]
-        for b in B.objects:
-            rep.checked += 2
-            l1 = E.comp1(D.rsum_one(F.fmap[f], F.omap[b]), M.theta[(x, b)])
-            r1 = E.comp1(M.theta[(x2, b)], F.fmap[C.rsum_one(f, b)])
-            l2 = E.comp1(D.lsum_one(F.omap[b], F.fmap[f]), M.theta[(b, x)])
-            r2 = E.comp1(M.theta[(b, x2)], F.fmap[C.lsum_one(b, f)])
-            if l1 != r1:
-                rep.add("naturality", f"theta naturality (f,1) fails at ({f!r},{b!r})")
-            if l2 != r2:
-                rep.add("naturality", f"theta naturality (1,f) fails at ({b!r},{f!r})")
-    for al in B.two_src:
-        f = B.two_src[al]
-        x, x2 = B.one_src[f], B.one_tgt[f]
-        for b in B.objects:
-            rep.checked += 2
-            l1 = E.hcomp2(D.rsum_two(F.amap[al], F.omap[b]), E.id2(M.theta[(x, b)]))
-            r1 = E.hcomp2(E.id2(M.theta[(x2, b)]), F.amap[C.rsum_two(al, b)])
-            l2 = E.hcomp2(D.lsum_two(F.omap[b], F.amap[al]), E.id2(M.theta[(b, x)]))
-            r2 = E.hcomp2(E.id2(M.theta[(b, x2)]), F.amap[C.lsum_two(b, al)])
-            if l1 != r1 or l2 != r2:
-                rep.add("naturality", f"theta naturality on 2-cells fails at ({al!r},{b!r})")
+    # 2-naturality of theta(-, b): F.(- (+) b) => (- (+) Fb).F, and its mirror
+    maps = F.cell_maps()
+    for b in B.objects:
+        fb = F.omap[b]
+        scan_naturality(rep, B, E, lambda x, b=b: M.theta[(x, b)],
+                        then_maps(one_sided(C, b, False), maps),
+                        then_maps(maps, one_sided(D, fb, False)), "naturality", f"theta(-,{b!r})")
+        scan_naturality(rep, B, E, lambda x, b=b: M.theta[(b, x)],
+                        then_maps(one_sided(C, b, True), maps),
+                        then_maps(maps, one_sided(D, fb, True)), "naturality", f"theta({b!r},-)")
     # interchanger compatibility
     for f, g in itertools.product(B.one_src, B.one_src):
         x, y = B.one_src[f], B.one_src[g]

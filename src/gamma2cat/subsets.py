@@ -131,6 +131,15 @@ def maps_up_to(cap: int) -> tuple[PointedMap, ...]:
                  for phi in all_pointed_maps(m, n))
 
 
+@lru_cache(maxsize=None)
+def composable_maps(cap: int) -> tuple[tuple[PointedMap, PointedMap], ...]:
+    """Every pair (phi: m+ -> n+, psi: n+ -> p+) with m, n, p <= cap, by m,
+    then n, then p, then phi, then psi."""
+    r = range(cap + 1)
+    return tuple((phi, psi) for m in r for n in r for p in r
+                 for phi in all_pointed_maps(m, n) for psi in all_pointed_maps(n, p))
+
+
 def segal_injection(k: int, n: int) -> PointedMap:
     """The map n+ -> 1+ sending only k to the non-basepoint element."""
     return PointedMap(n, 1, tuple(1 if i == k else 0 for i in range(1, n + 1)))

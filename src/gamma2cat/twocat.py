@@ -28,8 +28,10 @@ binds all fifteen from its base 2-category.
 A strict 2-functor is given by plain cell maps; the transitions of a diagram
 are built whole on first use (``gamma.GammaTruncation.transition``).
 Transformations are 2-natural only.  The two laws are written once, in
-``scan_functor`` and ``scan_naturality``; the level validators here and the
-diagram validators of ``gamma`` all check them through these two scans.
+``scan_functor`` and ``scan_naturality``; the level validators here, the
+diagram validators of ``gamma`` and the cubical and monoidal-functor
+validators of ``monoidal`` (one-sided sums, quasi-strictness, comparison
+cells) all check them through these two scans.
 """
 
 from __future__ import annotations
@@ -240,13 +242,7 @@ class FiniteTwoCategory:
         F = self._formula
         if F is None:
             return
-        one, two = self.one_src, self.two_src
-        one_by_tgt = _group(one, self.one_tgt.__getitem__)
-        two_by_tgt = _group(two, self.two_tgt.__getitem__)
-        two_by_tgt_obj = _group(two, lambda a: self.one_tgt[two[a]])
-        v_dom = [(b, two_by_tgt.get(two[b], ())) for b in two]
-        h1_dom = [(g, one_by_tgt.get(one[g], ())) for g in one]
-        h2_dom = [(b, two_by_tgt_obj.get(one[two[b]], ())) for b in two]
+        h1_dom, v_dom, h2_dom = _domains(self)
         if self._ceiling is not None:
             total = sum(self.counts()) + sum(
                 len(firsts) for dom in (v_dom, h1_dom, h2_dom) for _, firsts in dom)
@@ -303,6 +299,19 @@ def _group(cells: Iterable[Cell], key) -> dict[Cell, list[Cell]]:
     for c in cells:
         out.setdefault(key(c), []).append(c)
     return out
+
+
+def _domains(C: FiniteTwoCategory) -> tuple[list, list, list]:
+    """The composability domains of ``hcomp1``, ``vcomp`` and ``hcomp2``,
+    each a list of pairs of a second cell and the firsts it composes with,
+    seconds in cell order and firsts in cell order."""
+    one, two = C.one_src, C.two_src
+    one_by_tgt = _group(one, C.one_tgt.__getitem__)
+    two_by_tgt = _group(two, C.two_tgt.__getitem__)
+    two_by_tgt_obj = _group(two, lambda a: C.one_tgt[two[a]])
+    return ([(g, one_by_tgt.get(one[g], ())) for g in one],
+            [(b, two_by_tgt.get(two[b], ())) for b in two],
+            [(b, two_by_tgt_obj.get(one[two[b]], ())) for b in two])
 
 
 def _complete(memo: dict, domain: list, op) -> dict:
@@ -403,15 +412,10 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     C._index()
     C.fill()
 
-    one = list(C.one_src)
-    two = list(C.two_src)
-    _check_domain(rep, "hcomp1", C.hcomp1_table,
-                  [(g, f) for g in one for f in one if C.one_src[g] == C.one_tgt[f]])
-    _check_domain(rep, "vcomp", C.vcomp_table,
-                  [(b, a) for b in two for a in two if C.two_src[b] == C.two_tgt[a]])
-    _check_domain(rep, "hcomp2", C.hcomp2_table,
-                  [(b, a) for b in two for a in two
-                   if C.one_src[C.two_src[b]] == C.one_tgt[C.two_src[a]]])
+    for name, table, domain in zip(("hcomp1", "vcomp", "hcomp2"),
+                                   (C.hcomp1_table, C.vcomp_table, C.hcomp2_table),
+                                   _domains(C)):
+        _check_domain(rep, name, table, domain)
     if rep.issues:
         return rep
 
@@ -444,6 +448,8 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     # lockstep by ``map`` and compared as two lists; only a bucket whose lists
     # differ is walked again, instance by instance, so the issues keep the
     # order of a one-instance-at-a-time scan.
+    one = list(C.one_src)
+    two = list(C.two_src)
     obj_ix = {x: i for i, x in enumerate(C.objects)}
     one_ix = {f: i for i, f in enumerate(one)}
     two_ix = {a: i for i, a in enumerate(two)}
@@ -543,12 +549,14 @@ def _scan_assoc(rep: ValidationReport, name: str, table: Mapping, cells: list,
                                  f"({cells[ci]!r},{cells[bi]!r},{cells[ai]!r})")
 
 
-def _check_domain(rep: ValidationReport, name: str, table: Mapping, want: list) -> None:
-    """Report, in cell-list and then table order, the domain mismatches."""
-    for k in want:
-        if k not in table:
-            rep.add("structure", f"{name} missing entry for {k!r}")
-    wanted = set(want)
+def _check_domain(rep: ValidationReport, name: str, table: Mapping, domain: list) -> None:
+    """Report, in domain and then table order, the mismatches between the
+    table's keys and its composability domain (as ``_domains`` lists it)."""
+    wanted = {(b, a) for b, firsts in domain for a in firsts}
+    for b, firsts in domain:
+        for a in firsts:
+            if (b, a) not in table:
+                rep.add("structure", f"{name} missing entry for {(b, a)!r}")
     for k in table:
         if k not in wanted:
             rep.add("structure", f"{name} has entry outside composability domain: {k!r}")
@@ -625,10 +633,16 @@ def internal_equivalence_classes(C: FiniteTwoCategory) -> list[frozenset]:
 
 # -- the 2-functor and 2-naturality laws ---------------------------------------
 # Every validator of a strict 2-functor or a 2-natural transformation, of one
-# 2-category or levelwise over a diagram, checks the laws through these scans.
+# 2-category, levelwise over a diagram or of a permutative structure, checks
+# the laws through these scans.
 # The source S is tabulated; the target T only answers ``CELL_OPERATIONS``.
 
 _first, _second = itemgetter(0), itemgetter(1)
+
+
+def then_maps(first: tuple, second: tuple) -> tuple:
+    """The cell maps ``second . first``, dimension by dimension."""
+    return tuple(lambda c, f=f, g=g: g(f(c)) for f, g in zip(first, second))
 
 
 def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,

@@ -13,8 +13,10 @@ import time
 
 from gamma2cat.cli import BATTERY, mutation_sample
 from gamma2cat.ktheory import DEFAULT_CELL_CEILING
-from gamma2cat.monoidal import PermutativeGrayMonoid, PermutativeTwoCategory
+from gamma2cat.monoidal import (PermutativeGrayMonoid, PermutativeTwoCategory, fixture,
+                                promote, validate_pgm)
 from gamma2cat.twocat import FiniteTwoCategory
+from test_monoidal import _single_entry_mutations
 
 
 def _line(num, ok, text):
@@ -426,6 +428,9 @@ def _naive_pgm_ok(P: PermutativeGrayMonoid) -> bool:
             bc = B.get((a, b))
             if bc is None or not ok_typed(bc, one, SO[(a, b)], SO[(b, a)], 1):
                 return False
+    for a in objs:
+        for b in objs:
+            bc = B[(a, b)]
             if H1[(B[(b, a)], bc)] != ids1[SO[(a, b)]]:
                 return False
             for c in objs:
@@ -479,6 +484,16 @@ def test_criterion_10_mutation_completeness():
     ok = silent == 0 and disagreements == 0 and total == 300
     _line(10, ok, f"{total} mutations, {rejected} rejected with witnesses, "
                   f"{silent} silent passes, {disagreements} scanner disagreements")
+
+
+def test_cubical_scan_agrees_with_the_independent_scanner():
+    # every single-entry sum-table change of the cubical carriers
+    carriers = [fixture("F5")] + [promote(fixture(n)) for n in ("F1", "F2", "F3", "F4", "M3")]
+    mutations = [M for C in carriers for M in _single_entry_mutations(C)]
+    assert len(mutations) == 213
+    verdicts = [validate_pgm(M).ok for M in mutations]
+    assert verdicts == [_naive_pgm_ok(M) for M in mutations]
+    assert sum(verdicts) == 1
 
 
 def test_criterion_11_wall_clock(request):

@@ -231,7 +231,7 @@ def test_reports_byte_deterministic():
      {"objects": 2, "one_cells": 16, "two_cells": 16}),
     (["ko", "--fixture", "M3", "--level", "2"], {"objects": 9, "one_cells": 9, "two_cells": 9}),
     *((["validate", "--fixture", name], {"instances": n}) for name, n in (
-        ("F1", 17), ("F2", 74), ("F3", 58), ("F4", 75), ("M3", 195), ("F5", 150))),
+        ("F1", 17), ("F2", 74), ("F3", 58), ("F4", 75), ("M3", 195), ("F5", 162))),
 ], ids=["ko", "kt", "path-object", "espan", "triangle-p", "ko-gray-F4", "ko-monoid-M3",
         *(f"validate-{name}" for name in ("F1", "F2", "F3", "F4", "M3", "F5"))])
 def test_ko_command_counts(argv, counters):

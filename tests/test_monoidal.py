@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from gamma2cat.monoidal import (
+    VARIANTS,
     DemotionRefused,
     MonoidalFunctor,
     PermutativeGrayMonoid,
@@ -18,7 +19,8 @@ from gamma2cat.monoidal import (
     validate_permutative,
     validate_pgm,
 )
-from gamma2cat.twocat import TwoFunctor, validate_two_category, vertical_inverse
+from gamma2cat.twocat import (TwoFunctor, identity_functor, validate_two_category,
+                              validate_two_functor, vertical_inverse)
 
 
 @pytest.mark.parametrize("name", ["F1", "F2", "F3", "M3"])
@@ -49,7 +51,7 @@ def test_promote_then_demote_is_identity(name):
 
 
 def test_cubical_scan_counts_of_promoted_carriers():
-    counts = {"F1": 36, "F2": 170, "F3": 58, "F4": 88, "M3": 462}
+    counts = {"F1": 40, "F2": 186, "F3": 64, "F4": 96, "M3": 498}
     for name, checked in counts.items():
         rep = validate_pgm(promote(fixture(name)))
         assert rep.ok
@@ -104,7 +106,7 @@ def test_carriers_differing_in_one_table_entry_are_unequal(name):
 
 
 def test_identity_monoidal_functor_valid():
-    counts = {"F1": 9, "F2": 33, "F3": 11, "F4": 16, "F5": 20, "M3": 73}
+    counts = {"F1": 11, "F2": 41, "F3": 13, "F4": 18, "F5": 22, "M3": 97}
     for name, checked in counts.items():
         rep = validate_monoidal_functor(identity_monoidal_functor(fixture(name)))
         assert rep.ok
@@ -182,23 +184,25 @@ def test_twisted_braiding_fixture_is_lawful():
     assert validate_permutative(_twisted_z2("Z2U", False)).ok
 
 
-def test_strict_claim_with_broken_braiding_invalid():
-    # the identity underlying functor between the twisted and untwisted
-    # structures does not preserve the braiding
-    src = _twisted_z2("Z2T", True)
-    tgt = _twisted_z2("Z2U", False)
-    from gamma2cat.twocat import identity_functor
+def _identity_claim(src, tgt, variant) -> MonoidalFunctor:
+    """The identity underlying functor between two carriers on one base, with
+    identity comparisons."""
     F = identity_functor(src.base)
     F = TwoFunctor(src.base, tgt.base, F.omap, F.fmap, F.amap, name="claim")
-    theta0 = tgt.base.id1("0")
     theta = {
         (x, y): tgt.base.id1(tgt.sum_obj(x, y))
         for x in src.base.objects for y in src.base.objects
     }
-    M = MonoidalFunctor("strict", F, src, tgt, theta0, theta, name="claim")
+    return MonoidalFunctor(variant, F, src, tgt, tgt.base.id1(tgt.unit), theta, name="claim")
+
+
+def test_strict_claim_with_broken_braiding_invalid():
+    # the identity underlying functor between the twisted and untwisted
+    # structures does not preserve the braiding
+    M = _identity_claim(_twisted_z2("Z2T", True), _twisted_z2("Z2U", False), "strict")
     rep = validate_monoidal_functor(M)
-    assert [str(i) for i in rep.issues] == ["[strict] braiding not preserved at ('1','1')"]
-    assert rep.checked == 61
+    assert [str(i) for i in rep.issues] == ["[diagram] braiding square fails at ('1','1')"]
+    assert rep.checked == 69
 
 
 def test_composite_of_normal_oplax_validates():
@@ -290,3 +294,116 @@ def test_product_scan_agrees_with_the_cubical_scan_plus_the_product_condition():
         accepted += ok
     # the two accepted mutations trade the twisted and untwisted beta(1,1)
     assert accepted == 2
+
+
+def _naive_monoidal_functor_ok(M: MonoidalFunctor) -> bool:
+    """The monoidal-functor laws as direct loops: a strict functor preserves
+    every sum, interchanger and braiding on the nose, and a normal-oplax
+    functor's comparisons are natural on generator 1-cells and 2-cells in
+    each slot and satisfy the unit, associativity and braiding diagrams."""
+    if not validate_two_functor(M.functor).ok:
+        return False
+    C, D, F = M.source, M.target, M.functor
+    B, E = C.base, D.base
+    objs, ones, twos = B.objects, list(B.one_src), list(B.two_src)
+    e_c, e_d = C.unit_obj(), D.unit_obj()
+    if F.omap[e_c] != e_d or M.theta0 not in E.one_src:
+        return False
+    if (E.one_src[M.theta0], E.one_tgt[M.theta0]) != (F.omap[e_c], e_d):
+        return False
+    for x, y in itertools.product(objs, objs):
+        t = M.theta.get((x, y))
+        if t is None or (E.one_src[t], E.one_tgt[t]) != (
+                F.omap[C.sum_obj(x, y)], D.sum_obj(F.omap[x], F.omap[y])):
+            return False
+    if not E.one_identity[M.theta0]:
+        return False
+    if M.variant == "strict":
+        return all(E.one_identity[t] for t in M.theta.values()) and all(
+            F.omap[C.sum_obj(x, y)] == D.sum_obj(F.omap[x], F.omap[y])
+            and F.fmap[C.beta_obj(x, y)] == D.beta_obj(F.omap[x], F.omap[y])
+            for x, y in itertools.product(objs, objs)) and all(
+            F.fmap[C.lsum_one(a, f)] == D.lsum_one(F.omap[a], F.fmap[f])
+            and F.fmap[C.rsum_one(f, a)] == D.rsum_one(F.fmap[f], F.omap[a])
+            for a in objs for f in ones) and all(
+            F.amap[C.lsum_two(a, al)] == D.lsum_two(F.omap[a], F.amap[al])
+            and F.amap[C.rsum_two(al, a)] == D.rsum_two(F.amap[al], F.omap[a])
+            for a in objs for al in twos) and all(
+            F.amap[C.sigma(f, g)] == D.sigma(F.fmap[f], F.fmap[g])
+            for f, g in itertools.product(ones, ones))
+    T = M.theta
+    for f in ones:
+        x, x2 = B.one_src[f], B.one_tgt[f]
+        for b in objs:
+            fb = F.omap[b]
+            if E.comp1(D.rsum_one(F.fmap[f], fb), T[(x, b)]) != \
+                    E.comp1(T[(x2, b)], F.fmap[C.rsum_one(f, b)]):
+                return False
+            if E.comp1(D.lsum_one(fb, F.fmap[f]), T[(b, x)]) != \
+                    E.comp1(T[(b, x2)], F.fmap[C.lsum_one(b, f)]):
+                return False
+    for al in twos:
+        f = B.two_src[al]
+        x, x2 = B.one_src[f], B.one_tgt[f]
+        for b in objs:
+            fb = F.omap[b]
+            if E.hcomp2(D.rsum_two(F.amap[al], fb), E.id2(T[(x, b)])) != \
+                    E.hcomp2(E.id2(T[(x2, b)]), F.amap[C.rsum_two(al, b)]):
+                return False
+            if E.hcomp2(D.lsum_two(fb, F.amap[al]), E.id2(T[(b, x)])) != \
+                    E.hcomp2(E.id2(T[(b, x2)]), F.amap[C.lsum_two(b, al)]):
+                return False
+    for f, g in itertools.product(ones, ones):
+        x, y, x2, y2 = B.one_src[f], B.one_src[g], B.one_tgt[f], B.one_tgt[g]
+        if E.hcomp2(D.sigma(F.fmap[f], F.fmap[g]), E.id2(T[(x, y)])) != \
+                E.hcomp2(E.id2(T[(x2, y2)]), F.amap[C.sigma(f, g)]):
+            return False
+    for x in objs:
+        fx = F.omap[x]
+        if E.comp1(D.rsum_one(M.theta0, fx), T[(e_c, x)]) != E.id1(fx):
+            return False
+        if E.comp1(D.lsum_one(fx, M.theta0), T[(x, e_c)]) != E.id1(fx):
+            return False
+    for x, y, z in itertools.product(objs, objs, objs):
+        if E.comp1(D.rsum_one(T[(x, y)], F.omap[z]), T[(C.sum_obj(x, y), z)]) != \
+                E.comp1(D.lsum_one(F.omap[x], T[(y, z)]), T[(x, C.sum_obj(y, z))]):
+            return False
+    return all(E.comp1(D.beta_obj(F.omap[x], F.omap[y]), T[(x, y)])
+               == E.comp1(T[(y, x)], F.fmap[C.beta_obj(x, y)])
+               for x, y in itertools.product(objs, objs))
+
+
+def test_monoidal_functor_laws_agree_with_the_direct_loops():
+    # every single change of one comparison cell of an identity monoidal
+    # functor, in both variants, and the twisted/untwisted claims both ways
+    cases = []
+    for name in ("F1", "F2", "F3", "F4", "F5", "M3"):
+        M = identity_monoidal_functor(fixture(name))
+        E = M.target.base
+        for variant in VARIANTS:
+            for key, old in [(None, M.theta0), *M.theta.items()]:
+                for new in E.one_src:
+                    if new == old:
+                        continue
+                    if key is None:
+                        cases.append(replace(M, variant=variant, theta0=new))
+                    else:
+                        cases.append(replace(M, variant=variant, theta={**M.theta, key: new}))
+    assert len(cases) == 58
+    twisted, untwisted = _twisted_z2("Z2T", True), _twisted_z2("Z2U", False)
+    cases += [_identity_claim(src, tgt, variant) for src, tgt in
+              ((twisted, untwisted), (untwisted, twisted)) for variant in VARIANTS]
+    # the identity of a Z/2 carrier with the twist as its comparison at
+    # (1,1) is lawful as a normal-oplax functor only
+    lawful = []
+    for C in (twisted, untwisted):
+        M = _identity_claim(C, C, "normal-oplax")
+        lawful.append(replace(M, theta={**M.theta, ("1", "1"): "t0"}))
+        cases.append(replace(lawful[-1], variant="strict"))
+    # and the lawful functors the changes were made from
+    lawful += [replace(identity_monoidal_functor(fixture(name)), variant=variant)
+               for name in ("F1", "F2", "F3", "F4", "F5", "M3") for variant in VARIANTS]
+    lawful += [replace(_collapse_f2_to_f1(), variant=variant) for variant in VARIANTS]
+    verdicts = [validate_monoidal_functor(M).ok for M in cases + lawful]
+    assert verdicts == [_naive_monoidal_functor_ok(M) for M in cases + lawful]
+    assert verdicts == [False] * len(cases) + [True] * len(lawful)

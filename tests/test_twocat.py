@@ -40,22 +40,30 @@ def disc_z2():
 def test_domain_issues_follow_cell_order():
     L = ko_level(promote(fixture("F5")), 2)
     L.fill()
-    one = list(L.one_src)
-    want = [(g, f) for g in one for f in one if L.one_src[g] == L.one_tgt[f]]
-    dropped = want[::40]
-    extra = [(g, f) for g in one for f in one if L.one_src[g] != L.one_tgt[f]][::60]
-    hcomp1 = {k: v for k, v in L.hcomp1_table.items() if k not in dropped}
-    hcomp1.update((k, one[0]) for k in extra)
-    holed = FiniteTwoCategory(
-        "holed", L.objects,
-        {f: (L.one_src[f], L.one_tgt[f], L.one_identity[f]) for f in one},
-        {a: (L.two_src[a], L.two_tgt[a], L.two_identity[a]) for a in L.two_src},
-        L.vcomp_table, hcomp1, L.hcomp2_table)
-    rep = validate_two_category(holed)
-    assert len(dropped) > 3 and len(extra) > 3
-    assert [i.message for i in rep.issues] == (
-        [f"hcomp1 missing entry for {k!r}" for k in dropped]
-        + [f"hcomp1 has entry outside composability domain: {k!r}" for k in extra])
+    one, two = list(L.one_src), list(L.two_src)
+    composable = {
+        "hcomp1": (one, lambda g, f: L.one_src[g] == L.one_tgt[f]),
+        "vcomp": (two, lambda b, a: L.two_src[b] == L.two_tgt[a]),
+        "hcomp2": (two, lambda b, a: L.one_src[L.two_src[b]] == L.one_tgt[L.two_src[a]]),
+    }
+    for name, (cells, ok) in composable.items():
+        want = [(b, a) for b in cells for a in cells if ok(b, a)]
+        dropped = want[::40]
+        extra = [(b, a) for b in cells for a in cells if not ok(b, a)][::60]
+        tables = {t: getattr(L, f"{t}_table") for t in composable}
+        gone = set(dropped)
+        tables[name] = {k: v for k, v in tables[name].items() if k not in gone}
+        tables[name].update((k, cells[0]) for k in extra)
+        holed = FiniteTwoCategory(
+            "holed", L.objects,
+            {f: (L.one_src[f], L.one_tgt[f], L.one_identity[f]) for f in one},
+            {a: (L.two_src[a], L.two_tgt[a], L.two_identity[a]) for a in two},
+            tables["vcomp"], tables["hcomp1"], tables["hcomp2"])
+        rep = validate_two_category(holed)
+        assert len(dropped) > 3 and len(extra) > 3, name
+        assert [i.message for i in rep.issues] == (
+            [f"{name} missing entry for {k!r}" for k in dropped]
+            + [f"{name} has entry outside composability domain: {k!r}" for k in extra]), name
 
 
 def test_terminal_valid():
