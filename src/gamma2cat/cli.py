@@ -522,7 +522,7 @@ def _triangle_p(ceiling):
 
 def _espan(ceiling):
     eta, _ = bounded_unit_target(_f2_gamma2(ceiling), 2, 2, ceiling)
-    span = e_construction(eta)
+    span = e_construction(eta, ceiling)
     return [_examined("espan-F2", validate_espan(span), e_adjunction_check(span))]
 
 
@@ -687,7 +687,7 @@ def cmd_espan(args) -> Report:
     C = _as_gray(resolve_fixture(args.fixture, args.file))
     X = ko_gamma(C, args.cap, cell_ceiling())
     eta, _ = bounded_unit_target(X, args.cap, args.cap, cell_ceiling())
-    span = e_construction(eta)
+    span = e_construction(eta, cell_ceiling())
     r = validate_espan(span)
     rep.add("span-identities", r.ok, str(r.first() or ""))
     ra = e_adjunction_check(span)

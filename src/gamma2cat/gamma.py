@@ -13,25 +13,35 @@ evaluated) targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .subsets import (PointedMap, composable_maps, fold_map, maps_up_to,
                       pointed_identity, segal_injection)
 from .twocat import (
+    IDENTITY_MAPS,
+    PATH_TAGS,
+    S_LEG,
+    T_LEG,
     Cell,
+    CommaFormula,
     EquivalenceReport,
     FiniteTwoCategory,
-    LazyPathLevel,
-    SquareFormula,
     TwoFunctor,
     ValidationReport,
+    arrow,
+    comma,
+    comma_map,
+    comma_section,
     identity_functor,
+    into_comma,
     path_object,
     product_two_category,
     pi0,
     scan_functor,
     scan_naturality,
+    tabulate,
+    tabulate_comma,
     then_maps,
     tuple_functor,
     two_equivalence_check,
@@ -445,6 +455,13 @@ def very_special_check(X: GammaTruncation) -> VerySpecialReport:
 # -- path objects for diagrams -------------------------------------------------------
 
 
+def _levelwise(maps_at: Callable[[int], tuple]) -> Callable[[int, int, Cell], Cell]:
+    """``apply(m, dim, cell)`` of the cell maps ``maps_at(m)`` of each
+    level, built on first use."""
+    maps_at = cache(maps_at)
+    return lambda m, dim, cell: maps_at(m)[dim](cell)
+
+
 @dataclass
 class GammaPathObject:
     base: GammaTruncation
@@ -459,14 +476,10 @@ def gamma_path_object(X: GammaTruncation) -> GammaPathObject:
     """Levelwise arrow 2-categories, with the transition functors on squares."""
     paths = {m: path_object(X.level(m)) for m in range(X.cap + 1)}
     levels = [paths[m].total for m in range(X.cap + 1)]
-    star = LazyPathGamma(X).phi_star
+    star = LazyPathGamma(X).star
 
     def build(phi: PointedMap) -> TwoFunctor:
-        S = levels[phi.m]
-        return TwoFunctor(S, levels[phi.n],
-                          {f: star(phi, 0, f) for f in S.objects},
-                          {k: star(phi, 1, k) for k in S.one_src},
-                          {k: star(phi, 2, k) for k in S.two_src}, name=f"path({phi})")
+        return tabulate(levels[phi.m], levels[phi.n], star(phi), f"path({phi})")
 
     total = GammaTruncation(f"{X.name}^arrow", X.cap, levels, build)
 
@@ -483,59 +496,49 @@ class LazyPathGamma:
         self.Z = Z
         self.cap = Z.cap
         self.name = f"{Z.name}^arrow"
-        self._levels: dict[int, LazyPathLevel] = {}
+        self._levels: dict[int, CommaFormula] = {}
+        self._stars: dict[PointedMap, tuple] = {}
 
-    def level(self, m: int) -> LazyPathLevel:
+    def level(self, m: int) -> CommaFormula:
         if m not in self._levels:
-            self._levels[m] = LazyPathLevel(self.Z.level(m))
+            L = self.Z.level(m)
+            self._levels[m] = CommaFormula(L, L, PATH_TAGS)
         return self._levels[m]
 
+    def star(self, phi: PointedMap) -> tuple:
+        """The cell maps of the transition along phi: both legs and the
+        1-cell of an object go along phi in the base."""
+        if phi not in self._stars:
+            zs, Zn = _star_maps(self.Z, phi), self.Z.level(phi.n)
+            self._stars[phi] = comma_map(PATH_TAGS, lambda o: arrow(Zn, zs[1](o[2])), zs, zs)
+        return self._stars[phi]
+
     def phi_star(self, phi: PointedMap, dim: int, cell):
-        Z = self.Z
-        if dim == 0:
-            return Z.phi_star(phi, 1, cell)
-        if dim == 1:
-            return ("p1", Z.phi_star(phi, 1, cell[1]), Z.phi_star(phi, 1, cell[2]),
-                    Z.phi_star(phi, 1, cell[3]), Z.phi_star(phi, 1, cell[4]))
-        return ("p2", self.phi_star(phi, 1, cell[1]), self.phi_star(phi, 1, cell[2]),
-                Z.phi_star(phi, 2, cell[3]), Z.phi_star(phi, 2, cell[4]))
+        return self.star(phi)[dim](cell)
 
     def evaluation(self, side: int) -> GammaLaxMap:
         """The strict map extracting the source (side 0) or target (side 1)."""
-        Z = self.Z
-
-        def apply_fn(m, dim, cell):
-            if dim == 0:
-                return (Z.level(m).src1 if side == 0 else Z.level(m).tgt1)(cell)
-            return cell[3 + side]
-
-        return strict_lax_map(self, Z, apply_fn, name=f"e{side}")
+        leg = (T_LEG, S_LEG)[side]
+        return strict_lax_map(self, self.Z, lambda m, dim, cell: leg[dim](cell),
+                              name=f"e{side}")
 
 
 def transformation_to_path_lax(t: GammaTransformation, P: GammaPathObject) -> GammaLaxMap:
     """Encode (h, k, lambda) as a single lax map into the path diagram."""
     X: GammaTruncation = t.h.source
-    Y: GammaTruncation = t.h.target
+    Y = t.h.target
+    h, k = t.h, t.k
 
-    def apply_fn(m, dim, cell):
-        S = X.level(m)
-        if dim == 0:
-            return t.at(m, cell)
-        if dim == 1:
-            x, y = S.src1(cell), S.tgt1(cell)
-            return ("p1", t.at(m, x), t.at(m, y),
-                    t.h.apply(m, 1, cell), t.k.apply(m, 1, cell))
-        f, g = S.src2(cell), S.tgt2(cell)
-        x, y = S.src1(f), S.tgt1(f)
-        k1 = ("p1", t.at(m, x), t.at(m, y), t.h.apply(m, 1, f), t.k.apply(m, 1, f))
-        k2 = ("p1", t.at(m, x), t.at(m, y), t.h.apply(m, 1, g), t.k.apply(m, 1, g))
-        return ("p2", k1, k2, t.h.apply(m, 2, cell), t.k.apply(m, 2, cell))
+    def maps_at(m):
+        return into_comma(X.level(m), PATH_TAGS,
+                          lambda x: arrow(Y.level(m), t.at(m, x)),
+                          k.cell_maps(m), h.cell_maps(m))
+
+    apply_fn = _levelwise(maps_at)
 
     def lax(phi: PointedMap, x):
-        m, n = phi.m, phi.n
-        src = Y.phi_star(phi, 1, t.at(m, x))
-        tgt = t.at(n, X.phi_star(phi, 0, x))
-        return ("p1", src, tgt, t.h.lax(phi, x), t.k.lax(phi, x))
+        return ("p1", P.total.phi_star(phi, 0, apply_fn(phi.m, 0, x)),
+                apply_fn(phi.n, 0, X.phi_star(phi, 0, x)), k.lax(phi, x), h.lax(phi, x))
 
     return GammaLaxMap(X, P.total, apply_fn, lax, name=f"tilde({t.name})")
 
@@ -546,12 +549,14 @@ def path_lax_to_transformation(lt: GammaLaxMap, P: GammaPathObject) -> GammaTran
     k = compose_lax(P.e1, lt)
 
     def comp(m, x):
-        return lt.apply(m, 0, x)
+        return lt.apply(m, 0, x)[2]
 
     return GammaTransformation(h, k, comp, name=f"untilde({lt.name})")
 
 
 # -- the span construction -----------------------------------------------------------
+
+E_TAGS = ("e0c", "e1c", "e2c")
 
 
 @dataclass
@@ -564,115 +569,55 @@ class ESpan:
     path: LazyPathGamma
 
 
-def e_construction(k: GammaLaxMap) -> ESpan:
+def e_construction(k: GammaLaxMap, ceiling: int | None = None) -> ESpan:
     """Replace the lax map k: X -> Z by a span of strict maps X <- Ek -> Z.
 
-    Level objects are triples (x, f, a) with f: a -> k(x); 1-cells are pairs
-    of 1-cells forming a commuting square over k; 2-cells are pairs of
-    2-cells with the matching whisker condition.  Both source and target of
-    k must be tabulated truncations.
+    Level m is the comma 2-category (id | k_m): objects ``("e0c", x, f, a)``
+    with f: a -> k(x), 1-cells ``("e1c", o1, o2, s, r)`` with s in X and r in
+    Z forming a commuting square over k, and 2-cells the pairs of 2-cells with
+    the matching whisker condition.  The retraction ``omega`` is the S-leg
+    and ``nu`` the T-leg; the transitions are built on first use.  Both
+    source and target of k must be tabulated truncations; ``ceiling`` bounds
+    the cells each level lists and, with their composites, holds.
     """
     X: GammaTruncation = k.source
     Z: GammaTruncation = k.target
-    cap = X.cap
-    levels = []
-    keyed = []
-    for m in range(cap + 1):
-        S, T = X.level(m), Z.level(m)
-        objs = []
-        for x in S.objects:
-            kx = k.apply(m, 0, x)
-            for a in T.objects:
-                for f in T.one_cells_between(a, kx):
-                    objs.append(("e0c", x, f, a))
-        one = {}
-        for o1 in objs:
-            _, x, f, a = o1
-            for o2 in objs:
-                _, y, g, b = o2
-                for s in S.one_cells_between(x, y):
-                    ks = k.apply(m, 1, s)
-                    for r in T.one_cells_between(a, b):
-                        if T.comp1(g, r) == T.comp1(ks, f):
-                            ident = (o1 == o2 and S.is_id1(s) and T.is_id1(r))
-                            one[("e1c", o1, o2, s, r)] = (o1, o2, ident)
-        two = {}
-        for key1, (o1, o2, _) in one.items():
-            _, _, _, s, r = key1
-            _, x, f, a = o1
-            _, y, g, b = o2
-            for key2, (p1, p2, _) in one.items():
-                if p1 != o1 or p2 != o2:
-                    continue
-                s2, r2 = key2[3], key2[4]
-                for be in S.two_cells_between(s, s2):
-                    for al in T.two_cells_between(r, r2):
-                        lhs = T.hcomp2(T.id2(g), al)
-                        rhs = T.hcomp2(k.apply(m, 2, be), T.id2(f))
-                        if lhs == rhs:
-                            ident = key1 == key2 and S.is_id2(be) and T.is_id2(al)
-                            two[("e2c", key1, key2, be, al)] = (key1, key2, ident)
-        levels.append(FiniteTwoCategory(f"E({k.name})({m})", objs, one, two,
-                                        formula=SquareFormula(S, T, "e1c", "e2c")))
-        keyed.append((objs, one, two))
+    levels = [comma(X.level(m), Z.level(m), k.cell_maps(m), E_TAGS, f"E({k.name})({m})",
+                    ceiling) for m in range(X.cap + 1)]
 
-    maps = {}
-    for phi in X.all_maps():
-        m, n = phi.m, phi.n
-        Sn = X.level(n)
-        Tn = Z.level(n)
-        omap = {}
-        for o in keyed[m][0]:
+    def build(phi: PointedMap) -> TwoFunctor:
+        xs, zs = _star_maps(X, phi), _star_maps(Z, phi)
+        Tn = Z.level(phi.n)
+
+        def obj(o):
             _, x, f, a = o
-            new_f = Tn.comp1(k.lax(phi, x), Z.phi_star(phi, 1, f))
-            omap[o] = ("e0c", X.phi_star(phi, 0, x), new_f, Z.phi_star(phi, 0, a))
-        fmap = {}
-        for key, (o1, o2, _) in keyed[m][1].items():
-            fmap[key] = ("e1c", omap[o1], omap[o2],
-                         X.phi_star(phi, 1, key[3]), Z.phi_star(phi, 1, key[4]))
-        amap = {}
-        for key, (k1, k2, _) in keyed[m][2].items():
-            amap[key] = ("e2c", fmap[k1], fmap[k2],
-                         X.phi_star(phi, 2, key[3]), Z.phi_star(phi, 2, key[4]))
-        maps[phi] = TwoFunctor(levels[m], levels[n], omap, fmap, amap, name=f"E({phi})")
-    Ek = GammaTruncation(f"E({k.name})", cap, levels, maps.get)
+            return ("e0c", xs[0](x), Tn.comp1(k.lax(phi, x), zs[1](f)), zs[0](a))
 
-    def omega_apply(m, dim, cell):
-        if dim == 0:
-            return cell[1]
-        return cell[3]
+        S = levels[phi.m]
+        return tabulate_comma(S, levels[phi.n], E_TAGS, {o: obj(o) for o in S.objects},
+                              xs, zs, f"E({phi})")
 
-    omega = strict_lax_map(Ek, X, omega_apply, name="omega")
-
+    Ek = GammaTruncation(f"E({k.name})", X.cap, levels, build)
+    omega = strict_lax_map(Ek, X, lambda m, dim, cell: S_LEG[dim](cell), name="omega")
+    nu = strict_lax_map(Ek, Z, lambda m, dim, cell: T_LEG[dim](cell), name="nu")
     path = LazyPathGamma(Z)
 
-    def nu_bar_apply(m, dim, cell):
-        if dim == 0:
-            return cell[2]
-        if dim == 1:
-            _, o1, o2, s, r = cell
-            return ("p1", o1[2], o2[2], r, k.apply(m, 1, s))
-        _, key1, key2, be, al = cell
-        return ("p2", nu_bar_apply(m, 1, key1), nu_bar_apply(m, 1, key2),
-                al, k.apply(m, 2, be))
+    # nu_bar sends (x, f, a) to the arrow f, and a higher cell's S-leg along k
+    def nu_bar_maps(m):
+        Zm = Z.level(m)
+        omap = {o: arrow(Zm, o[2]) for o in levels[m].objects}
+        return comma_map(PATH_TAGS, omap.__getitem__, k.cell_maps(m), IDENTITY_MAPS)
+
+    nu_bar_apply = _levelwise(nu_bar_maps)
 
     def nu_bar_lax(phi: PointedMap, cell):
-        m, n = phi.m, phi.n
         _, x, f, a = cell
-        Tn = Z.level(n)
-        src_f = Z.phi_star(phi, 1, f)
-        tgt_f = Tn.comp1(k.lax(phi, x), src_f)
-        return ("p1", src_f, tgt_f,
-                Tn.id1(Z.phi_star(phi, 0, a)), k.lax(phi, x))
+        Tn = Z.level(phi.n)
+        pushed, lax = Z.phi_star(phi, 1, f), k.lax(phi, x)
+        return ("p1", arrow(Tn, pushed), arrow(Tn, Tn.comp1(lax, pushed)), lax,
+                Tn.id1(Z.phi_star(phi, 0, a)))
 
     nu_bar = GammaLaxMap(Ek, path, nu_bar_apply, nu_bar_lax, name="nu_bar")
-
-    def nu_apply(m, dim, cell):
-        if dim == 0:
-            return cell[3]
-        return cell[4]
-
-    nu = strict_lax_map(Ek, Z, nu_apply, name="nu")
     return ESpan(k, Ek, omega, nu_bar, nu, path)
 
 
@@ -721,20 +666,8 @@ def e_section(span: ESpan) -> GammaLaxMap:
     X: GammaTruncation = span.k.source
     Z: GammaTruncation = span.k.target
     k = span.k
-
-    def apply_fn(m, dim, cell):
-        S = X.level(m)
-        T = Z.level(m)
-        if dim == 0:
-            kx = k.apply(m, 0, cell)
-            return ("e0c", cell, T.id1(kx), kx)
-        if dim == 1:
-            o1 = apply_fn(m, 0, S.src1(cell))
-            o2 = apply_fn(m, 0, S.tgt1(cell))
-            return ("e1c", o1, o2, cell, k.apply(m, 1, cell))
-        k1 = apply_fn(m, 1, S.src2(cell))
-        k2 = apply_fn(m, 1, S.tgt2(cell))
-        return ("e2c", k1, k2, cell, k.apply(m, 2, cell))
+    apply_fn = _levelwise(lambda m: comma_section(X.level(m), Z.level(m), k.cell_maps(m),
+                                                  E_TAGS))
 
     # i is strict only when k is; its laxity square inherits k's cells
     def lax(phi: PointedMap, x):
@@ -818,18 +751,12 @@ def e_on_square(span_top: ESpan, span_bot: ESpan, h: GammaLaxMap, j: GammaLaxMap
             if lhs != rhs:
                 raise ValueError(f"square does not commute laxly at {phi}, {x!r}")
 
-    def apply_fn(m, dim, cell):
-        if dim == 0:
-            _, x, f, a = cell
-            return ("e0c", h.apply(m, 0, x), j.apply(m, 1, f), j.apply(m, 0, a))
-        if dim == 1:
-            _, o1, o2, s, r = cell
-            return ("e1c", apply_fn(m, 0, o1), apply_fn(m, 0, o2),
-                    h.apply(m, 1, s), j.apply(m, 1, r))
-        _, k1, k2, be, al = cell
-        return ("e2c", apply_fn(m, 1, k1), apply_fn(m, 1, k2),
-                h.apply(m, 2, be), j.apply(m, 2, al))
+    def maps_at(m):
+        return comma_map(E_TAGS, lambda o: ("e0c", h.apply(m, 0, o[1]), j.apply(m, 1, o[2]),
+                                            j.apply(m, 0, o[3])),
+                         h.cell_maps(m), j.cell_maps(m))
 
+    apply_fn = _levelwise(maps_at)
     return strict_lax_map(span_top.Ek, span_bot.Ek, apply_fn, name="E(square)")
 
 
@@ -838,15 +765,10 @@ def e_of_transformation(span_h: ESpan, span_k: ESpan, t: GammaTransformation) ->
     comparison 1-cell into the anchor and keep 1- and 2-cells unchanged."""
     Y = t.h.target
 
-    def apply_fn(m, dim, cell):
+    def maps_at(m):
         T = Y.level(m)
-        if dim == 0:
-            _, x, f, a = cell
-            return ("e0c", x, T.comp1(t.at(m, x), f), a)
-        if dim == 1:
-            _, o1, o2, s, r = cell
-            return ("e1c", apply_fn(m, 0, o1), apply_fn(m, 0, o2), s, r)
-        _, k1, k2, be, al = cell
-        return ("e2c", apply_fn(m, 1, k1), apply_fn(m, 1, k2), be, al)
+        return comma_map(E_TAGS, lambda o: ("e0c", o[1], T.comp1(t.at(m, o[1]), o[2]), o[3]),
+                         IDENTITY_MAPS, IDENTITY_MAPS)
 
+    apply_fn = _levelwise(maps_at)
     return strict_lax_map(span_h.Ek, span_k.Ek, apply_fn, name=f"E({t.name})")

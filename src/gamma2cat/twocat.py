@@ -12,10 +12,12 @@ domains:
   leg and b over the second, living over ``hcomp1[(g, f)]``.
 
 A category given by its tables (a fixture) holds them in full.  A derived
-category (a K-theory level, an arrow 2-category, a product, a span level)
-is given instead by the formula its cells compose by: a lookup computes a
-composite on first use and memoizes it, and ``fill`` completes the tables
-for the scans that read them whole.  Associativity and interchange
+category (a K-theory level, a product, a comma 2-category) is given instead
+by the formula its cells compose by: a lookup computes a composite on first
+use and memoizes it, and ``fill`` completes the tables for the scans that
+read them whole.  One enumerator, ``comma``, lists the comma 2-categories
+(id | F): arrow 2-categories (path objects) at F = id, the levels of the
+span construction at F = k_m.  Associativity and interchange
 (checked by ``validate_two_category``) make the fold order of any pasting
 diagram immaterial.
 
@@ -37,6 +39,7 @@ cells) all check them through these two scans.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, getitem, itemgetter
 from typing import Hashable, Iterable, Mapping
@@ -391,16 +394,17 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
         if C.one_src[f] != C.one_src[g] or C.one_tgt[f] != C.one_tgt[g]:
             rep.add("structure", f"2-cell {a!r} not between parallel 1-cells")
 
+    # identity cells, counted once per endpoint
+    id1s = Counter(C.one_src[f] for f, isid in C.one_identity.items()
+                   if isid and C.one_src[f] == C.one_tgt[f])
     for x in C.objects:
-        ids = [f for f in C.one_src
-               if C.one_identity[f] and C.one_src[f] == x and C.one_tgt[f] == x]
-        if len(ids) != 1:
-            rep.add("structure", f"object {x!r} has {len(ids)} identity 1-cells (want 1)")
+        if id1s[x] != 1:
+            rep.add("structure", f"object {x!r} has {id1s[x]} identity 1-cells (want 1)")
+    id2s = Counter(C.two_src[a] for a, isid in C.two_identity.items()
+                   if isid and C.two_src[a] == C.two_tgt[a])
     for f in C.one_src:
-        ids = [a for a in C.two_src
-               if C.two_identity[a] and C.two_src[a] == f and C.two_tgt[a] == f]
-        if len(ids) != 1:
-            rep.add("structure", f"1-cell {f!r} has {len(ids)} identity 2-cells (want 1)")
+        if id2s[f] != 1:
+            rep.add("structure", f"1-cell {f!r} has {id2s[f]} identity 2-cells (want 1)")
     for f in C.one_src:
         if C.one_identity[f] and C.one_src[f] != C.one_tgt[f]:
             rep.add("structure", f"identity-flagged 1-cell {f!r} is not an endo-cell")
@@ -744,14 +748,15 @@ class TwoFunctor:
         )
 
 
+def tabulate(S: FiniteTwoCategory, T, maps: tuple, name: str = "") -> TwoFunctor:
+    """The 2-functor S -> T of the cell maps ``maps``, tabulated on S."""
+    f0, f1, f2 = maps
+    return TwoFunctor(S, T, {x: f0(x) for x in S.objects}, {f: f1(f) for f in S.one_src},
+                      {a: f2(a) for a in S.two_src}, name=name)
+
+
 def identity_functor(C: FiniteTwoCategory) -> TwoFunctor:
-    return TwoFunctor(
-        C, C,
-        {x: x for x in C.objects},
-        {f: f for f in C.one_src},
-        {a: a for a in C.two_src},
-        name=f"id_{C.name}",
-    )
+    return tabulate(C, C, IDENTITY_MAPS, f"id_{C.name}")
 
 
 def validate_two_functor(F: TwoFunctor) -> ValidationReport:
@@ -883,21 +888,44 @@ def two_equivalence_check(F: TwoFunctor) -> EquivalenceReport:
     return EquivalenceReport(True, None, is_isomorphism_of_two_categories(F))
 
 
-# -- path objects --------------------------------------------------------------
+# -- comma 2-categories and path objects -----------------------------------------
+# The comma 2-category (id_T | F) of cell maps F: S -> T has objects
+# ``(tag0, x, f, a)`` with f: a -> F x in T, 1-cells ``(tag1, o1, o2, s, r)``
+# with s: x -> y in S (the S-leg) and r: a -> b in T (the T-leg) such that
+# g.r = F s . f, and 2-cells ``(tag2, k1, k2, be, al)`` with
+# id2(g) * al = F be * id2(f).  The arrow 2-category of C is the case
+# S = T = C, F = id; a level of the span construction is the case F = k_m.
+
+PATH_TAGS = ("p0", "p1", "p2")
+IDENTITY_MAPS = (lambda c: c,) * 3
+# the cell maps of the two legs: the S-leg to S and the T-leg to T
+S_LEG = (itemgetter(1), itemgetter(3), itemgetter(3))
+T_LEG = (itemgetter(3), itemgetter(4), itemgetter(4))
 
 
-class SquareFormula:
-    """Composition of squares between two 2-categories S and T.
+class CommaFormula:
+    """The cell operations of a comma 2-category over S and T, evaluated on
+    demand: the legs of higher cells compose and take identities in S and
+    in T, and every cell carries its endpoints in fields 1 and 2."""
 
-    A 1-cell is a tagged tuple ``(tag1, src, tgt, l, r)`` and a 2-cell a
-    tuple ``(tag2, src, tgt, l, r)``: the legs ``l`` compose in S and the
-    legs ``r`` in T.  The arrow 2-category has S = T; the span construction
-    pairs a source level with a target level.
-    """
+    src1 = src2 = staticmethod(itemgetter(1))
+    tgt1 = tgt2 = staticmethod(itemgetter(2))
 
-    def __init__(self, S, T, tag1: str, tag2: str):
+    def __init__(self, S, T, tags: tuple):
         self.S, self.T = S, T
-        self.tag1, self.tag2 = tag1, tag2
+        _, self.tag1, self.tag2 = tags
+
+    def id1(self, o):
+        return (self.tag1, o, o, self.S.id1(o[1]), self.T.id1(o[3]))
+
+    def id2(self, k):
+        return (self.tag2, k, k, self.S.id2(k[3]), self.T.id2(k[4]))
+
+    def is_id1(self, k):
+        return k[1] == k[2] and self.S.is_id1(k[3]) and self.T.is_id1(k[4])
+
+    def is_id2(self, k):
+        return k[1] == k[2] and self.S.is_id2(k[3]) and self.T.is_id2(k[4])
 
     def comp1(self, kg, kf):
         return (self.tag1, kf[1], kg[2],
@@ -912,37 +940,113 @@ class SquareFormula:
                 self.S.hcomp2(b[3], a[3]), self.T.hcomp2(b[4], a[4]))
 
 
-class LazyPathLevel(SquareFormula):
-    """Arrow-2-category operations over an arbitrary level, without
-    enumeration: objects are the level's 1-cells, and the higher cells are
-    the commuting pairs ``("p1", f, g, r, s)`` and ``("p2", k1, k2, al,
-    be)``, computed on demand."""
+def comma(S: FiniteTwoCategory, T: FiniteTwoCategory, F: tuple, tags: tuple, name: str,
+          ceiling: int | None = None) -> FiniteTwoCategory:
+    """The comma 2-category (id_T | F) of the cell maps ``F = (F0, F1, F2)``
+    from S to T, its cells tagged by ``tags``.
 
-    def __init__(self, L):
-        super().__init__(L, L, "p1", "p2")
-        self.L = L
+    Objects are listed by x, then a, then f; 1-cells hom by hom, the S-leg
+    before the T-leg; the 2-cells of each 1-cell over the 1-cells of its own
+    hom.  Raises ``CellCeilingExceeded`` as soon as the cells listed pass
+    ``ceiling``, which also bounds the ``fill`` of the result."""
+    F0, F1, F2 = F
+    tag0, tag1, tag2 = tags
+    objs = [(tag0, x, f, a) for x in S.objects for a in T.objects
+            for f in T.one_cells_between(a, F0(x))]
+    one: dict[Cell, tuple[Cell, Cell, bool]] = {}
+    two: dict[Cell, tuple[Cell, Cell, bool]] = {}
 
-    def id1(self, f):
-        L = self.L
-        return ("p1", f, f, L.id1(L.src1(f)), L.id1(L.tgt1(f)))
+    def listed() -> None:
+        total = len(objs) + len(one) + len(two)
+        if ceiling is not None and total > ceiling:
+            raise CellCeilingExceeded("comma enumeration", total, ceiling)
 
-    def id2(self, k):
-        L = self.L
-        return ("p2", k, k, L.id2(k[3]), L.id2(k[4]))
+    listed()
+    homs = []
+    for o1 in objs:
+        _, x, f, a = o1
+        for o2 in objs:
+            _, y, g, b = o2
+            hom = []
+            for s in S.one_cells_between(x, y):
+                Ff = T.comp1(F1(s), f)
+                for r in T.one_cells_between(a, b):
+                    if T.comp1(g, r) == Ff:
+                        k = (tag1, o1, o2, s, r)
+                        hom.append(k)
+                        one[k] = (o1, o2, o1 == o2 and S.is_id1(s) and T.is_id1(r))
+            if hom:
+                homs.append(hom)
+                listed()
+    for hom in homs:
+        for k1 in hom:
+            _, o1, o2, s, r = k1
+            id_f, id_g = T.id2(o1[2]), T.id2(o2[2])
+            for k2 in hom:
+                als = T.two_cells_between(r, k2[4])
+                lhs = [T.hcomp2(id_g, al) for al in als]
+                for be in S.two_cells_between(s, k2[3]):
+                    rhs = T.hcomp2(F2(be), id_f)
+                    for al, whiskered in zip(als, lhs):
+                        if whiskered == rhs:
+                            two[(tag2, k1, k2, be, al)] = (
+                                k1, k2, k1 == k2 and S.is_id2(be) and T.is_id2(al))
+            listed()
+    return FiniteTwoCategory(name, objs, one, two, formula=CommaFormula(S, T, tags),
+                             ceiling=ceiling)
 
-    def src1(self, k):
-        return k[1]
 
-    def tgt1(self, k):
-        return k[2]
+def into_comma(C, tags: tuple, obj, s_maps: tuple, t_maps: tuple) -> tuple:
+    """The cell maps from C to a comma 2-category tagged ``tags`` that send
+    objects by ``obj`` and a higher cell c to the images of its endpoints
+    (which C gives) with legs ``s_maps(c)`` and ``t_maps(c)``."""
+    _, tag1, tag2 = tags
+    _, s1, s2 = s_maps
+    _, t1, t2 = t_maps
 
-    src2, tgt2 = src1, tgt1
+    def one(f):
+        return (tag1, obj(C.src1(f)), obj(C.tgt1(f)), s1(f), t1(f))
 
-    def is_id1(self, k):
-        return k[1] == k[2] and self.L.is_id1(k[3]) and self.L.is_id1(k[4])
+    def two(a):
+        return (tag2, one(C.src2(a)), one(C.tgt2(a)), s2(a), t2(a))
 
-    def is_id2(self, k):
-        return k[1] == k[2] and self.L.is_id2(k[3]) and self.L.is_id2(k[4])
+    return (obj, one, two)
+
+
+def _comma_cells(tag: str, ends, s_leg, t_leg):
+    """The map of comma cells of one dimension that sends their endpoints by
+    ``ends`` and their S-legs and T-legs by ``s_leg`` and ``t_leg``."""
+    return lambda k: (tag, ends(k[1]), ends(k[2]), s_leg(k[3]), t_leg(k[4]))
+
+
+def comma_map(tags: tuple, obj, s_maps: tuple, t_maps: tuple) -> tuple:
+    """The cell maps between comma 2-categories that send objects by ``obj``
+    and the S-legs and T-legs of higher cells by ``s_maps`` and ``t_maps``
+    (``into_comma`` with the source's endpoints and legs read off its cells)."""
+    one = _comma_cells(tags[1], obj, s_maps[1], t_maps[1])
+    return (obj, one, _comma_cells(tags[2], one, s_maps[2], t_maps[2]))
+
+
+def tabulate_comma(S: FiniteTwoCategory, T, tags: tuple, omap: dict, s_maps: tuple,
+                   t_maps: tuple, name: str) -> TwoFunctor:
+    """``comma_map`` tabulated on the comma 2-category S from the object
+    images ``omap``; the image of a 2-cell shares those of its endpoints."""
+    one = _comma_cells(tags[1], omap.__getitem__, s_maps[1], t_maps[1])
+    fmap = {k: one(k) for k in S.one_src}
+    two = _comma_cells(tags[2], fmap.__getitem__, s_maps[2], t_maps[2])
+    return TwoFunctor(S, T, omap, fmap, {a: two(a) for a in S.two_src}, name=name)
+
+
+def comma_section(S, T, F: tuple, tags: tuple) -> tuple:
+    """The cell maps of the section S -> (id_T | F), x |-> (x, id F x, F x)."""
+    tag0 = tags[0]
+    F0 = F[0]
+    return into_comma(S, tags, lambda x: (tag0, x, T.id1(F0(x)), F0(x)), IDENTITY_MAPS, F)
+
+
+def arrow(C, f: Cell) -> tuple:
+    """The 1-cell f of C as an object of the arrow 2-category of C."""
+    return (PATH_TAGS[0], C.tgt1(f), f, C.src1(f))
 
 
 @dataclass
@@ -955,82 +1059,25 @@ class PathObject:
 
 
 def path_object(C: FiniteTwoCategory) -> PathObject:
-    """The arrow 2-category of C with its two evaluations and the section.
+    """The arrow 2-category of C, the comma (id | id), with its two
+    evaluations and the section.
 
-    Objects of the total are 1-cells f of C; 1-cells f -> g are pairs (r, s)
-    with g.r = s.f; 2-cells are pairs (al, be) with id2(g)*al = be*id2(f).
+    An object ``("p0", y, f, x)`` is a 1-cell f: x -> y of C.  ``e0``
+    evaluates at the source (the T-leg), ``e1`` at the target (the S-leg),
+    and ``i`` sends each object to its identity 1-cell.
     """
-    objs = list(C.one_src)
-    one: dict[Cell, tuple[Cell, Cell, bool]] = {}
-    for f in objs:
-        for g in objs:
-            for r in C.one_cells_between(C.one_src[f], C.one_src[g]):
-                for s in C.one_cells_between(C.one_tgt[f], C.one_tgt[g]):
-                    if C.comp1(g, r) == C.comp1(s, f):
-                        ident = (
-                            f == g and r == C.id1(C.one_src[f]) and s == C.id1(C.one_tgt[f])
-                        )
-                        one[("p1", f, g, r, s)] = (f, g, ident)
-    two: dict[Cell, tuple[Cell, Cell, bool]] = {}
-    for k1, (f, g, _) in one.items():
-        _, _, r, s = k1[1], k1[2], k1[3], k1[4]
-        for k2, (f2, g2, _) in one.items():
-            if f2 != f or g2 != g:
-                continue
-            r2, s2 = k2[3], k2[4]
-            for al in C.two_cells_between(r, r2):
-                for be in C.two_cells_between(s, s2):
-                    if whisker_l(C, g, al) == whisker_r(C, be, f):
-                        ident = k1 == k2 and C.is_id2(al) and C.is_id2(be)
-                        two[("p2", k1, k2, al, be)] = (k1, k2, ident)
-    total = FiniteTwoCategory(f"{C.name}^arrow", objs, one, two, formula=LazyPathLevel(C))
-    e0 = TwoFunctor(
-        total, C,
-        {f: C.one_src[f] for f in objs},
-        {k: k[3] for k in one},
-        {k: k[3] for k in two},
-        name="e0",
-    )
-    e1 = TwoFunctor(
-        total, C,
-        {f: C.one_tgt[f] for f in objs},
-        {k: k[4] for k in one},
-        {k: k[4] for k in two},
-        name="e1",
-    )
-    i = TwoFunctor(
-        C, total,
-        {x: C.id1(x) for x in C.objects},
-        {f: ("p1", C.id1(C.one_src[f]), C.id1(C.one_tgt[f]), f, f) for f in C.one_src},
-        {
-            a: (
-                "p2",
-                ("p1", C.id1(s_o := C.one_src[C.two_src[a]]), C.id1(t_o := C.one_tgt[C.two_src[a]]),
-                 C.two_src[a], C.two_src[a]),
-                ("p1", C.id1(s_o), C.id1(t_o), C.two_tgt[a], C.two_tgt[a]),
-                a, a,
-            )
-            for a in C.two_src
-        },
-        name="i",
-    )
-    return PathObject(C, total, e0, e1, i)
+    total = comma(C, C, IDENTITY_MAPS, PATH_TAGS, f"{C.name}^arrow")
+    return PathObject(C, total, tabulate(total, C, T_LEG, "e0"),
+                      tabulate(total, C, S_LEG, "e1"),
+                      tabulate(C, total, comma_section(C, C, IDENTITY_MAPS, PATH_TAGS), "i"))
 
 
 def transformation_to_path_functor(t: Transformation2, P: PathObject) -> TwoFunctor:
     """Encode a 2-natural transformation as a functor into the path object."""
-    C = t.F.source
-    D = t.F.target
-    omap = {x: t.components[x] for x in C.objects}
-    fmap = {}
-    for f in C.one_src:
-        a, b = C.one_src[f], C.one_tgt[f]
-        fmap[f] = ("p1", t.components[a], t.components[b], t.F.fmap[f], t.G.fmap[f])
-    amap = {}
-    for al in C.two_src:
-        f, g = C.two_src[al], C.two_tgt[al]
-        amap[al] = ("p2", fmap[f], fmap[g], t.F.amap[al], t.G.amap[al])
-    return TwoFunctor(C, P.total, omap, fmap, amap, name="tilde")
+    F, G = t.F, t.G
+    return tabulate(F.source, P.total, into_comma(
+        F.source, PATH_TAGS, lambda x: arrow(F.target, t.components[x]),
+        G.cell_maps(), F.cell_maps()), "tilde")
 
 
 # -- products ------------------------------------------------------------------

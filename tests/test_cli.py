@@ -193,6 +193,19 @@ def test_cubical_level_three_stops_at_the_ceiling(monkeypatch, capsys):
     assert "during level build: 1001 > 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, ceiling, stage", [
+    # over F2 the span levels have as many cells as the unit's target (219
+    # at level 2), so the ceiling first trips on the composites of level 1
+    ("F2", "219", "table fill: 352 > 219"),
+    # over F3 span level 2 lists 2110 cells against the target's 531
+    ("F3", "1000", "comma enumeration: 1002 > 1000"),
+])
+def test_espan_stops_at_the_ceiling(monkeypatch, capsys, name, ceiling, stage):
+    monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", ceiling)
+    assert run(["espan", "--fixture", name]) == 3
+    assert f"during {stage}" in capsys.readouterr().err
+
+
 def test_reports_byte_deterministic():
     code1, out1 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])
     code2, out2 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])

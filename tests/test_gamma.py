@@ -7,6 +7,7 @@ from gamma2cat.ktheory import ko_gamma, ko_map, kt_gamma
 from gamma2cat.monoidal import MonoidalFunctor
 from gamma2cat.twocat import TwoFunctor, validate_two_category, is_isomorphism_of_two_categories
 from gamma2cat.gamma import (
+    E_TAGS,
     GammaLaxMap,
     GammaTransformation,
     GammaTruncation,
@@ -32,6 +33,7 @@ from gamma2cat.gamma import (
     validate_transformation_gamma,
     very_special_check,
 )
+from test_twocat import all_pairs_comma, listed_cells
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +293,20 @@ def test_espan_strict_collapse_case(f2_gamma2, f1_gamma):
             want = k.apply(m, 0, span.omega.apply(m, 0, cell))
             got_tgt = span.Ek.level(m)
             # nu lands where k . omega does up to the anchoring arrow
-            assert f1_gamma.level(m).tgt1(span.nu_bar.apply(m, 0, cell)) == want
+            _, _, arrow, _ = span.nu_bar.apply(m, 0, cell)
+            assert f1_gamma.level(m).tgt1(arrow) == want
+
+
+@pytest.mark.parametrize("case", ["id-Ko(F2)@2", "id-Ko(F4)@1", "collapse"])
+def test_span_levels_list_the_cells_of_the_all_pairs_loops(case, f2_gamma2, f1_gamma):
+    k = {"id-Ko(F2)@2": lambda: identity_lax_map(f2_gamma2),
+         "id-Ko(F4)@1": lambda: identity_lax_map(ko_gamma(promote(fixture("F4")), 1)),
+         "collapse": lambda: _collapse_map(f2_gamma2, f1_gamma)}[case]()
+    Ek = e_construction(k).Ek
+    for m in range(Ek.cap + 1):
+        oracle = all_pairs_comma(k.source.level(m), k.target.level(m), k.cell_maps(m), E_TAGS)
+        assert listed_cells(Ek.level(m)) == oracle
+    assert oracle[2]
 
 
 def test_e_on_square_identity(f2_gamma2):

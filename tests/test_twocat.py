@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gamma2cat.gamma import E_TAGS, e_construction, identity_lax_map
 from gamma2cat.inversek import GrothPerm
 from gamma2cat.ktheory import LazyKtLevel, ko_gamma, ko_level, kt_level
 from gamma2cat.monoidal import fixture, promote
@@ -11,11 +12,15 @@ from gamma2cat.subsets import all_pointed_maps
 from gamma2cat.twocat import (
     CELL_OPERATIONS,
     ENUMERATION_OPERATIONS,
+    IDENTITY_MAPS,
+    PATH_TAGS,
+    CellCeilingExceeded,
+    CommaFormula,
     FiniteTwoCategory,
-    LazyPathLevel,
     Transformation2,
     TwoFunctor,
     ValidationReport,
+    comma,
     identity_functor,
     internal_equivalence_classes,
     is_isomorphism_of_two_categories,
@@ -102,6 +107,25 @@ def test_structural_error_precedes_axiom_scan():
     rep = validate_two_category(broken)
     assert not rep.ok
     assert rep.issues[0].kind == "structure"
+
+
+@pytest.mark.parametrize("one, two, message", [
+    # a 1-cell without its identity 2-cell
+    ({"u": ("0", "1", False)}, {},
+     "1-cell 'u' has 0 identity 2-cells (want 1)"),
+    # a second identity-flagged loop on one object
+    ({"j0": ("0", "0", True)}, {"jj0": ("j0", "j0", True)},
+     "object '0' has 2 identity 1-cells (want 1)"),
+])
+def test_identity_cells_are_counted_per_endpoint(one, two, message):
+    C = disc_z2()
+    broken = FiniteTwoCategory(
+        "F2i", C.objects,
+        {**{f: (C.one_src[f], C.one_tgt[f], C.one_identity[f]) for f in C.one_src}, **one},
+        {**{a: (C.two_src[a], C.two_tgt[a], C.two_identity[a]) for a in C.two_src}, **two},
+    )
+    rep = validate_two_category(broken)
+    assert [str(i) for i in rep.issues] == [f"[structure] {message}"]
 
 
 def test_pi0():
@@ -527,10 +551,11 @@ def test_functor_swaps_match_the_naive_scan(name, swap):
 def test_every_two_category_answers_the_protocol(f2_gamma2):
     F4, F5 = fixture("F4"), fixture("F5")
     tabulated = [F4.base, F4, F5]
-    lazy = [LazyKtLevel(F4, 2), LazyPathLevel(F4.base), GrothPerm(f2_gamma2)]
+    lazy = [LazyKtLevel(F4, 2), CommaFormula(F4.base, F4.base, PATH_TAGS),
+            GrothPerm(f2_gamma2)]
     assert [type(C).__name__ for C in tabulated + lazy] == [
         "FiniteTwoCategory", "PermutativeTwoCategory", "PermutativeGrayMonoid",
-        "LazyKtLevel", "LazyPathLevel", "GrothPerm"]
+        "LazyKtLevel", "CommaFormula", "GrothPerm"]
     for C in tabulated + lazy:
         assert all(callable(getattr(C, op, None)) for op in CELL_OPERATIONS), C
     for C in tabulated:
@@ -578,5 +603,73 @@ def test_lazy_kt_level_agrees_with_ko_level(f5, f5_level2):
 @pytest.mark.parametrize("name", ["F4", "F5"])
 def test_lazy_path_level_agrees_with_path_object(name):
     B = fixture(name).base
-    pairs = _agreement(LazyPathLevel(B), path_object(B).total)
+    pairs = _agreement(CommaFormula(B, B, PATH_TAGS), path_object(B).total)
     assert pairs and [p for p in pairs if p[0] != p[1]] == []
+
+
+@pytest.mark.parametrize("k", ["identity", "unit"])
+def test_comma_formula_agrees_with_span_levels(k, f2_gamma2, f2_unit_target):
+    # F = k_m: the span levels of the identity of Ko(F2) and of its unit
+    eta = f2_unit_target[0] if k == "unit" else identity_lax_map(f2_gamma2)
+    Ek = e_construction(eta).Ek
+    for m in range(Ek.cap + 1):
+        formula = CommaFormula(eta.source.level(m), eta.target.level(m), E_TAGS)
+        pairs = _agreement(formula, Ek.level(m))
+        assert pairs and [p for p in pairs if p[0] != p[1]] == []
+
+
+# -- the comma enumerator against the all-pairs loops ----------------------------
+
+
+def all_pairs_comma(S, T, F, tags) -> tuple[list, list, list]:
+    """The cells of the comma 2-category (id_T | F), in insertion order, as
+    the former hand-written enumerations listed them: 1-cells over every
+    pair of objects, 2-cells over every pair of 1-cells."""
+    F0, F1, F2 = F
+    objs = [(tags[0], x, f, a) for x in S.objects for a in T.objects
+            for f in T.one_cells_between(a, F0(x))]
+    one = {}
+    for o1 in objs:
+        _, x, f, a = o1
+        for o2 in objs:
+            _, y, g, b = o2
+            for s in S.one_cells_between(x, y):
+                for r in T.one_cells_between(a, b):
+                    if T.comp1(g, r) == T.comp1(F1(s), f):
+                        ident = o1 == o2 and S.is_id1(s) and T.is_id1(r)
+                        one[(tags[1], o1, o2, s, r)] = (o1, o2, ident)
+    two = {}
+    for k1, (o1, o2, _) in one.items():
+        for k2, (p1, p2, _) in one.items():
+            if p1 != o1 or p2 != o2:
+                continue
+            for be in S.two_cells_between(k1[3], k2[3]):
+                for al in T.two_cells_between(k1[4], k2[4]):
+                    if T.hcomp2(T.id2(o2[2]), al) == T.hcomp2(F2(be), T.id2(o1[2])):
+                        ident = k1 == k2 and S.is_id2(be) and T.is_id2(al)
+                        two[(tags[2], k1, k2, be, al)] = (k1, k2, ident)
+    return objs, list(one.items()), list(two.items())
+
+
+def listed_cells(C) -> tuple[list, list, list]:
+    """The cells of a tabulated 2-category in the order ``all_pairs_comma``
+    gives them."""
+    return (C.objects,
+            [(f, (C.one_src[f], C.one_tgt[f], C.one_identity[f])) for f in C.one_src],
+            [(a, (C.two_src[a], C.two_tgt[a], C.two_identity[a])) for a in C.two_src])
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5", "M3"])
+def test_path_object_lists_the_cells_of_the_all_pairs_loops(name):
+    B = fixture(name).base
+    oracle = all_pairs_comma(B, B, IDENTITY_MAPS, PATH_TAGS)
+    assert oracle[2] and listed_cells(path_object(B).total) == oracle
+
+
+def test_comma_enumeration_stops_at_the_ceiling():
+    # the arrow 2-category of F5 has 2 + 8 + 16 cells; the count is taken
+    # after each hom of 1-cells and after the 2-cells of each 1-cell
+    B = fixture("F5").base
+    assert sum(comma(B, B, IDENTITY_MAPS, PATH_TAGS, "arrow", 26).counts()) == 26
+    with pytest.raises(CellCeilingExceeded, match="comma enumeration: 20 > 18"):
+        comma(B, B, IDENTITY_MAPS, PATH_TAGS, "arrow", 18)
