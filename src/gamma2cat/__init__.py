@@ -66,17 +66,17 @@ from .ktheory import (
 )
 from .inversek import (
     AMorphism,
+    BlockwiseLax,
     BoundedGroth,
     GrothPerm,
+    POfLax,
     a_compose,
     a_concat,
     a_hom,
     ax_apply,
-    a_on_lax,
     decompose,
     groth_compose,
     groth_product,
-    p_of_lax,
     validate_p_truncation,
 )
 from .adjunction import (

@@ -45,6 +45,7 @@ from .inversek import (
     AMorphism,
     BoundedGroth,
     GrothPerm,
+    POfLax,
     a_compose,
     a_identity,
     ax_apply,
@@ -53,7 +54,6 @@ from .inversek import (
     mk_groth_obj,
     mk_groth_one,
     mk_groth_two,
-    p_of_lax,
 )
 from .gamma import GammaLaxMap, GammaTransformation, compose_lax, strict_lax_map
 
@@ -270,7 +270,7 @@ def lambda_of(h: GammaLaxMap) -> GammaTransformation:
     KPY = LazyKtGamma(PY, Y.cap, name="KPY")
     eta_x = unit_map(X, PX, KPX)
     eta_y = unit_map(Y, PY, KPY)
-    ph = p_of_lax(h, PX, PY)
+    ph = POfLax(h, PX, PY)
     kph = k_of_p_of_lax(ph, KPX, KPY)
     left = compose_lax(eta_y, h)
     right = compose_lax(kph, eta_x)
@@ -619,7 +619,7 @@ def triangle_P(X, L: int, E: int) -> ValidationReport:
     KPX = LazyKtGamma(PX, X.cap)
     eta = unit_map(X, PX, KPX)
     PKPX = GrothPerm(KPX)
-    peta = p_of_lax(eta, PX, PKPX)
+    peta = POfLax(eta, PX, PKPX)
     eps = Counit(PX, gray=False)
 
     for dim, buckets in enumerate(B.cells):

@@ -51,10 +51,8 @@ from .twocat import (
     validate_two_functor,
 )
 from .monoidal import (
-    FIXTURE_BUILDERS,
     PermutativeGrayMonoid,
     PermutativeTwoCategory,
-    fixture as build_fixture,
     promote,
     validate_permutative,
     validate_pgm,
@@ -376,22 +374,22 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
+def shipped_fixtures() -> list[str]:
+    """Names of the shipped fixtures: the stems of their ``.fx`` files."""
+    return sorted(p.stem for p in fixtures_dir().glob("*.fx"))
+
+
 def builtin_document(name: str) -> FixtureDocument:
     """Load a shipped fixture by name, re-validating it."""
-    path = fixtures_dir() / f"{name}.fx"
-    if not path.exists():
+    # only exact stems: a name such as ``../fixtures/F2`` must not reach a path
+    if name not in shipped_fixtures():
         raise FixtureError(f"unknown fixture {name!r}")
-    return load(path)
+    return load(fixtures_dir() / f"{name}.fx")
 
 
 def resolve_fixture(name: str, path: str | None, validate: bool = True):
     """A named structure from a file or the shipped catalogue."""
-    if path:
-        doc = load(path, validate=validate)
-    elif name in FIXTURE_BUILDERS:
-        doc = builtin_document(name)
-    else:
-        raise FixtureError(f"unknown fixture {name!r}")
+    doc = load(path, validate=validate) if path else builtin_document(name)
     if name in doc.permutative:
         return doc.permutative[name]
     if name in doc.categories:
@@ -471,11 +469,11 @@ def _examined(name: str, *reps):
 
 
 def _f2_gamma2(ceiling: int):
-    return ko_gamma(promote(build_fixture("F2")), 2, ceiling)
+    return ko_gamma(promote(resolve_fixture("F2", None)), 2, ceiling)
 
 
 def _level_counts(ceiling):
-    P = promote(build_fixture("F2"))
+    P = promote(resolve_fixture("F2", None))
     levels = [ko_level(P, n, ceiling) for n in range(4)]
     counts = [len(lvl.objects) for lvl in levels]
     trivial = all(P.is_id1(c) for lvl in levels for system in lvl.objects for c in system.c)
@@ -486,7 +484,7 @@ def _level_counts(ceiling):
 def _level_one(ceiling):
     failed = []
     for name in ("F1", "F2", "F3", "F4", "F5", "M3"):
-        C = _as_gray(build_fixture(name))
+        C = _as_gray(resolve_fixture(name, None))
         cmp1 = level_one_comparison(C, ko_level(C, 1, ceiling))
         if not (validate_two_functor(cmp1).ok and is_isomorphism_of_two_categories(cmp1)):
             failed.append(name)
@@ -496,7 +494,7 @@ def _level_one(ceiling):
 def _specialness(ceiling):
     lines = []
     for name, cap in (("F1", 3), ("F2", 3), ("F3", 3), ("F5", 2)):
-        sp = special_check(ko_gamma(_as_gray(build_fixture(name)), cap, ceiling))
+        sp = special_check(ko_gamma(_as_gray(resolve_fixture(name, None)), cap, ceiling))
         # the F5 comparison at level two is an equivalence but no isomorphism
         ok = sp.ok and (name != "F5" or not sp.per_level[2].bijective_on_cells)
         lines.append((f"special-{name}", ok, ""))
@@ -512,7 +510,7 @@ def _very_special(ceiling):
 
 
 def _triangle_k(ceiling):
-    return [_examined(f"triangle-k-{name}", triangle_K(build_fixture(name), 2, ceiling))
+    return [_examined(f"triangle-k-{name}", triangle_K(resolve_fixture(name, None), 2, ceiling))
             for name in ("F1", "F2", "F3")]
 
 
@@ -570,7 +568,7 @@ def mutation_sample():
     """100 seeded mutations each of F2, F3 and F5, with their validator reports."""
     rng = random.Random(20260810)
     for name in ("F2", "F3", "F5"):
-        F = build_fixture(name)
+        F = resolve_fixture(name, None)
         for _ in range(100):
             mutated = _mutate_once(F, rng)
             yield mutated, VALIDATORS[type(mutated)][1](mutated)

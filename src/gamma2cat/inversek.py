@@ -525,10 +525,6 @@ class BlockwiseLax:
         return tuple(out)
 
 
-def a_on_lax(h) -> BlockwiseLax:
-    return BlockwiseLax(h)
-
-
 class POfLax:
     """The strict symmetric monoidal 2-functor between the Grothendieck
     constructions induced by a lax map of diagrams."""
@@ -558,10 +554,6 @@ class POfLax:
             for m, al, l in zip(nvec, cell.alphas, lax)
         )
         return mk_groth_two(self.on(1, cell.src), self.on(1, cell.tgt), alphas)
-
-
-def p_of_lax(h, PX: GrothPerm, PY: GrothPerm) -> POfLax:
-    return POfLax(h, PX, PY)
 
 
 # -- bounded validation --------------------------------------------------------------

@@ -415,13 +415,9 @@ def compose_system_maps(C, g: SystemMap, f: SystemMap) -> SystemMap:
     return out
 
 
-def identity_system_map(C, sys: SubsetSystem, gray: bool) -> SystemMap:
-    n = sys.n
-    comps = {s: C.id1(sys.x_at(C, s)) for s in nonempty_subsets_of(n)}
-    if not gray:
-        return make_system_map(C, sys, sys, comps, None)
-    gammas = {(s, t): C.id2(sys.c_at(C, s, t)) for (s, t) in disjoint_pairs(n)}
-    return make_system_map(C, sys, sys, comps, gammas)
+def identity_system_map(C, sys: SubsetSystem) -> SystemMap:
+    comps = {s: C.id1(sys.x_at(C, s)) for s in nonempty_subsets_of(sys.n)}
+    return make_system_map(C, sys, sys, comps, None)
 
 
 def is_identity_system_map(C, mp: SystemMap) -> bool:
@@ -859,7 +855,7 @@ class LazyKtLevel(FieldEndpoints):
         self.m = m
 
     def id1(self, sys: SubsetSystem) -> SystemMap:
-        return identity_system_map(self.C, sys, gray=False)
+        return identity_system_map(self.C, sys)
 
     def id2(self, mp: SystemMap) -> SystemTwoCell:
         return identity_system_two_cell(self.C, mp)
@@ -918,7 +914,7 @@ class LazyKtGamma:
         sys = mk_system(0, (), ())
         if dim == 0:
             return sys
-        mp = identity_system_map(self.C, sys, gray=False)
+        mp = identity_system_map(self.C, sys)
         if dim == 1:
             return mp
         return identity_system_two_cell(self.C, mp)

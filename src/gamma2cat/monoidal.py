@@ -753,142 +753,11 @@ def validate_monoidal_functor(M: MonoidalFunctor) -> ValidationReport:
     return rep
 
 
-# -- fixture catalogue -----------------------------------------------------------
-
-
-def _discrete_two_category(name: str, objs: list[str]) -> FiniteTwoCategory:
-    one = {f"i{o}": (o, o, True) for o in objs}
-    two = {f"ii{o}": (f"i{o}", f"i{o}", True) for o in objs}
-    vcomp = {(f"ii{o}", f"ii{o}"): f"ii{o}" for o in objs}
-    hcomp1 = {(f"i{o}", f"i{o}"): f"i{o}" for o in objs}
-    hcomp2 = dict(vcomp)
-    return FiniteTwoCategory(name, objs, one, two, vcomp, hcomp1, hcomp2)
-
-
-def _discrete_monoid_p2cat(name, elems: list[str], op) -> PermutativeTwoCategory:
-    base = _discrete_two_category(name, elems)
-    unit = elems[0]
-    sum_obj = {(a, b): op(a, b) for a in elems for b in elems}
-    sum_one = {(f"i{a}", f"i{b}"): f"i{op(a, b)}" for a in elems for b in elems}
-    sum_two = {(f"ii{a}", f"ii{b}"): f"ii{op(a, b)}" for a in elems for b in elems}
-    beta = {(a, b): f"i{op(a, b)}" for a in elems for b in elems}
-    return PermutativeTwoCategory(name, base, unit, sum_obj, sum_one, sum_two, beta)
-
-
-def fixture_f1() -> PermutativeTwoCategory:
-    """Terminal permutative 2-category: one cell in each dimension."""
-    return _discrete_monoid_p2cat("F1", ["e"], lambda a, b: "e")
-
-
-def fixture_f2() -> PermutativeTwoCategory:
-    """The discrete group of order two, as a permutative 2-category."""
-    def op(a, b):
-        return str(int(a) ^ int(b))
-    return _discrete_monoid_p2cat("F2", ["0", "1"], op)
-
-
-def fixture_m3() -> PermutativeTwoCategory:
-    """Discrete saturating-addition monoid on {0,1,2}; not a group."""
-    def op(a, b):
-        return str(min(int(a) + int(b), 2))
-    return _discrete_monoid_p2cat("M3", ["0", "1", "2"], op)
-
-
-def fixture_f3() -> PermutativeTwoCategory:
-    """One object, one 1-cell, 2-cells the group of order two."""
-    objs = ["*"]
-    one = {"i": ("*", "*", True)}
-    two = {"s0": ("i", "i", True), "s1": ("i", "i", False)}
-    par = {"s0": 0, "s1": 1}
-    name_of = {0: "s0", 1: "s1"}
-    vcomp = {(b, a): name_of[(par[b] + par[a]) % 2] for b in two for a in two}
-    hcomp1 = {("i", "i"): "i"}
-    hcomp2 = dict(vcomp)
-    base = FiniteTwoCategory("F3", objs, one, two, vcomp, hcomp1, hcomp2)
-    sum_obj = {("*", "*"): "*"}
-    sum_one = {("i", "i"): "i"}
-    sum_two = {(a, b): name_of[(par[a] + par[b]) % 2] for a in two for b in two}
-    beta = {("*", "*"): "i"}
-    return PermutativeTwoCategory("F3", base, "*", sum_obj, sum_one, sum_two, beta)
-
-
-def fixture_f4() -> PermutativeTwoCategory:
-    """One object with 1-cell group of order two and identity 2-cells only;
-    the sum multiplies 1-cells."""
-    objs = ["*"]
-    one = {"e": ("*", "*", True), "x": ("*", "*", False)}
-    two = {"ie": ("e", "e", True), "ix": ("x", "x", True)}
-    grp = {("e", "e"): "e", ("e", "x"): "x", ("x", "e"): "x", ("x", "x"): "e"}
-    hcomp1 = dict(grp)
-    vcomp = {("ie", "ie"): "ie", ("ix", "ix"): "ix"}
-    hcomp2 = {
-        (f"i{g}", f"i{f}"): f"i{grp[(g, f)]}"
-        for g in ("e", "x") for f in ("e", "x")
-    }
-    base = FiniteTwoCategory("F4", objs, one, two, vcomp, hcomp1, hcomp2)
-    sum_obj = {("*", "*"): "*"}
-    sum_one = dict(grp)
-    sum_two = {
-        (f"i{f}", f"i{g}"): f"i{grp[(f, g)]}"
-        for f in ("e", "x") for g in ("e", "x")
-    }
-    beta = {("*", "*"): "e"}
-    return PermutativeTwoCategory("F4", base, "*", sum_obj, sum_one, sum_two, beta)
-
-
-def fixture_f5() -> PermutativeGrayMonoid:
-    """One object; 1-cells the group of order two; each endo-hom the group of
-    order two; a nontrivial interchanger at (x, x).
-
-    This is the minimal cubical structure whose interchanger cannot be
-    removed: ``demote`` refuses it.
-    """
-    objs = ["*"]
-    cells1 = ["e", "x"]
-    grp = {("e", "e"): "e", ("e", "x"): "x", ("x", "e"): "x", ("x", "x"): "e"}
-    one = {"e": ("*", "*", True), "x": ("*", "*", False)}
-    two = {}
-    for f in cells1:
-        for p in (0, 1):
-            two[(f, p)] = (f, f, p == 0)
-    vcomp = {
-        ((f, p), (f, q)): (f, (p + q) % 2)
-        for f in cells1 for p in (0, 1) for q in (0, 1)
-    }
-    hcomp1 = dict(grp)
-    hcomp2 = {
-        ((g, p), (f, q)): (grp[(g, f)], (p + q) % 2)
-        for g in cells1 for f in cells1 for p in (0, 1) for q in (0, 1)
-    }
-    base = FiniteTwoCategory("F5", objs, one, two, vcomp, hcomp1, hcomp2)
-    sum_obj = {("*", "*"): "*"}
-    lsum1 = {("*", f): f for f in cells1}
-    rsum1 = {(f, "*"): f for f in cells1}
-    lsum2 = {("*", t): t for t in two}
-    rsum2 = {(t, "*"): t for t in two}
-    sigma = {}
-    for f in cells1:
-        for g in cells1:
-            comp = grp[(f, g)]
-            nontrivial = f == "x" and g == "x"
-            sigma[(f, g)] = (comp, 1 if nontrivial else 0)
-    beta = {("*", "*"): "e"}
-    return PermutativeGrayMonoid("F5", base, "*", sum_obj, lsum1, rsum1,
-                                 lsum2, rsum2, sigma, beta)
-
-
-FIXTURE_BUILDERS = {
-    "F1": fixture_f1,
-    "F2": fixture_f2,
-    "F3": fixture_f3,
-    "F4": fixture_f4,
-    "F5": fixture_f5,
-    "M3": fixture_m3,
-}
+# -- shipped fixtures ------------------------------------------------------------
 
 
 def fixture(name: str):
-    try:
-        return FIXTURE_BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}") from None
+    """A shipped fixture, read from its ``.fx`` file."""
+    from .cli import resolve_fixture  # cli imports this module
+
+    return resolve_fixture(name, None)

@@ -178,7 +178,7 @@ def test_lambda_cube_for_unit(f2_gamma2):
 
 def test_counit_unit_object(f2):
     eps = Counit(promote(f2))
-    assert eps.on_groth(0, mk_groth_obj((), ())) == "0"
+    assert eps.on_groth(0, mk_groth_obj((), ())) == "o0"
 
 
 def test_counit_single_evaluation(f2, f2_gamma2):
@@ -326,9 +326,9 @@ def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
     X = f2_gamma2
     PX = GrothPerm(X)
     KPX = LazyKtGamma(PX, 2)
-    from gamma2cat.inversek import p_of_lax, mk_groth_one, a_hom
+    from gamma2cat.inversek import POfLax, mk_groth_one, a_hom
     eta = unit_map(X, PX, KPX)
-    peta = p_of_lax(eta, PX, GrothPerm(KPX))
+    peta = POfLax(eta, PX, GrothPerm(KPX))
     eps = Counit(PX)
     split = pi_st((1,), (2,))
     for sys in X.level(2).objects:

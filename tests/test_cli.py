@@ -22,38 +22,27 @@ from gamma2cat.cli import (
     resolve_fixture,
     run,
     save,
+    shipped_fixtures,
 )
 from gamma2cat.gamma import validate_gamma
 from gamma2cat.ktheory import ko_gamma
 from gamma2cat.monoidal import (
-    FIXTURE_BUILDERS,
     PermutativeGrayMonoid,
     PermutativeTwoCategory,
     fixture,
     promote,
 )
 from gamma2cat.subsets import PointedMap
-from gamma2cat.twocat import FiniteTwoCategory, ValidationReport
+from gamma2cat.twocat import ValidationReport
 
 
 def test_builtin_files_round_trip():
-    for name in FIXTURE_BUILDERS:
+    assert shipped_fixtures() == ["F1", "F2", "F3", "F4", "F5", "M3"]
+    for name in shipped_fixtures():
         path = fixtures_dir() / f"{name}.fx"
         text = path.read_text(encoding="utf-8")
         doc = load(text)
         assert save(doc) == text
-
-
-def test_builtin_files_match_catalogue():
-    for name in FIXTURE_BUILDERS:
-        F = fixture(name)
-        doc = FixtureDocument()
-        if isinstance(F, FiniteTwoCategory):
-            doc.categories[name] = F
-        else:
-            doc.categories[name] = F.base
-            doc.permutative[name] = F
-        assert save(doc) == (fixtures_dir() / f"{name}.fx").read_text(encoding="utf-8")
 
 
 def test_gamma_truncation_export_import(f2_gamma2, tmp_path):
@@ -169,7 +158,10 @@ def test_exit_code_one_on_failing_check(tmp_path):
 
 
 def test_exit_code_two_on_unknown_fixture(capsys):
-    assert run(["validate", "--fixture", "NOPE"]) == 2
+    # a name is a shipped file's exact stem, never a path or another case
+    for name in ("NOPE", "../fixtures/F2", "f2"):
+        assert run(["validate", "--fixture", name]) == 2
+        assert f"unknown fixture {name!r}" in capsys.readouterr().err
     # only report fills timings, so only report accepts --timings
     assert run(["validate", "--fixture", "F2", "--timings"]) == 2
 

@@ -252,12 +252,12 @@ def _collapse_map(f2_gamma2, f1_gamma):
     F2, F1 = fixture("F2"), fixture("F1")
     F = TwoFunctor(
         F2.base, F1.base,
-        {"0": "e", "1": "e"}, {"i0": "ie", "i1": "ie"}, {"ii0": "iie", "ii1": "iie"},
+        {"o0": "o0", "o1": "o0"}, {"m0": "m0", "m1": "m0"}, {"a0": "a0", "a1": "a0"},
         name="collapse",
     )
-    theta = {(x, y): F1.base.id1("e") for x in ("0", "1") for y in ("0", "1")}
+    theta = {(x, y): F1.base.id1("o0") for x in ("o0", "o1") for y in ("o0", "o1")}
     M = MonoidalFunctor("normal-oplax", F, promote(F2), promote(F1),
-                        F1.base.id1("e"), theta, name="collapse")
+                        F1.base.id1("o0"), theta, name="collapse")
     functors = {
         m: ko_map(M, f2_gamma2.level(m), f1_gamma.level(m))
         for m in range(3)

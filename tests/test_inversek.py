@@ -8,14 +8,15 @@ from gamma2cat.monoidal import fixture, promote
 from gamma2cat.ktheory import ko_gamma
 from gamma2cat.inversek import (
     AMorphism,
+    BlockwiseLax,
     BoundedGroth,
     GrothPerm,
+    POfLax,
     a_block_swap,
     a_compose,
     a_concat,
     a_hom,
     a_identity,
-    a_on_lax,
     ax_apply,
     bounded_shapes,
     decompose,
@@ -25,7 +26,6 @@ from gamma2cat.inversek import (
     mk_groth_obj,
     mk_groth_one,
     mk_groth_two,
-    p_of_lax,
     reassemble,
     validate_p_truncation,
 )
@@ -149,7 +149,7 @@ def test_ax_functorial_and_monoidal(f2_gamma2):
 def test_a_on_lax_strict_gives_identities(f2_gamma2):
     X = f2_gamma2
     P = GrothPerm(X)
-    ah = a_on_lax(identity_lax_map(X))
+    ah = BlockwiseLax(identity_lax_map(X))
     for mv in bounded_shapes(2, 2):
         for nv in bounded_shapes(2, 2):
             for phim in a_hom(mv, nv):
@@ -164,7 +164,7 @@ def test_a_on_lax_unit_components_match_blockwise(f2_gamma2):
     from gamma2cat.adjunction import unit_map
     X = f2_gamma2
     h = unit_map(X)
-    ah = a_on_lax(h)
+    ah = BlockwiseLax(h)
     for phim in a_hom((2,), (1, 1)):
         dec = decompose(phim)
         for x in X.level(2).objects:
@@ -184,8 +184,8 @@ def test_a_on_lax_composition_law(f2_gamma2):
     X = f2_gamma2
     h = unit_map(X)
     kh = compose_lax(identity_lax_map(h.target) if False else _post_identity(h), h)
-    ah = a_on_lax(h)
-    akh = a_on_lax(kh)
+    ah = BlockwiseLax(h)
+    akh = BlockwiseLax(kh)
     phim = next(iter(a_hom((2,), (1, 1))))
     for x in X.level(2).objects:
         assert akh.lax(phim, (x,)) is not None
@@ -263,7 +263,7 @@ def test_p_of_lax_identity_and_preservation(f2_gamma2):
     X = f2_gamma2
     P = GrothPerm(X)
     B = BoundedGroth(X, 2, 2)
-    ph = p_of_lax(identity_lax_map(X), P, P)
+    ph = POfLax(identity_lax_map(X), P, P)
     objs = list(B.objects_iter())
     for o in objs[:20]:
         assert ph.on(0, o) == o
@@ -278,7 +278,7 @@ def test_p_of_lax_identity_and_preservation(f2_gamma2):
     from gamma2cat.ktheory import LazyKtGamma
     eta = unit_map(X)
     PKPX = GrothPerm(eta.target)
-    pe = p_of_lax(eta, P, PKPX)
+    pe = POfLax(eta, P, PKPX)
     by_src = {}
     for u in ones:
         by_src.setdefault(u.src, []).append(u)

@@ -127,10 +127,10 @@ def test_ko_map_identity_and_collapse(f2, f2_gamma2):
     P1 = promote(F1)
     coll = TwoFunctor(
         f2.base, F1.base,
-        {"0": "e", "1": "e"}, {"i0": "ie", "i1": "ie"}, {"ii0": "iie", "ii1": "iie"},
+        {"o0": "o0", "o1": "o0"}, {"m0": "m0", "m1": "m0"}, {"a0": "a0", "a1": "a0"},
     )
-    theta = {(x, y): F1.base.id1("e") for x in ("0", "1") for y in ("0", "1")}
-    M = MonoidalFunctor("normal-oplax", coll, P2, P1, F1.base.id1("e"), theta)
+    theta = {(x, y): F1.base.id1("o0") for x in ("o0", "o1") for y in ("o0", "o1")}
+    M = MonoidalFunctor("normal-oplax", coll, P2, P1, F1.base.id1("o0"), theta)
     tgt = ko_level(P1, 2)
     G = ko_map(M, f2_gamma2.level(2), tgt)
     assert validate_two_functor(G).ok
@@ -148,10 +148,10 @@ def test_ko_map_commutes_with_reindexing(f2, f2_gamma2):
     P1, P2 = promote(F1), promote(f2)
     coll = TwoFunctor(
         f2.base, F1.base,
-        {"0": "e", "1": "e"}, {"i0": "ie", "i1": "ie"}, {"ii0": "iie", "ii1": "iie"},
+        {"o0": "o0", "o1": "o0"}, {"m0": "m0", "m1": "m0"}, {"a0": "a0", "a1": "a0"},
     )
-    theta = {(x, y): F1.base.id1("e") for x in ("0", "1") for y in ("0", "1")}
-    M = MonoidalFunctor("normal-oplax", coll, P2, P1, F1.base.id1("e"), theta)
+    theta = {(x, y): F1.base.id1("o0") for x in ("o0", "o1") for y in ("o0", "o1")}
+    M = MonoidalFunctor("normal-oplax", coll, P2, P1, F1.base.id1("o0"), theta)
     Y = ko_gamma(P1, 2)
     Fs = {m: ko_map(M, f2_gamma2.level(m), Y.level(m)) for m in range(3)}
     for phi in f2_gamma2.all_maps():
@@ -414,6 +414,59 @@ def test_strict_one_cell_enumeration_respects_the_ceiling():
     with pytest.raises(CellCeilingExceeded) as exc:
         kt_level(C, 1, ceiling=1)
     assert exc.value.stage == "1-cell enumeration"
+
+
+# -- the validators' rejection branches ---------------------------------------------
+#
+# Each case takes the first cell the search emits over a promoted shipped
+# fixture (all components identities) and replaces one component.  Where the
+# swapped components stay derived, only a cocycle can fail, and a cocycle
+# needs a disjoint triple, so n = 3.  "Filling cell not invertible" is out of
+# reach: every 2-cell of every shipped fixture is invertible.
+
+_REJECTIONS = [
+    ("F2", 2, "x", (1, 2), "o9", False, "structure", "outside the carrier"),
+    ("F2", 2, "c", ((1,), (2,)), "m1", False, "structure", "c at"),
+    ("F4", 2, "c", ((2,), (1,)), "m1", False, "symmetry", "braiding compatibility"),
+    ("F4", 3, "c", ((1,), (2,)), "m1", True, "cocycle", "associativity"),
+    ("F2", 1, "f", (1,), "m1", False, "structure", "component at"),
+    ("F4", 2, "gamma", ((1,), (2,)), "a1", False, "structure", "filling cell at"),
+    ("F3", 2, "gamma", ((2,), (1,)), "a1", False, "swap", "swapped filling cell"),
+    ("F3", 3, "gamma", ((1,), (2,)), "a1", True, "cocycle", "filling-cell associativity"),
+    ("F4", 1, "alpha", (1,), "a1", False, "structure", "component at"),
+]
+
+
+@pytest.mark.parametrize("name, n, slot, key, value, derive, kind, words", _REJECTIONS)
+def test_validators_reject_one_corrupted_component(name, n, slot, key, value, derive,
+                                                   kind, words):
+    C = promote(fixture(name))
+    subs, pairs, canon = nonempty_subsets_of(n), disjoint_pairs(n), _canonical_pairs(n)
+    sys = enumerate_systems(C, n, 10**6)[0]
+    mp = enumerate_system_maps(C, sys, sys, True, 10**6)[0]
+    if slot in ("x", "c"):
+        x = {s: sys.x_at(C, s) for s in subs}
+        c = {p: sys.c_at(C, *p) for p in pairs}
+        {"x": x, "c": c}[slot][key] = value
+        if derive:
+            for (s, t) in canon:
+                c[(t, s)] = ktheory.swapped_c(C, x.__getitem__, lambda p, q: c[p, q], s, t)
+        rep = validate_system(C, make_system(C, n, x, c))
+    elif slot in ("f", "gamma"):
+        f = {s: mp.f_at(C, s) for s in subs}
+        g = {p: mp.gamma_at(C, *p) for p in pairs}
+        {"f": f, "gamma": g}[slot][key] = value
+        if derive:
+            for (s, t) in canon:
+                g[(t, s)] = ktheory.swapped_gamma(C, sys, sys, f.__getitem__,
+                                                  lambda p, q: g[p, q], s, t)
+        rep = validate_system_map(C, make_system_map(C, sys, sys, f, g), True)
+    else:
+        alpha = {s: C.id2(mp.f_at(C, s)) for s in subs} | {key: value}
+        cell = mk_system_two_cell(n, mp, mp, tuple(alpha[s] for s in subs))
+        rep = validate_system_two_cell(C, cell, True)
+    assert rep.first().kind == kind
+    assert words in rep.first().message
 
 
 # -- transitions built whole on first use -------------------------------------------

@@ -32,7 +32,7 @@ def test_f5_validates_with_nontrivial_interchanger():
     F5 = fixture("F5")
     rep = validate_pgm(F5)
     assert rep.ok
-    assert not F5.base.two_identity[F5.sigma("x", "x")]
+    assert not F5.base.two_identity[F5.sigma("m1", "m1")]
 
 
 def test_f4_validates_both_ways():
@@ -61,14 +61,14 @@ def test_cubical_scan_counts_of_promoted_carriers():
 def test_demote_f5_refused_with_witness():
     with pytest.raises(DemotionRefused) as err:
         demote(fixture("F5"))
-    assert err.value.witness == ("x", "x")
+    assert err.value.witness == ("m1", "m1")
 
 
 def test_nudge_inverts_interchangers_and_is_involutive():
     F5 = fixture("F5")
     N = nudge(F5)
     assert N.opcubical
-    assert N.sigma("x", "x") == vertical_inverse(F5.base, F5.sigma("x", "x"))
+    assert N.sigma("m1", "m1") == vertical_inverse(F5.base, F5.sigma("m1", "m1"))
     assert nudge(N) is F5
     # all-identity data is untouched
     P2 = promote(fixture("F2"))
@@ -80,17 +80,17 @@ def test_nudged_sum_uses_opposite_order():
     F5 = fixture("F5")
     N = nudge(F5)
     # in a one-object carrier both orders coincide as composites
-    assert N.sum_one("x", "x") == F5.sum_one("x", "x")
+    assert N.sum_one("m1", "m1") == F5.sum_one("m1", "m1")
 
 
 def test_sum_one_cells_examples():
     F5 = fixture("F5")
-    assert sum_one_cells(F5, ["x", "x"]) == "e"  # group arithmetic
-    assert sum_one_cells(F5, ["x"]) == "x"
-    assert sum_one_cells(F5, []) == "e"
+    assert sum_one_cells(F5, ["m1", "m1"]) == "m0"  # group arithmetic
+    assert sum_one_cells(F5, ["m1"]) == "m1"
+    assert sum_one_cells(F5, []) == "m0"
     P2 = promote(fixture("F2"))
     for f in P2.base.one_src:
-        assert sum_one_cells(P2, [f, P2.base.id1("0")]) == f
+        assert sum_one_cells(P2, [f, P2.base.id1("o0")]) == f
 
 
 @pytest.mark.parametrize("name", ["F2", "F5"])
@@ -117,13 +117,13 @@ def _collapse_f2_to_f1() -> MonoidalFunctor:
     F2, F1 = fixture("F2"), fixture("F1")
     F = TwoFunctor(
         F2.base, F1.base,
-        {"0": "e", "1": "e"},
-        {"i0": "ie", "i1": "ie"},
-        {"ii0": "iie", "ii1": "iie"},
+        {"o0": "o0", "o1": "o0"},
+        {"m0": "m0", "m1": "m0"},
+        {"a0": "a0", "a1": "a0"},
         name="collapse",
     )
-    theta0 = F1.base.id1("e")
-    theta = {(x, y): F1.base.id1("e") for x in ("0", "1") for y in ("0", "1")}
+    theta0 = F1.base.id1("o0")
+    theta = {(x, y): F1.base.id1("o0") for x in ("o0", "o1") for y in ("o0", "o1")}
     return MonoidalFunctor("normal-oplax", F, F2, F1, theta0, theta, name="collapse")
 
 
@@ -216,7 +216,7 @@ def test_composite_of_normal_oplax_validates():
     rep = validate_monoidal_functor(comp)
     assert rep.ok
     assert rep.checked == 37
-    assert {comp.theta0, *comp.theta.values()} == {"ie"}
+    assert {comp.theta0, *comp.theta.values()} == {"m0"}
 
 
 def test_qs3_follows_from_the_other_axioms():
@@ -225,11 +225,11 @@ def test_qs3_follows_from_the_other_axioms():
     F5 = fixture("F5")
     base = F5.base
     accepted = 0
-    for s_xx in [("e", 0), ("e", 1)]:
+    for s_xx in ["a0", "a2"]:
         sigma = dict(F5.sigma_table)
-        sigma[("x", "x")] = s_xx
+        sigma[("m1", "m1")] = s_xx
         cand = PermutativeGrayMonoid(
-            "F5cand", base, "*", dict(F5.sum_obj_table),
+            "F5cand", base, "o0", dict(F5.sum_obj_table),
             dict(F5.lsum1_table), dict(F5.rsum1_table),
             dict(F5.lsum2_table), dict(F5.rsum2_table),
             sigma, dict(F5.beta_table),
@@ -257,7 +257,7 @@ def test_f2_braiding_redefined_is_structural_error():
     import copy
     bad = copy.copy(F2)
     bad.beta_table = dict(F2.beta_table)
-    bad.beta_table[("1", "1")] = "i1"  # endpoints no longer match 1+1 = 0
+    bad.beta_table[("o1", "o1")] = "m1"  # endpoints no longer match 1+1 = 0
     rep = validate_permutative(bad)
     assert not rep.ok
     assert rep.issues[0].kind == "structure"

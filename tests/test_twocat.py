@@ -89,7 +89,7 @@ def test_f3_mutated_vcomp_reported():
         {a: (C.two_src[a], C.two_tgt[a], C.two_identity[a]) for a in C.two_src},
         dict(C.vcomp_table), dict(C.hcomp1_table), dict(C.hcomp2_table),
     )
-    broken.vcomp_table[("s1", "s1")] = "s1"  # the involution now fails a unit/assoc law
+    broken.vcomp_table[("a1", "a1")] = "a1"  # the involution now fails a unit/assoc law
     rep = validate_two_category(broken)
     assert not rep.ok
     assert any(i.kind in ("unit", "assoc", "interchange") for i in rep.issues)
@@ -103,7 +103,7 @@ def test_structural_error_precedes_axiom_scan():
         {a: (C.two_src[a], C.two_tgt[a], C.two_identity[a]) for a in C.two_src},
         dict(C.vcomp_table), dict(C.hcomp1_table), dict(C.hcomp2_table),
     )
-    broken.vcomp_table[("s1", "s1")] = "not-a-cell"
+    broken.vcomp_table[("a1", "a1")] = "not-a-cell"
     rep = validate_two_category(broken)
     assert not rep.ok
     assert rep.issues[0].kind == "structure"
@@ -111,11 +111,11 @@ def test_structural_error_precedes_axiom_scan():
 
 @pytest.mark.parametrize("one, two, message", [
     # a 1-cell without its identity 2-cell
-    ({"u": ("0", "1", False)}, {},
+    ({"u": ("o0", "o1", False)}, {},
      "1-cell 'u' has 0 identity 2-cells (want 1)"),
     # a second identity-flagged loop on one object
-    ({"j0": ("0", "0", True)}, {"jj0": ("j0", "j0", True)},
-     "object '0' has 2 identity 1-cells (want 1)"),
+    ({"j0": ("o0", "o0", True)}, {"jj0": ("j0", "j0", True)},
+     "object 'o0' has 2 identity 1-cells (want 1)"),
 ])
 def test_identity_cells_are_counted_per_endpoint(one, two, message):
     C = disc_z2()
@@ -258,17 +258,17 @@ def test_corrupted_functor_rejected():
     # F2: the identity 1-cell of one object sent to that of the other
     C = fixture("F2").base
     F = identity_functor(C)
-    rep = validate_two_functor(TwoFunctor(C, C, F.omap, {**F.fmap, "i0": "i1"}, F.amap))
+    rep = validate_two_functor(TwoFunctor(C, C, F.omap, {**F.fmap, "m0": "m1"}, F.amap))
     assert [str(i) for i in rep.issues] == [
-        "[functor] 1-cell 'i0': image endpoints disagree",
-        "[functor] 2-cell 'ii0': image endpoints disagree"]
+        "[functor] 1-cell 'm0': image endpoints disagree",
+        "[functor] 2-cell 'a0': image endpoints disagree"]
     # F3: the identity 2-cell sent to the non-identity one, endpoints intact
     C = fixture("F3").base
     F = identity_functor(C)
-    bad = TwoFunctor(C, C, dict(F.omap), dict(F.fmap), {"s0": "s1", "s1": "s1"})
+    bad = TwoFunctor(C, C, dict(F.omap), dict(F.fmap), {"a0": "a1", "a1": "a1"})
     rep = validate_two_functor(bad)
     assert rep.issues[0].kind == "functor"
-    assert "identity 2-cell of 'i' not preserved" in rep.issues[0].message
+    assert "identity 2-cell of 'm0' not preserved" in rep.issues[0].message
     # F4: the 2-cells collapsed while the 1-cells are kept
     C = fixture("F4").base
     G = _trivializing_functor(C, "collapse")
@@ -276,11 +276,11 @@ def test_corrupted_functor_rejected():
     bad = TwoFunctor(C, C, G.omap, dict(identity_functor(C).fmap), G.amap)
     rep = validate_two_functor(bad)
     assert [i.kind for i in rep.issues] == ["functor"]
-    assert "2-cell 'ix': image endpoints disagree" in rep.issues[0].message
+    assert "2-cell 'a1': image endpoints disagree" in rep.issues[0].message
 
 
-@pytest.mark.parametrize("name, bad_cells", [("F3", ["2-cell 's1'"]),
-                                             ("F4", ["1-cell 'x'", "2-cell 'ix'"])])
+@pytest.mark.parametrize("name, bad_cells", [("F3", ["2-cell 'a1'"]),
+                                             ("F4", ["1-cell 'm1'", "2-cell 'a1'"])])
 def test_non_natural_components_rejected(name, bad_cells):
     # identity-valued components from the identity to the functor onto the
     # identity cells are natural only where the fixture has no other cells
@@ -319,7 +319,7 @@ def test_pasting_fold_order_immaterial():
 @given(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
 def test_interchange_on_f3(p, q, r, s):
     C = fixture("F3").base
-    name = {0: "s0", 1: "s1"}
+    name = {0: "a0", 1: "a1"}
     lhs = C.vcomp(C.hcomp2(name[p], name[q]), C.hcomp2(name[r], name[s]))
     rhs = C.hcomp2(C.vcomp(name[p], name[r]), C.vcomp(name[q], name[s]))
     assert lhs == rhs
