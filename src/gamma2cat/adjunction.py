@@ -13,7 +13,7 @@ triangle scans quantify over the cells of tabulated inputs only.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .subsets import (
     PointedMap,
@@ -114,9 +114,9 @@ def pointed_to_block(pm: PointedMap) -> AMorphism:
 def check_projection_coherence(X, m: int, s: Subset, t: Subset, x) -> bool:
     """Splitting the union projection recovers the pair of projections."""
     st = union(s, t)
-    pushed = ax_apply(X, pi_st(s, t), 0, (X.phi_star(pi_s(m, st), 0, x),))
+    pushed = ax_apply(X, pi_st(s, t), 0, (X.star(pi_s(m, st))[0](x),))
     want = tuple(
-        X.phi_star(pi_s(m, b), 0, x) for b in (s, t) if b
+        X.star(pi_s(m, b))[0](x) for b in (s, t) if b
     )
     return pushed == want
 
@@ -142,7 +142,7 @@ def _eta_on_cell(X, PX: GrothPerm, m: int, dim: int, cell):
     if dim == 0:
         xmap = {}
         for s in nonempty_subsets_of(m):
-            xmap[s] = mk_groth_obj((len(s),), (X.phi_star(pi_s(m, s), 0, cell),))
+            xmap[s] = mk_groth_obj((len(s),), (X.star(pi_s(m, s))[0](cell),))
         cmap = {}
         for (s, t) in disjoint_pairs(m):
             src_obj = xmap[union(s, t)]
@@ -154,25 +154,25 @@ def _eta_on_cell(X, PX: GrothPerm, m: int, dim: int, cell):
                 X.level(mm).id1(xx) for mm, xx in zip(tgt_obj.mvec, tgt_obj.xs)
             )
             cmap[(s, t)] = mk_groth_one(pi_st(s, t), src_obj, tgt_obj, fs)
-        return make_system(PX, m, xmap, cmap)
+        return make_system(m, xmap, cmap)
     if dim == 1:
         L = X.level(m)
         src_sys = eta_on_cell(X, PX, m, 0, L.src1(cell))
         tgt_sys = eta_on_cell(X, PX, m, 0, L.tgt1(cell))
         fmap = {}
         for s in nonempty_subsets_of(m):
-            proj = X.phi_star(pi_s(m, s), 1, cell)
+            proj = X.star(pi_s(m, s))[1](cell)
             fmap[s] = mk_groth_one(
                 a_identity((len(s),)),
                 src_sys.x_at(PX, s), tgt_sys.x_at(PX, s), (proj,),
             )
-        return make_system_map(PX, src_sys, tgt_sys, fmap, None)
+        return make_system_map(src_sys, tgt_sys, fmap, None)
     L = X.level(m)
     src_mp = eta_on_cell(X, PX, m, 1, L.src2(cell))
     tgt_mp = eta_on_cell(X, PX, m, 1, L.tgt2(cell))
     alphas = []
     for s in nonempty_subsets_of(m):
-        proj = X.phi_star(pi_s(m, s), 2, cell)
+        proj = X.star(pi_s(m, s))[2](cell)
         alphas.append(mk_groth_two(
             src_mp.f_at(PX, s), tgt_mp.f_at(PX, s), (proj,),
         ))
@@ -191,7 +191,7 @@ def eta_phi(X, PX: GrothPerm, phi: PointedMap, x) -> SystemMap:
         return cached
     m, n = phi.m, phi.n
     src_sys = reindex_system(PX, eta_on_cell(X, PX, m, 0, x), phi)
-    phix = X.phi_star(phi, 0, x)
+    phix = X.star(phi)[0](x)
     tgt_sys = eta_on_cell(X, PX, n, 0, phix)
     fmap = {}
     for s in nonempty_subsets_of(n):
@@ -204,7 +204,7 @@ def eta_phi(X, PX: GrothPerm, phi: PointedMap, x) -> SystemMap:
             X.level(mm).id1(xx) for mm, xx in zip(tgt_obj.mvec, tgt_obj.xs)
         )
         fmap[s] = mk_groth_one(block, src_obj, tgt_obj, fs)
-    out = make_system_map(PX, src_sys, tgt_sys, fmap, None)
+    out = make_system_map(src_sys, tgt_sys, fmap, None)
     _ETA_PHI_CACHE[key] = out
     return out
 
@@ -215,13 +215,13 @@ def unit_map(X, PX: GrothPerm | None = None, KPX=None, name: str = "") -> GammaL
     PX = PX or GrothPerm(X)
     KPX = KPX if KPX is not None else LazyKtGamma(PX, X.cap, name=f"KP({X.name})")
 
-    def apply_fn(m, dim, cell):
-        return eta_on_cell(X, PX, m, dim, cell)
+    def maps(m):
+        return tuple(partial(eta_on_cell, X, PX, m, dim) for dim in range(3))
 
     def lax(phi: PointedMap, x):
         return eta_phi(X, PX, phi, x)
 
-    return GammaLaxMap(X, KPX, apply_fn, lax, name=name or f"unit({X.name})")
+    return GammaLaxMap(X, KPX, maps, lax, name=name or f"unit({X.name})")
 
 
 def validate_unit_cell(X, PX: GrothPerm, m: int, dim: int, cell) -> ValidationReport:
@@ -237,23 +237,29 @@ def validate_unit_cell(X, PX: GrothPerm, m: int, dim: int, cell) -> ValidationRe
 # -- the naturality transformation --------------------------------------------------
 
 
-def _levelwise(on, m: int, dim: int, cell):
-    """Map a K-theory cell of level m componentwise through a strict cell
-    function ``on(dim, c)`` of the carriers."""
-    if dim == 0:
-        return mk_system(m, tuple(on(0, x) for x in cell.x), tuple(on(1, c) for c in cell.c))
-    if dim == 1:
-        return mk_system_map(m, _levelwise(on, m, 0, cell.src), _levelwise(on, m, 0, cell.tgt),
-                             tuple(on(1, f) for f in cell.f), None)
-    return mk_system_two_cell(m, _levelwise(on, m, 1, cell.src), _levelwise(on, m, 1, cell.tgt),
-                              tuple(on(2, a) for a in cell.alpha))
+def _systemwise(on) -> tuple:
+    """The cell maps of K-theory levels that map each component of a cell
+    through the strict carrier cell map ``on(dim, c)``."""
+    on0, on1, on2 = (partial(on, dim) for dim in range(3))
+
+    def obj(sys):
+        return mk_system(sys.n, tuple(map(on0, sys.x)), tuple(map(on1, sys.c)))
+
+    def one(mp):
+        return mk_system_map(mp.n, obj(mp.src), obj(mp.tgt), tuple(map(on1, mp.f)), None)
+
+    def two(cell):
+        return mk_system_two_cell(cell.n, one(cell.src), one(cell.tgt),
+                                  tuple(map(on2, cell.alpha)))
+
+    return (obj, one, two)
 
 
 def k_of_p_of_lax(ph, KPX, KPY) -> GammaLaxMap:
     """Apply a strict monoidal functor between inverse constructions
     levelwise to K-theory systems."""
-    return strict_lax_map(KPX, KPY, lambda m, dim, cell: _levelwise(ph.on, m, dim, cell),
-                          name="KP(h)")
+    maps = _systemwise(ph.on)
+    return strict_lax_map(KPX, KPY, lambda m: maps, name="KP(h)")
 
 
 def lambda_of(h: GammaLaxMap) -> GammaTransformation:
@@ -276,8 +282,8 @@ def lambda_of(h: GammaLaxMap) -> GammaTransformation:
     right = compose_lax(kph, eta_x)
 
     def component(m, x):
-        src_sys = left.apply(m, 0, x)
-        tgt_sys = right.apply(m, 0, x)
+        src_sys = left.cell_maps(m)[0](x)
+        tgt_sys = right.cell_maps(m)[0](x)
         fmap = {}
         for s in nonempty_subsets_of(m):
             cellcomp = h.lax(pi_s(m, s), x)
@@ -285,7 +291,7 @@ def lambda_of(h: GammaLaxMap) -> GammaTransformation:
                 a_identity((len(s),)),
                 src_sys.x_at(PY, s), tgt_sys.x_at(PY, s), (cellcomp,),
             )
-        return make_system_map(PY, src_sys, tgt_sys, fmap, None)
+        return make_system_map(src_sys, tgt_sys, fmap, None)
 
     return GammaTransformation(left, right, component, name=f"lambda({h.name})")
 
@@ -587,14 +593,14 @@ def triangle_K(C, nmax: int, ceiling: int | None = None) -> ValidationReport:
     KC = kt_gamma(C, nmax, ceiling or DEFAULT_CELL_CEILING)
     PKC = GrothPerm(KC)
     eps = Counit(C, gray=False)
+    k_eps = _systemwise(eps.on_groth)
 
     for m in range(nmax + 1):
         L = KC.level(m)
-        for dim, cells in ((0, L.objects), (1, list(L.one_src)), (2, list(L.two_src))):
+        for dim, (cells, back) in enumerate(zip((L.objects, L.one_src, L.two_src), k_eps)):
             for cell in cells:
                 rep.checked += 1
-                image = _levelwise(eps.on_groth, m, dim, eta_on_cell(KC, PKC, m, dim, cell))
-                if image != cell:
+                if back(eta_on_cell(KC, PKC, m, dim, cell)) != cell:
                     rep.add("triangle", f"level {m} dim {dim}: {cell!r} not fixed")
     for phi in KC.all_maps():
         for x in KC.level(phi.m).objects:

@@ -379,17 +379,17 @@ def shipped_fixtures() -> list[str]:
     return sorted(p.stem for p in fixtures_dir().glob("*.fx"))
 
 
-def builtin_document(name: str) -> FixtureDocument:
-    """Load a shipped fixture by name, re-validating it."""
+def builtin_document(name: str, validate: bool) -> FixtureDocument:
+    """Load a shipped fixture by name, re-validating it if ``validate``."""
     # only exact stems: a name such as ``../fixtures/F2`` must not reach a path
     if name not in shipped_fixtures():
         raise FixtureError(f"unknown fixture {name!r}")
-    return load(fixtures_dir() / f"{name}.fx")
+    return load(fixtures_dir() / f"{name}.fx", validate=validate)
 
 
 def resolve_fixture(name: str, path: str | None, validate: bool = True):
     """A named structure from a file or the shipped catalogue."""
-    doc = load(path, validate=validate) if path else builtin_document(name)
+    doc = load(path, validate=validate) if path else builtin_document(name, validate)
     if name in doc.permutative:
         return doc.permutative[name]
     if name in doc.categories:

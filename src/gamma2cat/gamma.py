@@ -4,16 +4,20 @@ A truncation stores the levels X(m+) for m up to a cap together with the
 transition 2-functor of every pointed map between levels inside the cap.
 Reducedness means the level at 0+ is terminal.
 
-Lax maps between such diagrams carry, besides the level 2-functors, a
-2-natural structure cell per pointed map; they are represented by callables
-so the same code drives both tabulated and formula-defined (lazily
-evaluated) targets.
+Every diagram answers ``DIAGRAM_OPERATIONS`` and every lax map between
+diagrams ``LAX_MAP_OPERATIONS``, whether its levels are tabulated or
+formulas evaluated lazily.  A strict 2-functor has one form throughout, the
+cell-map triple (objects, 1-cells, 2-cells) of ``twocat.TwoFunctor.cell_maps``:
+``star(phi)`` is that triple for the transition along a pointed map and
+``cell_maps(m)`` for the level-m 2-functor of a lax map; both are built on
+first use and kept.  A lax map carries besides these a 2-natural structure
+1-cell per pointed map, ``lax(phi, x)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .subsets import (PointedMap, composable_maps, fold_map, maps_up_to,
@@ -49,6 +53,9 @@ from .twocat import (
     validate_two_functor,
 )
 
+DIAGRAM_OPERATIONS = ("level", "star")
+LAX_MAP_OPERATIONS = ("cell_maps", "lax")
+
 
 class GammaTruncation:
     """A reduced diagram on pointed sets 0+..N+ with all transition functors.
@@ -66,6 +73,7 @@ class GammaTruncation:
         self.levels = levels
         self._build = build
         self._transitions: dict[PointedMap, TwoFunctor | None] = {}
+        self._stars: dict[PointedMap, tuple] = {}
 
     def level(self, m: int) -> FiniteTwoCategory:
         return self.levels[m]
@@ -78,15 +86,16 @@ class GammaTruncation:
             F = self._transitions[phi] = self._build(phi)
             return F
 
-    def phi_star(self, phi: PointedMap, dim: int, cell: Cell) -> Cell:
+    def star(self, phi: PointedMap) -> tuple:
+        """The cell maps of the transition along ``phi``."""
         try:
-            F = self._transitions[phi]
+            return self._stars[phi]
         except KeyError:
             F = self.transition(phi)
-        try:
-            return (F.omap, F.fmap, F.amap)[dim][cell]
-        except AttributeError:  # F is None
-            raise LookupError(f"{self.name} has no transition functor for {phi}") from None
+        if F is None:
+            raise LookupError(f"{self.name} has no transition functor for {phi}")
+        maps = self._stars[phi] = F.cell_maps()
+        return maps
 
     def point(self, dim: int) -> Cell:
         """The unique cell of the terminal level in each dimension."""
@@ -145,26 +154,28 @@ def validate_gamma(X: GammaTruncation) -> ValidationReport:
 class GammaLaxMap:
     """Levelwise 2-functors with a 2-natural structure cell per pointed map.
 
-    ``apply(m, dim, cell)`` maps a cell of the source level; ``lax(phi, x)``
-    is the structure 1-cell  phi_* h_m(x) -> h_n(phi_* x)  in the target
-    level at phi.n.
+    ``cell_maps(m)`` is the triple ``maps(m)`` of the level-m 2-functor,
+    built on first use; ``lax(phi, x)`` is the structure 1-cell
+    phi_* h_m(x) -> h_n(phi_* x)  in the target level at phi.n.
     """
 
     source: object
     target: object
-    _apply: Callable[[int, int, Cell], Cell]
+    maps: Callable[[int], tuple]
     _lax: Callable[[PointedMap, Cell], Cell]
     name: str = ""
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def apply(self, m: int, dim: int, cell: Cell) -> Cell:
-        return self._apply(m, dim, cell)
+    def cell_maps(self, m: int) -> tuple:
+        try:
+            return self._levels[m]
+        except KeyError:
+            pass
+        maps = self._levels[m] = self.maps(m)
+        return maps
 
     def lax(self, phi: PointedMap, x: Cell) -> Cell:
         return self._lax(phi, x)
-
-    def cell_maps(self, m: int) -> tuple:
-        """``apply`` at level m on objects, 1-cells and 2-cells."""
-        return tuple(partial(self._apply, m, dim) for dim in range(3))
 
     def is_strict_on(self, X: GammaTruncation) -> bool:
         for phi in X.all_maps():
@@ -175,24 +186,22 @@ class GammaLaxMap:
         return True
 
 
-def strict_lax_map(X, Y, apply_fn, name="") -> GammaLaxMap:
+def strict_lax_map(X, Y, maps, name="") -> GammaLaxMap:
+    """The lax map of the levelwise cell maps ``maps(m)`` whose structure
+    cells are identities."""
     def lax(phi: PointedMap, x):
-        return Y.level(phi.n).id1(apply_fn(phi.n, 0, X.phi_star(phi, 0, x)))
-    return GammaLaxMap(X, Y, apply_fn, lax, name=name)
+        return Y.level(phi.n).id1(h.cell_maps(phi.n)[0](X.star(phi)[0](x)))
+    h = GammaLaxMap(X, Y, maps, lax, name=name)
+    return h
 
 
 def lax_map_from_functors(X, Y, functors: dict[int, TwoFunctor], name="") -> GammaLaxMap:
     """A strict map of truncations given by levelwise functor tables."""
-    def apply_fn(m, dim, cell):
-        F = functors[m]
-        return (F.omap, F.fmap, F.amap)[dim][cell]
-    return strict_lax_map(X, Y, apply_fn, name=name)
+    return strict_lax_map(X, Y, lambda m: functors[m].cell_maps(), name=name)
 
 
 def identity_lax_map(X) -> GammaLaxMap:
-    def apply_fn(m, dim, cell):
-        return cell
-    return strict_lax_map(X, X, apply_fn, name=f"id_{X.name}")
+    return strict_lax_map(X, X, lambda m: IDENTITY_MAPS, name=f"id_{X.name}")
 
 
 def compose_lax(j: GammaLaxMap, h: GammaLaxMap) -> GammaLaxMap:
@@ -202,24 +211,16 @@ def compose_lax(j: GammaLaxMap, h: GammaLaxMap) -> GammaLaxMap:
                          f"in the source of {j.name or '?'}")
     X, Z = h.source, j.target
 
-    def apply_fn(m, dim, cell):
-        return j.apply(m, dim, h.apply(m, dim, cell))
-
     def lax(phi: PointedMap, x):
         n = phi.n
-        L = Z.level(n)
         # (jh)_phi(x) = j_n(h_phi(x)) . j_phi(h_m(x))
-        return L.comp1(
-            j.apply(n, 1, h.lax(phi, x)),
-            j.lax(phi, h.apply(phi.m, 0, x)),
+        return Z.level(n).comp1(
+            j.cell_maps(n)[1](h.lax(phi, x)),
+            j.lax(phi, h.cell_maps(phi.m)[0](x)),
         )
 
-    return GammaLaxMap(X, Z, apply_fn, lax, name=f"{j.name}.{h.name}")
-
-
-def _star_maps(X, phi: PointedMap) -> tuple:
-    """``X.phi_star`` along phi on objects, 1-cells and 2-cells."""
-    return tuple(partial(X.phi_star, phi, dim) for dim in range(3))
+    return GammaLaxMap(X, Z, lambda m: then_maps(h.cell_maps(m), j.cell_maps(m)), lax,
+                       name=f"{j.name}.{h.name}")
 
 
 def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
@@ -249,29 +250,24 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
         T = Y.level(n)
         S = X.level(m)
         # typing and 2-naturality of h_phi
+        hm, hn, xs, ys = h.cell_maps(m), h.cell_maps(n), X.star(phi), Y.star(phi)
         for x in S.objects:
             cell = h.lax(phi, x)
             rep.checked += 1
-            want_src = Y.phi_star(phi, 0, h.apply(m, 0, x))
-            want_tgt = h.apply(n, 0, X.phi_star(phi, 0, x))
-            if T.src1(cell) != want_src or T.tgt1(cell) != want_tgt:
+            if T.src1(cell) != ys[0](hm[0](x)) or T.tgt1(cell) != hn[0](xs[0](x)):
                 rep.add("lax", f"structure cell at {phi} has wrong endpoints at {x!r}")
         if rep.issues:
             return rep
-        scan_naturality(rep, S, T, partial(h.lax, phi),
-                        then_maps(h.cell_maps(m), _star_maps(Y, phi)),
-                        then_maps(_star_maps(X, phi), h.cell_maps(n)),
-                        "lax", f"structure cell at {phi}")
+        scan_naturality(rep, S, T, partial(h.lax, phi), then_maps(hm, ys),
+                        then_maps(xs, hn), "lax", f"structure cell at {phi}")
 
     for phi, psi in composable_maps(X.cap):
         T = Y.level(psi.n)
         comp = phi.then(psi)
+        x_phi, y_psi = X.star(phi)[0], Y.star(psi)[1]
         for x in X.level(phi.m).objects:
             rep.checked += 1
-            pasted = T.comp1(
-                h.lax(psi, X.phi_star(phi, 0, x)),
-                Y.phi_star(psi, 1, h.lax(phi, x)),
-            )
+            pasted = T.comp1(h.lax(psi, x_phi(x)), y_psi(h.lax(phi, x)))
             if h.lax(comp, x) != pasted:
                 rep.add("lax-pasting", f"pasting law fails at {psi} after {phi}, object {x!r}")
     return rep
@@ -296,7 +292,7 @@ class GammaTransformation:
 
 def identity_transformation(h: GammaLaxMap) -> GammaTransformation:
     def comp(m, x):
-        return h.target.level(m).id1(h.apply(m, 0, x))
+        return h.target.level(m).id1(h.cell_maps(m)[0](x))
     return GammaTransformation(h, h, comp, name="id")
 
 
@@ -307,10 +303,11 @@ def validate_transformation_gamma(t: GammaTransformation) -> ValidationReport:
     for m in range(X.cap + 1):
         S = X.level(m)
         T = Y.level(m)
+        h0, k0 = t.h.cell_maps(m)[0], t.k.cell_maps(m)[0]
         for x in S.objects:
             c = t.at(m, x)
             rep.checked += 1
-            if T.src1(c) != t.h.apply(m, 0, x) or T.tgt1(c) != t.k.apply(m, 0, x):
+            if T.src1(c) != h0(x) or T.tgt1(c) != k0(x):
                 rep.add("structure", f"component at level {m}, {x!r} has wrong endpoints")
         if rep.issues:
             return rep
@@ -319,10 +316,11 @@ def validate_transformation_gamma(t: GammaTransformation) -> ValidationReport:
     for phi in X.all_maps():
         m, n = phi.m, phi.n
         T = Y.level(n)
+        x_phi, y_phi = X.star(phi)[0], Y.star(phi)[1]
         for x in X.level(m).objects:
             rep.checked += 1
-            lhs = T.comp1(t.k.lax(phi, x), Y.phi_star(phi, 1, t.at(m, x)))
-            rhs = T.comp1(t.at(n, X.phi_star(phi, 0, x)), t.h.lax(phi, x))
+            lhs = T.comp1(t.k.lax(phi, x), y_phi(t.at(m, x)))
+            rhs = T.comp1(t.at(n, x_phi(x)), t.h.lax(phi, x))
             if lhs != rhs:
                 rep.add("modification", f"square fails at {phi}, object {x!r}")
     return rep
@@ -455,13 +453,6 @@ def very_special_check(X: GammaTruncation) -> VerySpecialReport:
 # -- path objects for diagrams -------------------------------------------------------
 
 
-def _levelwise(maps_at: Callable[[int], tuple]) -> Callable[[int, int, Cell], Cell]:
-    """``apply(m, dim, cell)`` of the cell maps ``maps_at(m)`` of each
-    level, built on first use."""
-    maps_at = cache(maps_at)
-    return lambda m, dim, cell: maps_at(m)[dim](cell)
-
-
 @dataclass
 class GammaPathObject:
     base: GammaTruncation
@@ -508,19 +499,17 @@ class LazyPathGamma:
     def star(self, phi: PointedMap) -> tuple:
         """The cell maps of the transition along phi: both legs and the
         1-cell of an object go along phi in the base."""
-        if phi not in self._stars:
-            zs, Zn = _star_maps(self.Z, phi), self.Z.level(phi.n)
-            self._stars[phi] = comma_map(PATH_TAGS, lambda o: arrow(Zn, zs[1](o[2])), zs, zs)
-        return self._stars[phi]
-
-    def phi_star(self, phi: PointedMap, dim: int, cell):
-        return self.star(phi)[dim](cell)
+        try:
+            return self._stars[phi]
+        except KeyError:
+            zs, Zn = self.Z.star(phi), self.Z.level(phi.n)
+        maps = self._stars[phi] = comma_map(PATH_TAGS, lambda o: arrow(Zn, zs[1](o[2])), zs, zs)
+        return maps
 
     def evaluation(self, side: int) -> GammaLaxMap:
         """The strict map extracting the source (side 0) or target (side 1)."""
         leg = (T_LEG, S_LEG)[side]
-        return strict_lax_map(self, self.Z, lambda m, dim, cell: leg[dim](cell),
-                              name=f"e{side}")
+        return strict_lax_map(self, self.Z, lambda m: leg, name=f"e{side}")
 
 
 def transformation_to_path_lax(t: GammaTransformation, P: GammaPathObject) -> GammaLaxMap:
@@ -534,13 +523,12 @@ def transformation_to_path_lax(t: GammaTransformation, P: GammaPathObject) -> Ga
                           lambda x: arrow(Y.level(m), t.at(m, x)),
                           k.cell_maps(m), h.cell_maps(m))
 
-    apply_fn = _levelwise(maps_at)
-
     def lax(phi: PointedMap, x):
-        return ("p1", P.total.phi_star(phi, 0, apply_fn(phi.m, 0, x)),
-                apply_fn(phi.n, 0, X.phi_star(phi, 0, x)), k.lax(phi, x), h.lax(phi, x))
+        return ("p1", P.total.star(phi)[0](lt.cell_maps(phi.m)[0](x)),
+                lt.cell_maps(phi.n)[0](X.star(phi)[0](x)), k.lax(phi, x), h.lax(phi, x))
 
-    return GammaLaxMap(X, P.total, apply_fn, lax, name=f"tilde({t.name})")
+    lt = GammaLaxMap(X, P.total, maps_at, lax, name=f"tilde({t.name})")
+    return lt
 
 
 def path_lax_to_transformation(lt: GammaLaxMap, P: GammaPathObject) -> GammaTransformation:
@@ -549,7 +537,7 @@ def path_lax_to_transformation(lt: GammaLaxMap, P: GammaPathObject) -> GammaTran
     k = compose_lax(P.e1, lt)
 
     def comp(m, x):
-        return lt.apply(m, 0, x)[2]
+        return lt.cell_maps(m)[0](x)[2]
 
     return GammaTransformation(h, k, comp, name=f"untilde({lt.name})")
 
@@ -586,7 +574,7 @@ def e_construction(k: GammaLaxMap, ceiling: int | None = None) -> ESpan:
                     ceiling) for m in range(X.cap + 1)]
 
     def build(phi: PointedMap) -> TwoFunctor:
-        xs, zs = _star_maps(X, phi), _star_maps(Z, phi)
+        xs, zs = X.star(phi), Z.star(phi)
         Tn = Z.level(phi.n)
 
         def obj(o):
@@ -598,8 +586,8 @@ def e_construction(k: GammaLaxMap, ceiling: int | None = None) -> ESpan:
                               xs, zs, f"E({phi})")
 
     Ek = GammaTruncation(f"E({k.name})", X.cap, levels, build)
-    omega = strict_lax_map(Ek, X, lambda m, dim, cell: S_LEG[dim](cell), name="omega")
-    nu = strict_lax_map(Ek, Z, lambda m, dim, cell: T_LEG[dim](cell), name="nu")
+    omega = strict_lax_map(Ek, X, lambda m: S_LEG, name="omega")
+    nu = strict_lax_map(Ek, Z, lambda m: T_LEG, name="nu")
     path = LazyPathGamma(Z)
 
     # nu_bar sends (x, f, a) to the arrow f, and a higher cell's S-leg along k
@@ -608,16 +596,14 @@ def e_construction(k: GammaLaxMap, ceiling: int | None = None) -> ESpan:
         omap = {o: arrow(Zm, o[2]) for o in levels[m].objects}
         return comma_map(PATH_TAGS, omap.__getitem__, k.cell_maps(m), IDENTITY_MAPS)
 
-    nu_bar_apply = _levelwise(nu_bar_maps)
-
     def nu_bar_lax(phi: PointedMap, cell):
         _, x, f, a = cell
-        Tn = Z.level(phi.n)
-        pushed, lax = Z.phi_star(phi, 1, f), k.lax(phi, x)
+        Tn, zs = Z.level(phi.n), Z.star(phi)
+        pushed, lax = zs[1](f), k.lax(phi, x)
         return ("p1", arrow(Tn, pushed), arrow(Tn, Tn.comp1(lax, pushed)), lax,
-                Tn.id1(Z.phi_star(phi, 0, a)))
+                Tn.id1(zs[0](a)))
 
-    nu_bar = GammaLaxMap(Ek, path, nu_bar_apply, nu_bar_lax, name="nu_bar")
+    nu_bar = GammaLaxMap(Ek, path, nu_bar_maps, nu_bar_lax, name="nu_bar")
     return ESpan(k, Ek, omega, nu_bar, nu, path)
 
 
@@ -636,15 +622,16 @@ def validate_espan(span: ESpan) -> ValidationReport:
     e1 = span.path.evaluation(1)
     for m in range(Ek.cap + 1):
         L = Ek.level(m)
-        T = Z.level(m)
-        for dim, cells in ((0, L.objects), (1, list(L.one_src)), (2, list(L.two_src))):
+        for cells, nu_bar, nu, ev0, k, omega, ev1 in zip(
+                (L.objects, L.one_src, L.two_src), span.nu_bar.cell_maps(m),
+                span.nu.cell_maps(m), e0.cell_maps(m), span.k.cell_maps(m),
+                span.omega.cell_maps(m), e1.cell_maps(m)):
             for cell in cells:
                 rep.checked += 2
-                nb = span.nu_bar.apply(m, dim, cell)
-                if span.nu.apply(m, dim, cell) != e0.apply(m, dim, nb):
+                nb = nu_bar(cell)
+                if nu(cell) != ev0(nb):
                     rep.add("span", f"nu != e0 . nu_bar at level {m}, {cell!r}")
-                lhs = span.k.apply(m, dim, span.omega.apply(m, dim, cell))
-                if lhs != e1.apply(m, dim, nb):
+                if k(omega(cell)) != ev1(nb):
                     rep.add("span", f"k . omega != e1 . nu_bar at level {m}, {cell!r}")
     for phi in Ek.all_maps():
         T = Z.level(phi.n)
@@ -666,22 +653,23 @@ def e_section(span: ESpan) -> GammaLaxMap:
     X: GammaTruncation = span.k.source
     Z: GammaTruncation = span.k.target
     k = span.k
-    apply_fn = _levelwise(lambda m: comma_section(X.level(m), Z.level(m), k.cell_maps(m),
-                                                  E_TAGS))
 
     # i is strict only when k is; its laxity square inherits k's cells
     def lax(phi: PointedMap, x):
         m, n = phi.m, phi.n
         S = X.level(n)
         T = Z.level(n)
-        phix = X.phi_star(phi, 0, x)
-        kx_push = Z.phi_star(phi, 0, k.apply(m, 0, x))
+        phix = X.star(phi)[0](x)
+        kx_push = Z.star(phi)[0](k.cell_maps(m)[0](x))
         o_src = ("e0c", phix,
                  T.comp1(k.lax(phi, x), T.id1(kx_push)), kx_push)
-        o_tgt = apply_fn(n, 0, phix)
+        o_tgt = sec.cell_maps(n)[0](phix)
         return ("e1c", o_src, o_tgt, S.id1(phix), k.lax(phi, x))
 
-    return GammaLaxMap(X, span.Ek, apply_fn, lax, name="section")
+    sec = GammaLaxMap(X, span.Ek, lambda m: comma_section(X.level(m), Z.level(m),
+                                                          k.cell_maps(m), E_TAGS),
+                      lax, name="section")
+    return sec
 
 
 def e_adjunction_check(span: ESpan) -> ValidationReport:
@@ -698,16 +686,17 @@ def e_adjunction_check(span: ESpan) -> ValidationReport:
     for m in range(Ek.cap + 1):
         L = Ek.level(m)
         S = X.level(m)
+        section, omega = sec.cell_maps(m), span.omega.cell_maps(m)
         # omega . section = identity
-        for dim, cells in ((0, S.objects), (1, list(S.one_src)), (2, list(S.two_src))):
+        for cells, s, w in zip((S.objects, S.one_src, S.two_src), section, omega):
             for cell in cells:
                 rep.checked += 1
-                if span.omega.apply(m, dim, sec.apply(m, dim, cell)) != cell:
+                if w(s(cell)) != cell:
                     rep.add("retraction", f"omega.section != id at level {m}, {cell!r}")
 
         def unit_at(o):
             _, x, f, a = o
-            return ("e1c", o, sec.apply(m, 0, x), S.id1(x), f)
+            return ("e1c", o, section[0](x), S.id1(x), f)
 
         for o in L.objects:
             u = unit_at(o)
@@ -716,12 +705,12 @@ def e_adjunction_check(span: ESpan) -> ValidationReport:
                 rep.add("unit", f"comparison cell missing at level {m}, {o!r}")
                 continue
             # triangle 1: omega of the comparison cell is an identity
-            if not S.is_id1(span.omega.apply(m, 1, u)):
+            if not S.is_id1(omega[1](u)):
                 rep.add("triangle", f"omega(unit) not identity at level {m}, {o!r}")
             # triangle 2: the comparison cell at a section image is an identity
         for x in S.objects:
             rep.checked += 1
-            if not L.is_id1(unit_at(sec.apply(m, 0, x))):
+            if not L.is_id1(unit_at(section[0](x))):
                 rep.add("triangle", f"unit at section image not identity at level {m}, {x!r}")
         # the comparison cells are 2-natural from the identity to section . omega
         scan_naturality(rep, L, L, unit_at, ident.cell_maps(m), back.cell_maps(m),
@@ -740,24 +729,22 @@ def e_on_square(span_top: ESpan, span_bot: ESpan, h: GammaLaxMap, j: GammaLaxMap
     X: GammaTruncation = kt.source
     Z: GammaTruncation = kt.target
     for m in range(X.cap + 1):
+        kb0, h0, j0, kt0 = (f.cell_maps(m)[0] for f in (kb, h, j, kt))
         for x in X.level(m).objects:
-            if kb.apply(m, 0, h.apply(m, 0, x)) != j.apply(m, 0, kt.apply(m, 0, x)):
+            if kb0(h0(x)) != j0(kt0(x)):
                 raise ValueError(f"square does not commute at level {m}, object {x!r}")
     for phi in X.all_maps():
-        T = kb.target.level(phi.n)
+        h0, j1 = h.cell_maps(phi.m)[0], j.cell_maps(phi.n)[1]
         for x in X.level(phi.m).objects:
-            lhs = kb.lax(phi, h.apply(phi.m, 0, x))
-            rhs = j.apply(phi.n, 1, kt.lax(phi, x))
-            if lhs != rhs:
+            if kb.lax(phi, h0(x)) != j1(kt.lax(phi, x)):
                 raise ValueError(f"square does not commute laxly at {phi}, {x!r}")
 
     def maps_at(m):
-        return comma_map(E_TAGS, lambda o: ("e0c", h.apply(m, 0, o[1]), j.apply(m, 1, o[2]),
-                                            j.apply(m, 0, o[3])),
-                         h.cell_maps(m), j.cell_maps(m))
+        hm, jm = h.cell_maps(m), j.cell_maps(m)
+        return comma_map(E_TAGS, lambda o: ("e0c", hm[0](o[1]), jm[1](o[2]), jm[0](o[3])),
+                         hm, jm)
 
-    apply_fn = _levelwise(maps_at)
-    return strict_lax_map(span_top.Ek, span_bot.Ek, apply_fn, name="E(square)")
+    return strict_lax_map(span_top.Ek, span_bot.Ek, maps_at, name="E(square)")
 
 
 def e_of_transformation(span_h: ESpan, span_k: ESpan, t: GammaTransformation) -> GammaLaxMap:
@@ -770,5 +757,4 @@ def e_of_transformation(span_h: ESpan, span_k: ESpan, t: GammaTransformation) ->
         return comma_map(E_TAGS, lambda o: ("e0c", o[1], T.comp1(t.at(m, o[1]), o[2]), o[3]),
                          IDENTITY_MAPS, IDENTITY_MAPS)
 
-    apply_fn = _levelwise(maps_at)
-    return strict_lax_map(span_h.Ek, span_k.Ek, apply_fn, name=f"E({t.name})")
+    return strict_lax_map(span_h.Ek, span_k.Ek, maps_at, name=f"E({t.name})")

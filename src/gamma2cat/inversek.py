@@ -194,9 +194,9 @@ def ax_apply(X, phim: AMorphism, dim: int, cells: tuple) -> tuple:
         i = dec.owner[j]
         if i is None:
             bang = PointedMap(0, n_j, ())
-            out.append(X.phi_star(bang, dim, X.point(dim)))
+            out.append(X.star(bang)[dim](X.point(dim)))
         else:
-            out.append(X.phi_star(dec.pointed_at(i, j), dim, cells[i]))
+            out.append(X.star(dec.pointed_at(i, j))[dim](cells[i]))
     return tuple(out)
 
 
@@ -507,9 +507,8 @@ class BlockwiseLax:
         self.h = h  # a lax map of reduced diagrams
 
     def apply(self, mvec: tuple, dim: int, cells: tuple) -> tuple:
-        return tuple(
-            self.h.apply(m, dim, c) for m, c in zip(mvec, cells)
-        )
+        cell_maps = self.h.cell_maps
+        return tuple(cell_maps(m)[dim](c) for m, c in zip(mvec, cells))
 
     def lax(self, phim: AMorphism, xs: tuple) -> tuple:
         X = self.h.source
@@ -543,14 +542,14 @@ class POfLax:
             nvec = cell.tgt.mvec
             lax = self.ah.lax(cell.phim, cell.src.xs)
             fs = tuple(
-                Y.level(m).comp1(h.apply(m, 1, f), l)
+                Y.level(m).comp1(h.cell_maps(m)[1](f), l)
                 for m, f, l in zip(nvec, cell.fs, lax)
             )
             return mk_groth_one(cell.phim, self.on(0, cell.src), self.on(0, cell.tgt), fs)
         nvec = cell.src.tgt.mvec
         lax = self.ah.lax(cell.src.phim, cell.src.src.xs)
         alphas = tuple(
-            Y.level(m).hcomp2(h.apply(m, 2, al), Y.level(m).id2(l))
+            Y.level(m).hcomp2(h.cell_maps(m)[2](al), Y.level(m).id2(l))
             for m, al, l in zip(nvec, cell.alphas, lax)
         )
         return mk_groth_two(self.on(1, cell.src), self.on(1, cell.tgt), alphas)

@@ -164,7 +164,7 @@ def mk_system_two_cell(n: int, src, tgt, alpha: tuple) -> SystemTwoCell:
     return SystemTwoCell._make(n, src, tgt, alpha)
 
 
-def make_system(C, n: int, xmap: dict, cmap: dict) -> SubsetSystem:
+def make_system(n: int, xmap: dict, cmap: dict) -> SubsetSystem:
     subs = nonempty_subsets_of(n)
     return mk_system(
         n,
@@ -173,7 +173,7 @@ def make_system(C, n: int, xmap: dict, cmap: dict) -> SubsetSystem:
     )
 
 
-def make_system_map(C, src: SubsetSystem, tgt: SubsetSystem, fmap: dict,
+def make_system_map(src: SubsetSystem, tgt: SubsetSystem, fmap: dict,
                     gammamap: dict | None) -> SystemMap:
     n = src.n
     subs = nonempty_subsets_of(n)
@@ -388,7 +388,7 @@ def compose_system_maps(C, g: SystemMap, f: SystemMap) -> SystemMap:
     n = f.n
     comps = {s: C.comp1(g.f_at(C, s), f.f_at(C, s)) for s in nonempty_subsets_of(n)}
     if f.gamma is None and g.gamma is None:
-        out = make_system_map(C, f.src, g.tgt, comps, None)
+        out = make_system_map(f.src, g.tgt, comps, None)
         _COMPOSE_CACHE[key] = out
         return out
     gammas = {}
@@ -410,14 +410,14 @@ def compose_system_maps(C, g: SystemMap, f: SystemMap) -> SystemMap:
         )
         th3 = whisker_r(C, g.gamma_at(C, s, t), f.f_at(C, union(s, t)))
         gammas[(s, t)] = vseq(C, th1, th2, th3)
-    out = make_system_map(C, f.src, g.tgt, comps, gammas)
+    out = make_system_map(f.src, g.tgt, comps, gammas)
     _COMPOSE_CACHE[key] = out
     return out
 
 
 def identity_system_map(C, sys: SubsetSystem) -> SystemMap:
     comps = {s: C.id1(sys.x_at(C, s)) for s in nonempty_subsets_of(sys.n)}
-    return make_system_map(C, sys, sys, comps, None)
+    return make_system_map(sys, sys, comps, None)
 
 
 def is_identity_system_map(C, mp: SystemMap) -> bool:
@@ -522,7 +522,7 @@ def enumerate_systems(C, n: int, ceiling: int) -> list[SubsetSystem]:
         (lambda s: C.objects_iter(), lambda s, t, st: bool(connecting(s, t))),
         (lambda st: connecting(*st), partial(_system_cocycle_holds, C, x, c),
          partial(swapped_c, C, x, c)),
-        lambda: make_system(C, n, asg, asg), partial(validate_system, C),
+        lambda: make_system(n, asg, asg), partial(validate_system, C),
         "object enumeration", ceiling)
 
 
@@ -551,7 +551,7 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
         component, pair = (components, partial(_strict_square_holds, C, src, tgt, f)), None
     return _search(
         asg, n, component, pair,
-        lambda: make_system_map(C, src, tgt, asg, asg if gray else None),
+        lambda: make_system_map(src, tgt, asg, asg if gray else None),
         lambda mp: validate_system_map(C, mp, gray), "1-cell enumeration", ceiling)
 
 
@@ -636,7 +636,7 @@ def reindex_system(C, sys: SubsetSystem, phi: PointedMap) -> SubsetSystem:
         (u, v): sys.c_at(C, phi.preimage(u), phi.preimage(v))
         for (u, v) in disjoint_pairs(n)
     }
-    out = make_system(C, n, xmap, cmap)
+    out = make_system(n, xmap, cmap)
     _REINDEX_CACHE[key] = out
     return out
 
@@ -658,7 +658,7 @@ def reindex_system_map(C, mp: SystemMap, phi: PointedMap) -> SystemMap:
             for (u, v) in disjoint_pairs(n)
         }
     out = make_system_map(
-        C, reindex_system(C, mp.src, phi), reindex_system(C, mp.tgt, phi), fmap, gmap
+        reindex_system(C, mp.src, phi), reindex_system(C, mp.tgt, phi), fmap, gmap
     )
     _REINDEX_MAP_CACHE[key] = out
     return out
@@ -727,7 +727,7 @@ def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
         for (s, t) in disjoint_pairs(n):
             xs, xt = sys.x_at(C, s), sys.x_at(C, t)
             cmap[(s, t)] = D.comp1(M.theta[(xs, xt)], F.fmap[sys.c_at(C, s, t)])
-        out = make_system(D, n, xmap, cmap)
+        out = make_system(n, xmap, cmap)
         r = validate_system(D, out)
         if not r.ok:
             raise ValueError(f"image system fails target axioms: {r.first()}")
@@ -742,7 +742,7 @@ def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
             for (s, t) in disjoint_pairs(n):
                 ys, yt = mp.tgt.x_at(C, s), mp.tgt.x_at(C, t)
                 gmap[(s, t)] = whisker_l(D, M.theta[(ys, yt)], F.amap[mp.gamma_at(C, s, t)])
-        out = make_system_map(D, on_system(mp.src), on_system(mp.tgt), fmap, gmap)
+        out = make_system_map(on_system(mp.src), on_system(mp.tgt), fmap, gmap)
         r = validate_system_map(D, out, gray=mp.gamma is not None)
         if not r.ok:
             raise ValueError(f"image map fails target axioms: {r.first()}")
@@ -897,18 +897,23 @@ class LazyKtGamma:
         self.cap = cap
         self.name = name or f"K({C.name})"
         self._levels: dict[int, LazyKtLevel] = {}
+        self._stars: dict[PointedMap, tuple] = {}
 
     def level(self, m: int) -> LazyKtLevel:
         if m not in self._levels:
             self._levels[m] = LazyKtLevel(self.C, m)
         return self._levels[m]
 
-    def phi_star(self, phi: PointedMap, dim: int, cell):
-        if dim == 0:
-            return reindex_system(self.C, cell, phi)
-        if dim == 1:
-            return reindex_system_map(self.C, cell, phi)
-        return reindex_system_two_cell(self.C, cell, phi)
+    def star(self, phi: PointedMap) -> tuple:
+        """The reindexings along ``phi`` of systems, system maps and
+        system 2-cells."""
+        try:
+            return self._stars[phi]
+        except KeyError:
+            pass
+        maps = self._stars[phi] = tuple(partial(f, self.C, phi=phi) for f in (
+            reindex_system, reindex_system_map, reindex_system_two_cell))
+        return maps
 
     def point(self, dim: int):
         sys = mk_system(0, (), ())

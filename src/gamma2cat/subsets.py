@@ -14,9 +14,6 @@ from functools import lru_cache
 
 Subset = tuple[int, ...]
 
-EMPTY: Subset = ()
-
-
 def subset_key(s: Subset) -> tuple[int, Subset]:
     return (len(s), s)
 
@@ -44,9 +41,9 @@ def disjoint(s: Subset, t: Subset) -> bool:
 
 
 @lru_cache(maxsize=None)
-def disjoint_pairs(n: int, nonempty: bool = True) -> tuple[tuple[Subset, Subset], ...]:
-    """Ordered disjoint pairs (s, t); by default both parts nonempty."""
-    pool = nonempty_subsets_of(n) if nonempty else subsets_of(n)
+def disjoint_pairs(n: int) -> tuple[tuple[Subset, Subset], ...]:
+    """Ordered disjoint pairs (s, t) of nonempty subsets of {1..n}."""
+    pool = nonempty_subsets_of(n)
     return tuple((s, t) for s in pool for t in pool if disjoint(s, t))
 
 

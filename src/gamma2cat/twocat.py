@@ -27,8 +27,11 @@ level, the inverse construction).  ``FiniteTwoCategory`` is its tabulated
 case and also answers the ``ENUMERATION_OPERATIONS``; a permutative carrier
 binds all fifteen from its base 2-category.
 
-A strict 2-functor is given by plain cell maps; the transitions of a diagram
-are built whole on first use (``gamma.GammaTruncation.transition``).
+A strict 2-functor is given by plain cell maps, one triple (objects,
+1-cells, 2-cells) such as ``TwoFunctor.cell_maps``; the transitions of a
+diagram (``star``) and the levels of a lax map (``cell_maps``) in ``gamma``
+hand out the same triples.  A diagram's transitions are built whole on first
+use (``gamma.GammaTruncation.transition``).
 Transformations are 2-natural only.  The two laws are written once, in
 ``scan_functor`` and ``scan_naturality``; the level validators here, the
 diagram validators of ``gamma`` and the cubical and monoidal-functor

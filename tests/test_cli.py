@@ -72,7 +72,7 @@ def test_save_of_an_unvalidated_truncation(f2):
     assert save(load(text)) == text
 
 
-def test_missing_transition_named_by_save_and_phi_star():
+def test_missing_transition_named_by_save_and_star():
     text = save(FixtureDocument(gammas={"K": ko_gamma(promote(fixture("F1")), 1)}))
     cut = "\n".join(l for l in text.splitlines() if not l.startswith("map 1 1 ")) + "\n"
     assert cut != text
@@ -83,7 +83,7 @@ def test_missing_transition_named_by_save_and_phi_star():
         save(FixtureDocument(gammas={"K": X}))
     with pytest.raises(LookupError, match=r"^K has no transition functor for "
                                           r"PointedMap\(m=1, n=1, imgs=\(1,\)\)$"):
-        X.phi_star(identity, 0, X.level(1).objects[0])
+        X.star(identity)
     with pytest.raises(FixtureError, match="missing transition functor"):
         load(cut)
 
@@ -131,6 +131,22 @@ def test_exit_code_zero_on_pass():
     code, out = _capture(["validate", "--fixture", "F2"])
     assert code == 0
     assert "result: pass" in out
+
+
+def test_validate_reports_a_shipped_file_that_fails_its_axioms(tmp_path, monkeypatch):
+    # validate checks the file itself, so a failure is its verdict (exit 1);
+    # a command that needs a valid carrier still refuses the file (exit 2)
+    text = (fixtures_dir() / "F2.fx").read_text(encoding="utf-8")
+    bad = text.replace("sum_obj o1 o1 o0\n", "sum_obj o1 o1 o1\n")
+    assert bad != text
+    (tmp_path / "F2.fx").write_text(bad, encoding="utf-8")
+    monkeypatch.setattr("gamma2cat.cli.fixtures_dir", lambda: tmp_path)
+    code, out = _capture(["validate", "--fixture", "F2"])
+    assert code == 1
+    assert ("FAIL permutative-axioms  ([structure] 1-cell sum at ('m1','m1') "
+            "has wrong endpoints)") in out
+    code, _ = _capture(["ko", "--fixture", "F2", "--level", "1"])
+    assert code == 2
 
 
 def test_exit_code_one_on_failing_check(tmp_path):

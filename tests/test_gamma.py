@@ -3,11 +3,15 @@ import pytest
 import gamma2cat.gamma as gamma_module
 from gamma2cat.subsets import PointedMap, all_pointed_maps, pointed_identity
 from gamma2cat.monoidal import fixture, promote
-from gamma2cat.ktheory import ko_gamma, ko_map, kt_gamma
+from gamma2cat.ktheory import LazyKtGamma, ko_gamma, ko_map, kt_gamma
 from gamma2cat.monoidal import MonoidalFunctor
 from gamma2cat.twocat import TwoFunctor, validate_two_category, is_isomorphism_of_two_categories
+from gamma2cat.inversek import GrothPerm, POfLax
+from gamma2cat.adjunction import k_of_p_of_lax, unit_map
 from gamma2cat.gamma import (
+    DIAGRAM_OPERATIONS,
     E_TAGS,
+    LAX_MAP_OPERATIONS,
     GammaLaxMap,
     GammaTransformation,
     GammaTruncation,
@@ -74,7 +78,7 @@ def test_compose_lax_identity_laws(f2_gamma2):
     left = compose_lax(ident, eta_like)
     for m in range(X.cap + 1):
         for x in X.level(m).objects:
-            assert left.apply(m, 0, x) == x
+            assert left.cell_maps(m)[0](x) == x
     for phi in X.all_maps():
         for x in X.level(phi.m).objects:
             assert left.lax(phi, x) == ident.lax(phi, x)
@@ -98,10 +102,52 @@ def test_compose_lax_associativity(f2_gamma2):
     rhs = compose_lax(compose_lax(h, i1), i1)
     for m in range(X.cap + 1):
         for x in X.level(m).objects:
-            assert lhs.apply(m, 0, x) == rhs.apply(m, 0, x)
+            assert lhs.cell_maps(m)[0](x) == rhs.cell_maps(m)[0](x)
     for phi in X.all_maps():
         for x in X.level(phi.m).objects:
             assert lhs.lax(phi, x) == rhs.lax(phi, x)
+
+
+# -- the diagram and lax-map protocol ---------------------------------------------
+
+
+def test_every_diagram_and_lax_map_answers_the_protocol(f2_gamma2):
+    X = f2_gamma2
+    PX = GrothPerm(X)
+    KPX = LazyKtGamma(PX, X.cap)
+    ident = identity_lax_map(X)
+    span = e_construction(ident)
+    po = gamma_path_object(X)
+    t = identity_transformation(ident)
+    tabulated = [X, span.Ek, po.total]
+    lazy = [KPX, span.path]
+    assert [type(D).__name__ for D in tabulated + lazy] == [
+        "GammaTruncation", "GammaTruncation", "GammaTruncation", "LazyKtGamma", "LazyPathGamma"]
+    for D in tabulated + lazy:
+        assert all(callable(getattr(D, op, None)) for op in DIAGRAM_OPERATIONS), D
+        for phi in X.all_maps():
+            maps = D.star(phi)
+            assert len(maps) == 3 and D.star(phi) is maps, (D, phi)
+    # a tabulated diagram hands out the cell maps of its transitions
+    for D in tabulated:
+        for phi in D.all_maps():
+            F, maps = D.transition(phi), D.star(phi)
+            for table, f in zip((F.omap, F.fmap, F.amap), maps):
+                assert all(f(c) == image for c, image in table.items()), (D, phi)
+    lax_maps = {
+        "identity": ident, "composite": compose_lax(ident, ident), "functors": po.e0,
+        "omega": span.omega, "nu": span.nu, "nu_bar": span.nu_bar, "section": e_section(span),
+        "evaluation": span.path.evaluation(0), "tilde": transformation_to_path_lax(t, po),
+        "E(square)": e_on_square(span, span, ident, ident),
+        "E(t)": e_of_transformation(span, span, t), "unit": unit_map(X, PX, KPX),
+        "KP(h)": k_of_p_of_lax(POfLax(ident, PX, PX), KPX, KPX),
+    }
+    for name, h in lax_maps.items():
+        assert all(callable(getattr(h, op, None)) for op in LAX_MAP_OPERATIONS), name
+        for m in range(X.cap + 1):
+            maps = h.cell_maps(m)
+            assert len(maps) == 3 and h.cell_maps(m) is maps, (name, m)
+            assert all(callable(f) for f in maps), (name, m)
 
 
 def test_segal_level_one_is_identity(f2_gamma2):
@@ -144,8 +190,8 @@ def test_gamma_path_object(f2_gamma2):
     assert po.total.level(0).counts() == (1, 1, 1)
     for m in range(X.cap + 1):
         for x in X.level(m).objects:
-            assert po.e0.apply(m, 0, po.i.apply(m, 0, x)) == x
-            assert po.e1.apply(m, 0, po.i.apply(m, 0, x)) == x
+            assert po.e0.cell_maps(m)[0](po.i.cell_maps(m)[0](x)) == x
+            assert po.e1.cell_maps(m)[0](po.i.cell_maps(m)[0](x)) == x
 
 
 def test_path_characterizes_transformations(f2_gamma2):
@@ -159,8 +205,8 @@ def test_path_characterizes_transformations(f2_gamma2):
     for m in range(X.cap + 1):
         for x in X.level(m).objects:
             assert back.at(m, x) == t.at(m, x)
-            assert back.h.apply(m, 0, x) == t.h.apply(m, 0, x)
-            assert back.k.apply(m, 0, x) == t.k.apply(m, 0, x)
+            assert back.h.cell_maps(m)[0](x) == t.h.cell_maps(m)[0](x)
+            assert back.k.cell_maps(m)[0](x) == t.k.cell_maps(m)[0](x)
 
 
 # -- corrupted inputs the diagram validators must reject ---------------------------
@@ -184,10 +230,10 @@ def test_lax_map_with_a_wrong_two_cell_image_rejected(name, message):
     L1 = X.level(1)
     a, b = sorted(L1.two_src, key=lambda c: not L1.is_id2(c))
 
-    def apply_fn(m, dim, cell):
-        return b if (m, dim, cell) == (1, 2, a) else cell
+    def maps(m):
+        return (lambda x: x, lambda f: f, lambda c: b if (m, c) == (1, a) else c)
 
-    rep = validate_lax_map(strict_lax_map(X, X, apply_fn, name="bad"))
+    rep = validate_lax_map(strict_lax_map(X, X, maps, name="bad"))
     assert rep.issues and {i.kind for i in rep.issues} == {"functor"}
     assert rep.issues[0].message.startswith("level 1: ") and message in rep.issues[0].message
 
@@ -204,7 +250,7 @@ def test_lax_map_with_a_non_natural_structure_cell_rejected(f4_gamma):
     def lax(psi, x):
         return c if (psi, x) == (phi, z) else ident.lax(psi, x)
 
-    rep = validate_lax_map(GammaLaxMap(X, X, ident.apply, lax, name="bad"))
+    rep = validate_lax_map(GammaLaxMap(X, X, ident.cell_maps, lax, name="bad"))
     assert rep.first().kind == "lax"
     assert rep.first().message.startswith(f"structure cell at {phi} not natural at 1-cell ")
 
@@ -234,11 +280,12 @@ def test_adjunction_rejects_an_altered_section(monkeypatch):
     e = L1.id1(L1.objects[0])
     good = e_section(span)
 
-    def apply_fn(m, dim, cell):
-        return good.apply(m, dim, e if (m, dim, cell) == (1, 1, x) else cell)
+    def maps(m):
+        s0, s1, s2 = good.cell_maps(m)
+        return (s0, lambda f: s1(e if (m, f) == (1, x) else f), s2)
 
     monkeypatch.setattr(gamma_module, "e_section",
-                        lambda sp: GammaLaxMap(X, sp.Ek, apply_fn, good.lax, name="section"))
+                        lambda sp: GammaLaxMap(X, sp.Ek, maps, good.lax, name="section"))
     rep = e_adjunction_check(span)
     assert rep.first().kind == "retraction"
     assert {"naturality"} == {i.kind for i in rep.issues} - {"retraction"}
@@ -286,14 +333,14 @@ def test_espan_strict_collapse_case(f2_gamma2, f1_gamma):
     # for a strict map the second leg is the map after the retraction
     for m in range(3):
         L = span.Ek.level(m)
-        for dim, cells in ((0, L.objects), (1, list(L.one_src)), (2, list(L.two_src))):
+        for cells, nu_bar in zip((L.objects, L.one_src, L.two_src), span.nu_bar.cell_maps(m)):
             for cell in cells:
-                assert span.nu_bar.apply(m, dim, cell) is not None
+                assert nu_bar(cell) is not None
         for cell in L.objects:
-            want = k.apply(m, 0, span.omega.apply(m, 0, cell))
+            want = k.cell_maps(m)[0](span.omega.cell_maps(m)[0](cell))
             got_tgt = span.Ek.level(m)
             # nu lands where k . omega does up to the anchoring arrow
-            _, _, arrow, _ = span.nu_bar.apply(m, 0, cell)
+            _, _, arrow, _ = span.nu_bar.cell_maps(m)[0](cell)
             assert f1_gamma.level(m).tgt1(arrow) == want
 
 
@@ -316,7 +363,7 @@ def test_e_on_square_identity(f2_gamma2):
     sq = e_on_square(span, span, ident, ident)
     for m in range(X.cap + 1):
         for cell in span.Ek.level(m).objects:
-            assert sq.apply(m, 0, cell) == cell
+            assert sq.cell_maps(m)[0](cell) == cell
 
 
 def test_e_of_identity_transformation(f2_gamma2):
@@ -327,7 +374,7 @@ def test_e_of_identity_transformation(f2_gamma2):
     el = e_of_transformation(span, span, t)
     for m in range(X.cap + 1):
         for cell in span.Ek.level(m).objects:
-            assert el.apply(m, 0, cell) == cell
+            assert el.cell_maps(m)[0](cell) == cell
 
 
 def test_e_on_naturality_square_of_strict_map(f2_gamma2, f1_gamma):
@@ -341,10 +388,10 @@ def test_e_on_naturality_square_of_strict_map(f2_gamma2, f1_gamma):
     # commutes with both legs
     for m in range(3):
         for cell in top.Ek.level(m).objects:
-            assert bot.omega.apply(m, 0, sq.apply(m, 0, cell)) == \
-                h.apply(m, 0, top.omega.apply(m, 0, cell))
-            assert bot.nu.apply(m, 0, sq.apply(m, 0, cell)) == \
-                h.apply(m, 0, top.nu.apply(m, 0, cell))
+            assert bot.omega.cell_maps(m)[0](sq.cell_maps(m)[0](cell)) == \
+                h.cell_maps(m)[0](top.omega.cell_maps(m)[0](cell))
+            assert bot.nu.cell_maps(m)[0](sq.cell_maps(m)[0](cell)) == \
+                h.cell_maps(m)[0](top.nu.cell_maps(m)[0](cell))
 
 
 def test_e_rejects_non_commuting_square(f2_gamma2, f1_gamma):

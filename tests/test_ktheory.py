@@ -328,7 +328,7 @@ def _brute_force_systems(C, n):
             cmap = dict(zip(canon, cs))
             for (s, t) in canon:
                 cmap[(t, s)] = ktheory.swapped_c(C, x, lambda p, q: cmap[p, q], s, t)
-            sys = make_system(C, n, xmap, cmap)
+            sys = make_system(n, xmap, cmap)
             if validate_system(C, sys).ok:
                 out.append(sys)
     return _by_repr(out, "x", "c")
@@ -342,7 +342,7 @@ def _brute_force_maps(C, a, b, gray):
         fmap = dict(zip(subs, fs))
         f = fmap.__getitem__
         if not gray:
-            out.append(make_system_map(C, a, b, fmap, None))
+            out.append(make_system_map(a, b, fmap, None))
             continue
         choices = [C.two_cells_between(ktheory._gamma_source(C, a, f, s, t),
                                        ktheory._gamma_target(C, b, f, s, t)) for (s, t) in canon]
@@ -350,7 +350,7 @@ def _brute_force_maps(C, a, b, gray):
             gmap = dict(zip(canon, gs))
             for (s, t) in canon:
                 gmap[(t, s)] = ktheory.swapped_gamma(C, a, b, f, lambda p, q: gmap[p, q], s, t)
-            out.append(make_system_map(C, a, b, fmap, gmap))
+            out.append(make_system_map(a, b, fmap, gmap))
     return _by_repr([mp for mp in out if validate_system_map(C, mp, gray).ok], "f", "gamma")
 
 
@@ -451,7 +451,7 @@ def test_validators_reject_one_corrupted_component(name, n, slot, key, value, de
         if derive:
             for (s, t) in canon:
                 c[(t, s)] = ktheory.swapped_c(C, x.__getitem__, lambda p, q: c[p, q], s, t)
-        rep = validate_system(C, make_system(C, n, x, c))
+        rep = validate_system(C, make_system(n, x, c))
     elif slot in ("f", "gamma"):
         f = {s: mp.f_at(C, s) for s in subs}
         g = {p: mp.gamma_at(C, *p) for p in pairs}
@@ -460,7 +460,7 @@ def test_validators_reject_one_corrupted_component(name, n, slot, key, value, de
             for (s, t) in canon:
                 g[(t, s)] = ktheory.swapped_gamma(C, sys, sys, f.__getitem__,
                                                   lambda p, q: g[p, q], s, t)
-        rep = validate_system_map(C, make_system_map(C, sys, sys, f, g), True)
+        rep = validate_system_map(C, make_system_map(sys, sys, f, g), True)
     else:
         alpha = {s: C.id2(mp.f_at(C, s)) for s in subs} | {key: value}
         cell = mk_system_two_cell(n, mp, mp, tuple(alpha[s] for s in subs))
