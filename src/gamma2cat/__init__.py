@@ -75,8 +75,6 @@ from .inversek import (
     a_hom,
     ax_apply,
     decompose,
-    groth_compose,
-    groth_product,
     validate_p_truncation,
 )
 from .adjunction import (

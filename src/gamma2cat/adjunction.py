@@ -336,37 +336,18 @@ class Counit:
 
     # -- structure cells along block maps
 
-    def _partition_data(self, phim: AMorphism):
-        dec = decompose(phim)
-        parts = []
-        for i, m in enumerate(phim.src):
-            blocks = [
-                tuple(a for a in range(1, m + 1) if phim.table[i][a - 1][0] == j)
-                for j in dec.hit_sets[i]
-            ]
-            parts.append(blocks)
-        return dec, parts
-
     def laxity(self, phim: AMorphism, systems: tuple):
         """The comparison 1-cell from the summed evaluation to the evaluation
         of the pushforward: blockwise partition cells, then the braiding
         reordering."""
         C = self.C
-        dec, parts = self._partition_data(phim)
-        cs = []
-        for i, m in enumerate(phim.src):
-            full = tuple(range(1, m + 1))
-            cs.append(partition_cell(C, systems[i], full, parts[i]))
-        total = sum_one_cells(C, cs)
-        factors = []
-        keys = []
-        for i, m in enumerate(phim.src):
-            for k, j in enumerate(dec.hit_sets[i]):
-                factors.append(systems[i].x_at(C, parts[i][k]))
-                keys.append(j)
-        perm = _sort_permutation(keys)
-        reorder = perm_beta(C, factors, perm)
-        out = C.comp1(reorder, total)
+        dec = decompose(phim)
+        total = sum_one_cells(C, [
+            partition_cell(C, sys, tuple(range(1, m + 1)), parts)
+            for m, sys, parts in zip(phim.src, systems, dec.parts)
+        ])
+        factors = [sys.x_at(C, p) for sys, parts in zip(systems, dec.parts) for p in parts]
+        out = C.comp1(perm_beta(C, factors, _block_order(dec)), total)
         pushed = ax_apply(self.diagram, phim, 0, systems)
         want_tgt = sum_many_obj(C, [
             sys.x_at(C, tuple(range(1, n + 1))) for n, sys in zip(phim.tgt, pushed)
@@ -424,27 +405,22 @@ class Counit:
 
     def _psnat_gray(self, phim, sysmaps, lax_src, lax_tgt, f_total, g_total):
         C = self.C
-        dec, parts = self._partition_data(phim)
+        dec = decompose(phim)
         squares = []
-        for i, m in enumerate(phim.src):
+        for m, mp, parts in zip(phim.src, sysmaps, dec.parts):
             full = tuple(range(1, m + 1))
-            delta = partition_filling(C, sysmaps[i], full, parts[i])
-            F_i = sum_one_cells(C, [sysmaps[i].f_at(C, p) for p in parts[i]])
-            c_i = partition_cell(C, sysmaps[i].src, full, parts[i])
-            d_i = partition_cell(C, sysmaps[i].tgt, full, parts[i])
-            squares.append((F_i, c_i, d_i, sysmaps[i].f_at(C, full), delta))
+            delta = partition_filling(C, mp, full, parts)
+            F_i = sum_one_cells(C, [mp.f_at(C, p) for p in parts])
+            c_i = partition_cell(C, mp.src, full, parts)
+            d_i = partition_cell(C, mp.tgt, full, parts)
+            squares.append((F_i, c_i, d_i, mp.f_at(C, full), delta))
         big = sum_of_squares(C, squares)
         big_inv = vertical_inverse(C, big)
         if big_inv is None:
             raise AssertionError("partition filling sum not invertible")
         # factor list for the reordering, against the part components
-        factors = []
-        keys = []
-        for i in range(len(phim.src)):
-            for k, j in enumerate(dec.hit_sets[i]):
-                factors.append(sysmaps[i].f_at(C, parts[i][k]))
-                keys.append(j)
-        perm = _sort_permutation(keys)
+        factors = [mp.f_at(C, p) for mp, parts in zip(sysmaps, dec.parts) for p in parts]
+        perm = _block_order(dec)
         beta_tgt = perm_beta(C, [C.tgt1(u) for u in factors], perm)
         nat = beta_nat_pasting(C, factors, perm)
         c_total = sum_one_cells(C, [q[1] for q in squares])
@@ -460,103 +436,76 @@ class Counit:
 # -- permutation machinery for the braiding ------------------------------------------
 
 
-def _sort_permutation(keys: list) -> list[int]:
-    """perm[k] = final position of source factor k under a stable sort."""
-    order = sorted(range(len(keys)), key=lambda k: (keys[k], k))
-    perm = [0] * len(keys)
-    for pos, k in enumerate(order):
-        perm[k] = pos
-    return perm
+def _block_order(dec) -> list[int]:
+    """perm[k] = the final position of the k-th part, source-major, once the
+    parts are ordered by the target block they are sent to."""
+    keys = [j for hits in dec.hit_sets for j in hits]
+    rank = {j: pos for pos, j in enumerate(sorted(keys))}
+    return [rank[j] for j in keys]
+
+
+def _adjacent_swaps(perm: list[int]):
+    """The positions p of the adjacent swaps, in bubble-sort order, that
+    carry summand k to position perm[k]; each p is yielded before its swap."""
+    current = list(perm)
+    changed = True
+    while changed:
+        changed = False
+        for p in range(len(current) - 1):
+            if current[p] > current[p + 1]:
+                yield p
+                current[p], current[p + 1] = current[p + 1], current[p]
+                changed = True
 
 
 def perm_beta(C, objs: list, perm: list[int]):
     """The canonical braiding 1-cell realizing a permutation of summands,
     composed from adjacent swaps in bubble-sort order."""
-    current = list(range(len(objs)))
     values = list(objs)
     total = C.id1(sum_many_obj(C, values))
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(values) - 1):
-            if perm[current[p]] > perm[current[p + 1]]:
-                left = sum_many_obj(C, values[:p])
-                right = sum_many_obj(C, values[p + 2:])
-                comp = C.beta_obj(values[p], values[p + 1])
-                step = C.lsum_one(left, C.rsum_one(comp, right))
-                total = C.comp1(step, total)
-                values[p], values[p + 1] = values[p + 1], values[p]
-                current[p], current[p + 1] = current[p + 1], current[p]
-                changed = True
+    for p in _adjacent_swaps(perm):
+        comp = C.beta_obj(values[p], values[p + 1])
+        step = C.lsum_one(sum_many_obj(C, values[:p]),
+                          C.rsum_one(comp, sum_many_obj(C, values[p + 2:])))
+        total = C.comp1(step, total)
+        values[p], values[p + 1] = values[p + 1], values[p]
     return total
 
 
 def beta_nat_pasting(C, factors: list, perm: list[int]):
     """The naturality cell of the permutation braiding against a canonical
-    sum of 1-cells, assembled from interchangers at adjacent swaps.
+    sum of 1-cells, assembled from interchangers at adjacent swaps, each
+    whiskered by the canonical sums of the factors already moved (before p)
+    and still to move (after p + 1).
 
     Supported whenever every braiding component involved is an identity
     1-cell (one-object cubical carriers and all product carriers); other
     cases are outside the computable fragment of this artifact."""
-    current = list(range(len(factors)))
     cells = list(factors)
     acc = C.id2(sum_one_cells(C, cells))
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(cells) - 1):
-            if perm[current[p]] > perm[current[p + 1]]:
-                u, v = cells[p], cells[p + 1]
-                bcomp = C.beta_obj(C.src1(u), C.src1(v))
-                if not C.is_id1(bcomp) or not C.is_id1(C.beta_obj(C.tgt1(u), C.tgt1(v))):
-                    raise NotImplementedError(
-                        "braiding naturality pasting needs identity components"
-                    )
-                left_objs = [C.tgt1(x) for x in cells[:p]]
-                right_objs = [C.src1(x) for x in cells[p + 2:]]
-                padded_u = C.lsum_one(sum_many_obj(C, left_objs), u)
-                padded_v = C.rsum_one(v, sum_many_obj(C, right_objs))
-                step = C.sigma_inv(padded_u, padded_v)
-                if cells[p + 2:]:
-                    step = whisker_l(C, _suffix_embed(C, cells, p), step)
-                if cells[:p]:
-                    step = whisker_r(C, step, _prefix_embed(C, cells, p))
-                acc = C.vcomp(step, acc)
-                cells[p], cells[p + 1] = cells[p + 1], cells[p]
-                current[p], current[p + 1] = current[p + 1], current[p]
-                changed = True
+    for p in _adjacent_swaps(perm):
+        u, v = cells[p], cells[p + 1]
+        bcomp = C.beta_obj(C.src1(u), C.src1(v))
+        if not C.is_id1(bcomp) or not C.is_id1(C.beta_obj(C.tgt1(u), C.tgt1(v))):
+            raise NotImplementedError(
+                "braiding naturality pasting needs identity components"
+            )
+        left_objs = [C.tgt1(x) for x in cells[:p]]
+        right_objs = [C.src1(x) for x in cells[p + 2:]]
+        padded_u = C.lsum_one(sum_many_obj(C, left_objs), u)
+        padded_v = C.rsum_one(v, sum_many_obj(C, right_objs))
+        step = C.sigma_inv(padded_u, padded_v)
+        if cells[p + 2:]:
+            suffix = C.lsum_one(sum_many_obj(C, [C.tgt1(x) for x in cells[:p + 2]]),
+                                sum_one_cells(C, cells[p + 2:]))
+            step = whisker_l(C, suffix, step)
+        if cells[:p]:
+            prefix = C.rsum_one(sum_one_cells(C, cells[:p]),
+                                sum_many_obj(C, [C.src1(x) for x in cells[p:]]))
+            step = whisker_r(C, step, prefix)
+        acc = C.vcomp(step, acc)
+        cells[p], cells[p + 1] = cells[p + 1], cells[p]
     return acc
-
-
-def _suffix_embed(C, cells, p):
-    """The composite of the canonical embeddings of the factors after p+1."""
-    left = sum_many_obj(C, [C.tgt1(x) for x in cells[:p + 2]])
-    chain = None
-    suffix = cells[p + 2:]
-    for k, u in enumerate(suffix):
-        right = sum_many_obj(C, [C.src1(x) for x in suffix[k + 1:]])
-        pre = sum_many_obj(
-            C, [C.tgt1(x) for x in cells[:p + 2]] + [C.tgt1(x) for x in suffix[:k]]
-        )
-        emb = C.rsum_one(C.lsum_one(pre, u), right)
-        chain = emb if chain is None else C.comp1(emb, chain)
-    return chain
-
-
-def _prefix_embed(C, cells, p):
-    """The composite of the canonical embeddings of the factors before p."""
-    chain = None
-    prefix = cells[:p]
-    for k, u in enumerate(prefix):
-        left = sum_many_obj(C, [C.tgt1(x) for x in prefix[:k]])
-        right = sum_many_obj(
-            C,
-            [C.src1(x) for x in prefix[k + 1:]] +
-            [C.src1(x) for x in cells[p:]],
-        )
-        emb = C.rsum_one(C.lsum_one(left, u), right)
-        chain = emb if chain is None else C.comp1(emb, chain)
-    return chain
 
 
 def sum_of_squares(C, squares: list):

@@ -234,6 +234,12 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
         if len(parts) < k:
             raise FixtureError(f"expected at least {k} fields, got {len(parts)}", ln)
 
+    def number(text, ln):
+        try:
+            return int(text)
+        except ValueError:
+            raise FixtureError(f"{text!r} is not a number", ln) from None
+
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -282,10 +288,10 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             g = raw_gammas[sec_name]
             if parts[0] == "cap":
                 need(parts, 2, ln)
-                g["cap"] = int(parts[1])
+                g["cap"] = number(parts[1], ln)
             elif parts[0] == "level":
                 need(parts, 3, ln)
-                g["levels"][int(parts[1])] = parts[2]
+                g["levels"][number(parts[1], ln)] = parts[2]
             elif parts[0] == "map":
                 need(parts, 7, ln)
                 g["maps"].append((ln, parts))
@@ -337,6 +343,8 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
         cap = g["cap"]
         if cap is None or set(g["levels"]) != set(range(cap + 1)):
             raise FixtureError(f"gamma {name}: missing cap or levels", g["line"])
+        if cap < 1:
+            raise FixtureError(f"gamma {name}: cap {cap} is below 1", g["line"])
         levels = []
         for m in range(cap + 1):
             lname = g["levels"][m]
@@ -345,9 +353,14 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             levels.append(doc.categories[lname])
         tables: dict[PointedMap, dict] = {}
         for ln, parts in g["maps"]:
-            m, n = int(parts[1]), int(parts[2])
-            imgs = () if parts[3] == "-" else tuple(int(v) for v in parts[3].split(","))
-            phi = PointedMap(m, n, imgs)
+            m, n = number(parts[1], ln), number(parts[2], ln)
+            if not (0 <= m <= cap and 0 <= n <= cap):
+                raise FixtureError(f"map {m}+ -> {n}+ outside the cap {cap}", ln)
+            imgs = () if parts[3] == "-" else tuple(number(v, ln) for v in parts[3].split(","))
+            try:
+                phi = PointedMap(m, n, imgs)
+            except ValueError as exc:
+                raise FixtureError(str(exc), ln) from None
             entry = tables.setdefault(phi, {"obj": {}, "one": {}, "two": {}})
             dim, src, tgt = parts[4], parts[5], parts[6]
             if dim not in entry:

@@ -130,38 +130,40 @@ def a_block_swap(mvec: tuple, nvec: tuple) -> AMorphism:
 
 @dataclass(frozen=True)
 class AMorphismDecomposition:
-    """Per source block: the ordered hit set, the blockwise pointed maps, and
-    the pair reordering that reassembles the morphism."""
+    """A block map read block by block, computed once per map by ``decompose``.
+
+    Per source block the hit target blocks, the parts (the elements sent to
+    each hit block) and the blockwise pointed maps, all aligned.  Per target
+    block its source: the covering source block with its pointed map, or, for
+    a unit block, ``None`` with the map from the empty set.  Block
+    application, blockwise lax maps and the counit read only this."""
 
     phim: AMorphism
     hit_sets: tuple          # hit_sets[i] = ordered tuple of target blocks j
-    pointed: tuple           # pointed[i] = tuple of PointedMap, one per j
-    reorder: tuple           # pairs (i, j) in source-major order
-    owner: tuple             # owner[j] = covering source block, or None
-
-    def pointed_at(self, i: int, j: int) -> PointedMap:
-        return self.pointed[i][self.hit_sets[i].index(j)]
+    parts: tuple             # parts[i][k] = elements of block i sent to hit_sets[i][k]
+    pointed: tuple           # pointed[i][k] = PointedMap of block i onto hit_sets[i][k]
+    sources: tuple           # sources[j] = (covering source block or None, PointedMap)
 
 
 @lru_cache(maxsize=None)
 def decompose(phim: AMorphism) -> AMorphismDecomposition:
-    hit_sets = []
-    pointed = []
-    owner: list[int | None] = [None] * len(phim.tgt)
-    for i, m in enumerate(phim.src):
-        hits = sorted({j for (j, _b) in phim.table[i]})
-        maps = []
-        for j in hits:
-            owner[j] = i
-            imgs = tuple(
-                b if jj == j else 0 for (jj, b) in phim.table[i]
-            )
-            maps.append(PointedMap(m, phim.tgt[j], imgs))
-        hit_sets.append(tuple(hits))
-        pointed.append(tuple(maps))
-    reorder = tuple((i, j) for i in range(len(phim.src)) for j in hit_sets[i])
-    return AMorphismDecomposition(phim, tuple(hit_sets), tuple(pointed), reorder,
-                                  tuple(owner))
+    hit_sets, parts, pointed = [], [], []
+    sources = [(None, PointedMap(0, n, ())) for n in phim.tgt]
+    for i, (m, row) in enumerate(zip(phim.src, phim.table)):
+        hits = tuple(sorted({j for (j, _b) in row}))
+        maps = tuple(
+            PointedMap(m, phim.tgt[j], tuple(b if jj == j else 0 for (jj, b) in row))
+            for j in hits
+        )
+        for j, pm in zip(hits, maps):
+            sources[j] = (i, pm)
+        hit_sets.append(hits)
+        parts.append(tuple(
+            tuple(a for a, (jj, _b) in enumerate(row, 1) if jj == j) for j in hits
+        ))
+        pointed.append(maps)
+    return AMorphismDecomposition(phim, tuple(hit_sets), tuple(parts), tuple(pointed),
+                                  tuple(sources))
 
 
 def reassemble(dec: AMorphismDecomposition) -> AMorphism:
@@ -188,15 +190,11 @@ def reassemble(dec: AMorphismDecomposition) -> AMorphism:
 def ax_apply(X, phim: AMorphism, dim: int, cells: tuple) -> tuple:
     """Apply a block map to a tuple of level cells: blockwise transition maps
     followed by factor permutation and unit insertion."""
-    dec = decompose(phim)
+    # a plain loop: on Python 3.11 a comprehension costs a frame per call
+    star = X.star
     out = []
-    for j, n_j in enumerate(phim.tgt):
-        i = dec.owner[j]
-        if i is None:
-            bang = PointedMap(0, n_j, ())
-            out.append(X.star(bang)[dim](X.point(dim)))
-        else:
-            out.append(X.star(dec.pointed_at(i, j))[dim](cells[i]))
+    for i, pm in decompose(phim).sources:
+        out.append(star(pm)[dim](X.point(dim) if i is None else cells[i]))
     return tuple(out)
 
 
@@ -380,22 +378,6 @@ class GrothPerm(ProductSum, FieldEndpoints):
         return f"<GrothPerm {self.name}>"
 
 
-def groth_compose(P: GrothPerm, v, u):
-    """Composition of lazily evaluated cells, in either dimension."""
-    if isinstance(v, GrothTwo):
-        return P.vcomp(v, u)
-    return P.comp1(v, u)
-
-
-def groth_product(P: GrothPerm, u, v):
-    """The monoidal product of lazily evaluated cells."""
-    if isinstance(u, GrothObj):
-        return P.sum_obj(u, v)
-    if isinstance(u, GrothOne):
-        return P.sum_one(u, v)
-    return P.sum_two(u, v)
-
-
 # -- bounded fragments ----------------------------------------------------------------
 
 
@@ -511,16 +493,10 @@ class BlockwiseLax:
         return tuple(cell_maps(m)[dim](c) for m, c in zip(mvec, cells))
 
     def lax(self, phim: AMorphism, xs: tuple) -> tuple:
-        X = self.h.source
-        dec = decompose(phim)
+        h = self.h
         out = []
-        for j, n_j in enumerate(phim.tgt):
-            i = dec.owner[j]
-            if i is None:
-                bang = PointedMap(0, n_j, ())
-                out.append(self.h.lax(bang, X.point(0)))
-            else:
-                out.append(self.h.lax(dec.pointed_at(i, j), xs[i]))
+        for i, pm in decompose(phim).sources:
+            out.append(h.lax(pm, h.source.point(0) if i is None else xs[i]))
         return tuple(out)
 
 

@@ -258,9 +258,8 @@ def test_counit_strict_monoidality(f2, f2_gamma2):
     objs = list(B.objects_iter())
     for u in objs[:12]:
         for v in objs[:12]:
-            from gamma2cat.inversek import groth_product, GrothPerm
             P = GrothPerm(X)
-            lhs = eps.on_groth(0, groth_product(P, u, v))
+            lhs = eps.on_groth(0, P.sum_obj(u, v))
             rhs = P2.sum_obj(eps.on_groth(0, u), eps.on_groth(0, v))
             assert lhs == rhs
     P = GrothPerm(X)
@@ -279,6 +278,34 @@ def test_counit_pseudonaturality_identity_on_product_carrier(f2, f2_gamma2):
         for mp in f2_gamma2.level(2).one_src:
             cell = eps.psnat(phim, (mp,))
             assert P2.is_id2(cell)
+
+
+MULTI_BLOCK_SHAPES = [((1, 1), (1, 1)), ((1, 1, 1), (1, 1, 1)), ((1, 1), (2,)),
+                      ((2, 1), (1, 2))]
+
+
+@pytest.mark.parametrize("name,cells,non_identity", [
+    ("F5", 440, 77), ("F2", 104, 0), ("F3", 20, 0),
+])
+def test_counit_gray_psnat_over_multi_block_maps(name, cells, non_identity):
+    # block swaps, three-factor reorderings and split blocks reach the
+    # braiding pasting with both embedding sides and the recursive sum of
+    # filling squares; boundary typing is asserted inside psnat
+    from gamma2cat.twocat import vertical_inverse
+    C = fixture(name)
+    if name != "F5":
+        C = promote(C)
+    X = ko_gamma(C, 2)
+    eps = Counit(C, gray=True)
+    seen = non_id = 0
+    for mv, nv in MULTI_BLOCK_SHAPES:
+        for phim in a_hom(mv, nv):
+            for mps in itertools.product(*[X.level(m).one_src for m in mv]):
+                cell = eps.psnat(phim, mps)
+                assert vertical_inverse(C.base, cell) is not None
+                seen += 1
+                non_id += not C.is_id2(cell)
+    assert (seen, non_id) == (cells, non_identity)
 
 
 def test_counit_gray_components_on_f5(f5, f5_gamma2):

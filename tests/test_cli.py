@@ -173,6 +173,29 @@ def test_exit_code_one_on_failing_check(tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("old, new, at_section", [
+    ("cap 1", "cap x", False),
+    ("level 0 K.L0", "level a K.L0", False),
+    ("map 1 1 1 obj o0 o0", "map 1 1 q obj o0 o0", False),
+    ("map 1 1 1 obj o0 o0", "map 1 1 1,1 obj o0 o0", False),
+    ("map 1 1 1 obj o0 o0", "map 5 1 1,1,1,1,1 obj o0 o0", False),
+    ("map 1 1 1 obj o0 o0", "map 0 -1 - obj o0 o0", False),
+    ("cap 1\nlevel 0 K.L0\nlevel 1 K.L1", "cap 0\nlevel 0 K.L0", True),
+], ids=["cap", "level", "map-image", "map-arity", "map-beyond-cap", "map-negative", "cap-zero"])
+def test_malformed_gamma_numbers_are_usage_errors(old, new, at_section, tmp_path, capsys):
+    # a number the [gamma] section cannot use is named with its line (the
+    # section's line for a cap below 1), never raised as a traceback
+    text = save(FixtureDocument(gammas={"K": ko_gamma(promote(fixture("F1")), 1)}))
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    lines = bad.splitlines()
+    at = 1 + (lines.index("[gamma K]") if at_section else lines.index(new.splitlines()[0]))
+    path = tmp_path / "bad.fx"
+    path.write_text(bad, encoding="utf-8")
+    assert run(["validate", "--fixture", "K.L0", "--file", str(path)]) == 2
+    assert f"usage error: line {at}: " in capsys.readouterr().err
+
+
 def test_exit_code_two_on_unknown_fixture(capsys):
     # a name is a shipped file's exact stem, never a path or another case
     for name in ("NOPE", "../fixtures/F2", "f2"):

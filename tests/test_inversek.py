@@ -20,8 +20,6 @@ from gamma2cat.inversek import (
     ax_apply,
     bounded_shapes,
     decompose,
-    groth_compose,
-    groth_product,
     mk_amorphism,
     mk_groth_obj,
     mk_groth_one,
@@ -81,6 +79,11 @@ def test_decompose_identity_and_split():
     assert dec.hit_sets == ((0, 1),)
     assert dec.pointed[0][0].imgs == (1, 0)
     assert dec.pointed[0][1].imgs == (0, 1)
+    assert dec.parts == (((1,), (2,)),)
+    assert dec.sources == ((0, dec.pointed[0][0]), (0, dec.pointed[0][1]))
+    # a unit block is sourced from the empty set
+    dec = decompose(mk_amorphism((1,), (2, 1), (((1, 1),),)))
+    assert dec.sources == ((None, PointedMap(0, 2, ())), (0, PointedMap(1, 1, (1,))))
 
 
 def test_decompose_round_trip_exhaustive():
@@ -172,7 +175,8 @@ def test_a_on_lax_unit_components_match_blockwise(f2_gamma2):
             want = []
             for j, n_j in enumerate(phim.tgt):
                 if j in dec.hit_sets[0]:
-                    want.append(h.lax(dec.pointed_at(0, j), x))
+                    k = dec.hit_sets[0].index(j)
+                    want.append(h.lax(dec.pointed[0][k], x))
                 else:
                     want.append(h.lax(PointedMap(0, n_j, ()), X.point(0)))
             assert comps == tuple(want)
@@ -203,7 +207,7 @@ def test_groth_identities(f2_gamma2):
             ones.extend(B.one_cells_between(o1, o2))
     e = P.unit_obj()
     for o in objs[:10]:
-        assert groth_product(P, e, o) == o
+        assert P.sum_obj(e, o) == o
         assert P.comp1(P.id1(o), P.id1(o)) == P.id1(o)
     # [id, g][phi, id] = [phi, g] on sampled cells
     for u in ones[:40]:
@@ -212,7 +216,7 @@ def test_groth_identities(f2_gamma2):
         phi_id = mk_groth_one(u.phim, u.src, mid,
                               tuple(X.level(m).id1(x) for m, x in zip(u.tgt.mvec, pushed)))
         id_g = mk_groth_one(a_identity(u.tgt.mvec), mid, u.tgt, u.fs)
-        assert groth_compose(P, id_g, phi_id) == u
+        assert P.comp1(id_g, phi_id) == u
     # braiding squared is an identity composite
     for o1 in objs[1:4]:
         for o2 in objs[1:4]:
