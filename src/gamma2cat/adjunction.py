@@ -313,6 +313,9 @@ class Counit:
         self.gray = gray
         # system reindexing, as a diagram for block application
         self.diagram = LazyKtGamma(C, 0)
+        # structure cells keyed by (block map, interned systems): the
+        # triangle scans ask for the same ones many times over
+        self._memo_laxity: dict = {}
 
     # -- evaluation at the full subset
 
@@ -340,6 +343,13 @@ class Counit:
         """The comparison 1-cell from the summed evaluation to the evaluation
         of the pushforward: blockwise partition cells, then the braiding
         reordering."""
+        out = self._memo_laxity.get((phim, systems))
+        if out is None:
+            out = self._laxity(phim, systems)
+            self._memo_laxity[(phim, systems)] = out
+        return out
+
+    def _laxity(self, phim: AMorphism, systems: tuple):
         C = self.C
         dec = decompose(phim)
         total = sum_one_cells(C, [

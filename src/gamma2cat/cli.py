@@ -229,6 +229,7 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
     raw_gammas: dict[str, dict] = {}
     section = None
     sec_name = None
+    headers: set[tuple[str, str]] = set()
 
     def need(parts, k, ln):
         if len(parts) < k:
@@ -248,6 +249,9 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             if not line.endswith("]"):
                 raise FixtureError("malformed section header", ln)
             kind, _, rest = line[1:-1].partition(" ")
+            if (kind, rest) in headers:
+                raise FixtureError(f"repeated section header [{kind} {rest}]", ln)
+            headers.add((kind, rest))
             if kind == "category":
                 section, sec_name = "category", rest
                 raw_cats[rest] = {"objects": [], "one": {}, "two": {},
@@ -282,6 +286,8 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             if parts[0] in ("flavor", "unit"):
                 need(parts, 2, ln)
                 raw_perms[sec_name][parts[0]] = parts[1]
+                if parts[0] == "unit":
+                    raw_perms[sec_name]["unit_line"] = ln
             else:
                 raw_perms[sec_name]["tables"].append((ln, parts))
         elif section == "gamma":
@@ -326,6 +332,10 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
         cls = CARRIERS.get(p["flavor"])
         if cls is None:
             raise FixtureError(f"unknown flavor {p['flavor']!r}", p["line"])
+        if p["unit"] is None:
+            raise FixtureError(f"permutative section {name} has no unit", p["line"])
+        if not doc.categories[name].has_obj(p["unit"]):
+            raise FixtureError(f"unit {p['unit']} is not an object of {name}", p["unit_line"])
         tables = {t.field: {} for t in cls.TABLES}
         for ln, parts in p["tables"]:
             if parts[0] not in tables:

@@ -258,6 +258,7 @@ class GrothPerm(ProductSum, FieldEndpoints):
         # keyed by the interned argument cells
         self._memo_comp1: dict = {}
         self._memo_sum1: dict = {}
+        self._memo_sum2: dict = {}
         self._memo_id1: dict = {}
         self._memo_id2: dict = {}
 
@@ -354,11 +355,15 @@ class GrothPerm(ProductSum, FieldEndpoints):
         return out
 
     def sum_two(self, a: GrothTwo, b: GrothTwo) -> GrothTwo:
-        return mk_groth_two(
-            self.sum_one(a.src, b.src),
-            self.sum_one(a.tgt, b.tgt),
-            a.alphas + b.alphas,
-        )
+        out = self._memo_sum2.get((a, b))
+        if out is None:
+            out = mk_groth_two(
+                self.sum_one(a.src, b.src),
+                self.sum_one(a.tgt, b.tgt),
+                a.alphas + b.alphas,
+            )
+            self._memo_sum2[(a, b)] = out
+        return out
 
     def beta_obj(self, a: GrothObj, b: GrothObj) -> GrothOne:
         swapped = mk_groth_obj(b.mvec + a.mvec, b.xs + a.xs)
@@ -508,20 +513,20 @@ class POfLax:
         self.ah = BlockwiseLax(h)
         self.PX = PX
         self.PY = PY
+        # images of objects and 1-cells, keyed by the interned cell: every
+        # 2-cell and 1-cell image maps its endpoints again.  Top-level
+        # 2-cells do not recur, so their images are not kept.
+        self._memo_on: dict = {}
 
     def on(self, dim: int, cell):
+        if dim < 2:
+            out = self._memo_on.get(cell)
+            if out is None:
+                out = self._on_obj(cell) if dim == 0 else self._on_one(cell)
+                self._memo_on[cell] = out
+            return out
         Y = self.PY.X
-        if dim == 0:
-            return mk_groth_obj(cell.mvec, self.ah.apply(cell.mvec, 0, cell.xs))
         h = self.ah.h
-        if dim == 1:
-            nvec = cell.tgt.mvec
-            lax = self.ah.lax(cell.phim, cell.src.xs)
-            fs = tuple(
-                Y.level(m).comp1(h.cell_maps(m)[1](f), l)
-                for m, f, l in zip(nvec, cell.fs, lax)
-            )
-            return mk_groth_one(cell.phim, self.on(0, cell.src), self.on(0, cell.tgt), fs)
         nvec = cell.src.tgt.mvec
         lax = self.ah.lax(cell.src.phim, cell.src.src.xs)
         alphas = tuple(
@@ -529,6 +534,19 @@ class POfLax:
             for m, al, l in zip(nvec, cell.alphas, lax)
         )
         return mk_groth_two(self.on(1, cell.src), self.on(1, cell.tgt), alphas)
+
+    def _on_obj(self, cell: GrothObj) -> GrothObj:
+        return mk_groth_obj(cell.mvec, self.ah.apply(cell.mvec, 0, cell.xs))
+
+    def _on_one(self, cell: GrothOne) -> GrothOne:
+        Y = self.PY.X
+        h = self.ah.h
+        lax = self.ah.lax(cell.phim, cell.src.xs)
+        fs = tuple(
+            Y.level(m).comp1(h.cell_maps(m)[1](f), l)
+            for m, f, l in zip(cell.tgt.mvec, cell.fs, lax)
+        )
+        return mk_groth_one(cell.phim, self.on(0, cell.src), self.on(0, cell.tgt), fs)
 
 
 # -- bounded validation --------------------------------------------------------------

@@ -12,7 +12,15 @@ from gamma2cat.ktheory import (
     ko_gamma,
     reindex_system,
 )
-from gamma2cat.inversek import BoundedGroth, GrothPerm, a_hom, ax_apply, mk_groth_obj
+from gamma2cat.inversek import (
+    BoundedGroth,
+    GrothPerm,
+    GrothTwo,
+    POfLax,
+    a_hom,
+    ax_apply,
+    mk_groth_obj,
+)
 from gamma2cat.adjunction import (
     Counit,
     bounded_unit_target,
@@ -353,7 +361,7 @@ def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
     X = f2_gamma2
     PX = GrothPerm(X)
     KPX = LazyKtGamma(PX, 2)
-    from gamma2cat.inversek import POfLax, mk_groth_one, a_hom
+    from gamma2cat.inversek import mk_groth_one
     eta = unit_map(X, PX, KPX)
     peta = POfLax(eta, PX, GrothPerm(KPX))
     eps = Counit(PX)
@@ -365,3 +373,65 @@ def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
         cell = mk_groth_one(split, src, tgt,
                             tuple(X.level(1).id1(x) for x in pushed))
         assert eps.on_groth(1, peta.on(1, cell)) == cell
+
+
+# -- memos of the inverse construction's maps -------------------------------------
+
+
+def _memos(obj) -> dict:
+    return {k: v for k, v in vars(obj).items() if k.startswith("_memo_")}
+
+
+def _triangle_p_maps(X):
+    PX = GrothPerm(X)
+    KPX = LazyKtGamma(PX, X.cap)
+    eta = unit_map(X, PX, KPX)
+    PKPX = GrothPerm(KPX)
+    return PX, (lambda: POfLax(eta, PX, PKPX)), (lambda: Counit(PX))
+
+
+def test_memoized_maps_return_the_cells_of_fresh_instances(f2_gamma2):
+    # every memo hit hands out the very cell that an instance with empty
+    # memos computes
+    X = f2_gamma2
+    _, new_peta, new_eps = _triangle_p_maps(X)
+    peta, eps = new_peta(), new_eps()
+    B = BoundedGroth(X, 2, 2)
+    for dim, buckets in enumerate(B.cells):
+        for cells in buckets.values():
+            for c in cells:
+                image = peta.on(dim, c)
+                assert image is new_peta().on(dim, c)
+                assert peta.on(dim, c) is image
+                back = eps.on_groth(dim, image)
+                assert back is new_eps().on_groth(dim, image)
+                assert eps.on_groth(dim, image) is back
+                if dim == 1:
+                    args = (image.phim, image.src.xs)
+                    lax = eps.laxity(*args)
+                    assert lax is new_eps().laxity(*args)
+                    assert eps.laxity(*args) is lax
+    assert eps._memo_laxity and peta._memo_on
+    assert not any(isinstance(c, GrothTwo) for c in peta._memo_on)
+    twos = [a for bucket in B.cells[2].values() for a in bucket][::40]
+    for a in twos:
+        for b in twos:
+            out = B.sum_two(a, b)
+            assert out is GrothPerm(X).sum_two(a, b)
+            assert B.sum_two(a, b) is out
+
+
+def test_memos_live_with_their_instance(f2_gamma2):
+    # a new instance starts with empty memos, however full another's are
+    X = f2_gamma2
+    PX, new_peta, new_eps = _triangle_p_maps(X)
+    peta, eps = new_peta(), new_eps()
+    for dim, buckets in enumerate(BoundedGroth(X, 1, 2).cells):
+        for c in (c for cells in buckets.values() for c in cells):
+            eps.on_groth(dim, peta.on(dim, c))
+            if dim == 2:
+                PX.sum_two(c, c)
+    assert PX._memo_sum2 and peta._memo_on and eps._memo_laxity
+    for fresh in (GrothPerm(X), new_peta(), new_eps()):
+        memos = _memos(fresh)
+        assert memos and all(m == {} for m in memos.values()), type(fresh).__name__

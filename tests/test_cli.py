@@ -112,6 +112,46 @@ def test_field_of_the_other_flavor_refused_with_line(name, line):
     assert err.value.line == at + 1
 
 
+@pytest.mark.parametrize("old, new, line_of, message", [
+    ("unit o0\n", "unit m0\n", "unit m0", "unit m0 is not an object of F1"),
+    ("unit o0\n", "", "[permutative F1]", "permutative section F1 has no unit"),
+], ids=["not-an-object", "missing"])
+def test_permutative_unit_must_name_an_object(old, new, line_of, message, tmp_path, capsys):
+    # a unit the carrier cannot use is a usage error naming its line, not a
+    # failing check or a traceback
+    text = (fixtures_dir() / "F1.fx").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    at = bad.splitlines().index(line_of) + 1
+    for validate in (True, False):
+        with pytest.raises(FixtureError, match=message) as err:
+            load(bad, validate=validate)
+        assert err.value.line == at
+    path = tmp_path / "bad.fx"
+    path.write_text(bad, encoding="utf-8")
+    assert run(["validate", "--fixture", "F1", "--file", str(path)]) == 2
+    assert f"usage error: line {at}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["[category F1]", "[permutative F1]"])
+def test_repeated_section_header_named_with_its_line(header, tmp_path, capsys):
+    text = (fixtures_dir() / "F1.fx").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = lines.index(header)
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+               len(lines))
+    bad = "\n".join(lines + [""] + lines[start:end]) + "\n"
+    at = len(lines) + 2
+    assert bad.splitlines()[at - 1] == header
+    with pytest.raises(FixtureError, match=r"repeated section header") as err:
+        load(bad, validate=False)
+    assert err.value.line == at
+    path = tmp_path / "dup.fx"
+    path.write_text(bad, encoding="utf-8")
+    assert run(["validate", "--fixture", "F1", "--file", str(path)]) == 2
+    assert f"usage error: line {at}: repeated section header {header}" in capsys.readouterr().err
+
+
 def _capture(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
