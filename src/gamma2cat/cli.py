@@ -232,8 +232,9 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
     headers: set[tuple[str, str]] = set()
 
     def need(parts, k, ln):
-        if len(parts) < k:
-            raise FixtureError(f"expected at least {k} fields, got {len(parts)}", ln)
+        # every line has exactly its field's arity, so no token is dropped
+        if len(parts) != k:
+            raise FixtureError(f"expected {k} fields, got {len(parts)}", ln)
 
     def number(text, ln):
         try:
@@ -271,12 +272,12 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             if parts[0] == "object":
                 need(parts, 2, ln)
                 c["objects"].append(parts[1])
-            elif parts[0] == "one":
-                need(parts, 4, ln)
-                c["one"][parts[1]] = (parts[2], parts[3], len(parts) > 4 and parts[4] == "id")
-            elif parts[0] == "two":
-                need(parts, 4, ln)
-                c["two"][parts[1]] = (parts[2], parts[3], len(parts) > 4 and parts[4] == "id")
+            elif parts[0] in ("one", "two"):
+                marked = len(parts) == 5
+                if marked and parts[4] != "id":
+                    raise FixtureError(f"expected 'id' as the fifth field, got {parts[4]!r}", ln)
+                need(parts, 5 if marked else 4, ln)
+                c[parts[0]][parts[1]] = (parts[2], parts[3], marked)
             elif parts[0] in ("vcomp", "hcomp1", "hcomp2"):
                 need(parts, 4, ln)
                 c[parts[0]][(parts[1], parts[2])] = parts[3]

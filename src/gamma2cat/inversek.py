@@ -398,8 +398,11 @@ def bounded_shapes(L: int, E: int) -> tuple[tuple, ...]:
 class BoundedGroth(GrothPerm):
     """The (max-length, max-entry)-bounded fragment with cell enumeration.
 
-    Not closed under the sum: callers must guard with ``has_obj``.  Requires
-    a tabulated diagram so that component cells can be enumerated.
+    Not closed under the sum.  The bounded scan stays inside by its length
+    buckets: it sums only cells whose summed lengths fit ``L`` (see
+    ``domains``), and every entry is at most ``E`` already; ``has_obj``
+    decides membership of one object.  Requires a tabulated diagram so that
+    component cells can be enumerated.
     """
 
     def __init__(self, X, L: int, E: int, name: str = ""):
@@ -515,8 +518,11 @@ class POfLax:
         self.PY = PY
         # images of objects and 1-cells, keyed by the interned cell: every
         # 2-cell and 1-cell image maps its endpoints again.  Top-level
-        # 2-cells do not recur, so their images are not kept.
+        # 2-cells do not recur, so their images are not kept; their
+        # components do, and the whiskered components are kept keyed by
+        # (level, component 2-cell, structure 1-cell).
         self._memo_on: dict = {}
+        self._memo_whisker: dict = {}
 
     def on(self, dim: int, cell):
         if dim < 2:
@@ -525,15 +531,21 @@ class POfLax:
                 out = self._on_obj(cell) if dim == 0 else self._on_one(cell)
                 self._memo_on[cell] = out
             return out
-        Y = self.PY.X
-        h = self.ah.h
-        nvec = cell.src.tgt.mvec
         lax = self.ah.lax(cell.src.phim, cell.src.src.xs)
-        alphas = tuple(
-            Y.level(m).hcomp2(h.cell_maps(m)[2](al), Y.level(m).id2(l))
-            for m, al, l in zip(nvec, cell.alphas, lax)
-        )
-        return mk_groth_two(self.on(1, cell.src), self.on(1, cell.tgt), alphas)
+        memo = self._memo_whisker
+        alphas = []
+        for key in zip(cell.src.tgt.mvec, cell.alphas, lax):
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = self._whisker(*key)
+            alphas.append(out)
+        return mk_groth_two(self.on(1, cell.src), self.on(1, cell.tgt), tuple(alphas))
+
+    def _whisker(self, m: int, al, l):
+        """A component of a 2-cell image: the level map's image of ``al``
+        whiskered by the structure 1-cell ``l``."""
+        Ym = self.PY.X.level(m)
+        return Ym.hcomp2(self.ah.h.cell_maps(m)[2](al), Ym.id2(l))
 
     def _on_obj(self, cell: GrothObj) -> GrothObj:
         return mk_groth_obj(cell.mvec, self.ah.apply(cell.mvec, 0, cell.xs))

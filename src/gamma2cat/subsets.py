@@ -9,7 +9,7 @@ structures are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 Subset = tuple[int, ...]
@@ -62,30 +62,40 @@ def disjoint_triples(n: int) -> tuple[tuple[Subset, Subset, Subset], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class PointedMap:
     """A basepoint-preserving map m+ -> n+, stored by its images on 1..m.
 
     ``imgs[i-1]`` is the image of i; 0 denotes the basepoint.  Pointed maps
-    key the transition tables and reindexing caches, so the hash of the
-    fields is computed once, at construction.
+    are interned as the cells are: every construction returns the one pooled
+    object for its ``(m, n, imgs)``, so equality and hashing are ``object``'s
+    identity versions and the transition tables and reindexing caches they
+    key are probed without calling back into Python.  The range and length
+    checks run on a pool miss only, so an invalid map is never pooled.
     """
 
     m: int
     n: int
     imgs: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.imgs) != self.m:
-            raise ValueError(f"expected {self.m} images, got {len(self.imgs)}")
-        for v in self.imgs:
-            if not 0 <= v <= self.n:
-                raise ValueError(f"image {v} outside 0..{self.n}")
-        object.__setattr__(self, "_hash", hash((self.m, self.n, self.imgs)))
+    def __new__(cls, m: int, n: int, imgs: tuple[int, ...]) -> "PointedMap":
+        key = (m, n, imgs)
+        phi = cls._pool.get(key)
+        if phi is None:
+            if len(imgs) != m:
+                raise ValueError(f"expected {m} images, got {len(imgs)}")
+            for v in imgs:
+                if not 0 <= v <= n:
+                    raise ValueError(f"image {v} outside 0..{n}")
+            phi = object.__new__(cls)
+            for name, value in zip(("m", "n", "imgs"), key):
+                object.__setattr__(phi, name, value)
+            # the first object stored wins, so two threads share one map
+            phi = cls._pool.setdefault(key, phi)
+        return phi
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return PointedMap, (self.m, self.n, self.imgs)
 
     def __call__(self, i: int) -> int:
         if i == 0:
@@ -105,7 +115,11 @@ class PointedMap:
         """The composite 'self followed by psi'."""
         if psi.m != self.n:
             raise ValueError("pointed maps not composable")
-        return PointedMap(self.m, psi.n, tuple(psi(v) for v in self.imgs))
+        imgs = (0,) + psi.imgs
+        return PointedMap(self.m, psi.n, tuple(map(imgs.__getitem__, self.imgs)))
+
+
+PointedMap._pool = {}
 
 
 def pointed_identity(m: int) -> PointedMap:

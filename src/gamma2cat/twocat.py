@@ -81,7 +81,8 @@ class InternedCell:
     def _make(cls, *fields):
         cell = cls._pool.get(fields)
         if cell is None:
-            cell = cls._pool[fields] = cls(*fields)
+            # the first cell stored wins, so two threads share one cell
+            cell = cls._pool.setdefault(fields, cls(*fields))
         return cell
 
 

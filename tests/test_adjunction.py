@@ -20,6 +20,7 @@ from gamma2cat.inversek import (
     a_hom,
     ax_apply,
     mk_groth_obj,
+    mk_groth_two,
 )
 from gamma2cat.adjunction import (
     Counit,
@@ -435,3 +436,37 @@ def test_memos_live_with_their_instance(f2_gamma2):
     for fresh in (GrothPerm(X), new_peta(), new_eps()):
         memos = _memos(fresh)
         assert memos and all(m == {} for m in memos.values()), type(fresh).__name__
+
+
+@pytest.mark.parametrize("name, size", [("F2", 28), ("F3", 118)])
+def test_p_of_unit_keeps_whiskered_components_not_two_cells(name, size):
+    # every 2-cell image equals the unmemoized componentwise formula; the
+    # pinned memo size is that of the distinct components, far below the
+    # fragment's 2-cells, so a per-2-cell memo would show
+    X = ko_gamma(promote(fixture(name)), 2)
+    peta = _triangle_p_maps(X)[1]()
+    Y, h = peta.PY.X, peta.ah.h
+    twos = [a for bucket in BoundedGroth(X, 2, 2).cells[2].values() for a in bucket]
+    for a in twos:
+        lax = peta.ah.lax(a.src.phim, a.src.src.xs)
+        want = tuple(Y.level(m).hcomp2(h.cell_maps(m)[2](al), Y.level(m).id2(l))
+                     for m, al, l in zip(a.src.tgt.mvec, a.alphas, lax))
+        image = peta.on(2, a)
+        assert image.alphas == want
+        assert image is mk_groth_two(peta.on(1, a.src), peta.on(1, a.tgt), want)
+    assert len(peta._memo_whisker) == size < len(twos)
+
+
+def test_p_of_unit_stores_no_ill_typed_component(f2_gamma2):
+    # components taken from a 2-cell over another source raise on every
+    # call and leave nothing in the memo
+    X = f2_gamma2
+    peta = _triangle_p_maps(X)[1]()
+    twos = [a for bucket in BoundedGroth(X, 2, 2).cells[2].values() for a in bucket]
+    a, b = (next(c for c in twos if c.src.tgt.mvec == (2,) and c.src.src.xs == (x,))
+            for x in X.level(2).objects[:2])
+    bad = mk_groth_two(a.src, a.tgt, b.alphas)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not composable"):
+            peta.on(2, bad)
+    assert peta._memo_whisker == {}

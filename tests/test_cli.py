@@ -236,6 +236,32 @@ def test_malformed_gamma_numbers_are_usage_errors(old, new, at_section, tmp_path
     assert f"usage error: line {at}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, old, new, message", [
+    ("F2", "\nvcomp a0 a0 a0\n", "\nvcomp a0 a0 a0 a0\n", "expected 4 fields, got 5"),
+    ("F2", "\none m1 o1 o1 id\n", "\none m1 o1 o1 ident\n", "expected 'id' as the fifth field"),
+    ("F2", "\nsum_two a0 a0 a0\n", "\nsum_two a0 a0 a0 a0\n", "expected 4 fields, got 5"),
+    ("K", "\nmap 1 1 1 obj o0 o0\n", "\nmap 1 1 1 obj o0 o0 o0\n", "expected 7 fields, got 8"),
+], ids=["category", "identity-mark", "permutative", "gamma"])
+def test_line_beyond_its_arity_is_refused(doc, old, new, message, tmp_path, capsys):
+    # a token past a line's arity is a usage error naming the line, never
+    # dropped, whether or not the structures are validated
+    if doc == "K":
+        text = save(FixtureDocument(gammas={"K": ko_gamma(promote(fixture("F1")), 1)}))
+    else:
+        text = (fixtures_dir() / f"{doc}.fx").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    at = bad.splitlines().index(new.strip()) + 1
+    for validate in (True, False):
+        with pytest.raises(FixtureError, match=message) as err:
+            load(bad, validate=validate)
+        assert err.value.line == at
+    path = tmp_path / "bad.fx"
+    path.write_text(bad, encoding="utf-8")
+    assert run(["validate", "--fixture", "K.L0" if doc == "K" else doc, "--file", str(path)]) == 2
+    assert f"usage error: line {at}: {message}" in capsys.readouterr().err
+
+
 def test_exit_code_two_on_unknown_fixture(capsys):
     # a name is a shipped file's exact stem, never a path or another case
     for name in ("NOPE", "../fixtures/F2", "f2"):

@@ -5,6 +5,9 @@ versions, which is sound only while ``_make`` is the one way to build a cell.
 """
 
 import ast
+import itertools
+import sys
+import threading
 from pathlib import Path
 
 import gamma2cat
@@ -19,6 +22,7 @@ from gamma2cat.inversek import (
 )
 from gamma2cat.ktheory import ko_level
 from gamma2cat.monoidal import fixture, promote
+from gamma2cat.subsets import PointedMap
 
 CELL_CLASSES = {"SubsetSystem", "SystemMap", "SystemTwoCell",
                 "AMorphism", "GrothObj", "GrothOne", "GrothTwo"}
@@ -101,3 +105,34 @@ def test_cells_are_slotted_and_compare_by_identity(f2_gamma2):
         assert not hasattr(c, "__dict__")
         assert type(c).__eq__ is object.__eq__
         assert type(c).__hash__ is object.__hash__
+
+
+def test_threads_building_one_value_share_one_object():
+    # more threads than cores, switching as often as the interpreter allows,
+    # each building the same values that no pool holds yet: a lost pool
+    # update would hand some thread an object that is not the pooled one
+    imgs = list(itertools.islice(itertools.product(range(1, 10), repeat=9), 1500))
+    builders = (lambda v: PointedMap(9, 9, v),
+                lambda v: mk_amorphism((9,), (9,), (tuple((0, b + 1) for b in v),)))
+    results: list[list] = [[] for _ in range(4)]
+    start = threading.Barrier(len(results))
+
+    def build(out):
+        start.wait(timeout=30)
+        out.extend(make(v) for v in imgs for make in builders)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 2 * len(imgs) for out in results)
+    for objs in zip(*results):
+        assert all(o is objs[0] for o in objs)
+    assert all(PointedMap(9, 9, v) is PointedMap._pool[9, 9, v] for v in imgs)

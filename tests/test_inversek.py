@@ -254,6 +254,19 @@ def test_lazy_composition_deterministic(f2_gamma2):
     assert chains > 20
 
 
+def test_bounded_fragment_membership(f2_gamma2):
+    # has_obj accepts every listed object and refuses a sum past the length
+    # bound, an entry past the entry bound and a value that is no object
+    X = f2_gamma2
+    B = BoundedGroth(X, 2, 2)
+    objs = [o for bucket in B.cells[0].values() for o in bucket]
+    assert len(objs) == len(list(B.objects_iter())) and all(B.has_obj(o) for o in objs)
+    o = next(o for o in objs if o.mvec == (2, 1))
+    assert GrothPerm(X).has_obj(B.sum_obj(o, o)) and not B.has_obj(B.sum_obj(o, o))
+    assert not BoundedGroth(X, 2, 1).has_obj(o)
+    assert not B.has_obj(o.xs)
+
+
 def test_p_of_lax_identity_and_preservation(f2_gamma2):
     X = f2_gamma2
     P = GrothPerm(X)

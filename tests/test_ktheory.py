@@ -1,3 +1,4 @@
+import copy
 import itertools
 from dataclasses import replace
 
@@ -532,13 +533,20 @@ def test_validate_gamma_reads_whole_lazy_transitions(name, checked, built):
     assert len(built) == len(set(built)) == len(maps_up_to(2)) == 23
 
 
-def test_pointed_map_hash_is_cached_and_equal_by_value():
-    by_value = {phi: phi for phi in maps_up_to(2)}
+def test_pointed_maps_are_interned():
+    # every construction hands out the one pooled map of its value, so
+    # equality and hashing are object identity
+    by_value = {(phi.m, phi.n, phi.imgs): phi for phi in maps_up_to(2)}
     for phi in all_pointed_maps(2, 2):
         for psi in all_pointed_maps(2, 1):
             comp = phi.then(psi)
-            assert hash(comp) == hash(by_value[comp]) == hash((comp.m, comp.n, comp.imgs))
-            assert comp == by_value[comp] and comp is not by_value[comp]
+            assert comp is by_value[2, 1, tuple(psi(v) for v in phi.imgs)]
+    assert PointedMap(2, 1, (1, 1)) is fold_map(2)
+    assert copy.deepcopy(fold_map(2)) is fold_map(2)
+    assert PointedMap.__hash__ is object.__hash__ and PointedMap.__eq__ is object.__eq__
     assert repr(fold_map(2)) == "PointedMap(m=2, n=1, imgs=(1, 1))"
-    with pytest.raises(ValueError):
-        PointedMap(2, 1, (1, 2))
+    pool = dict(PointedMap._pool)
+    for imgs in ((1, 2), (1,)):
+        with pytest.raises(ValueError):
+            PointedMap(2, 1, imgs)
+    assert PointedMap._pool == pool
