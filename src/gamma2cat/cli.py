@@ -21,7 +21,8 @@ The fixture format is line-oriented UTF-8 text with canonical field order:
     map 1 2 0,2 obj m0 s t    (one table line per cell of the source level)
 
 Each flavor accepts only the tables its carrier class lists in ``TABLES``;
-any other field is an error that names its line.
+any other field is an error that names its line, and so is an entry naming
+a cell that is undeclared or not of the dimension its table lists.
 
 Saving canonicalizes cell identifiers, so load(save(d)) is byte-identical
 for canonicalized documents.  Reports are byte-deterministic unless
@@ -89,6 +90,7 @@ VALIDATORS = {
     PermutativeGrayMonoid: ("cubical-axioms", validate_pgm),
 }
 CARRIERS = {cls.flavor: cls for cls in (PermutativeTwoCategory, PermutativeGrayMonoid)}
+CELL_NOUNS = ("an object", "a 1-cell", "a 2-cell")
 
 
 class FixtureError(Exception):
@@ -335,15 +337,23 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             raise FixtureError(f"unknown flavor {p['flavor']!r}", p["line"])
         if p["unit"] is None:
             raise FixtureError(f"permutative section {name} has no unit", p["line"])
-        if not doc.categories[name].has_obj(p["unit"]):
+        base = doc.categories[name]
+        if not base.has_obj(p["unit"]):
             raise FixtureError(f"unit {p['unit']} is not an object of {name}", p["unit_line"])
+        pools = (set(base.objects), base.one_src, base.two_src)
+        specs = {t.field: t for t in cls.TABLES}
         tables = {t.field: {} for t in cls.TABLES}
         for ln, parts in p["tables"]:
             if parts[0] not in tables:
                 raise FixtureError(f"unknown {cls.flavor} field {parts[0]!r}", ln)
             need(parts, 4, ln)
+            t = specs[parts[0]]
+            for cell, dim in zip(parts[1:], (*t.key, t.value)):
+                if cell not in pools[dim]:
+                    raise FixtureError(
+                        f"{parts[0]} entry: {cell} is not {CELL_NOUNS[dim]} of {name}", ln)
             tables[parts[0]][(parts[1], parts[2])] = parts[3]
-        P = cls(name, doc.categories[name], p["unit"], *tables.values())
+        P = cls(name, base, p["unit"], *tables.values())
         if validate:
             rep = VALIDATORS[cls][1](P)
             if not rep.ok:

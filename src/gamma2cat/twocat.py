@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, eq, getitem, itemgetter
 from typing import Hashable, Iterable, Mapping
 
 Cell = Hashable
@@ -449,110 +449,152 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     if rep.issues:
         return rep
 
-    # Axiom scans run on an integer encoding of the cell sets.  Each table
-    # becomes sparse rows: ``R[a][b]`` is the number of the composite of the
-    # entry ``(b, a)``.  An associativity or interchange bucket (every third
-    # cell for one pair, every right pair for one left pair) is looked up in
-    # lockstep by ``map`` and compared as two lists; only a bucket whose lists
-    # differ is walked again, instance by instance, so the issues keep the
-    # order of a one-instance-at-a-time scan.
+    # Axiom scans run on an integer encoding of the cell sets, cells numbered
+    # in cell order.  The seconds that compose with one first form a
+    # composability block: the 2-cells at one source object for hcomp2, at
+    # one source 1-cell for vcomp, the 1-cells at one source object for
+    # hcomp1.  ``pos`` numbers each cell inside its block, and each table
+    # becomes block-dense rows (``_BlockTable``): ``R[a]`` is the tuple, over
+    # a's block in cell order, of the numbers of the composites b.a, so only
+    # composable entries are stored.
+    # * Associativity: the third cells of an entry (b, a) are the whole block
+    #   at b's target, so c.(b.a) over all of them is the row ``R[ba]``, and
+    #   (c.b).a is ``R[a]`` gathered at the positions of ``R[b]``'s values.
+    # * Interchange, for one left pair and the right pairs of one hom:
+    #   itemgetters gather b1*a1, b2*a2 and vb*va, and each vertical
+    #   composite is read from the vcomp row of b1*a1 at the place of b2*a2.
+    # Each bucket (every third cell for one entry, every right pair for one
+    # left pair) is compared as two tuples in C; only a bucket that differs
+    # is walked again, instance by instance, so the issues keep the order of
+    # a one-instance-at-a-time scan.
     one = list(C.one_src)
     two = list(C.two_src)
     obj_ix = {x: i for i, x in enumerate(C.objects)}
     one_ix = {f: i for i, f in enumerate(one)}
     two_ix = {a: i for i, a in enumerate(two)}
-    n1, n2 = len(one), len(two)
+    n0, n1, n2 = len(C.objects), len(one), len(two)
     o_src = [obj_ix[C.one_src[f]] for f in one]
     o_tgt = [obj_ix[C.one_tgt[f]] for f in one]
     t_src = [one_ix[C.two_src[a]] for a in two]
     t_tgt = [one_ix[C.two_tgt[a]] for a in two]
+    s_obj = list(map(o_src.__getitem__, t_src))
+    e_obj = list(map(o_tgt.__getitem__, t_src))
     id1_of = [one_ix[C.id1(x)] for x in C.objects]
     id2_of = [two_ix[C.id2(f)] for f in one]
-    H1 = _rows(C.hcomp1_table, one_ix)
-    V = _rows(C.vcomp_table, two_ix)
-    H2 = _rows(C.hcomp2_table, two_ix)
+    H1 = _BlockTable(C.hcomp1_table, one_ix, o_src, o_tgt, n0)
+    V = _BlockTable(C.vcomp_table, two_ix, t_src, t_tgt, n1)
+    H2 = _BlockTable(C.hcomp2_table, two_ix, s_obj, e_obj, n0)
+    h1, p1 = H1.rows, H1.pos
+    v, pv = V.rows, V.pos
+    h2, p2 = H2.rows, H2.pos
 
     # unit laws
     for fi in range(n1):
         rep.checked += 2
-        if H1[id1_of[o_src[fi]]][fi] != fi:
+        if h1[id1_of[o_src[fi]]][p1[fi]] != fi:
             rep.add("unit", f"f . id != f for 1-cell {one[fi]!r}")
-        if H1[fi][id1_of[o_tgt[fi]]] != fi:
+        if h1[fi][p1[id1_of[o_tgt[fi]]]] != fi:
             rep.add("unit", f"id . f != f for 1-cell {one[fi]!r}")
     for ai in range(n2):
         rep.checked += 4
-        if V[id2_of[t_src[ai]]][ai] != ai:
+        if v[id2_of[t_src[ai]]][pv[ai]] != ai:
             rep.add("unit", f"a . id2 != a (vertical) for {two[ai]!r}")
-        if V[ai][id2_of[t_tgt[ai]]] != ai:
+        if v[ai][pv[id2_of[t_tgt[ai]]]] != ai:
             rep.add("unit", f"id2 . a != a (vertical) for {two[ai]!r}")
-        s_obj = o_src[t_src[ai]]
-        t_obj = o_tgt[t_src[ai]]
-        if H2[id2_of[id1_of[s_obj]]][ai] != ai:
+        if h2[id2_of[id1_of[s_obj[ai]]]][p2[ai]] != ai:
             rep.add("unit", f"a * id != a (horizontal) for {two[ai]!r}")
-        if H2[ai][id2_of[id1_of[t_obj]]] != ai:
+        if h2[ai][p2[id2_of[id1_of[e_obj[ai]]]]] != ai:
             rep.add("unit", f"id * a != a (horizontal) for {two[ai]!r}")
-    for (g, f), gf in C.hcomp1_table.items():
-        gi, fi = one_ix[g], one_ix[f]
+    for gi, fi, gfi in zip(H1.seconds, H1.firsts, H1.values):
         rep.checked += 1
-        if H2[id2_of[fi]][id2_of[gi]] != id2_of[one_ix[gf]]:
+        if h2[id2_of[fi]][p2[id2_of[gi]]] != id2_of[gfi]:
             rep.add("unit", f"id2(g)*id2(f) != id2(g.f) for ({one[gi]!r},{one[fi]!r})")
 
-    # associativity, over each pair (b, a) and its bucket of third cells c
-    by_src2 = _group(range(n2), t_src.__getitem__)
-    by_src1 = _group(range(n1), o_src.__getitem__)
-    by_src_obj2 = _group(range(n2), lambda ci: o_src[t_src[ci]])
-    _scan_assoc(rep, "vcomp", C.vcomp_table, two, two_ix, V,
-                [by_src2.get(t, []) for t in t_tgt])
-    _scan_assoc(rep, "hcomp1", C.hcomp1_table, one, one_ix, H1,
-                [by_src1.get(o, []) for o in o_tgt])
-    _scan_assoc(rep, "hcomp2", C.hcomp2_table, two, two_ix, H2,
-                [by_src_obj2.get(o_tgt[t], []) for t in t_src])
+    # associativity, over each entry (b, a) and the block of third cells c
+    _scan_assoc(rep, "vcomp", two, V)
+    _scan_assoc(rep, "hcomp1", one, H1)
+    _scan_assoc(rep, "hcomp2", two, H2)
 
     # interchange, over each left vertical pair and the right pairs of a hom
-    homs = _group(range(n2), lambda ai: (o_src[t_src[ai]], o_tgt[t_src[ai]]))
-    vpairs = {key: [(a2, a1, V[a1][a2]) for a1 in cells for a2 in cells
-                    if t_src[a2] == t_tgt[a1]]
+    homs = _group(range(n2), lambda ai: (s_obj[ai], e_obj[ai]))
+    vpairs = {key: [(a2, a1, va) for a1 in cells
+                    for a2, va in zip(V.blocks[t_tgt[a1]], v[a1])]
               for key, cells in homs.items()}
+    gathers = {key: tuple(_gather(map(p2.__getitem__, cs)) for cs in zip(*right))
+               for key, right in vpairs.items()}
     for (x, y), left in vpairs.items():
         for (y2, z), right in vpairs.items():
             if y2 != y:
                 continue
-            b2s, b1s, vbs = zip(*right)
+            g2, g1, gv = gathers[(y2, z)]
+            # over the right pairs, once per 2-cell a of the left hom: the
+            # vcomp rows of b1*a and the places of b2*a in such rows
+            v_rows = {a: tuple(map(v.__getitem__, g1(h2[a]))) for a in homs[(x, y)]}
+            places = {a: tuple(map(pv.__getitem__, g2(h2[a]))) for a in homs[(x, y)]}
+            rep.checked += len(left) * len(right)
             for (a2, a1, va) in left:
-                rep.checked += len(right)
-                if (list(map(getitem, map(V.__getitem__, map(H2[a1].__getitem__, b1s)),
-                             map(H2[a2].__getitem__, b2s)))
-                        == list(map(H2[va].__getitem__, vbs))):
+                if tuple(map(getitem, v_rows[a1], places[a2])) == gv(h2[va]):
                     continue
                 for (b2, b1, vb) in right:
-                    if V[H2[a1][b1]][H2[a2][b2]] != H2[va][vb]:
+                    if v[h2[a1][p2[b1]]][pv[h2[a2][p2[b2]]]] != h2[va][p2[vb]]:
                         rep.add("interchange", f"interchange fails at "
                                 f"({two[b2]!r},{two[b1]!r};{two[a2]!r},{two[a1]!r})")
     return rep
 
 
-def _rows(table: Mapping, ix: Mapping) -> list[dict]:
-    """``rows[a][b]`` is the number of ``table[(b, a)]``, cells numbered by
-    ``ix``."""
-    rows: list[dict] = [{} for _ in ix]
-    for (b, a), c in table.items():
-        rows[ix[a]][ix[b]] = ix[c]
-    return rows
+class _BlockTable:
+    """One composition table on cells numbered by ``ix``, as block-dense rows.
+
+    ``member[c]`` is the block of the cell c as a second, ``row_key[a]`` the
+    block of the seconds that compose with a first a.  ``blocks[k]`` lists the
+    cells of block k in cell order, ``pos[c]`` is c's place in its block, and
+    ``rows[a][pos[b]]`` is the number of the composite of the entry (b, a).
+    ``seconds``, ``firsts`` and ``values`` are the entries in table order."""
+
+    def __init__(self, table: Mapping, ix: Mapping, member: list, row_key: list,
+                 nblocks: int):
+        self.blocks: list[list[int]] = [[] for _ in range(nblocks)]
+        self.pos: list[int] = []
+        for c, k in enumerate(member):
+            block = self.blocks[k]
+            self.pos.append(len(block))
+            block.append(c)
+        self.row_key = row_key
+        self.seconds = list(map(ix.__getitem__, map(_first, table)))
+        self.firsts = list(map(ix.__getitem__, map(_second, table)))
+        self.values = list(map(ix.__getitem__, table.values()))
+        rows = [[0] * len(self.blocks[k]) for k in row_key]
+        pos = self.pos
+        for b, a, c in zip(self.seconds, self.firsts, self.values):
+            rows[a][pos[b]] = c
+        self.rows: list[tuple[int, ...]] = list(map(tuple, rows))
 
 
-def _scan_assoc(rep: ValidationReport, name: str, table: Mapping, cells: list,
-                ix: Mapping, R: list, third: list) -> None:
-    """Associativity ``c.(b.a) == (c.b).a`` of one table, in rows ``R``, for
-    each entry ``(b, a)`` in table order and each c in ``third[b]``."""
-    for (b, a), ba in table.items():
-        bi, ai = ix[b], ix[a]
-        cs, row_b, row_ba = third[bi], R[bi], R[ix[ba]]
-        rep.checked += len(cs)
-        if list(map(row_ba.__getitem__, cs)) == list(map(R[ai].__getitem__,
-                                                         map(row_b.__getitem__, cs))):
+def _gather(positions: Iterable[int]) -> itemgetter:
+    """The getter of a row's items at ``positions``, a tuple even of one."""
+    positions = tuple(positions)
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+def _scan_assoc(rep: ValidationReport, name: str, cells: list, T: _BlockTable) -> None:
+    """Associativity ``c.(b.a) == (c.b).a`` of one table, for each entry
+    ``(b, a)`` in table order and each c in the block at b's target."""
+    R, pos = T.rows, T.pos
+    # (c.b).a over the block is R[a] gathered at the positions of R[b]'s values
+    G = [_gather(map(pos.__getitem__, row)) for row in R]
+    rep.checked += sum(map(len, map(R.__getitem__, T.values)))
+    if all(map(eq, map(R.__getitem__, T.values),
+               map(itemgetter.__call__, map(G.__getitem__, T.seconds),
+                   map(R.__getitem__, T.firsts)))):
+        return
+    for bi, ai, bai in zip(T.seconds, T.firsts, T.values):
+        row_ba, row_b, row_a = R[bai], R[bi], R[ai]
+        if row_ba == G[bi](row_a):
             continue
-        for ci in cs:
-            if row_ba[ci] != R[ai][row_b[ci]]:
+        for ci, c_ba, c_b in zip(T.blocks[T.row_key[bi]], row_ba, row_b):
+            if c_ba != row_a[pos[c_b]]:
                 rep.add("assoc", f"{name} not associative at "
                                  f"({cells[ci]!r},{cells[bi]!r},{cells[ai]!r})")
 
@@ -804,9 +846,6 @@ class Transformation2:
     F: TwoFunctor
     G: TwoFunctor
     components: dict[Cell, Cell]
-
-    def at(self, x: Cell) -> Cell:
-        return self.components[x]
 
 
 def validate_transformation(t: Transformation2) -> ValidationReport:

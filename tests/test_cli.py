@@ -356,9 +356,9 @@ def test_ko_command_counts(argv, counters):
     for name, cls in (("F2", PermutativeTwoCategory), ("F5", PermutativeGrayMonoid))
     for t in cls.TABLES for part in ("key", "value")
 ])
-def test_sum_table_naming_no_cell_fails_validation(name, table, part, tmp_path):
-    # a key part or value naming no cell of the base is a structure failure,
-    # not a lookup error
+def test_sum_table_naming_no_cell_fails_validation(name, table, part, tmp_path, capsys):
+    # a key part or value naming no cell of the base is refused at load, a
+    # usage error naming its line, not a lookup error
     lines = (fixtures_dir() / f"{name}.fx").read_text(encoding="utf-8").splitlines()
     at = next(i for i, l in enumerate(lines) if l.startswith(f"{table} "))
     field, x, y, value = lines[at].split()
@@ -369,9 +369,35 @@ def test_sum_table_naming_no_cell_fails_validation(name, table, part, tmp_path):
     path = tmp_path / "bad.fx"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out = _capture(["validate", "--fixture", name, "--file", str(path)])
-    check = VALIDATORS[PermutativeTwoCategory if name == "F2" else PermutativeGrayMonoid][0]
-    assert code == 1
-    assert f"FAIL {check}  ([structure] " in out
+    assert (code, out) == (2, "")
+    assert f"usage error: line {at + 1}: {table} entry: zz is not " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, field, dim", [
+    (name, t.field, t.value)
+    for name, cls in (("F2", PermutativeTwoCategory), ("F5", PermutativeGrayMonoid))
+    for t in cls.TABLES
+])
+def test_sum_table_naming_a_cell_of_the_wrong_dimension_is_refused(name, field, dim, tmp_path,
+                                                                 capsys):
+    # a declared cell of another dimension would load unvalidated and then
+    # break ``save``; the loader refuses it with its line, for every field
+    names = ("o0", "m0", "a0")
+    nouns = ("an object", "a 1-cell", "a 2-cell")
+    lines = (fixtures_dir() / f"{name}.fx").read_text(encoding="utf-8").splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(f"{field} "))
+    wrong = names[(dim + 1) % 3]
+    lines[at] = " ".join(lines[at].split()[:3] + [wrong])
+    bad = "\n".join(lines) + "\n"
+    message = f"{field} entry: {wrong} is not {nouns[dim]} of {name}"
+    for validate in (True, False):
+        with pytest.raises(FixtureError, match=message) as err:
+            load(bad, validate=validate)
+        assert err.value.line == at + 1
+    path = tmp_path / "bad.fx"
+    path.write_text(bad, encoding="utf-8")
+    assert run(["validate", "--fixture", name, "--file", str(path)]) == 2
+    assert f"usage error: line {at + 1}: {message}" in capsys.readouterr().err
 
 
 REPORT_TEXT = """\

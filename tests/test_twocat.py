@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gamma2cat.adjunction import bounded_unit_target
 from gamma2cat.gamma import E_TAGS, e_construction, identity_lax_map
 from gamma2cat.inversek import GrothPerm
 from gamma2cat.ktheory import LazyKtLevel, ko_gamma, ko_level, kt_level
@@ -472,6 +474,57 @@ def test_single_entry_mutations_match_the_naive_scan():
             mutations += 1
             caught += bool(issues)
     assert (mutations, caught) == (100, 99)
+
+
+def _z2_arrow_to_a_point():
+    """Objects x and t, 1-cells id_x, u: x -> t and id_t.  The 2-cells on
+    id_x and on u form Z/2 under both compositions, and id_t has only its
+    identity 2-cell.  Nothing but id_t leaves t, so t's composability blocks
+    hold one cell each, and hom(t, t) has one vertical pair."""
+    z2 = {"ix": ("a0", "a1"), "u": ("u0", "u1")}
+    one = {"ix": ("x", "x", True), "u": ("x", "t", False), "it": ("t", "t", True)}
+    two = {c: (f, f, i == 0) for f, cs in z2.items() for i, c in enumerate(cs)}
+    two["t0"] = ("it", "it", True)
+    vcomp = {(cs[i], cs[j]): cs[i ^ j] for cs in z2.values() for i in (0, 1) for j in (0, 1)}
+    vcomp[("t0", "t0")] = "t0"
+    hcomp1 = {("ix", "ix"): "ix", ("u", "ix"): "u", ("it", "u"): "u", ("it", "it"): "it"}
+    hcomp2 = {(g[i], z2["ix"][j]): g[i ^ j] for g in z2.values() for i in (0, 1) for j in (0, 1)}
+    hcomp2.update({("t0", c): c for c in z2["u"]})
+    hcomp2[("t0", "t0")] = "t0"
+    return FiniteTwoCategory("Z2-arrow", ["x", "t"], one, two, vcomp, hcomp1, hcomp2)
+
+
+def test_block_layouts_match_the_naive_scan():
+    # the scan's composability blocks on a many-object span level over F2,
+    # and on a category with blocks of one cell and a hom with one vertical
+    # pair (one right pair per interchange bucket)
+    X = ko_gamma(promote(fixture("F2")), 2)
+    many = e_construction(bounded_unit_target(X, 2, 2)[0]).Ek.level(2)
+    small = _z2_arrow_to_a_point()
+    assert len(many.objects) == 21
+    for C in (many, small):
+        C.fill()
+        blocks = (Counter(C.one_src.values()), Counter(C.two_src.values()),
+                  Counter(C.one_src[f] for f in C.two_src.values()))
+        vpairs = Counter((C.one_src[C.two_src[a]], C.one_tgt[C.two_src[a]])
+                         for _, a in C.vcomp_table)
+        assert min(vpairs.values()) == 1
+        assert min(blocks[1].values()) == 1
+        if C is small:
+            assert [min(b.values()) for b in blocks] == [1, 1, 1]
+    rng = random.Random(11)
+    mutations = caught = 0
+    for C, limit in ((many, 12), (small, 50)):
+        assert _naive_axiom_scan(C) == ([], validate_two_category(C).checked)
+        for changes in _parallel_swaps(C, rng, limit):
+            mutated = _retabulated(C, f"{C.name}-mut", **{
+                tname: {**getattr(C, tname), **entries} for tname, entries in changes.items()})
+            rep = validate_two_category(mutated)
+            issues, checked = _naive_axiom_scan(mutated)
+            assert ([str(i) for i in rep.issues], rep.checked) == (issues, checked)
+            mutations += 1
+            caught += bool(issues)
+    assert (mutations, caught) == (30, 30)
 
 
 def _naive_functor_scan(F) -> tuple[list[str], int]:
