@@ -29,7 +29,6 @@ from .monoidal import (
     PermutativeTwoCategory,
     demote,
     fixture,
-    nudge,
     promote,
     sum_one_cells,
     validate_monoidal_functor,

@@ -13,7 +13,7 @@ triangle scans quantify over the cells of tabulated inputs only.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 from .subsets import (
     PointedMap,
@@ -315,7 +315,7 @@ class Counit:
         self.diagram = LazyKtGamma(C, 0)
         # structure cells keyed by (block map, interned systems): the
         # triangle scans ask for the same ones many times over
-        self._memo_laxity: dict = {}
+        self.laxity = cache(self.laxity)
 
     # -- evaluation at the full subset
 
@@ -343,13 +343,6 @@ class Counit:
         """The comparison 1-cell from the summed evaluation to the evaluation
         of the pushforward: blockwise partition cells, then the braiding
         reordering."""
-        out = self._memo_laxity.get((phim, systems))
-        if out is None:
-            out = self._laxity(phim, systems)
-            self._memo_laxity[(phim, systems)] = out
-        return out
-
-    def _laxity(self, phim: AMorphism, systems: tuple):
         C = self.C
         dec = decompose(phim)
         total = sum_one_cells(C, [
@@ -544,12 +537,12 @@ def sum_of_squares(C, squares: list):
 # -- triangle identities ---------------------------------------------------------------
 
 
-def triangle_K(C, nmax: int, ceiling: int | None = None) -> ValidationReport:
+def triangle_K(C, nmax: int, ceiling: int = DEFAULT_CELL_CEILING) -> ValidationReport:
     """The first triangle: mapping a K-theory cell through the unit and then
     the K-image of the counit returns it unchanged, and the whiskered
     structure cells of the unit collapse to identities."""
     rep = ValidationReport(f"triangle (counit after unit) for {C.name}")
-    KC = kt_gamma(C, nmax, ceiling or DEFAULT_CELL_CEILING)
+    KC = kt_gamma(C, nmax, ceiling)
     PKC = GrothPerm(KC)
     eps = Counit(C, gray=False)
     k_eps = _systemwise(eps.on_groth)
@@ -597,7 +590,7 @@ def triangle_P(X, L: int, E: int) -> ValidationReport:
     return rep
 
 
-def bounded_unit_target(X, L: int, E: int, ceiling: int | None = None):
+def bounded_unit_target(X, L: int, E: int, ceiling: int = DEFAULT_CELL_CEILING):
     """Materialize the K-theory of the bounded inverse construction as the
     subdiagram generated by the unit's image; the unit then lands in a
     tabulated truncation, which the span machinery requires."""
@@ -611,6 +604,6 @@ def bounded_unit_target(X, L: int, E: int, ceiling: int | None = None):
         for m in range(X.cap + 1)
     }
     target = generated_kt_truncation(
-        B, X.cap, seeds, name=f"KP({X.name})|unit", ceiling=ceiling or DEFAULT_CELL_CEILING
+        B, X.cap, seeds, name=f"KP({X.name})|unit", ceiling=ceiling
     )
     return unit_map(X, PX, target), target

@@ -16,8 +16,8 @@ first use and kept.  A lax map carries besides these a 2-natural structure
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable
 
 from .subsets import (PointedMap, composable_maps, fold_map, maps_up_to,
@@ -61,8 +61,8 @@ class GammaTruncation:
     """A reduced diagram on pointed sets 0+..N+ with all transition functors.
 
     ``build`` gives the transition 2-functor of a pointed map inside the cap,
-    or ``None`` when the diagram has none; each transition is built whole on
-    first use and kept."""
+    or ``None`` when the diagram has none; ``transition(phi)`` builds each
+    transition whole on first use and keeps it."""
 
     def __init__(self, name: str, cap: int, levels: list[FiniteTwoCategory],
                  build: Callable[[PointedMap], TwoFunctor | None]):
@@ -71,31 +71,18 @@ class GammaTruncation:
         self.name = name
         self.cap = cap
         self.levels = levels
-        self._build = build
-        self._transitions: dict[PointedMap, TwoFunctor | None] = {}
-        self._stars: dict[PointedMap, tuple] = {}
+        self.transition = cache(build)
+        self.star = cache(self.star)
 
     def level(self, m: int) -> FiniteTwoCategory:
         return self.levels[m]
 
-    def transition(self, phi: PointedMap) -> TwoFunctor | None:
-        """The transition 2-functor along ``phi``, built on first use."""
-        try:
-            return self._transitions[phi]
-        except KeyError:
-            F = self._transitions[phi] = self._build(phi)
-            return F
-
     def star(self, phi: PointedMap) -> tuple:
         """The cell maps of the transition along ``phi``."""
-        try:
-            return self._stars[phi]
-        except KeyError:
-            F = self.transition(phi)
+        F = self.transition(phi)
         if F is None:
             raise LookupError(f"{self.name} has no transition functor for {phi}")
-        maps = self._stars[phi] = F.cell_maps()
-        return maps
+        return F.cell_maps()
 
     def point(self, dim: int) -> Cell:
         """The unique cell of the terminal level in each dimension."""
@@ -155,27 +142,18 @@ class GammaLaxMap:
     """Levelwise 2-functors with a 2-natural structure cell per pointed map.
 
     ``cell_maps(m)`` is the triple ``maps(m)`` of the level-m 2-functor,
-    built on first use; ``lax(phi, x)`` is the structure 1-cell
+    built on first use and kept; ``lax(phi, x)`` is the structure 1-cell
     phi_* h_m(x) -> h_n(phi_* x)  in the target level at phi.n.
     """
 
     source: object
     target: object
     maps: Callable[[int], tuple]
-    _lax: Callable[[PointedMap, Cell], Cell]
+    lax: Callable[[PointedMap, Cell], Cell]
     name: str = ""
-    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def cell_maps(self, m: int) -> tuple:
-        try:
-            return self._levels[m]
-        except KeyError:
-            pass
-        maps = self._levels[m] = self.maps(m)
-        return maps
-
-    def lax(self, phi: PointedMap, x: Cell) -> Cell:
-        return self._lax(phi, x)
+    def __post_init__(self):
+        self.cell_maps = cache(self.maps)
 
     def is_strict_on(self, X: GammaTruncation) -> bool:
         for phi in X.all_maps():
@@ -283,11 +261,8 @@ class GammaTransformation:
 
     h: GammaLaxMap
     k: GammaLaxMap
-    component: Callable[[int, Cell], Cell]
+    at: Callable[[int, Cell], Cell]
     name: str = ""
-
-    def at(self, m: int, x: Cell) -> Cell:
-        return self.component(m, x)
 
 
 def identity_transformation(h: GammaLaxMap) -> GammaTransformation:
@@ -487,24 +462,18 @@ class LazyPathGamma:
         self.Z = Z
         self.cap = Z.cap
         self.name = f"{Z.name}^arrow"
-        self._levels: dict[int, CommaFormula] = {}
-        self._stars: dict[PointedMap, tuple] = {}
+        self.level = cache(self.level)
+        self.star = cache(self.star)
 
     def level(self, m: int) -> CommaFormula:
-        if m not in self._levels:
-            L = self.Z.level(m)
-            self._levels[m] = CommaFormula(L, L, PATH_TAGS)
-        return self._levels[m]
+        L = self.Z.level(m)
+        return CommaFormula(L, L, PATH_TAGS)
 
     def star(self, phi: PointedMap) -> tuple:
         """The cell maps of the transition along phi: both legs and the
         1-cell of an object go along phi in the base."""
-        try:
-            return self._stars[phi]
-        except KeyError:
-            zs, Zn = self.Z.star(phi), self.Z.level(phi.n)
-        maps = self._stars[phi] = comma_map(PATH_TAGS, lambda o: arrow(Zn, zs[1](o[2])), zs, zs)
-        return maps
+        zs, Zn = self.Z.star(phi), self.Z.level(phi.n)
+        return comma_map(PATH_TAGS, lambda o: arrow(Zn, zs[1](o[2])), zs, zs)
 
     def evaluation(self, side: int) -> GammaLaxMap:
         """The strict map extracting the source (side 0) or target (side 1)."""

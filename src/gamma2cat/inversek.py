@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import attrgetter
 
 from .monoidal import Domains, ProductSum, scan_product_sum
@@ -255,12 +255,9 @@ class GrothPerm(ProductSum, FieldEndpoints):
         self.X = X
         self.name = name or f"P({X.name})"
         # composites recur heavily in the bounded axiom scans; cache them
-        # keyed by the interned argument cells
-        self._memo_comp1: dict = {}
-        self._memo_sum1: dict = {}
-        self._memo_sum2: dict = {}
-        self._memo_id1: dict = {}
-        self._memo_id2: dict = {}
+        # per instance, keyed by the interned argument cells
+        for op in ("id1", "id2", "comp1", "sum_one", "sum_two"):
+            setattr(self, op, cache(getattr(self, op)))
 
     # -- plain 2-category operations
 
@@ -268,27 +265,16 @@ class GrothPerm(ProductSum, FieldEndpoints):
         return self.X.level(m)
 
     def id1(self, o: GrothObj) -> GrothOne:
-        out = self._memo_id1.get(o)
-        if out is None:
-            fs = tuple(self._lvl(m).id1(x) for m, x in zip(o.mvec, o.xs))
-            out = mk_groth_one(a_identity(o.mvec), o, o, fs)
-            self._memo_id1[o] = out
-        return out
+        fs = tuple(self._lvl(m).id1(x) for m, x in zip(o.mvec, o.xs))
+        return mk_groth_one(a_identity(o.mvec), o, o, fs)
 
     def id2(self, u: GrothOne) -> GrothTwo:
-        out = self._memo_id2.get(u)
-        if out is None:
-            alphas = tuple(
-                self._lvl(m).id2(f) for m, f in zip(u.tgt.mvec, u.fs)
-            )
-            out = mk_groth_two(u, u, alphas)
-            self._memo_id2[u] = out
-        return out
+        alphas = tuple(
+            self._lvl(m).id2(f) for m, f in zip(u.tgt.mvec, u.fs)
+        )
+        return mk_groth_two(u, u, alphas)
 
     def comp1(self, v: GrothOne, u: GrothOne) -> GrothOne:
-        out = self._memo_comp1.get((v, u))
-        if out is not None:
-            return out
         if u.tgt != v.src:
             raise ValueError("cells not composable")
         phim = a_compose(v.phim, u.phim)
@@ -297,9 +283,7 @@ class GrothPerm(ProductSum, FieldEndpoints):
             self._lvl(m).comp1(g, f)
             for m, g, f in zip(v.tgt.mvec, v.fs, pushed)
         )
-        out = mk_groth_one(phim, u.src, v.tgt, fs)
-        self._memo_comp1[(v, u)] = out
-        return out
+        return mk_groth_one(phim, u.src, v.tgt, fs)
 
     def vcomp(self, b: GrothTwo, a: GrothTwo) -> GrothTwo:
         if a.tgt != b.src:
@@ -343,27 +327,19 @@ class GrothPerm(ProductSum, FieldEndpoints):
         return mk_groth_obj(a.mvec + b.mvec, a.xs + b.xs)
 
     def sum_one(self, u: GrothOne, v: GrothOne) -> GrothOne:
-        out = self._memo_sum1.get((u, v))
-        if out is None:
-            out = mk_groth_one(
-                a_concat(u.phim, v.phim),
-                self.sum_obj(u.src, v.src),
-                self.sum_obj(u.tgt, v.tgt),
-                u.fs + v.fs,
-            )
-            self._memo_sum1[(u, v)] = out
-        return out
+        return mk_groth_one(
+            a_concat(u.phim, v.phim),
+            self.sum_obj(u.src, v.src),
+            self.sum_obj(u.tgt, v.tgt),
+            u.fs + v.fs,
+        )
 
     def sum_two(self, a: GrothTwo, b: GrothTwo) -> GrothTwo:
-        out = self._memo_sum2.get((a, b))
-        if out is None:
-            out = mk_groth_two(
-                self.sum_one(a.src, b.src),
-                self.sum_one(a.tgt, b.tgt),
-                a.alphas + b.alphas,
-            )
-            self._memo_sum2[(a, b)] = out
-        return out
+        return mk_groth_two(
+            self.sum_one(a.src, b.src),
+            self.sum_one(a.tgt, b.tgt),
+            a.alphas + b.alphas,
+        )
 
     def beta_obj(self, a: GrothObj, b: GrothObj) -> GrothOne:
         swapped = mk_groth_obj(b.mvec + a.mvec, b.xs + a.xs)
@@ -521,25 +497,17 @@ class POfLax:
         # 2-cells do not recur, so their images are not kept; their
         # components do, and the whiskered components are kept keyed by
         # (level, component 2-cell, structure 1-cell).
-        self._memo_on: dict = {}
-        self._memo_whisker: dict = {}
+        for op in ("_on_obj", "_on_one", "_whisker"):
+            setattr(self, op, cache(getattr(self, op)))
 
     def on(self, dim: int, cell):
-        if dim < 2:
-            out = self._memo_on.get(cell)
-            if out is None:
-                out = self._on_obj(cell) if dim == 0 else self._on_one(cell)
-                self._memo_on[cell] = out
-            return out
+        if dim == 0:
+            return self._on_obj(cell)
+        if dim == 1:
+            return self._on_one(cell)
         lax = self.ah.lax(cell.src.phim, cell.src.src.xs)
-        memo = self._memo_whisker
-        alphas = []
-        for key in zip(cell.src.tgt.mvec, cell.alphas, lax):
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = self._whisker(*key)
-            alphas.append(out)
-        return mk_groth_two(self.on(1, cell.src), self.on(1, cell.tgt), tuple(alphas))
+        alphas = tuple(map(self._whisker, cell.src.tgt.mvec, cell.alphas, lax))
+        return mk_groth_two(self._on_one(cell.src), self._on_one(cell.tgt), alphas)
 
     def _whisker(self, m: int, al, l):
         """A component of a 2-cell image: the level map's image of ``al``
@@ -558,7 +526,7 @@ class POfLax:
             Y.level(m).comp1(h.cell_maps(m)[1](f), l)
             for m, f, l in zip(cell.tgt.mvec, cell.fs, lax)
         )
-        return mk_groth_one(cell.phim, self.on(0, cell.src), self.on(0, cell.tgt), fs)
+        return mk_groth_one(cell.phim, self._on_obj(cell.src), self._on_obj(cell.tgt), fs)
 
 
 # -- bounded validation --------------------------------------------------------------

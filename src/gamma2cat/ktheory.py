@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from operator import itemgetter
 
 from .subsets import (
@@ -896,24 +896,17 @@ class LazyKtGamma:
         self.C = C
         self.cap = cap
         self.name = name or f"K({C.name})"
-        self._levels: dict[int, LazyKtLevel] = {}
-        self._stars: dict[PointedMap, tuple] = {}
+        self.level = cache(self.level)
+        self.star = cache(self.star)
 
     def level(self, m: int) -> LazyKtLevel:
-        if m not in self._levels:
-            self._levels[m] = LazyKtLevel(self.C, m)
-        return self._levels[m]
+        return LazyKtLevel(self.C, m)
 
     def star(self, phi: PointedMap) -> tuple:
         """The reindexings along ``phi`` of systems, system maps and
         system 2-cells."""
-        try:
-            return self._stars[phi]
-        except KeyError:
-            pass
-        maps = self._stars[phi] = tuple(partial(f, self.C, phi=phi) for f in (
+        return tuple(partial(f, self.C, phi=phi) for f in (
             reindex_system, reindex_system_map, reindex_system_two_cell))
-        return maps
 
     def point(self, dim: int):
         sys = mk_system(0, (), ())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 
 from .twocat import (
     CELL_OPERATIONS,
@@ -159,7 +160,7 @@ class PermutativeGrayMonoid(TabulatedCarrier):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self._sigma_inv: dict[tuple[Cell, Cell], Cell] = {}
+        self.sigma_inv = cache(self.sigma_inv)
 
     def lsum_one(self, a: Cell, f: Cell) -> Cell:
         return self.lsum1_table[(a, f)]
@@ -190,13 +191,10 @@ class PermutativeGrayMonoid(TabulatedCarrier):
         return self.sigma_table[(f, g)]
 
     def sigma_inv(self, f: Cell, g: Cell) -> Cell:
-        key = (f, g)
-        if key not in self._sigma_inv:
-            inv = vertical_inverse(self.base, self.sigma_table[key])
-            if inv is None:
-                raise ValueError(f"interchanger at {key!r} is not invertible")
-            self._sigma_inv[key] = inv
-        return self._sigma_inv[key]
+        inv = vertical_inverse(self.base, self.sigma_table[(f, g)])
+        if inv is None:
+            raise ValueError(f"interchanger at {(f, g)!r} is not invertible")
+        return inv
 
 
 def sum_many_obj(C, objs: list[Cell]) -> Cell:
@@ -537,7 +535,7 @@ def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
     return rep
 
 
-# -- promotion, demotion, nudging ----------------------------------------------
+# -- promotion and demotion -----------------------------------------------------
 
 
 def promote(C: PermutativeTwoCategory) -> PermutativeGrayMonoid:
@@ -584,34 +582,6 @@ def demote(C: PermutativeGrayMonoid) -> PermutativeTwoCategory:
         C.name, B, C.unit, dict(C.sum_obj_table), sum_one, sum_two,
         dict(C.beta_table),
     )
-
-
-@dataclass
-class NudgedCubicalData:
-    """Cubical data with the composition order flipped and sigma inverted.
-
-    The canonical value of a sum of 1-cells under this orientation is
-    ``(f (+) 1).(1 (+) g)``; nudging twice restores the original data.
-    """
-
-    original: PermutativeGrayMonoid
-    sigma_table: dict = field(default_factory=dict)
-    opcubical: bool = True
-
-    def sum_one(self, f: Cell, g: Cell) -> Cell:
-        C = self.original
-        return C.comp1(C.rsum_one(f, C.tgt1(g)), C.lsum_one(C.src1(f), g))
-
-    def sigma(self, f: Cell, g: Cell) -> Cell:
-        return self.sigma_table[(f, g)]
-
-
-def nudge(C: PermutativeGrayMonoid | NudgedCubicalData):
-    """Flip between cubical and opcubical presentations, inverting sigma."""
-    if isinstance(C, NudgedCubicalData):
-        return C.original
-    inv = {key: C.sigma_inv(*key) for key in C.sigma_table}
-    return NudgedCubicalData(original=C, sigma_table=inv)
 
 
 # -- monoidal functor variants ---------------------------------------------------

@@ -1,11 +1,13 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamma2cat.subsets import PointedMap, all_pointed_maps, nonempty_subsets_of
 from gamma2cat.monoidal import fixture, promote
-from gamma2cat.twocat import validate_two_category
+from gamma2cat.twocat import CellCeilingExceeded, validate_two_category
 from gamma2cat.ktheory import (
     LazyKtGamma,
     kt_gamma,
@@ -15,7 +17,6 @@ from gamma2cat.ktheory import (
 from gamma2cat.inversek import (
     BoundedGroth,
     GrothPerm,
-    GrothTwo,
     POfLax,
     a_hom,
     ax_apply,
@@ -345,6 +346,14 @@ def test_triangle_counit_after_unit(name):
     assert rep.ok, str(rep)
 
 
+def test_an_explicit_zero_ceiling_is_not_replaced_by_the_default():
+    # a ceiling of 0 admits no cell, so both builds stop at their first level
+    with pytest.raises(CellCeilingExceeded):
+        triangle_K(fixture("F1"), 2, 0)
+    with pytest.raises(CellCeilingExceeded):
+        bounded_unit_target(ko_gamma(promote(fixture("F2")), 2), 2, 2, 0)
+
+
 def test_triangle_counit_after_unit_image_f1():
     X = ko_gamma(promote(fixture("F1")), 2)
     rep = triangle_P(X, 2, 2)
@@ -376,11 +385,13 @@ def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
         assert eps.on_groth(1, peta.on(1, cell)) == cell
 
 
-# -- memos of the inverse construction's maps -------------------------------------
+# -- caches of the inverse construction's maps ------------------------------------
 
 
-def _memos(obj) -> dict:
-    return {k: v for k, v in vars(obj).items() if k.startswith("_memo_")}
+def _caches(obj) -> dict:
+    """The sizes of the caches an instance binds, by attribute name."""
+    return {k: v.cache_info().currsize for k, v in vars(obj).items()
+            if hasattr(v, "cache_info")}
 
 
 def _triangle_p_maps(X):
@@ -392,8 +403,8 @@ def _triangle_p_maps(X):
 
 
 def test_memoized_maps_return_the_cells_of_fresh_instances(f2_gamma2):
-    # every memo hit hands out the very cell that an instance with empty
-    # memos computes
+    # every cache hit hands out the very cell that an instance with empty
+    # caches computes
     X = f2_gamma2
     _, new_peta, new_eps = _triangle_p_maps(X)
     peta, eps = new_peta(), new_eps()
@@ -412,8 +423,11 @@ def test_memoized_maps_return_the_cells_of_fresh_instances(f2_gamma2):
                     lax = eps.laxity(*args)
                     assert lax is new_eps().laxity(*args)
                     assert eps.laxity(*args) is lax
-    assert eps._memo_laxity and peta._memo_on
-    assert not any(isinstance(c, GrothTwo) for c in peta._memo_on)
+    assert _caches(eps)["laxity"]
+    # one entry per object, per 1-cell and per whiskered component: whole
+    # 2-cell images are not kept
+    objects, ones, _ = (sum(map(len, buckets.values())) for buckets in B.cells)
+    assert _caches(peta) == {"_on_obj": objects, "_on_one": ones, "_whisker": 28}
     twos = [a for bucket in B.cells[2].values() for a in bucket][::40]
     for a in twos:
         for b in twos:
@@ -423,7 +437,7 @@ def test_memoized_maps_return_the_cells_of_fresh_instances(f2_gamma2):
 
 
 def test_memos_live_with_their_instance(f2_gamma2):
-    # a new instance starts with empty memos, however full another's are
+    # a new instance starts with empty caches, however full another's are
     X = f2_gamma2
     PX, new_peta, new_eps = _triangle_p_maps(X)
     peta, eps = new_peta(), new_eps()
@@ -432,10 +446,32 @@ def test_memos_live_with_their_instance(f2_gamma2):
             eps.on_groth(dim, peta.on(dim, c))
             if dim == 2:
                 PX.sum_two(c, c)
-    assert PX._memo_sum2 and peta._memo_on and eps._memo_laxity
+    assert _caches(PX)["sum_two"] and _caches(peta)["_on_one"] and _caches(eps)["laxity"]
     for fresh in (GrothPerm(X), new_peta(), new_eps()):
-        memos = _memos(fresh)
-        assert memos and all(m == {} for m in memos.values()), type(fresh).__name__
+        sizes = _caches(fresh)
+        assert sizes and not any(sizes.values()), type(fresh).__name__
+
+
+def test_caches_are_freed_with_their_instance(f2_gamma2):
+    # a cached bound method refers back to its instance, so the cycle
+    # collector frees the two together once the maps are dropped
+    X = f2_gamma2
+    PX, new_peta, new_eps = _triangle_p_maps(X)
+    peta, eps, B = new_peta(), new_eps(), BoundedGroth(X, 2, 2)
+    for dim, buckets in enumerate(B.cells):
+        for c in (c for cells in buckets.values() for c in cells):
+            assert eps.on_groth(dim, peta.on(dim, c)) == c
+    eta = peta.ah.h
+    dropped = [weakref.ref(o) for o in (peta, eps, eta.target, eta, B)]
+    kept = weakref.ref(PX)
+    del peta, eps, eta, B, new_peta, new_eps
+    gc.collect()
+    assert [ref() for ref in dropped] == [None] * len(dropped)
+    # the module-level unit, reindexing and composition caches key on the
+    # inverse construction, so they keep it for the whole process
+    del PX
+    gc.collect()
+    assert kept() is not None
 
 
 @pytest.mark.parametrize("name, size", [("F2", 28), ("F3", 118)])
@@ -454,12 +490,12 @@ def test_p_of_unit_keeps_whiskered_components_not_two_cells(name, size):
         image = peta.on(2, a)
         assert image.alphas == want
         assert image is mk_groth_two(peta.on(1, a.src), peta.on(1, a.tgt), want)
-    assert len(peta._memo_whisker) == size < len(twos)
+    assert _caches(peta)["_whisker"] == size < len(twos)
 
 
 def test_p_of_unit_stores_no_ill_typed_component(f2_gamma2):
     # components taken from a 2-cell over another source raise on every
-    # call and leave nothing in the memo
+    # call and leave nothing in the cache
     X = f2_gamma2
     peta = _triangle_p_maps(X)[1]()
     twos = [a for bucket in BoundedGroth(X, 2, 2).cells[2].values() for a in bucket]
@@ -469,4 +505,4 @@ def test_p_of_unit_stores_no_ill_typed_component(f2_gamma2):
     for _ in range(2):
         with pytest.raises(ValueError, match="not composable"):
             peta.on(2, bad)
-    assert peta._memo_whisker == {}
+    assert _caches(peta)["_whisker"] == 0

@@ -1,0 +1,45 @@
+"""The command line's stdout and exit code, byte for byte, against the
+transcripts committed in ``tests/golden``.
+
+``golden/commands.txt`` lists one run per line: the transcript's name, the
+exit code and the arguments.  The transcripts were written under
+``PYTHONHASHSEED=0`` and read the same under other hash seeds.  To rewrite
+them all from the code on the path, after a stated change of output:
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from gamma2cat.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+RUNS = [(name, int(code), argv) for name, code, *argv in (
+    line.split() for line in (GOLDEN / "commands.txt").read_text(encoding="utf-8").splitlines())]
+
+
+def _transcript(argv: list[str]) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(argv)
+    return code, buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name, code, argv", RUNS, ids=[name for name, _, _ in RUNS])
+def test_command_matches_its_transcript(name, code, argv):
+    assert _transcript(argv) == (code, (GOLDEN / f"{name}.out").read_bytes())
+
+
+if __name__ == "__main__":
+    lines = []
+    for name, _, argv in RUNS:
+        code, out = _transcript(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out)
+        lines.append(" ".join([name, str(code), *argv]))
+    (GOLDEN / "commands.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -12,7 +12,6 @@ from gamma2cat.monoidal import (
     demote,
     fixture,
     identity_monoidal_functor,
-    nudge,
     promote,
     sum_one_cells,
     validate_monoidal_functor,
@@ -20,7 +19,7 @@ from gamma2cat.monoidal import (
     validate_pgm,
 )
 from gamma2cat.twocat import (TwoFunctor, identity_functor, validate_two_category,
-                              validate_two_functor, vertical_inverse)
+                              validate_two_functor)
 
 
 @pytest.mark.parametrize("name", ["F1", "F2", "F3", "M3"])
@@ -62,25 +61,6 @@ def test_demote_f5_refused_with_witness():
     with pytest.raises(DemotionRefused) as err:
         demote(fixture("F5"))
     assert err.value.witness == ("m1", "m1")
-
-
-def test_nudge_inverts_interchangers_and_is_involutive():
-    F5 = fixture("F5")
-    N = nudge(F5)
-    assert N.opcubical
-    assert N.sigma("m1", "m1") == vertical_inverse(F5.base, F5.sigma("m1", "m1"))
-    assert nudge(N) is F5
-    # all-identity data is untouched
-    P2 = promote(fixture("F2"))
-    N2 = nudge(P2)
-    assert N2.sigma_table == P2.sigma_table
-
-
-def test_nudged_sum_uses_opposite_order():
-    F5 = fixture("F5")
-    N = nudge(F5)
-    # in a one-object carrier both orders coincide as composites
-    assert N.sum_one("m1", "m1") == F5.sum_one("m1", "m1")
 
 
 def test_sum_one_cells_examples():
