@@ -567,13 +567,13 @@ def triangle_K(C, nmax: int, ceiling: int = DEFAULT_CELL_CEILING) -> ValidationR
     return rep
 
 
-def triangle_P(X, L: int, E: int) -> ValidationReport:
+def triangle_P(X, L: int, E: int, ceiling: int = DEFAULT_CELL_CEILING) -> ValidationReport:
     """The second triangle: mapping a bounded cell of the inverse
     construction through the image of the unit and then the counit returns
-    it unchanged."""
+    it unchanged.  ``ceiling`` bounds the fragment's cells."""
     rep = ValidationReport(f"triangle (counit after unit image) for {X.name}")
     PX = GrothPerm(X)
-    B = BoundedGroth(X, L, E)
+    B = BoundedGroth(X, L, E, ceiling=ceiling)
     KPX = LazyKtGamma(PX, X.cap)
     eta = unit_map(X, PX, KPX)
     PKPX = GrothPerm(KPX)
@@ -597,7 +597,7 @@ def bounded_unit_target(X, L: int, E: int, ceiling: int = DEFAULT_CELL_CEILING):
     # looked up at call time, so a rebinding of the module attribute (the
     # traced benchmark) takes effect
     from .ktheory import generated_kt_truncation
-    B = BoundedGroth(X, L, E)
+    B = BoundedGroth(X, L, E, ceiling=ceiling)
     PX = GrothPerm(X)
     seeds = {
         m: [eta_on_cell(X, PX, m, 0, x) for x in X.level(m).objects]

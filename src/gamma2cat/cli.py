@@ -549,7 +549,7 @@ def _triangle_k(ceiling):
 
 
 def _triangle_p(ceiling):
-    return [_examined("triangle-p-F2", triangle_P(_f2_gamma2(ceiling), 2, 2))]
+    return [_examined("triangle-p-F2", triangle_P(_f2_gamma2(ceiling), 2, 2, ceiling))]
 
 
 def _espan(ceiling):
@@ -559,7 +559,8 @@ def _espan(ceiling):
 
 
 def _inverse_permutativity(ceiling):
-    return [_examined("inverse-permutativity", validate_p_truncation(_f2_gamma2(ceiling), 2, 2))]
+    return [_examined("inverse-permutativity",
+                      validate_p_truncation(_f2_gamma2(ceiling), 2, 2, ceiling))]
 
 
 def _lambda_coherence(ceiling):
@@ -708,7 +709,7 @@ def cmd_triangle_p(args) -> Report:
                                 "max_entry": args.max_entry})
     C = _as_gray(resolve_fixture(args.fixture, args.file))
     X = ko_gamma(C, max(2, args.max_entry), cell_ceiling())
-    r = triangle_P(X, args.max_len, args.max_entry)
+    r = triangle_P(X, args.max_len, args.max_entry, cell_ceiling())
     rep.add("triangle-counit-after-unit-image", r.ok, str(r.first() or ""))
     rep.counters["instances"] = r.checked
     return rep

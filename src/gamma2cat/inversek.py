@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import attrgetter
 
+from .ktheory import DEFAULT_CELL_CEILING
 from .monoidal import Domains, ProductSum, scan_product_sum
 from .subsets import PointedMap
-from .twocat import FieldEndpoints, InternedCell, ValidationReport, _group
+from .twocat import CellCeilingExceeded, FieldEndpoints, InternedCell, ValidationReport, _group
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -378,15 +379,18 @@ class BoundedGroth(GrothPerm):
     buckets: it sums only cells whose summed lengths fit ``L`` (see
     ``domains``), and every entry is at most ``E`` already; ``has_obj``
     decides membership of one object.  Requires a tabulated diagram so that
-    component cells can be enumerated.
+    component cells can be enumerated.  ``ceiling`` bounds the cells that
+    ``cells`` lists.
     """
 
-    def __init__(self, X, L: int, E: int, name: str = ""):
+    def __init__(self, X, L: int, E: int, name: str = "",
+                 ceiling: int = DEFAULT_CELL_CEILING):
         super().__init__(X, name)
         if E > X.cap:
             raise ValueError("entry bound exceeds the diagram cap")
         self.L = L
         self.E = E
+        self.ceiling = ceiling
 
     def has_obj(self, o) -> bool:
         return (
@@ -398,12 +402,22 @@ class BoundedGroth(GrothPerm):
     @cached_property
     def cells(self) -> tuple[dict, dict, dict]:
         """The fragment's objects, 1-cells and 2-cells, each listed once and
-        bucketed by the lengths of its (source, target) shapes."""
-        objects = list(self.objects_iter())
-        ones = [u for o1 in objects for o2 in objects for u in self.one_cells_between(o1, o2)]
+        bucketed by the lengths of its (source, target) shapes.  Raises
+        ``CellCeilingExceeded`` as soon as the cells listed pass the ceiling."""
+        listed = itertools.count(1)
+
+        def counted(cells):
+            for cell in cells:
+                if (total := next(listed)) > self.ceiling:
+                    raise CellCeilingExceeded("bounded fragment", total, self.ceiling)
+                yield cell
+
+        objects = list(counted(self.objects_iter()))
+        ones = list(counted(u for o1 in objects for o2 in objects
+                            for u in self.one_cells_between(o1, o2)))
         parallel = _group(ones, attrgetter("src", "tgt", "phim"))
-        twos = [a for group in parallel.values() for u in group for v in group
-                for a in self.two_cells_between(u, v)]
+        twos = list(counted(a for group in parallel.values() for u in group for v in group
+                            for a in self.two_cells_between(u, v)))
         return (_group(objects, lambda o: (len(o.mvec),) * 2), _group(ones, _lengths),
                 _group(twos, _lengths2))
 
@@ -532,7 +546,8 @@ class POfLax:
 # -- bounded validation --------------------------------------------------------------
 
 
-def validate_p_truncation(X, L: int, E: int) -> ValidationReport:
+def validate_p_truncation(X, L: int, E: int,
+                          ceiling: int = DEFAULT_CELL_CEILING) -> ValidationReport:
     """Scan the permutative-2-category laws of ``monoidal.scan_product_sum``
     on the (L, E)-bounded fragment of the Grothendieck construction, each
     instance whose cells' summed lengths fit L.
@@ -542,11 +557,11 @@ def validate_p_truncation(X, L: int, E: int) -> ValidationReport:
     (2, 2) over Ko(F2) and triple the scan's time, so the fragment supplies
     no ``hcomp2`` pairs.  The fragment's own 2-category laws would be about
     2.6 million ``comp1`` associativity triples there.  An empty scan is
-    reported explicitly.
+    reported explicitly.  ``ceiling`` bounds the fragment's cells.
     """
     rep = ValidationReport(f"bounded inverse construction (L={L}, E={E}; not scanned: "
                            "hcomp2 preservation, the fragment's 2-category laws)")
-    B = BoundedGroth(X, L, E)
+    B = BoundedGroth(X, L, E, ceiling=ceiling)
     scan_product_sum(rep, B, B.domains())
     if rep.checked == 0:
         rep.add("empty-scan", "bounds admit no axiom instances")

@@ -25,10 +25,11 @@ law instance as soon as the slot completing it is placed:
 * ``gamma[s,t]``: the filling-cell cocycles it completes;
 * ``alpha_{s+t}``: the compatibility square at (s, t).
 
-Each law is written once and shared with the validators, which check every
-emitted cell in full.  Enumeration is exhaustive, with a configurable
-cell-count ceiling; exceeding the ceiling aborts loudly, never truncates
-silently.
+Each law is written once and shared with the validators, which judge the
+cells that do not come from the search; the search is the only checker of the
+cells it emits, closing each instance they check once (see ``_search``).
+Enumeration is exhaustive, with a configurable cell-count ceiling; exceeding
+the ceiling aborts loudly, never truncates silently.
 """
 
 from __future__ import annotations
@@ -152,16 +153,10 @@ class SystemTwoCell(InternedCell):
 SystemTwoCell._pool = {}
 
 
-def mk_system(n: int, x: tuple, c: tuple) -> SubsetSystem:
-    return SubsetSystem._make(n, x, c)
-
-
-def mk_system_map(n: int, src, tgt, f: tuple, gamma) -> SystemMap:
-    return SystemMap._make(n, src, tgt, f, gamma)
-
-
-def mk_system_two_cell(n: int, src, tgt, alpha: tuple) -> SystemTwoCell:
-    return SystemTwoCell._make(n, src, tgt, alpha)
+# the interning constructors, taking the fields in declaration order
+mk_system = SubsetSystem._make
+mk_system_map = SystemMap._make
+mk_system_two_cell = SystemTwoCell._make
 
 
 def make_system(n: int, xmap: dict, cmap: dict) -> SubsetSystem:
@@ -466,8 +461,7 @@ def _placement_order(n: int, paired: bool) -> tuple:
     return tuple(order)
 
 
-def _search(asg: dict, n: int, component, pair, build, validate, stage: str,
-            ceiling: int) -> list:
+def _search(asg: dict, n: int, component, pair, build, stage: str, ceiling: int) -> list:
     """The one placement search behind the three enumerators.
 
     Slots are placed in ``_placement_order``, writing into ``asg``, which the
@@ -476,8 +470,12 @@ def _search(asg: dict, n: int, component, pair, build, validate, stage: str,
     canonical pair slots, or None: ``candidates(key)`` lists the values of a
     slot given the earlier ones, ``law(*instance)`` checks one law instance
     the slot completes, and ``swap(s, t)`` derives the value at (t, s).
-    Every complete assignment is built and passes the full validator before
-    it is emitted; the output is sorted by the reprs of the placed values."""
+    The search is the only checker of the cells it emits, closing each
+    instance the validators check once: a component's typing by its slot's
+    candidates, a law instance by the slot placing its last component, and a
+    derived pair's typing and reversed swap equation, which hold only over a
+    valid braiding, right after the swap, before any law composes it.  The
+    output is sorted by the reprs of the placed values."""
     order = _placement_order(n, pair is not None)
     k = len(nonempty_subsets_of(n))
     plan = ([(key, *component, None, closes) for key, closes in order[:k]]
@@ -488,17 +486,19 @@ def _search(asg: dict, n: int, component, pair, build, validate, stage: str,
 
     def place(i: int) -> None:
         if i == last:
-            cell = build()
-            if validate(cell).ok:
-                out.append((tuple(repr(asg[key]) for key in keys), cell))
-                if len(out) > ceiling:
-                    raise CellCeilingExceeded(stage, len(out), ceiling)
+            out.append((tuple(repr(asg[key]) for key in keys), build()))
+            if len(out) > ceiling:
+                raise CellCeilingExceeded(stage, len(out), ceiling)
             return
         key, candidates, law, swap, closes = plan[i]
+        rev = key[::-1]
+        typed = candidates(rev) if swap is not None else None
         for val in candidates(key):
             asg[key] = val
             if swap is not None:
-                asg[key[::-1]] = swap(*key)
+                asg[rev] = swap(*key)
+                if asg[rev] not in typed or swap(*rev) != val:
+                    continue
             if all(law(*inst) for inst in closes):
                 place(i + 1)
 
@@ -522,8 +522,7 @@ def enumerate_systems(C, n: int, ceiling: int) -> list[SubsetSystem]:
         (lambda s: C.objects_iter(), lambda s, t, st: bool(connecting(s, t))),
         (lambda st: connecting(*st), partial(_system_cocycle_holds, C, x, c),
          partial(swapped_c, C, x, c)),
-        lambda: make_system(n, asg, asg), partial(validate_system, C),
-        "object enumeration", ceiling)
+        lambda: make_system(n, asg, asg), "object enumeration", ceiling)
 
 
 def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
@@ -552,7 +551,7 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
     return _search(
         asg, n, component, pair,
         lambda: make_system_map(src, tgt, asg, asg if gray else None),
-        lambda mp: validate_system_map(C, mp, gray), "1-cell enumeration", ceiling)
+        "1-cell enumeration", ceiling)
 
 
 def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
@@ -569,7 +568,7 @@ def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
          partial(_compat_square_holds, C, u, v, gray, asg.__getitem__)),
         None,
         lambda: mk_system_two_cell(n, u, v, tuple(asg[s] for s in nonempty_subsets_of(n))),
-        lambda cell: validate_system_two_cell(C, cell, gray), "2-cell enumeration", ceiling)
+        "2-cell enumeration", ceiling)
 
 
 # -- level builders ----------------------------------------------------------------

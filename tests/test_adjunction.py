@@ -366,6 +366,16 @@ def test_triangle_counit_after_unit_image_f2(f2_gamma2):
     assert rep.checked > 1000
 
 
+def test_bounded_fragment_stops_at_the_ceiling(f2_gamma2):
+    # the (2, 2) fragment over Ko(F2) lists 43 + 1,561 + 1,561 = 3,165 cells
+    from gamma2cat.inversek import validate_p_truncation
+    for scan in (triangle_P, validate_p_truncation):
+        with pytest.raises(CellCeilingExceeded) as exc:
+            scan(f2_gamma2, 2, 2, 3164)
+        assert (exc.value.stage, exc.value.count) == ("bounded fragment", 3165)
+    assert triangle_P(f2_gamma2, 2, 2, 3165).checked == 3165
+
+
 def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
     # the [split, id] 1-cell returns to itself through the two maps
     X = f2_gamma2

@@ -303,6 +303,12 @@ def test_espan_stops_at_the_ceiling(monkeypatch, capsys, name, ceiling, stage):
     assert f"during {stage}" in capsys.readouterr().err
 
 
+def test_triangle_p_stops_at_the_fragment_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "3164")
+    assert run(["triangle-p", "--fixture", "F2"]) == 3
+    assert "during bounded fragment: 3165 > 3164" in capsys.readouterr().err
+
+
 def test_reports_byte_deterministic():
     code1, out1 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])
     code2, out2 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])

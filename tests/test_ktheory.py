@@ -1,12 +1,13 @@
 import copy
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from gamma2cat import ktheory
-from gamma2cat.subsets import (PointedMap, all_pointed_maps, disjoint_pairs, fold_map,
-                               maps_up_to, nonempty_subsets_of, pointed_identity,
+from gamma2cat.subsets import (PointedMap, all_pointed_maps, disjoint_pairs, disjoint_triples,
+                               fold_map, maps_up_to, nonempty_subsets_of, pointed_identity,
                                segal_injection, subset_key, union)
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
@@ -20,6 +21,7 @@ from gamma2cat.ktheory import (
     enumerate_system_maps,
     enumerate_system_two_cells,
     enumerate_systems,
+    identity_system_two_cell,
     ko_gamma,
     ko_level,
     ko_map,
@@ -204,15 +206,6 @@ def test_partition_cell_examples(f2, f5_level2, f5):
         assert partition_cell(f5, sys, full, [(1,), (2,)]) == sys.c_at(f5, (1,), (2,))
     with pytest.raises(ValueError):
         partition_cell(P2, X.level(3).objects[0], (1, 2, 3), [(1, 2), (2, 3)])
-
-
-def test_enumerated_cells_revalidated_independently(f5, f5_level2):
-    for sys in f5_level2.objects:
-        assert validate_system(f5, sys).ok
-    for mp in f5_level2.one_src:
-        assert validate_system_map(f5, mp, gray=True).ok
-    for cell in f5_level2.two_src:
-        assert validate_system_two_cell(f5, cell, gray=True).ok
 
 
 def test_f5_level2_objects_internally_equivalent(f5_level2):
@@ -415,6 +408,174 @@ def test_strict_one_cell_enumeration_respects_the_ceiling():
     with pytest.raises(CellCeilingExceeded) as exc:
         kt_level(C, 1, ceiling=1)
     assert exc.value.stage == "1-cell enumeration"
+
+
+# -- the search as the only checker of the cells it emits -----------------------------
+#
+# The search emits without running the validators.  These tests stand in for
+# that pass: the placement order closes every validator instance once, a law
+# that fails on one instance removes from the search exactly the cells it
+# removes from the brute-force oracles, and every emitted cell of the levels
+# above still passes the full validators.
+
+
+@pytest.mark.parametrize("name, m, gray", [
+    *((name, m, gray) for name, m in _SEARCH_CASES for gray in (True, False)
+      if gray or name != "F5"),
+    ("F3", 3, True),  # 2,048 2-cells
+], ids=lambda v: str(v) if not isinstance(v, bool) else ("Ko" if v else "Kt"))
+def test_enumerated_cells_revalidated_independently(name, m, gray):
+    C = next(C for C, flavor in _carriers(name) if flavor == gray)
+    level = (ko_level if gray else kt_level)(C, m)
+    assert all(validate_system(C, sys).ok for sys in level.objects)
+    assert all(validate_system_map(C, mp, gray).ok for mp in level.one_src)
+    assert all(validate_system_two_cell(C, cell, gray).ok for cell in level.two_src)
+
+
+def _validator_instances(n, paired):
+    """The instances the level validators check at n: each component's
+    typing; with ``paired`` (systems and cubical 1-cells) each ordered pair's
+    typing and symmetry or swap equation (the one computing ``swapped_*`` at
+    that pair) and each cocycle; else (strict 1-cells and 2-cells) each
+    ordered pair's square."""
+    subs, pairs = nonempty_subsets_of(n), disjoint_pairs(n)
+    if not paired:
+        return [("typing", s) for s in subs] + [("square", p) for p in pairs]
+    return ([("typing", s) for s in subs] + [("typing", p) for p in pairs]
+            + [("swap", p) for p in pairs] + [("cocycle", i) for i in disjoint_triples(n)])
+
+
+def _closed_by_the_search(n, paired):
+    """One entry per instance closing in ``_placement_order``: a slot's
+    typing by its candidates and the laws it completes; at a canonical pair,
+    its swap by derivation and the derived pair's typing and swap by the
+    reversed-pair check.  (The existence checks at the subset slots of the
+    paired flavor only prune; no validator states them.)"""
+    order = ktheory._placement_order(n, paired)
+    k = len(nonempty_subsets_of(n))
+    closed = [("typing", s) for s, _ in order[:k]]
+    if not paired:
+        return closed + [("square", (s, t)) for _, closes in order for s, t, _ in closes]
+    for p, closes in order[k:]:
+        closed += [("typing", p), ("swap", p), ("typing", p[::-1]), ("swap", p[::-1])]
+        closed += [("cocycle", i) for i in closes]
+    return closed
+
+
+_LAW_KINDS = {"swapped_c": "swap", "swapped_gamma": "swap",
+              "_system_cocycle_holds": "cocycle", "_filling_cocycle_holds": "cocycle",
+              "_strict_square_holds": "square", "_compat_square_holds": "square"}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_placement_order_closes_each_validator_instance_once(monkeypatch, n):
+    for paired in (True, False):
+        assert Counter(_closed_by_the_search(n, paired)) == Counter(_validator_instances(n, paired))
+    # the listing is what the validators check: their law helpers, recorded
+    # on valid cells, see exactly its law instances, and their counts match
+    P, F2 = promote(fixture("F2")), fixture("F2")
+    sys, strict = enumerate_systems(P, n, 10**6)[-1], enumerate_systems(F2, n, 10**6)[-1]
+    mp = enumerate_system_maps(P, sys, sys, True, 10**6)[0]
+    smp = enumerate_system_maps(F2, strict, strict, False, 10**6)[0]
+    seen = []
+    for helper, kind in _LAW_KINDS.items():
+        def spy(*args, real=getattr(ktheory, helper), kind=kind):
+            # the instance is the trailing arguments; a square drops its union
+            seen.append((kind, args[-2:] if kind == "swap" else
+                         args[-3:] if kind == "cocycle" else args[-3:-1]))
+            return real(*args)
+        monkeypatch.setattr(ktheory, helper, spy)
+    components = len(nonempty_subsets_of(n))
+    for validate, paired, typed in [
+            (lambda: validate_system(P, sys), True, 0),  # the x typing is not counted
+            (lambda: validate_system_map(P, mp, True), True, components),
+            (lambda: validate_system_map(F2, smp, False), False, components),
+            (lambda: validate_system_two_cell(P, identity_system_two_cell(P, mp), True),
+             False, components),
+            (lambda: validate_system_two_cell(F2, identity_system_two_cell(F2, smp), False),
+             False, components)]:
+        seen.clear()
+        rep = validate()
+        listed = _validator_instances(n, paired)
+        assert rep.ok and sorted(seen) == sorted(i for i in listed if i[0] != "typing")
+        assert rep.checked == len(listed) - components + typed
+
+
+def _other_parallel(C, cell, dim):
+    """A dim-cell of C parallel to ``cell`` and different from it."""
+    if dim == 1:
+        parallel = C.one_cells_between(C.src1(cell), C.tgt1(cell))
+    else:
+        parallel = C.two_cells_between(C.src2(cell), C.tgt2(cell))
+    return next(g for g in parallel if g != cell)
+
+
+def _systems(name, n):
+    C = promote(fixture(name))
+    return lambda: enumerate_systems(C, n, 10**6), lambda: _brute_force_systems(C, n)
+
+
+def _maps(name, gray, targets):
+    """The 1-cells from the first system at 3 to the first ``targets``."""
+    C = promote(fixture(name)) if gray else fixture(name)
+    systems = enumerate_systems(C, 3, 10**6)
+    pairs = [(systems[0], b) for b in systems[:targets]]
+    return (lambda: [mp for a, b in pairs for mp in enumerate_system_maps(C, a, b, gray, 10**6)],
+            lambda: [mp for a, b in pairs for mp in _brute_force_maps(C, a, b, gray)])
+
+
+def _two_cells(name, maps):
+    """The 2-cells between the first ``maps`` 1-cells at 3 of one hom."""
+    C = promote(fixture(name))
+    sys = enumerate_systems(C, 3, 10**6)[0]
+    ones = enumerate_system_maps(C, sys, sys, True, 10**6)[:maps]
+    pairs = [(u, v) for u in ones for v in ones]
+    return (lambda: [a for u, v in pairs for a in enumerate_system_two_cells(C, u, v, True, 10**6)],
+            lambda: [a for u, v in pairs for a in _brute_force_two_cells(C, u, v, True)])
+
+
+_PAIR, _REVERSED, _TRIPLE = ((1,), (2,)), ((2,), (1,)), ((1,), (2,), (3,))
+
+# case: (helper, dim, instance, hits, cells).  With dim None the law fails at
+# its instance; else the swap derivation gives another parallel dim-cell at
+# the reversed pair, so it is no longer an involution there.  ``hits`` takes
+# the helper's arguments (the carrier first, then its accessors in signature
+# order) and selects the cells whose component at one key is not an
+# identity, so that each patch removes some cells and keeps others.
+_LAW_FAILURES = {
+    "system-cocycle": ("_system_cocycle_holds", None, _TRIPLE,
+                       lambda a: not a[0].is_id1(a[2](*_PAIR)), lambda: _systems("F4", 3)),
+    "symmetry": ("swapped_c", 1, _REVERSED,
+                 lambda a: not a[0].is_id1(a[2](*_REVERSED)), lambda: _systems("F4", 3)),
+    "strict-square": ("_strict_square_holds", None, _PAIR + ((1, 2),),
+                      lambda a: not a[0].is_id1(a[3]((1, 2))), lambda: _maps("F4", False, 4)),
+    "filling-cocycle": ("_filling_cocycle_holds", None, _TRIPLE,
+                        lambda a: not a[0].is_id2(a[4](*_PAIR)), lambda: _maps("F3", True, 1)),
+    "filling-swap": ("swapped_gamma", 2, _REVERSED,
+                     lambda a: not a[0].is_id2(a[4](*_REVERSED)), lambda: _maps("F3", True, 1)),
+    "compat-square": ("_compat_square_holds", None, _PAIR + ((1, 2),),
+                      lambda a: not a[0].is_id2(a[4]((1, 2))), lambda: _two_cells("F3", 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAW_FAILURES))
+def test_search_alone_rejects_what_the_validators_reject(monkeypatch, case):
+    helper, dim, instance, hits, cells = _LAW_FAILURES[case]
+    search, oracle = cells()
+    before = search()
+    real = getattr(ktheory, helper)
+
+    def patched(*args):
+        out = real(*args)
+        if args[-len(instance):] != instance or not hits(args):
+            return out
+        return False if dim is None else _other_parallel(args[0], out, dim)
+
+    monkeypatch.setattr(ktheory, helper, patched)
+    after = search()
+    # the oracles run the full validators through the same patched helpers
+    assert after == oracle()
+    assert 0 < len(after) < len(before)
 
 
 # -- the validators' rejection branches ---------------------------------------------
