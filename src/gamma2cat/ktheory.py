@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from itertools import starmap
 from operator import itemgetter
 
 from .subsets import (
@@ -207,10 +208,12 @@ def _connecting_cells(C, x, s: Subset, t: Subset) -> list:
     return C.one_cells_between(x(union(s, t)), target)
 
 
-def _invertible_fillers(C, src: SubsetSystem, tgt: SubsetSystem, f,
-                        s: Subset, t: Subset) -> list:
+def _invertible_fillers(C, src: SubsetSystem, tgt: SubsetSystem, s: Subset, t: Subset,
+                        f_s, f_t, f_st) -> list:
     """The candidates for gamma[s,t]: the invertible 2-cells filling the
-    square of f at (s, t)."""
+    square at (s, t) of the components f_s, f_t and f_st (st the union),
+    the only components the square reads."""
+    f = {s: f_s, t: f_t, union(s, t): f_st}.__getitem__
     cells = C.two_cells_between(_gamma_source(C, src, f, s, t), _gamma_target(C, tgt, f, s, t))
     return [g for g in cells if vertical_inverse(C, g) is not None]
 
@@ -270,17 +273,36 @@ def _filling_cocycle_holds(C, src: SubsetSystem, tgt: SubsetSystem, f, gamma,
     return lhs == vseq(C, th1, th2, th3)
 
 
-def _compat_square_holds(C, u: SystemMap, v: SystemMap, gray: bool, alpha,
+def _compat_left(C, gray: bool, u: SystemMap, a_st, s: Subset, t: Subset):
+    """The left side of the compatibility square of a 2-cell u => v at
+    (s, t): its component a_st at the union whiskered by c'[s,t], after
+    u's filling cell at (s, t) over a cubical carrier.  It reads neither v
+    nor the components at s and t."""
+    lhs = whisker_l(C, u.tgt.c_at(C, s, t), a_st)
+    return C.vcomp(lhs, u.gamma_at(C, s, t)) if gray else lhs
+
+
+def _compat_right(C, gray: bool, v: SystemMap, a_s, a_t, s: Subset, t: Subset):
+    """The right side of the compatibility square of a 2-cell u => v at
+    (s, t): the sum of its components a_s and a_t whiskered by c[s,t]
+    (u and v share their source system), before v's filling cell at (s, t)
+    over a cubical carrier.  It reads neither u nor the component at the
+    union."""
+    rhs = whisker_r(C, C.sum_two(a_s, a_t), v.src.c_at(C, s, t))
+    return C.vcomp(v.gamma_at(C, s, t), rhs) if gray else rhs
+
+
+def _compat_square_holds(left, right, u: SystemMap, v: SystemMap, alpha,
                          s: Subset, t: Subset, st: Subset) -> bool:
     """The compatibility square of the components alpha(s), alpha(t),
-    alpha(st) of a 2-cell u => v at the disjoint pair (s, t) of union st."""
-    summed = C.sum_two(alpha(s), alpha(t))
-    lhs = whisker_l(C, u.tgt.c_at(C, s, t), alpha(st))
-    rhs = whisker_r(C, summed, u.src.c_at(C, s, t))
-    if gray:
-        lhs = C.vcomp(lhs, u.gamma_at(C, s, t))
-        rhs = C.vcomp(v.gamma_at(C, s, t), rhs)
-    return lhs == rhs
+    alpha(st) of a 2-cell u => v at the disjoint pair (s, t) of union st.
+
+    ``left`` and ``right`` compute its two sides: ``_compat_left`` and
+    ``_compat_right`` with the carrier and flavor bound, as the validator
+    passes them, or the caches of those that a level build keeps for one
+    hom, as the search passes them.  Either way every instance is compared
+    here; a cache only saves composing a side again."""
+    return left(u, alpha(st), s, t) == right(v, alpha(s), alpha(t), s, t)
 
 
 # -- axiom checks on explicit cells ----------------------------------------------
@@ -360,9 +382,10 @@ def validate_system_two_cell(C, cell: SystemTwoCell, gray: bool) -> ValidationRe
             rep.add("structure", f"component at {s} has wrong endpoints")
     if rep.issues:
         return rep
+    left, right = partial(_compat_left, C, gray), partial(_compat_right, C, gray)
     for (s, t) in disjoint_pairs(n):
         rep.checked += 1
-        if not _compat_square_holds(C, cell.src, cell.tgt, gray, alpha, s, t, union(s, t)):
+        if not _compat_square_holds(left, right, cell.src, cell.tgt, alpha, s, t, union(s, t)):
             rep.add("compat", f"component compatibility fails at {(s, t)}")
     return rep
 
@@ -474,8 +497,12 @@ def _search(asg: dict, n: int, component, pair, build, stage: str, ceiling: int)
     instance the validators check once: a component's typing by its slot's
     candidates, a law instance by the slot placing its last component, and a
     derived pair's typing and reversed swap equation, which hold only over a
-    valid braiding, right after the swap, before any law composes it.  The
-    output is sorted by the reprs of the placed values."""
+    valid braiding, right after the swap, before any law composes it.
+    Every instance a slot closes is checked each time the slot takes a
+    value; the enumerators cache only what candidates and laws compose
+    (filler lists, 2-cell candidate lists, the compatibility square's
+    sides), never a verdict.  The output is sorted by the reprs of the
+    placed values."""
     order = _placement_order(n, pair is not None)
     k = len(nonempty_subsets_of(n))
     plan = ([(key, *component, None, closes) for key, closes in order[:k]]
@@ -499,7 +526,7 @@ def _search(asg: dict, n: int, component, pair, build, stage: str, ceiling: int)
                 asg[rev] = swap(*key)
                 if asg[rev] not in typed or swap(*rev) != val:
                     continue
-            if all(law(*inst) for inst in closes):
+            if all(starmap(law, closes)):
                 place(i + 1)
 
     place(0)
@@ -529,7 +556,9 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
                           ceiling: int) -> list[SystemMap]:
     """1-cells src -> tgt.  Strict: each square is checked once its f_{s+t}
     is placed.  Cubical: each square of f must admit an invertible filler,
-    and each filling-cell cocycle is checked once its last gamma is placed."""
+    and each filling-cell cocycle is checked once its last gamma is placed.
+    A filler list is computed once per call for each (s, t) and the
+    components it reads, and reused by every assignment that shares them."""
     n = src.n
     asg: dict = {}
     f = asg.__getitem__
@@ -537,14 +566,18 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
     def gamma(s, t):
         return asg[s, t]
 
-    fillers = partial(_invertible_fillers, C, src, tgt, f)
+    filler_lists = cache(partial(_invertible_fillers, C, src, tgt))
+
+    def fillers(s, t, st):
+        return filler_lists(s, t, f(s), f(t), f(st))
 
     def components(s):
         return C.one_cells_between(src.x_at(C, s), tgt.x_at(C, s))
 
     if gray:
-        component = (components, lambda s, t, st: bool(fillers(s, t)))
-        pair = (lambda st: fillers(*st), partial(_filling_cocycle_holds, C, src, tgt, f, gamma),
+        component = (components, lambda s, t, st: bool(fillers(s, t, st)))
+        pair = (lambda p: fillers(*p, union(*p)),
+                partial(_filling_cocycle_holds, C, src, tgt, f, gamma),
                 partial(swapped_gamma, C, src, tgt, f, gamma))
     else:
         component, pair = (components, partial(_strict_square_holds, C, src, tgt, f)), None
@@ -554,18 +587,30 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
         "1-cell enumeration", ceiling)
 
 
+def _two_cell_caches(C, gray: bool) -> tuple:
+    """Fresh caches for the 2-cell searches of one hom of a level: the
+    candidate lists and the two sides of the compatibility square.  A side
+    is keyed by u or v, which fix the hom, so these caches hold every reuse
+    of a side and can be dropped with the hom."""
+    return (cache(C.two_cells_between), cache(partial(_compat_left, C, gray)),
+            cache(partial(_compat_right, C, gray)))
+
+
 def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
-                               ceiling: int) -> list[SystemTwoCell]:
+                               ceiling: int, caches: tuple | None = None) -> list[SystemTwoCell]:
     """2-cells u => v: each compatibility square is checked once its
-    component at s+t is placed."""
+    component at s+t is placed.  ``caches`` are the ``_two_cell_caches``
+    a level build shares across the pairs of one hom; without them the call
+    binds its own."""
     if u.src != v.src or u.tgt != v.tgt:
         return []
     n = u.n
     asg: dict = {}
+    candidates, left, right = caches or _two_cell_caches(C, gray)
     return _search(
         asg, n,
-        (lambda s: C.two_cells_between(u.f_at(C, s), v.f_at(C, s)),
-         partial(_compat_square_holds, C, u, v, gray, asg.__getitem__)),
+        (lambda s: candidates(u.f_at(C, s), v.f_at(C, s)),
+         partial(_compat_square_holds, left, right, u, v, asg.__getitem__)),
         None,
         lambda: mk_system_two_cell(n, u, v, tuple(asg[s] for s in nonempty_subsets_of(n))),
         "2-cell enumeration", ceiling)
@@ -592,9 +637,10 @@ def _build_level(C, n: int, gray: bool, name: str, ceiling: int,
     for mp in one:
         by_pair.setdefault((mp.src, mp.tgt), []).append(mp)
     for (a, b), cells in by_pair.items():
+        caches = _two_cell_caches(C, gray)
         for u in cells:
             for v in cells:
-                for cell in enumerate_system_two_cells(C, u, v, gray, ceiling):
+                for cell in enumerate_system_two_cells(C, u, v, gray, ceiling, caches):
                     two[cell] = (u, v, is_identity_system_two_cell(C, cell))
                     total += 1
                     if total > ceiling:

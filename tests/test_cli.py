@@ -290,6 +290,14 @@ def test_cubical_level_three_stops_at_the_ceiling(monkeypatch, capsys):
     assert "during level build: 1001 > 1000" in capsys.readouterr().err
 
 
+def test_cubical_level_three_of_f3_stops_at_the_default_ceiling(monkeypatch, capsys):
+    # Ko(F3) level 3 builds whole (1, 16 and 2,048 cells), but its cells
+    # plus table entries are 4,458,769, so a changed level changes the count
+    monkeypatch.delenv("GAMMA2CAT_CELL_CEILING", raising=False)
+    assert run(["ko", "--fixture", "F3", "--level", "3"]) == 3
+    assert "during table fill: 4458769 > 1000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, ceiling, stage", [
     # over F2 the span levels have as many cells as the unit's target (219
     # at level 2), so the ceiling first trips on the composites of level 1

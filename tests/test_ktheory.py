@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 from collections import Counter
 from dataclasses import replace
@@ -539,9 +540,10 @@ _PAIR, _REVERSED, _TRIPLE = ((1,), (2,)), ((2,), (1,)), ((1,), (2,), (3,))
 # case: (helper, dim, instance, hits, cells).  With dim None the law fails at
 # its instance; else the swap derivation gives another parallel dim-cell at
 # the reversed pair, so it is no longer an involution there.  ``hits`` takes
-# the helper's arguments (the carrier first, then its accessors in signature
-# order) and selects the cells whose component at one key is not an
-# identity, so that each patch removes some cells and keeps others.
+# the helper's arguments (the carrier first, then its accessors or
+# components in signature order) and selects the cells whose component at
+# one key is not an identity, so that each patch removes some cells and
+# keeps others.
 _LAW_FAILURES = {
     "system-cocycle": ("_system_cocycle_holds", None, _TRIPLE,
                        lambda a: not a[0].is_id1(a[2](*_PAIR)), lambda: _systems("F4", 3)),
@@ -553,8 +555,10 @@ _LAW_FAILURES = {
                         lambda a: not a[0].is_id2(a[4](*_PAIR)), lambda: _maps("F3", True, 1)),
     "filling-swap": ("swapped_gamma", 2, _REVERSED,
                      lambda a: not a[0].is_id2(a[4](*_REVERSED)), lambda: _maps("F3", True, 1)),
-    "compat-square": ("_compat_square_holds", None, _PAIR + ((1, 2),),
-                      lambda a: not a[0].is_id2(a[4]((1, 2))), lambda: _two_cells("F3", 3)),
+    # the square's left side, which both the search's cache and the
+    # validator compute, with the component at the union as a[3]
+    "compat-square": ("_compat_left", None, _PAIR,
+                      lambda a: not a[0].is_id2(a[3]), lambda: _two_cells("F3", 3)),
 }
 
 
@@ -576,6 +580,68 @@ def test_search_alone_rejects_what_the_validators_reject(monkeypatch, case):
     # the oracles run the full validators through the same patched helpers
     assert after == oracle()
     assert 0 < len(after) < len(before)
+
+
+# -- what a level build composes once ----------------------------------------------
+#
+# The searches cache the filler lists, the 2-cell candidate lists and the two
+# sides of each compatibility square, for one hom of one build.  These tests
+# pin how often the uncached helpers run, that every square instance is
+# still compared, and that the cells and their order do not move.
+
+
+def _call_counts(monkeypatch, *helpers):
+    calls = Counter()
+    for name in helpers:
+        def spy(*args, real=getattr(ktheory, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ktheory, name, spy)
+    return calls
+
+
+def test_filler_lists_are_built_once_per_hom_and_components(monkeypatch):
+    # one call per hom, pair and components read; computed at every slot
+    # entry instead, the search would make 57,344, about 28 per 1-cell
+    calls = _call_counts(monkeypatch, "_invertible_fillers")
+    assert ko_level(promote(fixture("F4")), 3).counts() == (16, 2048, 2048)
+    assert calls["_invertible_fillers"] == 16_384
+
+
+def test_square_sides_are_composed_once_and_every_instance_compared(monkeypatch):
+    calls = _call_counts(monkeypatch, "_compat_left", "_compat_right", "_compat_square_holds")
+    P = promote(fixture("F3"))
+    for _ in range(2):
+        # a second build composes every side again: no cache outlives a build
+        calls.clear()
+        assert ko_level(P, 3).counts() == (1, 16, 2048)
+        assert calls == {"_compat_left": 384, "_compat_right": 768,
+                         "_compat_square_holds": 32_768}
+
+
+# sha256 over the repr of every object, 1-cell and 2-cell, in level order,
+# one line each, so that no change to the searches can alter or reorder the
+# cells of these levels unnoticed
+_LEVEL_DIGESTS = [
+    (lambda: ko_level(promote(fixture("F3")), 3),
+     "74edba7057621252d0711bce47d34ced5b9b3cd82e039d276dc8159c1854789c"),
+    (lambda: ko_level(fixture("F5"), 2),
+     "866eb2bb5abe08f9010c176fd0886e9bd05e934d002f7ddb420165da99ba1b7e"),
+    (lambda: ko_level(promote(fixture("F2")), 3),
+     "c510bd752486430bbe60ce79b114784c4ab578e55a441781b91ad3ec0c66805b"),
+    (lambda: kt_level(fixture("F4"), 3),
+     "c27e839a6d689d61b085252a1c562912aa7fa4f9dfc795f3cfba3911e0ec194b"),
+]
+
+
+@pytest.mark.parametrize("build, digest", _LEVEL_DIGESTS,
+                         ids=["Ko(F3)-3", "Ko(F5)-2", "Ko(F2)-3", "Kt(F4)-3"])
+def test_level_builds_emit_the_same_cells_in_the_same_order(build, digest):
+    level = build()
+    h = hashlib.sha256()
+    for cell in [*level.objects, *level.one_src, *level.two_src]:
+        h.update(repr(cell).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 # -- the validators' rejection branches ---------------------------------------------

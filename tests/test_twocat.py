@@ -53,10 +53,13 @@ def test_domain_issues_follow_cell_order():
         "vcomp": (two, lambda b, a: L.two_src[b] == L.two_tgt[a]),
         "hcomp2": (two, lambda b, a: L.one_src[L.two_src[b]] == L.one_tgt[L.two_src[a]]),
     }
-    for name, (cells, ok) in composable.items():
+    # balanced: as many keys outside the domain as dropped ones, so the
+    # table has exactly as many keys as the domain has pairs
+    for balanced, (name, (cells, ok)) in itertools.product((False, True), composable.items()):
         want = [(b, a) for b in cells for a in cells if ok(b, a)]
         dropped = want[::40]
-        extra = [(b, a) for b in cells for a in cells if not ok(b, a)][::60]
+        outside = [(b, a) for b in cells for a in cells if not ok(b, a)]
+        extra = outside[:len(dropped)] if balanced else outside[::60]
         tables = {t: getattr(L, f"{t}_table") for t in composable}
         gone = set(dropped)
         tables[name] = {k: v for k, v in tables[name].items() if k not in gone}
@@ -68,6 +71,7 @@ def test_domain_issues_follow_cell_order():
             tables["vcomp"], tables["hcomp1"], tables["hcomp2"])
         rep = validate_two_category(holed)
         assert len(dropped) > 3 and len(extra) > 3, name
+        assert (len(tables[name]) == len(want)) == balanced, name
         assert [i.message for i in rep.issues] == (
             [f"{name} missing entry for {k!r}" for k in dropped]
             + [f"{name} has entry outside composability domain: {k!r}" for k in extra]), name
