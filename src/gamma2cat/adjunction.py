@@ -29,8 +29,6 @@ from .ktheory import (
     LazyKtGamma,
     SystemMap,
     kt_gamma,
-    make_system,
-    make_system_map,
     mk_system,
     mk_system_map,
     mk_system_two_cell,
@@ -139,44 +137,33 @@ def eta_on_cell(X, PX: GrothPerm, m: int, dim: int, cell):
 
 
 def _eta_on_cell(X, PX: GrothPerm, m: int, dim: int, cell):
+    subs = nonempty_subsets_of(m)
+    projs = [X.star(pi_s(m, s))[dim](cell) for s in subs]
     if dim == 0:
-        xmap = {}
-        for s in nonempty_subsets_of(m):
-            xmap[s] = mk_groth_obj((len(s),), (X.star(pi_s(m, s))[0](cell),))
-        cmap = {}
+        x = {s: mk_groth_obj((len(s),), (p,)) for s, p in zip(subs, projs)}
+        c = []
         for (s, t) in disjoint_pairs(m):
-            src_obj = xmap[union(s, t)]
-            tgt_obj = PX.sum_obj(xmap[s], xmap[t])
+            src_obj = x[union(s, t)]
+            tgt_obj = PX.sum_obj(x[s], x[t])
             pushed = ax_apply(X, pi_st(s, t), 0, src_obj.xs)
             if pushed != tgt_obj.xs:
                 raise AssertionError("projection coherence fails; invalid diagram")
             fs = tuple(
                 X.level(mm).id1(xx) for mm, xx in zip(tgt_obj.mvec, tgt_obj.xs)
             )
-            cmap[(s, t)] = mk_groth_one(pi_st(s, t), src_obj, tgt_obj, fs)
-        return make_system(m, xmap, cmap)
-    if dim == 1:
-        L = X.level(m)
-        src_sys = eta_on_cell(X, PX, m, 0, L.src1(cell))
-        tgt_sys = eta_on_cell(X, PX, m, 0, L.tgt1(cell))
-        fmap = {}
-        for s in nonempty_subsets_of(m):
-            proj = X.star(pi_s(m, s))[1](cell)
-            fmap[s] = mk_groth_one(
-                a_identity((len(s),)),
-                src_sys.x_at(PX, s), tgt_sys.x_at(PX, s), (proj,),
-            )
-        return make_system_map(src_sys, tgt_sys, fmap, None)
+            c.append(mk_groth_one(pi_st(s, t), src_obj, tgt_obj, fs))
+        return mk_system(m, tuple(x.values()), tuple(c))
+    # a 1-cell's components run between its end systems' components, and a
+    # 2-cell's between its end maps' components
     L = X.level(m)
-    src_mp = eta_on_cell(X, PX, m, 1, L.src2(cell))
-    tgt_mp = eta_on_cell(X, PX, m, 1, L.tgt2(cell))
-    alphas = []
-    for s in nonempty_subsets_of(m):
-        proj = X.star(pi_s(m, s))[2](cell)
-        alphas.append(mk_groth_two(
-            src_mp.f_at(PX, s), tgt_mp.f_at(PX, s), (proj,),
-        ))
-    return mk_system_two_cell(m, src_mp, tgt_mp, tuple(alphas))
+    ends = (L.src1, L.tgt1) if dim == 1 else (L.src2, L.tgt2)
+    src, tgt = (eta_on_cell(X, PX, m, dim - 1, end(cell)) for end in ends)
+    if dim == 1:
+        return mk_system_map(m, src, tgt, tuple(
+            mk_groth_one(a_identity((len(s),)), a, b, (p,))
+            for s, a, b, p in zip(subs, src.x, tgt.x, projs)), None)
+    return mk_system_two_cell(m, src, tgt, tuple(
+        mk_groth_two(a, b, (p,)) for a, b, p in zip(src.f, tgt.f, projs)))
 
 
 _ETA_PHI_CACHE: dict = {}
@@ -193,18 +180,16 @@ def eta_phi(X, PX: GrothPerm, phi: PointedMap, x) -> SystemMap:
     src_sys = reindex_system(PX, eta_on_cell(X, PX, m, 0, x), phi)
     phix = X.star(phi)[0](x)
     tgt_sys = eta_on_cell(X, PX, n, 0, phix)
-    fmap = {}
-    for s in nonempty_subsets_of(n):
+    f = []
+    for s, src_obj, tgt_obj in zip(nonempty_subsets_of(n), src_sys.x, tgt_sys.x):
         block = pointed_to_block(phi_s(phi, s))
-        src_obj = src_sys.x_at(PX, s)
-        tgt_obj = tgt_sys.x_at(PX, s)
         if ax_apply(X, block, 0, src_obj.xs) != tgt_obj.xs:
             raise AssertionError("restriction square fails; invalid diagram")
         fs = tuple(
             X.level(mm).id1(xx) for mm, xx in zip(tgt_obj.mvec, tgt_obj.xs)
         )
-        fmap[s] = mk_groth_one(block, src_obj, tgt_obj, fs)
-    out = make_system_map(src_sys, tgt_sys, fmap, None)
+        f.append(mk_groth_one(block, src_obj, tgt_obj, fs))
+    out = mk_system_map(n, src_sys, tgt_sys, tuple(f), None)
     _ETA_PHI_CACHE[key] = out
     return out
 
@@ -284,14 +269,9 @@ def lambda_of(h: GammaLaxMap) -> GammaTransformation:
     def component(m, x):
         src_sys = left.cell_maps(m)[0](x)
         tgt_sys = right.cell_maps(m)[0](x)
-        fmap = {}
-        for s in nonempty_subsets_of(m):
-            cellcomp = h.lax(pi_s(m, s), x)
-            fmap[s] = mk_groth_one(
-                a_identity((len(s),)),
-                src_sys.x_at(PY, s), tgt_sys.x_at(PY, s), (cellcomp,),
-            )
-        return make_system_map(src_sys, tgt_sys, fmap, None)
+        return mk_system_map(m, src_sys, tgt_sys, tuple(
+            mk_groth_one(a_identity((len(s),)), a, b, (h.lax(pi_s(m, s), x),))
+            for s, a, b in zip(nonempty_subsets_of(m), src_sys.x, tgt_sys.x)), None)
 
     return GammaTransformation(left, right, component, name=f"lambda({h.name})")
 

@@ -488,7 +488,16 @@ class Report:
 
 
 def cell_ceiling() -> int:
-    return int(os.environ.get("GAMMA2CAT_CELL_CEILING", str(DEFAULT_CELL_CEILING)))
+    """The ceiling every command passes to its builders: the environment
+    variable GAMMA2CAT_CELL_CEILING, a non-negative integer, or
+    ``DEFAULT_CELL_CEILING`` when it is unset; anything else is a usage
+    error."""
+    text = os.environ.get("GAMMA2CAT_CELL_CEILING")
+    if text is None:
+        return DEFAULT_CELL_CEILING
+    if not (text.isascii() and text.isdigit()):
+        raise FixtureError(f"GAMMA2CAT_CELL_CEILING must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # -- the acceptance battery: criteria 1-10, run by ``report`` and the tests ------

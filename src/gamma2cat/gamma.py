@@ -23,6 +23,7 @@ from typing import Callable
 from .subsets import (PointedMap, composable_maps, fold_map, maps_up_to,
                       pointed_identity, segal_injection)
 from .twocat import (
+    DEFAULT_CELL_CEILING,
     IDENTITY_MAPS,
     PATH_TAGS,
     S_LEG,
@@ -526,7 +527,7 @@ class ESpan:
     path: LazyPathGamma
 
 
-def e_construction(k: GammaLaxMap, ceiling: int | None = None) -> ESpan:
+def e_construction(k: GammaLaxMap, ceiling: int = DEFAULT_CELL_CEILING) -> ESpan:
     """Replace the lax map k: X -> Z by a span of strict maps X <- Ek -> Z.
 
     Level m is the comma 2-category (id | k_m): objects ``("e0c", x, f, a)``

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import attrgetter
 
-from .ktheory import DEFAULT_CELL_CEILING
 from .monoidal import Domains, ProductSum, scan_product_sum
 from .subsets import PointedMap
-from .twocat import CellCeilingExceeded, FieldEndpoints, InternedCell, ValidationReport, _group
+from .twocat import (DEFAULT_CELL_CEILING, CellCeilingExceeded, FieldEndpoints, InternedCell,
+                     ValidationReport, _group)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -34,7 +34,6 @@ the ceiling aborts loudly, never truncates silently.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import starmap
@@ -51,6 +50,7 @@ from .subsets import (
     union,
 )
 from .twocat import (
+    DEFAULT_CELL_CEILING,
     Cell,
     CellCeilingExceeded,
     FieldEndpoints,
@@ -72,9 +72,6 @@ from .monoidal import (
     sum_one_cells,
 )
 from .gamma import GammaTruncation
-
-
-DEFAULT_CELL_CEILING = int(os.environ.get("GAMMA2CAT_CELL_CEILING", "1000000"))
 
 
 @lru_cache(maxsize=None)
@@ -158,25 +155,6 @@ SystemTwoCell._pool = {}
 mk_system = SubsetSystem._make
 mk_system_map = SystemMap._make
 mk_system_two_cell = SystemTwoCell._make
-
-
-def make_system(n: int, xmap: dict, cmap: dict) -> SubsetSystem:
-    subs = nonempty_subsets_of(n)
-    return mk_system(
-        n,
-        tuple(xmap[s] for s in subs),
-        tuple(cmap[p] for p in disjoint_pairs(n)),
-    )
-
-
-def make_system_map(src: SubsetSystem, tgt: SubsetSystem, fmap: dict,
-                    gammamap: dict | None) -> SystemMap:
-    n = src.n
-    subs = nonempty_subsets_of(n)
-    gamma = None
-    if gammamap is not None:
-        gamma = tuple(gammamap[p] for p in disjoint_pairs(n))
-    return mk_system_map(n, src, tgt, tuple(fmap[s] for s in subs), gamma)
 
 
 # -- the level laws ---------------------------------------------------------------
@@ -404,12 +382,12 @@ def compose_system_maps(C, g: SystemMap, f: SystemMap) -> SystemMap:
     if cached is not None:
         return cached
     n = f.n
-    comps = {s: C.comp1(g.f_at(C, s), f.f_at(C, s)) for s in nonempty_subsets_of(n)}
+    comps = tuple(map(C.comp1, g.f, f.f))
     if f.gamma is None and g.gamma is None:
-        out = make_system_map(f.src, g.tgt, comps, None)
+        out = mk_system_map(n, f.src, g.tgt, comps, None)
         _COMPOSE_CACHE[key] = out
         return out
-    gammas = {}
+    gammas = []
     for (s, t) in disjoint_pairs(n):
         f_s, f_t = f.f_at(C, s), f.f_at(C, t)
         g_s, g_t = g.f_at(C, s), g.f_at(C, t)
@@ -427,15 +405,14 @@ def compose_system_maps(C, g: SystemMap, f: SystemMap) -> SystemMap:
             f.gamma_at(C, s, t),
         )
         th3 = whisker_r(C, g.gamma_at(C, s, t), f.f_at(C, union(s, t)))
-        gammas[(s, t)] = vseq(C, th1, th2, th3)
-    out = make_system_map(f.src, g.tgt, comps, gammas)
+        gammas.append(vseq(C, th1, th2, th3))
+    out = mk_system_map(n, f.src, g.tgt, comps, tuple(gammas))
     _COMPOSE_CACHE[key] = out
     return out
 
 
 def identity_system_map(C, sys: SubsetSystem) -> SystemMap:
-    comps = {s: C.id1(sys.x_at(C, s)) for s in nonempty_subsets_of(sys.n)}
-    return make_system_map(sys, sys, comps, None)
+    return mk_system_map(sys.n, sys, sys, tuple(map(C.id1, sys.x)), None)
 
 
 def is_identity_system_map(C, mp: SystemMap) -> bool:
@@ -544,12 +521,14 @@ def enumerate_systems(C, n: int, ceiling: int) -> list[SubsetSystem]:
         return asg[s, t]
 
     connecting = partial(_connecting_cells, C, x)
+    subs, pairs = nonempty_subsets_of(n), disjoint_pairs(n)
     return _search(
         asg, n,
         (lambda s: C.objects_iter(), lambda s, t, st: bool(connecting(s, t))),
         (lambda st: connecting(*st), partial(_system_cocycle_holds, C, x, c),
          partial(swapped_c, C, x, c)),
-        lambda: make_system(n, asg, asg), "object enumeration", ceiling)
+        lambda: mk_system(n, tuple(map(x, subs)), tuple(starmap(c, pairs))),
+        "object enumeration", ceiling)
 
 
 def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
@@ -560,6 +539,7 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
     A filler list is computed once per call for each (s, t) and the
     components it reads, and reused by every assignment that shares them."""
     n = src.n
+    subs, pairs = nonempty_subsets_of(n), disjoint_pairs(n)
     asg: dict = {}
     f = asg.__getitem__
 
@@ -583,7 +563,8 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
         component, pair = (components, partial(_strict_square_holds, C, src, tgt, f)), None
     return _search(
         asg, n, component, pair,
-        lambda: make_system_map(src, tgt, asg, asg if gray else None),
+        lambda: mk_system_map(n, src, tgt, tuple(map(f, subs)),
+                              tuple(starmap(gamma, pairs)) if gray else None),
         "1-cell enumeration", ceiling)
 
 
@@ -667,6 +648,16 @@ def kt_level(C: PermutativeTwoCategory, n: int,
 # -- reindexing, functoriality, truncations ------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pullback(phi: PointedMap) -> tuple[tuple, tuple]:
+    """The preimages under ``phi`` of the nonempty subsets and of the disjoint
+    pairs of its target, in canonical order: the keys at which a reindexing
+    along ``phi`` reads each component of its image."""
+    pre = phi.preimage
+    return (tuple(map(pre, nonempty_subsets_of(phi.n))),
+            tuple((pre(u), pre(v)) for (u, v) in disjoint_pairs(phi.n)))
+
+
 _REINDEX_CACHE: dict = {}
 
 
@@ -675,13 +666,9 @@ def reindex_system(C, sys: SubsetSystem, phi: PointedMap) -> SubsetSystem:
     cached = _REINDEX_CACHE.get(key)
     if cached is not None:
         return cached
-    n = phi.n
-    xmap = {u: sys.x_at(C, phi.preimage(u)) for u in nonempty_subsets_of(n)}
-    cmap = {
-        (u, v): sys.c_at(C, phi.preimage(u), phi.preimage(v))
-        for (u, v) in disjoint_pairs(n)
-    }
-    out = make_system(n, xmap, cmap)
+    subs, pairs = _pullback(phi)
+    out = mk_system(phi.n, tuple(map(partial(sys.x_at, C), subs)),
+                    tuple(starmap(partial(sys.c_at, C), pairs)))
     _REINDEX_CACHE[key] = out
     return out
 
@@ -694,28 +681,23 @@ def reindex_system_map(C, mp: SystemMap, phi: PointedMap) -> SystemMap:
     cached = _REINDEX_MAP_CACHE.get(key)
     if cached is not None:
         return cached
-    n = phi.n
-    fmap = {u: mp.f_at(C, phi.preimage(u)) for u in nonempty_subsets_of(n)}
-    gmap = None
+    subs, pairs = _pullback(phi)
+    gamma = None
     if mp.gamma is not None:
-        gmap = {
-            (u, v): mp.gamma_at(C, phi.preimage(u), phi.preimage(v))
-            for (u, v) in disjoint_pairs(n)
-        }
-    out = make_system_map(
-        reindex_system(C, mp.src, phi), reindex_system(C, mp.tgt, phi), fmap, gmap
-    )
+        gamma = tuple(starmap(partial(mp.gamma_at, C), pairs))
+    out = mk_system_map(phi.n, reindex_system(C, mp.src, phi), reindex_system(C, mp.tgt, phi),
+                        tuple(map(partial(mp.f_at, C), subs)), gamma)
     _REINDEX_MAP_CACHE[key] = out
     return out
 
 
 def reindex_system_two_cell(C, cell: SystemTwoCell, phi: PointedMap) -> SystemTwoCell:
-    n = phi.n
+    subs, _ = _pullback(phi)
     return mk_system_two_cell(
-        n,
+        phi.n,
         reindex_system_map(C, cell.src, phi),
         reindex_system_map(C, cell.tgt, phi),
-        tuple(cell.alpha_at(C, phi.preimage(u)) for u in nonempty_subsets_of(n)),
+        tuple(map(partial(cell.alpha_at, C), subs)),
     )
 
 
@@ -766,28 +748,23 @@ def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
     F = M.functor
 
     def on_system(sys: SubsetSystem) -> SubsetSystem:
-        n = sys.n
-        xmap = {s: F.omap[sys.x_at(C, s)] for s in nonempty_subsets_of(n)}
-        cmap = {}
-        for (s, t) in disjoint_pairs(n):
-            xs, xt = sys.x_at(C, s), sys.x_at(C, t)
-            cmap[(s, t)] = D.comp1(M.theta[(xs, xt)], F.fmap[sys.c_at(C, s, t)])
-        out = make_system(n, xmap, cmap)
+        n, x = sys.n, partial(sys.x_at, C)
+        out = mk_system(n, tuple(map(F.omap.__getitem__, sys.x)), tuple(
+            D.comp1(M.theta[(x(s), x(t))], F.fmap[c_st])
+            for (s, t), c_st in zip(disjoint_pairs(n), sys.c)))
         r = validate_system(D, out)
         if not r.ok:
             raise ValueError(f"image system fails target axioms: {r.first()}")
         return out
 
     def on_map(mp: SystemMap) -> SystemMap:
-        n = mp.n
-        fmap = {s: F.fmap[mp.f_at(C, s)] for s in nonempty_subsets_of(n)}
-        gmap = None
+        n, y = mp.n, partial(mp.tgt.x_at, C)
+        f = tuple(map(F.fmap.__getitem__, mp.f))
+        gamma = None
         if mp.gamma is not None:
-            gmap = {}
-            for (s, t) in disjoint_pairs(n):
-                ys, yt = mp.tgt.x_at(C, s), mp.tgt.x_at(C, t)
-                gmap[(s, t)] = whisker_l(D, M.theta[(ys, yt)], F.amap[mp.gamma_at(C, s, t)])
-        out = make_system_map(on_system(mp.src), on_system(mp.tgt), fmap, gmap)
+            gamma = tuple(whisker_l(D, M.theta[(y(s), y(t))], F.amap[g_st])
+                          for (s, t), g_st in zip(disjoint_pairs(n), mp.gamma))
+        out = mk_system_map(n, on_system(mp.src), on_system(mp.tgt), f, gamma)
         r = validate_system_map(D, out, gray=mp.gamma is not None)
         if not r.ok:
             raise ValueError(f"image map fails target axioms: {r.first()}")

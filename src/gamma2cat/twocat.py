@@ -115,6 +115,11 @@ class ValidationReport:
         return head + "\n" + body + more
 
 
+# the bound every builder takes by default on the cells it lists and the
+# cells plus table entries it fills; no library default reads the environment
+DEFAULT_CELL_CEILING = 1_000_000
+
+
 class CellCeilingExceeded(Exception):
     def __init__(self, stage: str, count: int, ceiling: int):
         self.stage = stage
@@ -992,7 +997,7 @@ class CommaFormula:
 
 
 def comma(S: FiniteTwoCategory, T: FiniteTwoCategory, F: tuple, tags: tuple, name: str,
-          ceiling: int | None = None) -> FiniteTwoCategory:
+          ceiling: int = DEFAULT_CELL_CEILING) -> FiniteTwoCategory:
     """The comma 2-category (id_T | F) of the cell maps ``F = (F0, F1, F2)``
     from S to T, its cells tagged by ``tags``.
 
@@ -1009,7 +1014,7 @@ def comma(S: FiniteTwoCategory, T: FiniteTwoCategory, F: tuple, tags: tuple, nam
 
     def listed() -> None:
         total = len(objs) + len(one) + len(two)
-        if ceiling is not None and total > ceiling:
+        if total > ceiling:
             raise CellCeilingExceeded("comma enumeration", total, ceiling)
 
     listed()

@@ -276,6 +276,22 @@ def test_exit_code_three_on_resource_ceiling(monkeypatch):
     assert run(["ko", "--fixture", "F5", "--level", "2"]) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_a_malformed_ceiling_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", value)
+    assert run(["ko", "--fixture", "F1", "--level", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: GAMMA2CAT_CELL_CEILING must be a non-negative integer, got {value!r}\n")
+    # a command that builds nothing reads no ceiling
+    assert run(["validate", "--fixture", "F1"]) == 0
+
+
+def test_a_zero_ceiling_stops_the_first_enumeration(monkeypatch, capsys):
+    monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "0")
+    assert run(["ko", "--fixture", "F1", "--level", "1"]) == 3
+    assert "during object enumeration: 1 > 0" in capsys.readouterr().err
+
+
 def test_exit_code_three_when_composites_pass_the_ceiling(monkeypatch):
     # the level has 290 cells but 35,328 composites
     monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "2000")

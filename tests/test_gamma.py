@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
+import gamma2cat.adjunction as adjunction
 import gamma2cat.gamma as gamma_module
 from gamma2cat.subsets import PointedMap, all_pointed_maps, pointed_identity
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.ktheory import LazyKtGamma, ko_gamma, ko_map, kt_gamma
 from gamma2cat.monoidal import MonoidalFunctor
 from gamma2cat.twocat import TwoFunctor, validate_two_category, is_isomorphism_of_two_categories
-from gamma2cat.inversek import GrothPerm, POfLax
+from gamma2cat.inversek import GrothPerm, POfLax, mk_groth_obj
 from gamma2cat.adjunction import k_of_p_of_lax, unit_map
 from gamma2cat.gamma import (
     DIAGRAM_OPERATIONS,
@@ -289,6 +292,106 @@ def test_adjunction_rejects_an_altered_section(monkeypatch):
     rep = e_adjunction_check(span)
     assert rep.first().kind == "retraction"
     assert {"naturality"} == {i.kind for i in rep.issues} - {"retraction"}
+
+
+# -- the diagram-level rejection branches -------------------------------------------
+#
+# Each case corrupts one cell or structure cell of a valid input: the
+# identity lax map of Ko(F4) or Ko(F2) with the structure cells at one
+# pointed map replaced, Ko(F2) with the transitions of two maps of the same
+# endpoints swapped, the span of the identity of Ko(F4) at cap 1 with its
+# legs swapped, or a counit that sends one object to the unit.
+
+
+def _identity_map_at(X, at, cell) -> GammaLaxMap:
+    """The identity lax map of X with every structure cell at ``at`` replaced
+    by ``cell``."""
+    ident = identity_lax_map(X)
+    return GammaLaxMap(X, X, ident.cell_maps,
+                       lambda phi, x: cell if phi is at else ident.lax(phi, x), name="bad")
+
+
+def _f4_level_one_endo():
+    X = ko_gamma(promote(fixture("F4")), 1)
+    L1 = X.level(1)
+    return X, _not_identity(L1.one_src, L1.is_id1)
+
+
+def _lax_unit(monkeypatch):
+    X, e = _f4_level_one_endo()
+    return validate_lax_map(_identity_map_at(X, pointed_identity(1), e))
+
+
+def _lax_endpoints(monkeypatch):
+    # at the zero map of 1+ every structure cell ends at the base system
+    X = ko_gamma(promote(fixture("F2")), 2)
+    L1 = X.level(1)
+    other = next(x for x in L1.objects if x != X.star(PointedMap(1, 1, (0,)))[0](x))
+    return validate_lax_map(_identity_map_at(X, PointedMap(1, 1, (0,)), L1.id1(other)))
+
+
+def _lax_pasting(monkeypatch):
+    # natural, since the zero map sends every cell to an identity, but the
+    # composite through 0+ keeps the identity structure cell
+    X, e = _f4_level_one_endo()
+    return validate_lax_map(_identity_map_at(X, PointedMap(1, 1, (0,)), e))
+
+
+def _swapped_transitions(a, b):
+    def build(monkeypatch):
+        X = ko_gamma(promote(fixture("F2")), 2)
+        swap = {a: b, b: a}
+        return validate_gamma(GammaTruncation("swapped", 2, X.levels,
+                                              lambda phi: X.transition(swap.get(phi, phi))))
+    return build
+
+
+def _swapped_legs(monkeypatch):
+    span = e_construction(identity_lax_map(ko_gamma(promote(fixture("F4")), 1)))
+    return validate_espan(replace(span, omega=span.nu, nu=span.omega))
+
+
+def _counit_moving(monkeypatch, a, b):
+    """Make every counit send the object ``a`` to ``b``."""
+    real = adjunction.Counit.on_groth
+
+    def on_groth(self, dim, cell):
+        out = real(self, dim, cell)
+        return b if dim == 0 and out == a else out
+
+    monkeypatch.setattr(adjunction.Counit, "on_groth", on_groth)
+
+
+def _triangle_k(monkeypatch):
+    C = fixture("F2")
+    _counit_moving(monkeypatch, next(o for o in C.objects_iter() if o != C.unit_obj()),
+                   C.unit_obj())
+    return adjunction.triangle_K(C, 1)
+
+
+def _triangle_p(monkeypatch):
+    X = ko_gamma(promote(fixture("F2")), 2)
+    PX = GrothPerm(X)
+    _counit_moving(monkeypatch, mk_groth_obj((1,), (X.level(1).objects[1],)), PX.unit_obj())
+    return adjunction.triangle_P(X, 2, 1)
+
+
+@pytest.mark.parametrize("build, kind, words", [
+    pytest.param(_lax_unit, "lax-unit", "at identity map not trivial", id="lax-unit"),
+    pytest.param(_lax_endpoints, "lax", "has wrong endpoints", id="lax-endpoints"),
+    pytest.param(_lax_pasting, "lax-pasting", "pasting law fails", id="lax-pasting"),
+    pytest.param(_swapped_transitions(pointed_identity(1), PointedMap(1, 1, (0,))),
+                 "functoriality", "identity map at level 1", id="functoriality-identity"),
+    pytest.param(_swapped_transitions(PointedMap(2, 1, (1, 0)), PointedMap(2, 1, (0, 1))),
+                 "functoriality", "composition fails", id="functoriality-composition"),
+    pytest.param(_swapped_legs, "span", "nu != e0 . nu_bar", id="span"),
+    pytest.param(_triangle_k, "triangle", "not fixed", id="triangle-K"),
+    pytest.param(_triangle_p, "triangle", "not fixed", id="triangle-P"),
+])
+def test_diagram_validators_reject_one_corrupted_cell(monkeypatch, build, kind, words):
+    rep = build(monkeypatch)
+    assert rep.first().kind == kind
+    assert words in rep.first().message
 
 
 def _collapse_map(f2_gamma2, f1_gamma):

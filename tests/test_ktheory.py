@@ -29,8 +29,8 @@ from gamma2cat.ktheory import (
     kt_level,
     kt_to_ko,
     level_one_comparison,
-    make_system,
-    make_system_map,
+    mk_system,
+    mk_system_map,
     mk_system_two_cell,
     partition_cell,
     reindex_system,
@@ -41,6 +41,8 @@ from gamma2cat.ktheory import (
     validate_system_two_cell,
 )
 from gamma2cat.gamma import special_check, validate_gamma, very_special_check
+from gamma2cat.inversek import GrothPerm
+from gamma2cat.adjunction import eta_on_cell, eta_phi
 
 
 def test_level_zero_unique_object():
@@ -323,7 +325,7 @@ def _brute_force_systems(C, n):
             cmap = dict(zip(canon, cs))
             for (s, t) in canon:
                 cmap[(t, s)] = ktheory.swapped_c(C, x, lambda p, q: cmap[p, q], s, t)
-            sys = make_system(n, xmap, cmap)
+            sys = mk_system(n, xs, tuple(cmap[p] for p in disjoint_pairs(n)))
             if validate_system(C, sys).ok:
                 out.append(sys)
     return _by_repr(out, "x", "c")
@@ -337,7 +339,7 @@ def _brute_force_maps(C, a, b, gray):
         fmap = dict(zip(subs, fs))
         f = fmap.__getitem__
         if not gray:
-            out.append(make_system_map(a, b, fmap, None))
+            out.append(mk_system_map(n, a, b, fs, None))
             continue
         choices = [C.two_cells_between(ktheory._gamma_source(C, a, f, s, t),
                                        ktheory._gamma_target(C, b, f, s, t)) for (s, t) in canon]
@@ -345,7 +347,7 @@ def _brute_force_maps(C, a, b, gray):
             gmap = dict(zip(canon, gs))
             for (s, t) in canon:
                 gmap[(t, s)] = ktheory.swapped_gamma(C, a, b, f, lambda p, q: gmap[p, q], s, t)
-            out.append(make_system_map(a, b, fmap, gmap))
+            out.append(mk_system_map(n, a, b, fs, tuple(gmap[p] for p in disjoint_pairs(n))))
     return _by_repr([mp for mp in out if validate_system_map(C, mp, gray).ok], "f", "gamma")
 
 
@@ -619,27 +621,58 @@ def test_square_sides_are_composed_once_and_every_instance_compared(monkeypatch)
                          "_compat_square_holds": 32_768}
 
 
-# sha256 over the repr of every object, 1-cell and 2-cell, in level order,
-# one line each, so that no change to the searches can alter or reorder the
-# cells of these levels unnoticed
-_LEVEL_DIGESTS = [
-    (lambda: ko_level(promote(fixture("F3")), 3),
+def _level_cells(level):
+    return [*level.objects, *level.one_src, *level.two_src]
+
+
+def _transition_images(X):
+    """The image of every cell under every transition of X, map by map, in
+    source-cell order."""
+    for phi in X.all_maps():
+        F = X.transition(phi)
+        L = X.level(phi.m)
+        yield from map(F.omap.__getitem__, L.objects)
+        yield from map(F.fmap.__getitem__, L.one_src)
+        yield from map(F.amap.__getitem__, L.two_src)
+
+
+def _unit_images(X):
+    """The unit of X on every level cell, then its structure cell at every
+    pointed map and source object."""
+    PX = GrothPerm(X)
+    for m in range(X.cap + 1):
+        L = X.level(m)
+        for dim, cells in enumerate((L.objects, L.one_src, L.two_src)):
+            yield from (eta_on_cell(X, PX, m, dim, cell) for cell in cells)
+    for phi in X.all_maps():
+        yield from (eta_phi(X, PX, phi, x) for x in X.level(phi.m).objects)
+
+
+# sha256 over the repr of every cell, one line each, so that no change to
+# the searches, the reindexing or the unit can alter or reorder the cells of
+# these levels, transitions and unit images unnoticed
+_DIGESTS = [
+    (lambda: _level_cells(ko_level(promote(fixture("F3")), 3)),
      "74edba7057621252d0711bce47d34ced5b9b3cd82e039d276dc8159c1854789c"),
-    (lambda: ko_level(fixture("F5"), 2),
+    (lambda: _level_cells(ko_level(fixture("F5"), 2)),
      "866eb2bb5abe08f9010c176fd0886e9bd05e934d002f7ddb420165da99ba1b7e"),
-    (lambda: ko_level(promote(fixture("F2")), 3),
+    (lambda: _level_cells(ko_level(promote(fixture("F2")), 3)),
      "c510bd752486430bbe60ce79b114784c4ab578e55a441781b91ad3ec0c66805b"),
-    (lambda: kt_level(fixture("F4"), 3),
+    (lambda: _level_cells(kt_level(fixture("F4"), 3)),
      "c27e839a6d689d61b085252a1c562912aa7fa4f9dfc795f3cfba3911e0ec194b"),
+    (lambda: _transition_images(ko_gamma(promote(fixture("F2")), 3)),
+     "4d3df11c46a5b58168232ae32345e9cd44d8d06edd531ed6e62271f6b7ec22e8"),
+    (lambda: _unit_images(ko_gamma(promote(fixture("F2")), 2)),
+     "f4b541b023cc7762e605df356183218d8456302eba759802388bd824e1902d87"),
 ]
 
 
-@pytest.mark.parametrize("build, digest", _LEVEL_DIGESTS,
-                         ids=["Ko(F3)-3", "Ko(F5)-2", "Ko(F2)-3", "Kt(F4)-3"])
+@pytest.mark.parametrize("build, digest", _DIGESTS,
+                         ids=["Ko(F3)-3", "Ko(F5)-2", "Ko(F2)-3", "Kt(F4)-3",
+                              "Ko(F2)-transitions-3", "Ko(F2)-unit-2"])
 def test_level_builds_emit_the_same_cells_in_the_same_order(build, digest):
-    level = build()
     h = hashlib.sha256()
-    for cell in [*level.objects, *level.one_src, *level.two_src]:
+    for cell in build():
         h.update(repr(cell).encode() + b"\n")
     assert h.hexdigest() == digest
 
@@ -679,7 +712,8 @@ def test_validators_reject_one_corrupted_component(name, n, slot, key, value, de
         if derive:
             for (s, t) in canon:
                 c[(t, s)] = ktheory.swapped_c(C, x.__getitem__, lambda p, q: c[p, q], s, t)
-        rep = validate_system(C, make_system(n, x, c))
+        rep = validate_system(C, mk_system(n, tuple(x[s] for s in subs),
+                                           tuple(c[p] for p in pairs)))
     elif slot in ("f", "gamma"):
         f = {s: mp.f_at(C, s) for s in subs}
         g = {p: mp.gamma_at(C, *p) for p in pairs}
@@ -688,7 +722,8 @@ def test_validators_reject_one_corrupted_component(name, n, slot, key, value, de
             for (s, t) in canon:
                 g[(t, s)] = ktheory.swapped_gamma(C, sys, sys, f.__getitem__,
                                                   lambda p, q: g[p, q], s, t)
-        rep = validate_system_map(C, make_system_map(sys, sys, f, g), True)
+        cell = mk_system_map(n, sys, sys, tuple(f[s] for s in subs), tuple(g[p] for p in pairs))
+        rep = validate_system_map(C, cell, True)
     else:
         alpha = {s: C.id2(mp.f_at(C, s)) for s in subs} | {key: value}
         cell = mk_system_two_cell(n, mp, mp, tuple(alpha[s] for s in subs))
