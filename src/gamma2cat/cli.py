@@ -742,7 +742,7 @@ def cmd_path_object(args) -> Report:
     rep = Report("path-object", {"fixture": args.fixture})
     F = resolve_fixture(args.fixture, args.file)
     base = F.base if hasattr(F, "base") else F
-    po = path_object(base)
+    po = path_object(base, cell_ceiling())
     rep.add("total-valid", validate_two_category(po.total).ok)
     rep.add("evaluations-valid",
             validate_two_functor(po.e0).ok and validate_two_functor(po.e1).ok

@@ -1114,15 +1114,16 @@ class PathObject:
     i: TwoFunctor
 
 
-def path_object(C: FiniteTwoCategory) -> PathObject:
+def path_object(C: FiniteTwoCategory, ceiling: int = DEFAULT_CELL_CEILING) -> PathObject:
     """The arrow 2-category of C, the comma (id | id), with its two
     evaluations and the section.
 
     An object ``("p0", y, f, x)`` is a 1-cell f: x -> y of C.  ``e0``
     evaluates at the source (the T-leg), ``e1`` at the target (the S-leg),
-    and ``i`` sends each object to its identity 1-cell.
+    and ``i`` sends each object to its identity 1-cell.  ``ceiling`` bounds
+    the comma's cells and table entries, as in ``comma``.
     """
-    total = comma(C, C, IDENTITY_MAPS, PATH_TAGS, f"{C.name}^arrow")
+    total = comma(C, C, IDENTITY_MAPS, PATH_TAGS, f"{C.name}^arrow", ceiling)
     return PathObject(C, total, tabulate(total, C, T_LEG, "e0"),
                       tabulate(total, C, S_LEG, "e1"),
                       tabulate(C, total, comma_section(C, C, IDENTITY_MAPS, PATH_TAGS), "i"))

@@ -464,17 +464,22 @@ def test_memos_live_with_their_instance(f2_gamma2):
 
 def test_caches_are_freed_with_their_instance(f2_gamma2):
     # a cached bound method refers back to its instance, so the cycle
-    # collector frees the two together once the maps are dropped
+    # collector frees the two together once the maps are dropped; the
+    # block-map caches of the fragment go with it
     X = f2_gamma2
     PX, new_peta, new_eps = _triangle_p_maps(X)
     peta, eps, B = new_peta(), new_eps(), BoundedGroth(X, 2, 2)
     for dim, buckets in enumerate(B.cells):
         for c in (c for cells in buckets.values() for c in cells):
             assert eps.on_groth(dim, peta.on(dim, c)) == c
+    u = B.id1(next(o for o in B.objects_iter() if o.mvec))
+    B.comp1(u, u)
+    block_caches = (B.a_compose, B.push_plan)
+    assert all(c.cache_info().currsize > 0 for c in block_caches)
     eta = peta.ah.h
-    dropped = [weakref.ref(o) for o in (peta, eps, eta.target, eta, B)]
+    dropped = [weakref.ref(o) for o in (peta, eps, eta.target, eta, B, *block_caches)]
     kept = weakref.ref(PX)
-    del peta, eps, eta, B, new_peta, new_eps
+    del peta, eps, eta, B, block_caches, new_peta, new_eps
     gc.collect()
     assert [ref() for ref in dropped] == [None] * len(dropped)
     # the module-level unit, reindexing and composition caches key on the

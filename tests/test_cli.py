@@ -333,6 +333,14 @@ def test_triangle_p_stops_at_the_fragment_ceiling(monkeypatch, capsys):
     assert "during bounded fragment: 3165 > 3164" in capsys.readouterr().err
 
 
+def test_path_object_stops_at_the_ceiling(monkeypatch, capsys):
+    # the arrow 2-category of F4 lists 2 objects before its first hom
+    monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "1")
+    assert run(["path-object", "--fixture", "F4"]) == 3
+    assert capsys.readouterr().err == (
+        "resource ceiling: cell ceiling exceeded during comma enumeration: 2 > 1\n")
+
+
 def test_reports_byte_deterministic():
     code1, out1 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])
     code2, out2 = _capture(["segal", "--fixture", "F2", "--max", "2", "--format", "json"])

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gamma2cat import inversek
+from gamma2cat.adjunction import triangle_P
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.ktheory import ko_gamma
 from gamma2cat.inversek import (
@@ -493,3 +495,95 @@ def test_bounded_identity_and_unit_braiding_laws_are_scanned(f2_gamma2, monkeypa
     assert _rejecting_laws(f2_gamma2, 1, 2) == {
         "unit braiding not the identity", "beta^2 != id",
         "naturality square fails", "naturality on 2-cells fails"}
+
+
+# -- the block-map plans against the per-call formulas ---------------------------------
+
+
+def _oracle_push(X, phim, dim, cells):
+    # block application as read per call from the decomposition
+    return tuple(X.star(pm)[dim](X.point(dim) if i is None else cells[i])
+                 for i, pm in decompose(phim).sources)
+
+
+def _oracle_comp1(P, v, u):
+    if u.tgt != v.src:
+        raise ValueError("cells not composable")
+    phim = a_compose(v.phim, u.phim)
+    pushed = _oracle_push(P.X, v.phim, 1, u.fs)
+    fs = tuple(P.X.level(m).comp1(g, f) for m, g, f in zip(v.tgt.mvec, v.fs, pushed))
+    return mk_groth_one(phim, u.src, v.tgt, fs)
+
+
+def _oracle_hcomp2(P, b, a):
+    pushed = _oracle_push(P.X, b.src.phim, 2, a.alphas)
+    alphas = tuple(P.X.level(m).hcomp2(x, y)
+                   for m, x, y in zip(b.src.tgt.mvec, b.alphas, pushed))
+    return mk_groth_two(_oracle_comp1(P, b.src, a.src), _oracle_comp1(P, b.tgt, a.tgt), alphas)
+
+
+def test_planned_comp1_matches_the_per_call_formula(f2_gamma2):
+    # every composable pair of the fragment, the 55,696 whose composite has
+    # two blocks at both ends among them
+    B = BoundedGroth(f2_gamma2, 2, 2)
+    buckets = B.domains().comp1
+    assert len(buckets[(2, 2)]) == 55696
+    pairs = [p for bucket in buckets.values() for p in bucket]
+    assert len(pairs) == 63319
+    for v, u in pairs:
+        assert B.comp1(v, u) is _oracle_comp1(B, v, u)
+
+
+def test_planned_hcomp2_matches_the_per_call_formula(f3_gamma2, monkeypatch):
+    # every horizontal composite the second triangle forms over Ko(F3)
+    seen = []
+    hcomp2 = GrothPerm.hcomp2
+
+    def recorded(self, b, a):
+        out = hcomp2(self, b, a)
+        seen.append((self, b, a, out))
+        return out
+
+    monkeypatch.setattr(GrothPerm, "hcomp2", recorded)
+    rep = triangle_P(f3_gamma2, 2, 2)
+    assert rep.ok and rep.checked == 26915
+    assert len(seen) > 10000
+    for P, b, a, out in seen:
+        assert out is _oracle_hcomp2(P, b, a)
+
+
+def test_failing_block_composites_raise_on_every_call(f2_gamma2):
+    # neither a non-composable pair nor a composite that breaks the block
+    # condition is stored, so both raise again
+    X = f2_gamma2
+    P = GrothPerm(X)
+    x1, x2 = X.level(1).objects, X.level(2).objects
+    o = mk_groth_obj((1, 1), (x1[0], x1[0]))
+    u = P.id1(o)
+    bad = AMorphism((1, 1), (2,), (((0, 1),), ((0, 2),)))
+    v = mk_groth_one(bad, o, mk_groth_obj((2,), (x2[0],)), (X.level(2).id1(x2[0]),))
+    other = P.id1(mk_groth_obj((1,), (x1[0],)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not composable"):
+            P.comp1(other, u)
+        with pytest.raises(ValueError, match="not composable"):
+            P.a_compose(other.phim, u.phim)
+        with pytest.raises(ValueError, match="block condition"):
+            P.comp1(v, u)
+    assert P.a_compose.cache_info().currsize == 0
+
+
+def test_block_map_caches_stay_far_below_the_cells(f2_gamma2, monkeypatch):
+    # the composite and plan caches are keyed by block maps: after the whole
+    # scan they hold a few thousand and a few hundred entries against the
+    # 63,319 composed cell pairs, so a cache keyed by cells would show
+    carriers = []
+    scan = inversek.scan_product_sum
+    monkeypatch.setattr(inversek, "scan_product_sum",
+                        lambda rep, C, D: (carriers.append(C), scan(rep, C, D)))
+    rep = validate_p_truncation(f2_gamma2, 2, 2)
+    assert rep.ok and rep.checked == 176670
+    (B,) = carriers
+    sizes = {name: getattr(B, name).cache_info().currsize
+             for name in ("comp1", "a_compose", "push_plan")}
+    assert sizes == {"comp1": 63319, "a_compose": 7493, "push_plan": 579}
