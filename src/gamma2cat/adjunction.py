@@ -215,8 +215,8 @@ def validate_unit_cell(X, PX: GrothPerm, m: int, dim: int, cell) -> ValidationRe
     if dim == 0:
         return validate_system(PX, out)
     if dim == 1:
-        return validate_system_map(PX, out, gray=False)
-    return validate_system_two_cell(PX, out, gray=False)
+        return validate_system_map(PX, out)
+    return validate_system_two_cell(PX, out)
 
 
 # -- the naturality transformation --------------------------------------------------
@@ -283,14 +283,13 @@ class Counit:
     """Evaluation-then-sum from the K-theory of a permutative carrier back to
     the carrier.
 
-    For a product-flavored carrier every component is a strict 2-functor and
-    every structure cell strictly 2-natural; for a cubical carrier the
+    On strict system maps every component is a strict 2-functor and every
+    structure cell strictly 2-natural; on system maps with filling cells the
     structure cells acquire pseudonaturality 2-cells, available through
     ``psnat`` (components and composition law only)."""
 
-    def __init__(self, C, gray: bool = False):
+    def __init__(self, C):
         self.C = C
-        self.gray = gray
         # system reindexing, as a diagram for block application
         self.diagram = LazyKtGamma(C, 0)
         # structure cells keyed by (block map, interned systems): the
@@ -364,7 +363,7 @@ class Counit:
 
     def psnat(self, phim: AMorphism, sysmaps: tuple):
         """The pseudonaturality 2-cell of a structure cell at a tuple of
-        system maps; the identity for product-flavored carriers.
+        system maps; the identity when none of them has filling cells.
 
         Runs from 'structure cell after summed evaluation' to 'evaluated
         pushforward after structure cell'."""
@@ -378,11 +377,11 @@ class Counit:
         g_total = sum_one_cells(C, [
             mp.f_at(C, tuple(range(1, n + 1))) for n, mp in zip(phim.tgt, pushed)
         ])
-        if not self.gray:
+        if all(mp.gamma is None for mp in sysmaps):
             lhs = C.comp1(lax_tgt, f_total)
             rhs = C.comp1(g_total, lax_src)
             if lhs != rhs:
-                raise AssertionError("strict naturality fails on a product carrier")
+                raise AssertionError("strict naturality fails on strict system maps")
             return C.id2(lhs)
         return self._psnat_gray(phim, sysmaps, lax_src, lax_tgt, f_total, g_total)
 
@@ -524,7 +523,7 @@ def triangle_K(C, nmax: int, ceiling: int = DEFAULT_CELL_CEILING) -> ValidationR
     rep = ValidationReport(f"triangle (counit after unit) for {C.name}")
     KC = kt_gamma(C, nmax, ceiling)
     PKC = GrothPerm(KC)
-    eps = Counit(C, gray=False)
+    eps = Counit(C)
     k_eps = _systemwise(eps.on_groth)
 
     for m in range(nmax + 1):
@@ -558,7 +557,7 @@ def triangle_P(X, L: int, E: int, ceiling: int = DEFAULT_CELL_CEILING) -> Valida
     eta = unit_map(X, PX, KPX)
     PKPX = GrothPerm(KPX)
     peta = POfLax(eta, PX, PKPX)
-    eps = Counit(PX, gray=False)
+    eps = Counit(PX)
 
     for dim, buckets in enumerate(B.cells):
         what = ("object", "1-cell", "2-cell")[dim]

@@ -277,12 +277,14 @@ class GrothPerm(ProductSum, FieldEndpoints):
         # Every cache lives on this instance and is freed with it.
         # - id1, id2, comp1, sum_one, sum_two: composites recur heavily in
         #   the bounded axiom scans; keyed by the interned argument cells.
+        # - beta_obj: the braiding 1-cell of an object pair, keyed by the
+        #   interned pair; the scans ask for a few hundred pairs many times.
         # - a_compose: the composite of a block-map pair (psi, phi), keyed by
         #   the pair; a pair that breaks the block condition raises on every
         #   call and is never stored.
         # - push_plan: block application of one block map in one dimension,
         #   keyed by (block map, dim).
-        for op in ("id1", "id2", "comp1", "sum_one", "sum_two"):
+        for op in ("id1", "id2", "comp1", "sum_one", "sum_two", "beta_obj"):
             setattr(self, op, cache(getattr(self, op)))
         self.a_compose = cache(a_compose)
         self.push_plan = cache(partial(push_plan, X))

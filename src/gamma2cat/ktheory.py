@@ -3,7 +3,9 @@
 A level at n+ has objects the subset systems {x_s, c_{s,t}} indexed by
 subsets of {1..n}, 1-cells the systems of maps between them (with filling
 2-cells over the cubical carrier, or strictly commuting squares over a
-product carrier), and componentwise 2-cells.
+product carrier), and componentwise 2-cells.  A 1-cell records its flavor
+(``gamma`` is None when strict), so only the builders take one, and
+``LazyKtLevel`` is the one formula for identities and composites.
 
 Orientation conventions (matching monoidal.py):
 
@@ -55,9 +57,11 @@ from .twocat import (
     CellCeilingExceeded,
     FieldEndpoints,
     FiniteTwoCategory,
+    IDENTITY_MAPS,
     InternedCell,
     TwoFunctor,
     ValidationReport,
+    tabulate,
     vertical_inverse,
     vseq,
     whisker_l,
@@ -251,23 +255,23 @@ def _filling_cocycle_holds(C, src: SubsetSystem, tgt: SubsetSystem, f, gamma,
     return lhs == vseq(C, th1, th2, th3)
 
 
-def _compat_left(C, gray: bool, u: SystemMap, a_st, s: Subset, t: Subset):
+def _compat_left(C, u: SystemMap, a_st, s: Subset, t: Subset):
     """The left side of the compatibility square of a 2-cell u => v at
     (s, t): its component a_st at the union whiskered by c'[s,t], after
-    u's filling cell at (s, t) over a cubical carrier.  It reads neither v
-    nor the components at s and t."""
+    u's filling cell at (s, t) when u has filling cells.  It reads neither
+    v nor the components at s and t."""
     lhs = whisker_l(C, u.tgt.c_at(C, s, t), a_st)
-    return C.vcomp(lhs, u.gamma_at(C, s, t)) if gray else lhs
+    return lhs if u.gamma is None else C.vcomp(lhs, u.gamma_at(C, s, t))
 
 
-def _compat_right(C, gray: bool, v: SystemMap, a_s, a_t, s: Subset, t: Subset):
+def _compat_right(C, v: SystemMap, a_s, a_t, s: Subset, t: Subset):
     """The right side of the compatibility square of a 2-cell u => v at
     (s, t): the sum of its components a_s and a_t whiskered by c[s,t]
     (u and v share their source system), before v's filling cell at (s, t)
-    over a cubical carrier.  It reads neither u nor the component at the
+    when v has filling cells.  It reads neither u nor the component at the
     union."""
     rhs = whisker_r(C, C.sum_two(a_s, a_t), v.src.c_at(C, s, t))
-    return C.vcomp(v.gamma_at(C, s, t), rhs) if gray else rhs
+    return rhs if v.gamma is None else C.vcomp(v.gamma_at(C, s, t), rhs)
 
 
 def _compat_square_holds(left, right, u: SystemMap, v: SystemMap, alpha,
@@ -276,7 +280,7 @@ def _compat_square_holds(left, right, u: SystemMap, v: SystemMap, alpha,
     alpha(st) of a 2-cell u => v at the disjoint pair (s, t) of union st.
 
     ``left`` and ``right`` compute its two sides: ``_compat_left`` and
-    ``_compat_right`` with the carrier and flavor bound, as the validator
+    ``_compat_right`` with the carrier bound, as the validator
     passes them, or the caches of those that a level build keeps for one
     hom, as the search passes them.  Either way every instance is compared
     here; a cache only saves composing a side again."""
@@ -311,7 +315,7 @@ def validate_system(C, sys: SubsetSystem) -> ValidationReport:
     return rep
 
 
-def validate_system_map(C, mp: SystemMap, gray: bool) -> ValidationReport:
+def validate_system_map(C, mp: SystemMap) -> ValidationReport:
     rep = ValidationReport(f"system map (n={mp.n})")
     n = mp.n
     src, tgt = mp.src, mp.tgt
@@ -323,7 +327,7 @@ def validate_system_map(C, mp: SystemMap, gray: bool) -> ValidationReport:
             rep.add("structure", f"component at {s} has wrong endpoints")
     if rep.issues:
         return rep
-    if not gray:
+    if mp.gamma is None:
         for (s, t) in disjoint_pairs(n):
             rep.checked += 1
             if not _strict_square_holds(C, src, tgt, f, s, t, union(s, t)):
@@ -349,7 +353,7 @@ def validate_system_map(C, mp: SystemMap, gray: bool) -> ValidationReport:
     return rep
 
 
-def validate_system_two_cell(C, cell: SystemTwoCell, gray: bool) -> ValidationReport:
+def validate_system_two_cell(C, cell: SystemTwoCell) -> ValidationReport:
     rep = ValidationReport(f"system 2-cell (n={cell.n})")
     n = cell.n
     alpha = partial(cell.alpha_at, C)
@@ -360,7 +364,7 @@ def validate_system_two_cell(C, cell: SystemTwoCell, gray: bool) -> ValidationRe
             rep.add("structure", f"component at {s} has wrong endpoints")
     if rep.issues:
         return rep
-    left, right = partial(_compat_left, C, gray), partial(_compat_right, C, gray)
+    left, right = partial(_compat_left, C), partial(_compat_right, C)
     for (s, t) in disjoint_pairs(n):
         rep.checked += 1
         if not _compat_square_holds(left, right, cell.src, cell.tgt, alpha, s, t, union(s, t)):
@@ -368,69 +372,81 @@ def validate_system_two_cell(C, cell: SystemTwoCell, gray: bool) -> ValidationRe
     return rep
 
 
-# -- composition of level cells -------------------------------------------------
+# -- the level formula ------------------------------------------------------------
 
 
 _COMPOSE_CACHE: dict = {}
 
 
-def compose_system_maps(C, g: SystemMap, f: SystemMap) -> SystemMap:
-    """Composite 1-cell; over a cubical carrier the filling cells paste
-    through one interchanger per pair."""
-    key = (C, g, f)
-    cached = _COMPOSE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = f.n
-    comps = tuple(map(C.comp1, g.f, f.f))
-    if f.gamma is None and g.gamma is None:
-        out = mk_system_map(n, f.src, g.tgt, comps, None)
+class LazyKtLevel(FieldEndpoints):
+    """Cell operations of a level over an arbitrary permutative carrier,
+    without enumeration.  Composition takes system maps with or without
+    filling cells (cubical or strict levels) and componentwise 2-cells; the
+    identities are strict system maps (gamma=None).  Everything is computed
+    on demand, so this works over carriers that are too large to tabulate,
+    and it is the composition formula and the identity test of the
+    enumerated levels."""
+
+    def __init__(self, C):
+        self.C = C
+
+    def id1(self, sys: SubsetSystem) -> SystemMap:
+        return mk_system_map(sys.n, sys, sys, tuple(map(self.C.id1, sys.x)), None)
+
+    def id2(self, mp: SystemMap) -> SystemTwoCell:
+        return mk_system_two_cell(mp.n, mp, mp, tuple(map(self.C.id2, mp.f)))
+
+    def comp1(self, g: SystemMap, f: SystemMap) -> SystemMap:
+        """Composite 1-cell; over a cubical carrier the filling cells paste
+        through one interchanger per pair."""
+        C = self.C
+        key = (C, g, f)
+        cached = _COMPOSE_CACHE.get(key)
+        if cached is not None:
+            return cached
+        n = f.n
+        comps = tuple(map(C.comp1, g.f, f.f))
+        if f.gamma is None and g.gamma is None:
+            out = mk_system_map(n, f.src, g.tgt, comps, None)
+            _COMPOSE_CACHE[key] = out
+            return out
+        gammas = []
+        for (s, t) in disjoint_pairs(n):
+            f_s, f_t = f.f_at(C, s), f.f_at(C, t)
+            g_s, g_t = g.f_at(C, s), g.f_at(C, t)
+            x_t = f.src.x_at(C, t)
+            xp_t = f.tgt.x_at(C, t)
+            xpp_s = C.tgt1(g_s)
+            c_st = f.src.c_at(C, s, t)
+            th1 = whisker_l(
+                C, C.lsum_one(xpp_s, g_t),
+                whisker_r(C, C.sigma_inv(g_s, f_t), C.comp1(C.rsum_one(f_s, x_t), c_st)),
+            )
+            th2 = whisker_l(
+                C,
+                C.comp1(C.lsum_one(xpp_s, g_t), C.rsum_one(g_s, xp_t)),
+                f.gamma_at(C, s, t),
+            )
+            th3 = whisker_r(C, g.gamma_at(C, s, t), f.f_at(C, union(s, t)))
+            gammas.append(vseq(C, th1, th2, th3))
+        out = mk_system_map(n, f.src, g.tgt, comps, tuple(gammas))
         _COMPOSE_CACHE[key] = out
         return out
-    gammas = []
-    for (s, t) in disjoint_pairs(n):
-        f_s, f_t = f.f_at(C, s), f.f_at(C, t)
-        g_s, g_t = g.f_at(C, s), g.f_at(C, t)
-        x_t = f.src.x_at(C, t)
-        xp_t = f.tgt.x_at(C, t)
-        xpp_s = C.tgt1(g_s)
-        c_st = f.src.c_at(C, s, t)
-        th1 = whisker_l(
-            C, C.lsum_one(xpp_s, g_t),
-            whisker_r(C, C.sigma_inv(g_s, f_t), C.comp1(C.rsum_one(f_s, x_t), c_st)),
-        )
-        th2 = whisker_l(
-            C,
-            C.comp1(C.lsum_one(xpp_s, g_t), C.rsum_one(g_s, xp_t)),
-            f.gamma_at(C, s, t),
-        )
-        th3 = whisker_r(C, g.gamma_at(C, s, t), f.f_at(C, union(s, t)))
-        gammas.append(vseq(C, th1, th2, th3))
-    out = mk_system_map(n, f.src, g.tgt, comps, tuple(gammas))
-    _COMPOSE_CACHE[key] = out
-    return out
 
+    def vcomp(self, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
+        return mk_system_two_cell(a.n, a.src, b.tgt, tuple(map(self.C.vcomp, b.alpha, a.alpha)))
 
-def identity_system_map(C, sys: SubsetSystem) -> SystemMap:
-    return mk_system_map(sys.n, sys, sys, tuple(map(C.id1, sys.x)), None)
+    def hcomp2(self, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
+        return mk_system_two_cell(a.n, self.comp1(b.src, a.src), self.comp1(b.tgt, a.tgt),
+                                  tuple(map(self.C.hcomp2, b.alpha, a.alpha)))
 
+    def is_id1(self, mp: SystemMap) -> bool:
+        C = self.C
+        return (mp.src == mp.tgt and all(map(C.is_id1, mp.f))
+                and (mp.gamma is None or all(map(C.is_id2, mp.gamma))))
 
-def is_identity_system_map(C, mp: SystemMap) -> bool:
-    if mp.src != mp.tgt:
-        return False
-    if not all(C.is_id1(v) for v in mp.f):
-        return False
-    if mp.gamma is not None and not all(C.is_id2(v) for v in mp.gamma):
-        return False
-    return True
-
-
-def identity_system_two_cell(C, mp: SystemMap) -> SystemTwoCell:
-    return mk_system_two_cell(mp.n, mp, mp, tuple(C.id2(v) for v in mp.f))
-
-
-def is_identity_system_two_cell(C, cell: SystemTwoCell) -> bool:
-    return cell.src == cell.tgt and all(C.is_id2(v) for v in cell.alpha)
+    def is_id2(self, cell: SystemTwoCell) -> bool:
+        return cell.src == cell.tgt and all(map(self.C.is_id2, cell.alpha))
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -568,17 +584,17 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
         "1-cell enumeration", ceiling)
 
 
-def _two_cell_caches(C, gray: bool) -> tuple:
+def _two_cell_caches(C) -> tuple:
     """Fresh caches for the 2-cell searches of one hom of a level: the
     candidate lists and the two sides of the compatibility square.  A side
     is keyed by u or v, which fix the hom, so these caches hold every reuse
     of a side and can be dropped with the hom."""
-    return (cache(C.two_cells_between), cache(partial(_compat_left, C, gray)),
-            cache(partial(_compat_right, C, gray)))
+    return (cache(C.two_cells_between), cache(partial(_compat_left, C)),
+            cache(partial(_compat_right, C)))
 
 
-def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
-                               ceiling: int, caches: tuple | None = None) -> list[SystemTwoCell]:
+def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, ceiling: int,
+                               caches: tuple | None = None) -> list[SystemTwoCell]:
     """2-cells u => v: each compatibility square is checked once its
     component at s+t is placed.  ``caches`` are the ``_two_cell_caches``
     a level build shares across the pairs of one hom; without them the call
@@ -587,7 +603,7 @@ def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, gray: bool,
         return []
     n = u.n
     asg: dict = {}
-    candidates, left, right = caches or _two_cell_caches(C, gray)
+    candidates, left, right = caches or _two_cell_caches(C)
     return _search(
         asg, n,
         (lambda s: candidates(u.f_at(C, s), v.f_at(C, s)),
@@ -604,12 +620,13 @@ def _build_level(C, n: int, gray: bool, name: str, ceiling: int,
                  systems: list | None = None) -> FiniteTwoCategory:
     if systems is None:
         systems = enumerate_systems(C, n, ceiling)
+    formula = LazyKtLevel(C)
     one: dict = {}
     total = len(systems)
     for a in systems:
         for b in systems:
             for mp in enumerate_system_maps(C, a, b, gray, ceiling):
-                one[mp] = (a, b, is_identity_system_map(C, mp))
+                one[mp] = (a, b, formula.is_id1(mp))
                 total += 1
                 if total > ceiling:
                     raise CellCeilingExceeded("level build", total, ceiling)
@@ -618,16 +635,15 @@ def _build_level(C, n: int, gray: bool, name: str, ceiling: int,
     for mp in one:
         by_pair.setdefault((mp.src, mp.tgt), []).append(mp)
     for (a, b), cells in by_pair.items():
-        caches = _two_cell_caches(C, gray)
+        caches = _two_cell_caches(C)
         for u in cells:
             for v in cells:
-                for cell in enumerate_system_two_cells(C, u, v, gray, ceiling, caches):
-                    two[cell] = (u, v, is_identity_system_two_cell(C, cell))
+                for cell in enumerate_system_two_cells(C, u, v, ceiling, caches):
+                    two[cell] = (u, v, formula.is_id2(cell))
                     total += 1
                     if total > ceiling:
                         raise CellCeilingExceeded("level build", total, ceiling)
-    return FiniteTwoCategory(name, systems, one, two, formula=LazyKtLevel(C, n),
-                             ceiling=ceiling)
+    return FiniteTwoCategory(name, systems, one, two, formula=formula, ceiling=ceiling)
 
 
 def ko_level(C: PermutativeGrayMonoid, n: int,
@@ -701,19 +717,23 @@ def reindex_system_two_cell(C, cell: SystemTwoCell, phi: PointedMap) -> SystemTw
     )
 
 
+def _reindexers(C, phi: PointedMap) -> tuple:
+    """The reindexings along ``phi`` of systems, system maps and 2-cells."""
+    return tuple(partial(f, C, phi=phi) for f in (
+        reindex_system, reindex_system_map, reindex_system_two_cell))
+
+
 def ko_phi(C, phi: PointedMap, level_m: FiniteTwoCategory,
            level_n: FiniteTwoCategory) -> TwoFunctor:
     """The transition 2-functor between built levels along a pointed map.
 
     Raises ``ValueError`` if a reindexed system is missing from the target
     level."""
-    omap = {s: reindex_system(C, s, phi) for s in level_m.objects}
-    for v in omap.values():
+    F = tabulate(level_m, level_n, _reindexers(C, phi), name=f"phi*{phi.imgs}")
+    for v in F.omap.values():
         if not level_n.has_obj(v):
             raise ValueError(f"reindexed system missing from target level: {v!r}")
-    fmap = {f: reindex_system_map(C, f, phi) for f in level_m.one_src}
-    amap = {a: reindex_system_two_cell(C, a, phi) for a in level_m.two_src}
-    return TwoFunctor(level_m, level_n, omap, fmap, amap, name=f"phi*{phi.imgs}")
+    return F
 
 
 def _truncation(C, N: int, name: str, levels: list) -> GammaTruncation:
@@ -740,13 +760,14 @@ def kt_gamma(C: PermutativeTwoCategory, N: int,
 
 def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
            level_tgt: FiniteTwoCategory) -> TwoFunctor:
-    """Apply a normal-oplax functor levelwise: images are re-validated, and a
-    failing image is a hard error (it indicates an invalid input functor)."""
+    """Apply a normal-oplax functor levelwise: each image is re-validated once,
+    and a failing image is a hard error (it indicates an invalid input functor)."""
     if M.variant not in VARIANTS:
         raise ValueError("levelwise image needs a strict or normal-oplax functor")
     C, D = M.source, M.target
     F = M.functor
 
+    @cache
     def on_system(sys: SubsetSystem) -> SubsetSystem:
         n, x = sys.n, partial(sys.x_at, C)
         out = mk_system(n, tuple(map(F.omap.__getitem__, sys.x)), tuple(
@@ -757,6 +778,7 @@ def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
             raise ValueError(f"image system fails target axioms: {r.first()}")
         return out
 
+    @cache
     def on_map(mp: SystemMap) -> SystemMap:
         n, y = mp.n, partial(mp.tgt.x_at, C)
         f = tuple(map(F.fmap.__getitem__, mp.f))
@@ -765,50 +787,38 @@ def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
             gamma = tuple(whisker_l(D, M.theta[(y(s), y(t))], F.amap[g_st])
                           for (s, t), g_st in zip(disjoint_pairs(n), mp.gamma))
         out = mk_system_map(n, on_system(mp.src), on_system(mp.tgt), f, gamma)
-        r = validate_system_map(D, out, gray=mp.gamma is not None)
+        r = validate_system_map(D, out)
         if not r.ok:
             raise ValueError(f"image map fails target axioms: {r.first()}")
         return out
 
-    omap = {s: on_system(s) for s in level_src.objects}
-    fmap = {f: on_map(f) for f in level_src.one_src}
-    amap = {
-        a: mk_system_two_cell(a.n, fmap[level_src.src2(a)], fmap[level_src.tgt2(a)],
-                              tuple(F.amap[x] for x in a.alpha))
-        for a in level_src.two_src
-    }
-    return TwoFunctor(level_src, level_tgt, omap, fmap, amap, name=f"K({M.name})")
+    return tabulate(level_src, level_tgt, (on_system, on_map, lambda a: mk_system_two_cell(
+        a.n, on_map(a.src), on_map(a.tgt), tuple(map(F.amap.__getitem__, a.alpha)))),
+        name=f"K({M.name})")
 
 
 def kt_to_ko(C: PermutativeTwoCategory, n: int,
              ceiling: int = DEFAULT_CELL_CEILING) -> TwoFunctor:
     """The inclusion of the strict level into the cubical one over promote(C)."""
     P = promote(C)
-    strict = kt_level(C, n, ceiling)
-    loose = ko_level(P, n, ceiling)
 
+    @cache
     def widen(mp: SystemMap) -> SystemMap:
-        f = partial(mp.f_at, P)
-        return mk_system_map(n, mp.src, mp.tgt, mp.f, tuple(
-            P.id2(_gamma_source(P, mp.src, f, s, t)) for (s, t) in disjoint_pairs(n)))
+        # the identity filling cells that ``gamma_at`` reads off a strict map
+        return mk_system_map(n, mp.src, mp.tgt, mp.f,
+                             tuple(starmap(partial(mp.gamma_at, P), disjoint_pairs(n))))
 
-    omap = {s: s for s in strict.objects}
-    fmap = {f: widen(f) for f in strict.one_src}
-    amap = {
-        a: mk_system_two_cell(a.n, fmap[strict.src2(a)], fmap[strict.tgt2(a)], a.alpha)
-        for a in strict.two_src
-    }
-    return TwoFunctor(strict, loose, omap, fmap, amap, name=f"inc({C.name},{n})")
+    return tabulate(kt_level(C, n, ceiling), ko_level(P, n, ceiling), (
+        IDENTITY_MAPS[0], widen,
+        lambda a: mk_system_two_cell(n, widen(a.src), widen(a.tgt), a.alpha)),
+        name=f"inc({C.name},{n})")
 
 
 def level_one_comparison(C, level: FiniteTwoCategory) -> TwoFunctor:
     """Evaluation at the full singleton: the level at 1+ against the carrier."""
     s1 = (1,)
-    base = C.base
-    omap = {sys: sys.x_at(C, s1) for sys in level.objects}
-    fmap = {mp: mp.f_at(C, s1) for mp in level.one_src}
-    amap = {cell: cell.alpha_at(C, s1) for cell in level.two_src}
-    return TwoFunctor(level, base, omap, fmap, amap, name="ev1")
+    return tabulate(level, C.base, (lambda sys: sys.x_at(C, s1), lambda mp: mp.f_at(C, s1),
+                                    lambda cell: cell.alpha_at(C, s1)), name="ev1")
 
 
 # -- partition cells ------------------------------------------------------------------
@@ -864,49 +874,6 @@ def partition_filling(C, mp: SystemMap, s: Subset, parts: list[Subset]):
 # -- lazy levels ------------------------------------------------------------------
 
 
-class LazyKtLevel(FieldEndpoints):
-    """Cell operations of a level over an arbitrary permutative carrier,
-    without enumeration.  Composition takes system maps with or without
-    filling cells (cubical or strict levels) and componentwise 2-cells; the
-    identities are strict system maps (gamma=None).  Everything is computed
-    on demand, so this works over carriers that are too large to tabulate,
-    and it is the composition formula of the enumerated levels."""
-
-    def __init__(self, C, m: int):
-        self.C = C
-        self.m = m
-
-    def id1(self, sys: SubsetSystem) -> SystemMap:
-        return identity_system_map(self.C, sys)
-
-    def id2(self, mp: SystemMap) -> SystemTwoCell:
-        return identity_system_two_cell(self.C, mp)
-
-    def comp1(self, g: SystemMap, f: SystemMap) -> SystemMap:
-        return compose_system_maps(self.C, g, f)
-
-    def vcomp(self, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
-        return mk_system_two_cell(
-            a.n, a.src, b.tgt,
-            tuple(self.C.vcomp(x, y) for x, y in zip(b.alpha, a.alpha)),
-        )
-
-    def hcomp2(self, b: SystemTwoCell, a: SystemTwoCell) -> SystemTwoCell:
-        C = self.C
-        return mk_system_two_cell(
-            a.n,
-            compose_system_maps(C, b.src, a.src),
-            compose_system_maps(C, b.tgt, a.tgt),
-            tuple(C.hcomp2(x, y) for x, y in zip(b.alpha, a.alpha)),
-        )
-
-    def is_id1(self, mp: SystemMap) -> bool:
-        return is_identity_system_map(self.C, mp)
-
-    def is_id2(self, cell: SystemTwoCell) -> bool:
-        return is_identity_system_two_cell(self.C, cell)
-
-
 class LazyKtGamma:
     """The K-theory diagram of a permutative carrier, with formula levels.
 
@@ -922,22 +889,16 @@ class LazyKtGamma:
         self.star = cache(self.star)
 
     def level(self, m: int) -> LazyKtLevel:
-        return LazyKtLevel(self.C, m)
+        return LazyKtLevel(self.C)
 
     def star(self, phi: PointedMap) -> tuple:
-        """The reindexings along ``phi`` of systems, system maps and
-        system 2-cells."""
-        return tuple(partial(f, self.C, phi=phi) for f in (
-            reindex_system, reindex_system_map, reindex_system_two_cell))
+        return _reindexers(self.C, phi)
 
     def point(self, dim: int):
-        sys = mk_system(0, (), ())
+        L, sys = self.level(0), mk_system(0, (), ())
         if dim == 0:
             return sys
-        mp = identity_system_map(self.C, sys)
-        if dim == 1:
-            return mp
-        return identity_system_two_cell(self.C, mp)
+        return L.id1(sys) if dim == 1 else L.id2(L.id1(sys))
 
 
 def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]],

@@ -282,12 +282,15 @@ def test_counit_strict_monoidality(f2, f2_gamma2):
 
 
 def test_counit_pseudonaturality_identity_on_product_carrier(f2, f2_gamma2):
+    # strict maps take the strict branch and maps with filling cells the
+    # cubical one; over a product carrier both give identities
     P2 = promote(f2)
     eps = Counit(P2)
-    for phim in a_hom((2,), (1, 1)):
-        for mp in f2_gamma2.level(2).one_src:
-            cell = eps.psnat(phim, (mp,))
-            assert P2.is_id2(cell)
+    for X in (kt_gamma(f2, 2), f2_gamma2):
+        for phim in a_hom((2,), (1, 1)):
+            for mp in X.level(2).one_src:
+                cell = eps.psnat(phim, (mp,))
+                assert P2.is_id2(cell)
 
 
 MULTI_BLOCK_SHAPES = [((1, 1), (1, 1)), ((1, 1, 1), (1, 1, 1)), ((1, 1), (2,)),
@@ -306,7 +309,7 @@ def test_counit_gray_psnat_over_multi_block_maps(name, cells, non_identity):
     if name != "F5":
         C = promote(C)
     X = ko_gamma(C, 2)
-    eps = Counit(C, gray=True)
+    eps = Counit(C)
     seen = non_id = 0
     for mv, nv in MULTI_BLOCK_SHAPES:
         for phim in a_hom(mv, nv):
@@ -319,7 +322,7 @@ def test_counit_gray_psnat_over_multi_block_maps(name, cells, non_identity):
 
 
 def test_counit_gray_components_on_f5(f5, f5_gamma2):
-    eps = Counit(f5, gray=True)
+    eps = Counit(f5)
     X = f5_gamma2
     for phim in a_hom((2,), (1, 1)):
         for sys in X.level(2).objects:
@@ -465,16 +468,18 @@ def test_memos_live_with_their_instance(f2_gamma2):
 def test_caches_are_freed_with_their_instance(f2_gamma2):
     # a cached bound method refers back to its instance, so the cycle
     # collector frees the two together once the maps are dropped; the
-    # block-map caches of the fragment go with it
+    # block-map and braiding caches of the fragment go with it
     X = f2_gamma2
     PX, new_peta, new_eps = _triangle_p_maps(X)
     peta, eps, B = new_peta(), new_eps(), BoundedGroth(X, 2, 2)
     for dim, buckets in enumerate(B.cells):
         for c in (c for cells in buckets.values() for c in cells):
             assert eps.on_groth(dim, peta.on(dim, c)) == c
-    u = B.id1(next(o for o in B.objects_iter() if o.mvec))
+    o = next(o for o in B.objects_iter() if o.mvec)
+    u = B.id1(o)
     B.comp1(u, u)
-    block_caches = (B.a_compose, B.push_plan)
+    B.beta_obj(o, o)
+    block_caches = (B.a_compose, B.push_plan, B.beta_obj)
     assert all(c.cache_info().currsize > 0 for c in block_caches)
     eta = peta.ah.h
     dropped = [weakref.ref(o) for o in (peta, eps, eta.target, eta, B, *block_caches)]

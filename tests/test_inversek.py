@@ -576,7 +576,8 @@ def test_failing_block_composites_raise_on_every_call(f2_gamma2):
 def test_block_map_caches_stay_far_below_the_cells(f2_gamma2, monkeypatch):
     # the composite and plan caches are keyed by block maps: after the whole
     # scan they hold a few thousand and a few hundred entries against the
-    # 63,319 composed cell pairs, so a cache keyed by cells would show
+    # 63,319 composed cell pairs, so a cache keyed by cells would show; the
+    # braiding cache holds the 121 object pairs of the scan's 16,653 calls
     carriers = []
     scan = inversek.scan_product_sum
     monkeypatch.setattr(inversek, "scan_product_sum",
@@ -585,5 +586,5 @@ def test_block_map_caches_stay_far_below_the_cells(f2_gamma2, monkeypatch):
     assert rep.ok and rep.checked == 176670
     (B,) = carriers
     sizes = {name: getattr(B, name).cache_info().currsize
-             for name in ("comp1", "a_compose", "push_plan")}
-    assert sizes == {"comp1": 63319, "a_compose": 7493, "push_plan": 579}
+             for name in ("comp1", "a_compose", "push_plan", "beta_obj")}
+    assert sizes == {"comp1": 63319, "a_compose": 7493, "push_plan": 579, "beta_obj": 121}

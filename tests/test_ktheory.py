@@ -14,15 +14,16 @@ from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
     internal_equivalence_classes,
     is_isomorphism_of_two_categories,
+    two_equivalence_check,
     validate_two_category,
     validate_two_functor,
 )
 from gamma2cat.ktheory import (
     CellCeilingExceeded,
+    LazyKtLevel,
     enumerate_system_maps,
     enumerate_system_two_cells,
     enumerate_systems,
-    identity_system_two_cell,
     ko_gamma,
     ko_level,
     ko_map,
@@ -72,20 +73,16 @@ def test_level_one_comparison_all_fixtures():
         assert is_isomorphism_of_two_categories(cmp1)
 
 
-def test_kt_equals_ko_for_f2_on_the_nose(f2):
-    inc = kt_to_ko(f2, 2)
+@pytest.mark.parametrize("name, n", [(name, n) for name in ("F1", "F2", "F3", "F4", "M3")
+                                     for n in (1, 2)])
+def test_kt_to_ko_is_a_two_equivalence(name, n):
+    inc = kt_to_ko(fixture(name), n)
     assert validate_two_functor(inc).ok
-    assert is_isomorphism_of_two_categories(inc)
     assert inc.omap == {s: s for s in inc.source.objects}
-
-
-def test_kt_to_ko_f3_level2_two_equivalence(f3):
-    from gamma2cat.twocat import two_equivalence_check
-    inc = kt_to_ko(f3, 2)
-    assert validate_two_functor(inc).ok
     rep = two_equivalence_check(inc)
     assert rep.ok
-    assert not rep.bijective_on_cells  # the cubical level has more filling data
+    # only the cubical level of F3 at 2 has more filling data than squares
+    assert rep.bijective_on_cells == ((name, n) != ("F3", 2))
 
 
 def test_kt_f3_level_one_isomorphic_to_carrier(f3):
@@ -348,16 +345,16 @@ def _brute_force_maps(C, a, b, gray):
             for (s, t) in canon:
                 gmap[(t, s)] = ktheory.swapped_gamma(C, a, b, f, lambda p, q: gmap[p, q], s, t)
             out.append(mk_system_map(n, a, b, fs, tuple(gmap[p] for p in disjoint_pairs(n))))
-    return _by_repr([mp for mp in out if validate_system_map(C, mp, gray).ok], "f", "gamma")
+    return _by_repr([mp for mp in out if validate_system_map(C, mp).ok], "f", "gamma")
 
 
-def _brute_force_two_cells(C, u, v, gray):
+def _brute_force_two_cells(C, u, v):
     if u.src != v.src or u.tgt != v.tgt:
         return []
     subs = nonempty_subsets_of(u.n)
     choices = [C.two_cells_between(u.f_at(C, s), v.f_at(C, s)) for s in subs]
     cells = [mk_system_two_cell(u.n, u, v, alpha) for alpha in itertools.product(*choices)]
-    return _by_repr([c for c in cells if validate_system_two_cell(C, c, gray).ok], "alpha")
+    return _by_repr([c for c in cells if validate_system_two_cell(C, c).ok], "alpha")
 
 
 @pytest.mark.parametrize("name, m", _SEARCH_CASES)
@@ -383,8 +380,8 @@ def test_pruned_two_cell_enumeration_agrees_with_brute_force(name):
             ones = list(build(C, m).one_src)
             for u in ones:
                 for v in ones:
-                    got = enumerate_system_two_cells(C, u, v, gray, 10**6)
-                    assert got == _brute_force_two_cells(C, u, v, gray)
+                    got = enumerate_system_two_cells(C, u, v, 10**6)
+                    assert got == _brute_force_two_cells(C, u, v)
                     compared += bool(got)
     assert compared > 0
 
@@ -398,7 +395,7 @@ def test_pruned_enumeration_keeps_counts_and_ceilings(f3):
     level = ko_level(P, 2)
     u = next(f for f in level.one_src if len(level.two_cells_between(f, f)) > 1)
     with pytest.raises(CellCeilingExceeded) as exc:
-        enumerate_system_two_cells(P, u, u, True, 1)
+        enumerate_system_two_cells(P, u, u, 1)
     assert exc.value.stage == "2-cell enumeration"
 
 
@@ -431,8 +428,8 @@ def test_enumerated_cells_revalidated_independently(name, m, gray):
     C = next(C for C, flavor in _carriers(name) if flavor == gray)
     level = (ko_level if gray else kt_level)(C, m)
     assert all(validate_system(C, sys).ok for sys in level.objects)
-    assert all(validate_system_map(C, mp, gray).ok for mp in level.one_src)
-    assert all(validate_system_two_cell(C, cell, gray).ok for cell in level.two_src)
+    assert all(validate_system_map(C, mp).ok for mp in level.one_src)
+    assert all(validate_system_two_cell(C, cell).ok for cell in level.two_src)
 
 
 def _validator_instances(n, paired):
@@ -491,12 +488,10 @@ def test_placement_order_closes_each_validator_instance_once(monkeypatch, n):
     components = len(nonempty_subsets_of(n))
     for validate, paired, typed in [
             (lambda: validate_system(P, sys), True, 0),  # the x typing is not counted
-            (lambda: validate_system_map(P, mp, True), True, components),
-            (lambda: validate_system_map(F2, smp, False), False, components),
-            (lambda: validate_system_two_cell(P, identity_system_two_cell(P, mp), True),
-             False, components),
-            (lambda: validate_system_two_cell(F2, identity_system_two_cell(F2, smp), False),
-             False, components)]:
+            (lambda: validate_system_map(P, mp), True, components),
+            (lambda: validate_system_map(F2, smp), False, components),
+            (lambda: validate_system_two_cell(P, LazyKtLevel(P).id2(mp)), False, components),
+            (lambda: validate_system_two_cell(F2, LazyKtLevel(F2).id2(smp)), False, components)]:
         seen.clear()
         rep = validate()
         listed = _validator_instances(n, paired)
@@ -533,8 +528,8 @@ def _two_cells(name, maps):
     sys = enumerate_systems(C, 3, 10**6)[0]
     ones = enumerate_system_maps(C, sys, sys, True, 10**6)[:maps]
     pairs = [(u, v) for u in ones for v in ones]
-    return (lambda: [a for u, v in pairs for a in enumerate_system_two_cells(C, u, v, True, 10**6)],
-            lambda: [a for u, v in pairs for a in _brute_force_two_cells(C, u, v, True)])
+    return (lambda: [a for u, v in pairs for a in enumerate_system_two_cells(C, u, v, 10**6)],
+            lambda: [a for u, v in pairs for a in _brute_force_two_cells(C, u, v)])
 
 
 _PAIR, _REVERSED, _TRIPLE = ((1,), (2,)), ((2,), (1,)), ((1,), (2,), (3,))
@@ -558,9 +553,9 @@ _LAW_FAILURES = {
     "filling-swap": ("swapped_gamma", 2, _REVERSED,
                      lambda a: not a[0].is_id2(a[4](*_REVERSED)), lambda: _maps("F3", True, 1)),
     # the square's left side, which both the search's cache and the
-    # validator compute, with the component at the union as a[3]
+    # validator compute, with the component at the union as a[2]
     "compat-square": ("_compat_left", None, _PAIR,
-                      lambda a: not a[0].is_id2(a[3]), lambda: _two_cells("F3", 3)),
+                      lambda a: not a[0].is_id2(a[2]), lambda: _two_cells("F3", 3)),
 }
 
 
@@ -723,13 +718,24 @@ def test_validators_reject_one_corrupted_component(name, n, slot, key, value, de
                 g[(t, s)] = ktheory.swapped_gamma(C, sys, sys, f.__getitem__,
                                                   lambda p, q: g[p, q], s, t)
         cell = mk_system_map(n, sys, sys, tuple(f[s] for s in subs), tuple(g[p] for p in pairs))
-        rep = validate_system_map(C, cell, True)
+        rep = validate_system_map(C, cell)
     else:
         alpha = {s: C.id2(mp.f_at(C, s)) for s in subs} | {key: value}
         cell = mk_system_two_cell(n, mp, mp, tuple(alpha[s] for s in subs))
-        rep = validate_system_two_cell(C, cell, True)
+        rep = validate_system_two_cell(C, cell)
     assert rep.first().kind == kind
     assert words in rep.first().message
+
+
+def test_validator_reads_strictness_off_the_map():
+    # a map without filling cells is judged by its strict squares, also over
+    # a cubical carrier: m1 at the union breaks the square at each pair
+    C = promote(fixture("F4"))
+    sys = enumerate_systems(C, 2, 10**6)[0]
+    f = {s: C.id1(sys.x_at(C, s)) for s in nonempty_subsets_of(2)} | {(1, 2): "m1"}
+    rep = validate_system_map(C, mk_system_map(2, sys, sys, tuple(f.values()), None))
+    assert [(i.kind, i.message) for i in rep.issues] == [
+        ("square", f"strict square fails at {p}") for p in disjoint_pairs(2)]
 
 
 # -- transitions built whole on first use -------------------------------------------

@@ -608,7 +608,7 @@ def test_functor_swaps_match_the_naive_scan(name, swap):
 def test_every_two_category_answers_the_protocol(f2_gamma2):
     F4, F5 = fixture("F4"), fixture("F5")
     tabulated = [F4.base, F4, F5]
-    lazy = [LazyKtLevel(F4, 2), CommaFormula(F4.base, F4.base, PATH_TAGS),
+    lazy = [LazyKtLevel(F4), CommaFormula(F4.base, F4.base, PATH_TAGS),
             GrothPerm(f2_gamma2)]
     assert [type(C).__name__ for C in tabulated + lazy] == [
         "FiniteTwoCategory", "PermutativeTwoCategory", "PermutativeGrayMonoid",
@@ -647,13 +647,13 @@ def _agreement(lazy, level, identities=True) -> list[tuple]:
 @pytest.mark.parametrize("name", ["F2", "F3", "F4"])
 def test_lazy_kt_level_agrees_with_kt_level(name):
     C = fixture(name)
-    pairs = _agreement(LazyKtLevel(C, 2), kt_level(C, 2))
+    pairs = _agreement(LazyKtLevel(C), kt_level(C, 2))
     assert pairs and [p for p in pairs if p[0] != p[1]] == []
 
 
 def test_lazy_kt_level_agrees_with_ko_level(f5, f5_level2):
     # lazy identities are strict system maps, so identities do not compare
-    pairs = _agreement(LazyKtLevel(f5, 2), f5_level2, identities=False)
+    pairs = _agreement(LazyKtLevel(f5), f5_level2, identities=False)
     assert pairs and [p for p in pairs if p[0] != p[1]] == []
 
 
