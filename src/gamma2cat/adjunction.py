@@ -25,7 +25,6 @@ from .subsets import (
 from .twocat import ValidationReport, vertical_inverse, vseq, whisker_l, whisker_r
 from .monoidal import sum_many_obj, sum_many_two, sum_one_cells
 from .ktheory import (
-    DEFAULT_CELL_CEILING,
     LazyKtGamma,
     SystemMap,
     kt_gamma,
@@ -194,7 +193,7 @@ def eta_phi(X, PX: GrothPerm, phi: PointedMap, x) -> SystemMap:
     return out
 
 
-def unit_map(X, PX: GrothPerm | None = None, KPX=None, name: str = "") -> GammaLaxMap:
+def unit_map(X, PX: GrothPerm | None = None, KPX=None) -> GammaLaxMap:
     """The unit as a lax map from a tabulated diagram into the K-theory of
     its inverse construction (lazily evaluated by default)."""
     PX = PX or GrothPerm(X)
@@ -206,7 +205,7 @@ def unit_map(X, PX: GrothPerm | None = None, KPX=None, name: str = "") -> GammaL
     def lax(phi: PointedMap, x):
         return eta_phi(X, PX, phi, x)
 
-    return GammaLaxMap(X, KPX, maps, lax, name=name or f"unit({X.name})")
+    return GammaLaxMap(X, KPX, maps, lax, name=f"unit({X.name})")
 
 
 def validate_unit_cell(X, PX: GrothPerm, m: int, dim: int, cell) -> ValidationReport:
@@ -516,12 +515,12 @@ def sum_of_squares(C, squares: list):
 # -- triangle identities ---------------------------------------------------------------
 
 
-def triangle_K(C, nmax: int, ceiling: int = DEFAULT_CELL_CEILING) -> ValidationReport:
+def triangle_K(C, nmax: int) -> ValidationReport:
     """The first triangle: mapping a K-theory cell through the unit and then
     the K-image of the counit returns it unchanged, and the whiskered
     structure cells of the unit collapse to identities."""
     rep = ValidationReport(f"triangle (counit after unit) for {C.name}")
-    KC = kt_gamma(C, nmax, ceiling)
+    KC = kt_gamma(C, nmax)
     PKC = GrothPerm(KC)
     eps = Counit(C)
     k_eps = _systemwise(eps.on_groth)
@@ -546,13 +545,13 @@ def triangle_K(C, nmax: int, ceiling: int = DEFAULT_CELL_CEILING) -> ValidationR
     return rep
 
 
-def triangle_P(X, L: int, E: int, ceiling: int = DEFAULT_CELL_CEILING) -> ValidationReport:
+def triangle_P(X, L: int, E: int) -> ValidationReport:
     """The second triangle: mapping a bounded cell of the inverse
     construction through the image of the unit and then the counit returns
-    it unchanged.  ``ceiling`` bounds the fragment's cells."""
+    it unchanged."""
     rep = ValidationReport(f"triangle (counit after unit image) for {X.name}")
     PX = GrothPerm(X)
-    B = BoundedGroth(X, L, E, ceiling=ceiling)
+    B = BoundedGroth(X, L, E)
     KPX = LazyKtGamma(PX, X.cap)
     eta = unit_map(X, PX, KPX)
     PKPX = GrothPerm(KPX)
@@ -569,20 +568,18 @@ def triangle_P(X, L: int, E: int, ceiling: int = DEFAULT_CELL_CEILING) -> Valida
     return rep
 
 
-def bounded_unit_target(X, L: int, E: int, ceiling: int = DEFAULT_CELL_CEILING):
+def bounded_unit_target(X, L: int, E: int):
     """Materialize the K-theory of the bounded inverse construction as the
     subdiagram generated by the unit's image; the unit then lands in a
     tabulated truncation, which the span machinery requires."""
     # looked up at call time, so a rebinding of the module attribute (the
     # traced benchmark) takes effect
     from .ktheory import generated_kt_truncation
-    B = BoundedGroth(X, L, E, ceiling=ceiling)
+    B = BoundedGroth(X, L, E)
     PX = GrothPerm(X)
     seeds = {
         m: [eta_on_cell(X, PX, m, 0, x) for x in X.level(m).objects]
         for m in range(X.cap + 1)
     }
-    target = generated_kt_truncation(
-        B, X.cap, seeds, name=f"KP({X.name})|unit", ceiling=ceiling
-    )
+    target = generated_kt_truncation(B, X.cap, seeds, name=f"KP({X.name})|unit")
     return unit_map(X, PX, target), target

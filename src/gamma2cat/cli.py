@@ -44,8 +44,10 @@ from pathlib import Path
 
 from .subsets import PointedMap, maps_up_to
 from .twocat import (
+    DEFAULT_CELL_CEILING,
     FiniteTwoCategory,
     TwoFunctor,
+    cell_ceiling,
     is_isomorphism_of_two_categories,
     path_object,
     validate_two_category,
@@ -60,7 +62,6 @@ from .monoidal import (
 )
 from .ktheory import (
     CellCeilingExceeded,
-    DEFAULT_CELL_CEILING,
     ko_gamma,
     ko_level,
     kt_level,
@@ -487,22 +488,20 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cell_ceiling() -> int:
-    """The ceiling every command passes to its builders: the environment
-    variable GAMMA2CAT_CELL_CEILING, a non-negative integer, or
+def env_cell_ceiling() -> int:
+    """The ceiling every command builds under: the environment variable
+    GAMMA2CAT_CELL_CEILING, a non-negative integer, or
     ``DEFAULT_CELL_CEILING`` when it is unset; anything else is a usage
     error."""
-    text = os.environ.get("GAMMA2CAT_CELL_CEILING")
-    if text is None:
-        return DEFAULT_CELL_CEILING
+    text = os.environ.get("GAMMA2CAT_CELL_CEILING", str(DEFAULT_CELL_CEILING))
     if not (text.isascii() and text.isdigit()):
         raise FixtureError(f"GAMMA2CAT_CELL_CEILING must be a non-negative integer, got {text!r}")
     return int(text)
 
 
 # -- the acceptance battery: criteria 1-10, run by ``report`` and the tests ------
-# Each criterion is ``(number, stage, run)``; ``run(ceiling)`` builds its inputs
-# and returns its ``(check name, ok, detail)`` lines.  A validator-backed check
+# Each criterion is ``(number, stage, run)``; ``run()`` builds its inputs and
+# returns its ``(check name, ok, detail)`` lines.  A validator-backed check
 # passes only when at least one instance was examined.
 
 
@@ -511,69 +510,68 @@ def _examined(name: str, *reps):
     return name, bad is None, "" if bad is None else str(bad.first() or "no instance checked")
 
 
-def _f2_gamma2(ceiling: int):
-    return ko_gamma(promote(resolve_fixture("F2", None)), 2, ceiling)
+def _f2_gamma2():
+    return ko_gamma(promote(resolve_fixture("F2", None)), 2)
 
 
-def _level_counts(ceiling):
+def _level_counts():
     P = promote(resolve_fixture("F2", None))
-    levels = [ko_level(P, n, ceiling) for n in range(4)]
+    levels = [ko_level(P, n) for n in range(4)]
     counts = [len(lvl.objects) for lvl in levels]
     trivial = all(P.is_id1(c) for lvl in levels for system in lvl.objects for c in system.c)
     detail = f"{counts}" if trivial else f"{counts}, non-identity connecting cell"
     return [("ko-level-counts", counts == [1, 2, 4, 8] and trivial, detail)]
 
 
-def _level_one(ceiling):
+def _level_one():
     failed = []
     for name in ("F1", "F2", "F3", "F4", "F5", "M3"):
         C = _as_gray(resolve_fixture(name, None))
-        cmp1 = level_one_comparison(C, ko_level(C, 1, ceiling))
+        cmp1 = level_one_comparison(C, ko_level(C, 1))
         if not (validate_two_functor(cmp1).ok and is_isomorphism_of_two_categories(cmp1)):
             failed.append(name)
     return [("level-one-comparison", not failed, ", ".join(failed))]
 
 
-def _specialness(ceiling):
+def _specialness():
     lines = []
     for name, cap in (("F1", 3), ("F2", 3), ("F3", 3), ("F5", 2)):
-        sp = special_check(ko_gamma(_as_gray(resolve_fixture(name, None)), cap, ceiling))
+        sp = special_check(ko_gamma(_as_gray(resolve_fixture(name, None)), cap))
         # the F5 comparison at level two is an equivalence but no isomorphism
         ok = sp.ok and (name != "F5" or not sp.per_level[2].bijective_on_cells)
         lines.append((f"special-{name}", ok, ""))
     return lines
 
 
-def _very_special(ceiling):
-    vs = very_special_check(_f2_gamma2(ceiling))
+def _very_special():
+    vs = very_special_check(_f2_gamma2())
     e, x = vs.identity, next((c for c in vs.elements if c != vs.identity), None)
     # the group of order two: x + x = e and e + x = x
     ok = vs.ok and len(vs.elements) == 2 and vs.table[(x, x)] == e and vs.table[(e, x)] == x
     return [("very-special-F2", ok, "")]
 
 
-def _triangle_k(ceiling):
-    return [_examined(f"triangle-k-{name}", triangle_K(resolve_fixture(name, None), 2, ceiling))
+def _triangle_k():
+    return [_examined(f"triangle-k-{name}", triangle_K(resolve_fixture(name, None), 2))
             for name in ("F1", "F2", "F3")]
 
 
-def _triangle_p(ceiling):
-    return [_examined("triangle-p-F2", triangle_P(_f2_gamma2(ceiling), 2, 2, ceiling))]
+def _triangle_p():
+    return [_examined("triangle-p-F2", triangle_P(_f2_gamma2(), 2, 2))]
 
 
-def _espan(ceiling):
-    eta, _ = bounded_unit_target(_f2_gamma2(ceiling), 2, 2, ceiling)
-    span = e_construction(eta, ceiling)
+def _espan():
+    eta, _ = bounded_unit_target(_f2_gamma2(), 2, 2)
+    span = e_construction(eta)
     return [_examined("espan-F2", validate_espan(span), e_adjunction_check(span))]
 
 
-def _inverse_permutativity(ceiling):
-    return [_examined("inverse-permutativity",
-                      validate_p_truncation(_f2_gamma2(ceiling), 2, 2, ceiling))]
+def _inverse_permutativity():
+    return [_examined("inverse-permutativity", validate_p_truncation(_f2_gamma2(), 2, 2))]
 
 
-def _lambda_coherence(ceiling):
-    X = _f2_gamma2(ceiling)
+def _lambda_coherence():
+    X = _f2_gamma2()
     name, ok, detail = _examined("lambda-coherence",
                                  validate_transformation_gamma(lambda_of(unit_map(X))))
     ok = ok and is_identity_transformation(lambda_of(identity_lax_map(X)))
@@ -618,7 +616,7 @@ def mutation_sample():
             yield mutated, VALIDATORS[type(mutated)][1](mutated)
 
 
-def _mutation_screen(ceiling):
+def _mutation_screen():
     # every sampled corruption is rejected, with its first failure as witness
     missed = sum(r.ok or r.first() is None for _, r in mutation_sample())
     return [("mutation-screen", not missed,
@@ -671,20 +669,20 @@ def _level_report(command: str, args, lvl) -> Report:
 
 def cmd_ko(args) -> Report:
     C = _as_gray(resolve_fixture(args.fixture, args.file))
-    return _level_report("ko", args, ko_level(C, args.level, cell_ceiling()))
+    return _level_report("ko", args, ko_level(C, args.level))
 
 
 def cmd_kt(args) -> Report:
     C = resolve_fixture(args.fixture, args.file)
     if not isinstance(C, PermutativeTwoCategory):
         raise FixtureError("the strict level builder needs a product-flavored fixture")
-    return _level_report("kt", args, kt_level(C, args.level, cell_ceiling()))
+    return _level_report("kt", args, kt_level(C, args.level))
 
 
 def cmd_segal(args) -> Report:
     rep = Report("segal", {"fixture": args.fixture, "max": args.max})
     C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, args.max, cell_ceiling())
+    X = ko_gamma(C, args.max)
     rep.add("diagram-valid", validate_gamma(X).ok)
     sp = special_check(X)
     for n, r in sorted(sp.per_level.items()):
@@ -696,7 +694,7 @@ def cmd_segal(args) -> Report:
 def cmd_very_special(args) -> Report:
     rep = Report("very-special", {"fixture": args.fixture, "max": args.max})
     C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, args.max, cell_ceiling())
+    X = ko_gamma(C, args.max)
     vs = very_special_check(X)
     rep.add("very-special", vs.ok, vs.reason if not vs.ok else f"group of order {len(vs.elements)}")
     return rep
@@ -707,7 +705,7 @@ def cmd_triangle_k(args) -> Report:
     C = resolve_fixture(args.fixture, args.file)
     if not isinstance(C, PermutativeTwoCategory):
         raise FixtureError("the triangle scan needs a product-flavored fixture")
-    r = triangle_K(C, args.max, cell_ceiling())
+    r = triangle_K(C, args.max)
     rep.add("triangle-counit-after-unit", r.ok, str(r.first() or ""))
     rep.counters["instances"] = r.checked
     return rep
@@ -717,8 +715,8 @@ def cmd_triangle_p(args) -> Report:
     rep = Report("triangle-p", {"fixture": args.fixture, "max_len": args.max_len,
                                 "max_entry": args.max_entry})
     C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, max(2, args.max_entry), cell_ceiling())
-    r = triangle_P(X, args.max_len, args.max_entry, cell_ceiling())
+    X = ko_gamma(C, max(2, args.max_entry))
+    r = triangle_P(X, args.max_len, args.max_entry)
     rep.add("triangle-counit-after-unit-image", r.ok, str(r.first() or ""))
     rep.counters["instances"] = r.checked
     return rep
@@ -727,9 +725,9 @@ def cmd_triangle_p(args) -> Report:
 def cmd_espan(args) -> Report:
     rep = Report("espan", {"fixture": args.fixture, "cap": args.cap})
     C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, args.cap, cell_ceiling())
-    eta, _ = bounded_unit_target(X, args.cap, args.cap, cell_ceiling())
-    span = e_construction(eta, cell_ceiling())
+    X = ko_gamma(C, args.cap)
+    eta, _ = bounded_unit_target(X, args.cap, args.cap)
+    span = e_construction(eta)
     r = validate_espan(span)
     rep.add("span-identities", r.ok, str(r.first() or ""))
     ra = e_adjunction_check(span)
@@ -742,7 +740,7 @@ def cmd_path_object(args) -> Report:
     rep = Report("path-object", {"fixture": args.fixture})
     F = resolve_fixture(args.fixture, args.file)
     base = F.base if hasattr(F, "base") else F
-    po = path_object(base, cell_ceiling())
+    po = path_object(base)
     rep.add("total-valid", validate_two_category(po.total).ok)
     rep.add("evaluations-valid",
             validate_two_functor(po.e0).ok and validate_two_functor(po.e1).ok
@@ -757,10 +755,9 @@ def cmd_path_object(args) -> Report:
 def cmd_report(args) -> Report:
     """The acceptance battery, one timed stage per criterion."""
     rep = Report("report", {}, timings={})
-    ceiling = cell_ceiling()
     for _, stage, criterion in BATTERY:
         t0 = time.perf_counter()
-        for name, ok, detail in criterion(ceiling):
+        for name, ok, detail in criterion():
             rep.add(name, ok, detail)
         rep.timings[stage] = time.perf_counter() - t0
     if not args.timings:
@@ -808,7 +805,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        report: Report = args.fn(args)
+        # validate builds nothing, so a malformed ceiling does not stop it
+        with cell_ceiling(DEFAULT_CELL_CEILING if args.fn is cmd_validate else env_cell_ceiling()):
+            report: Report = args.fn(args)
     except CellCeilingExceeded as exc:
         sys.stderr.write(f"resource ceiling: {exc}\n")
         return 3

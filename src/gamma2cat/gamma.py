@@ -23,7 +23,6 @@ from typing import Callable
 from .subsets import (PointedMap, composable_maps, fold_map, maps_up_to,
                       pointed_identity, segal_injection)
 from .twocat import (
-    DEFAULT_CELL_CEILING,
     IDENTITY_MAPS,
     PATH_TAGS,
     S_LEG,
@@ -527,7 +526,7 @@ class ESpan:
     path: LazyPathGamma
 
 
-def e_construction(k: GammaLaxMap, ceiling: int = DEFAULT_CELL_CEILING) -> ESpan:
+def e_construction(k: GammaLaxMap) -> ESpan:
     """Replace the lax map k: X -> Z by a span of strict maps X <- Ek -> Z.
 
     Level m is the comma 2-category (id | k_m): objects ``("e0c", x, f, a)``
@@ -535,13 +534,13 @@ def e_construction(k: GammaLaxMap, ceiling: int = DEFAULT_CELL_CEILING) -> ESpan
     Z forming a commuting square over k, and 2-cells the pairs of 2-cells with
     the matching whisker condition.  The retraction ``omega`` is the S-leg
     and ``nu`` the T-leg; the transitions are built on first use.  Both
-    source and target of k must be tabulated truncations; ``ceiling`` bounds
-    the cells each level lists and, with their composites, holds.
+    source and target of k must be tabulated truncations; the cell ceiling
+    bounds the cells each level lists and, with their composites, holds.
     """
     X: GammaTruncation = k.source
     Z: GammaTruncation = k.target
-    levels = [comma(X.level(m), Z.level(m), k.cell_maps(m), E_TAGS, f"E({k.name})({m})",
-                    ceiling) for m in range(X.cap + 1)]
+    levels = [comma(X.level(m), Z.level(m), k.cell_maps(m), E_TAGS, f"E({k.name})({m})")
+              for m in range(X.cap + 1)]
 
     def build(phi: PointedMap) -> TwoFunctor:
         xs, zs = X.star(phi), Z.star(phi)

@@ -22,8 +22,8 @@ from operator import attrgetter
 
 from .monoidal import Domains, ProductSum, scan_product_sum
 from .subsets import PointedMap
-from .twocat import (DEFAULT_CELL_CEILING, CellCeilingExceeded, FieldEndpoints, InternedCell,
-                     ValidationReport, _group)
+from .twocat import (CellCeilingExceeded, FieldEndpoints, InternedCell, ValidationReport,
+                     _group, current_cell_ceiling)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -270,9 +270,9 @@ class GrothPerm(ProductSum, FieldEndpoints):
     interchangers are identities) and the braiding is [block swap, id].
     """
 
-    def __init__(self, X, name: str = ""):
+    def __init__(self, X):
         self.X = X
-        self.name = name or f"P({X.name})"
+        self.name = f"P({X.name})"
         self._unit = mk_groth_obj((), ())
         # Every cache lives on this instance and is freed with it.
         # - id1, id2, comp1, sum_one, sum_two: composites recur heavily in
@@ -408,18 +408,17 @@ class BoundedGroth(GrothPerm):
     buckets: it sums only cells whose summed lengths fit ``L`` (see
     ``domains``), and every entry is at most ``E`` already; ``has_obj``
     decides membership of one object.  Requires a tabulated diagram so that
-    component cells can be enumerated.  ``ceiling`` bounds the cells that
-    ``cells`` lists.
+    component cells can be enumerated.  The cell ceiling in force at
+    construction bounds the cells that ``cells`` lists.
     """
 
-    def __init__(self, X, L: int, E: int, name: str = "",
-                 ceiling: int = DEFAULT_CELL_CEILING):
-        super().__init__(X, name)
+    def __init__(self, X, L: int, E: int):
+        super().__init__(X)
         if E > X.cap:
             raise ValueError("entry bound exceeds the diagram cap")
         self.L = L
         self.E = E
-        self.ceiling = ceiling
+        self.ceiling = current_cell_ceiling()
 
     def has_obj(self, o) -> bool:
         return (
@@ -575,8 +574,7 @@ class POfLax:
 # -- bounded validation --------------------------------------------------------------
 
 
-def validate_p_truncation(X, L: int, E: int,
-                          ceiling: int = DEFAULT_CELL_CEILING) -> ValidationReport:
+def validate_p_truncation(X, L: int, E: int) -> ValidationReport:
     """Scan the permutative-2-category laws of ``monoidal.scan_product_sum``
     on the (L, E)-bounded fragment of the Grothendieck construction, each
     instance whose cells' summed lengths fit L.
@@ -588,11 +586,10 @@ def validate_p_truncation(X, L: int, E: int,
     CPython 3.11), so the fragment supplies no ``hcomp2`` pairs.  The
     fragment's own 2-category laws would be about 2.6 million ``comp1``
     associativity triples there.  An empty scan is reported explicitly.
-    ``ceiling`` bounds the fragment's cells.
     """
     rep = ValidationReport(f"bounded inverse construction (L={L}, E={E}; not scanned: "
                            "hcomp2 preservation, the fragment's 2-category laws)")
-    B = BoundedGroth(X, L, E, ceiling=ceiling)
+    B = BoundedGroth(X, L, E)
     scan_product_sum(rep, B, B.domains())
     if rep.checked == 0:
         rep.add("empty-scan", "bounds admit no axiom instances")

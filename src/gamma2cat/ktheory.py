@@ -30,8 +30,8 @@ law instance as soon as the slot completing it is placed:
 Each law is written once and shared with the validators, which judge the
 cells that do not come from the search; the search is the only checker of the
 cells it emits, closing each instance they check once (see ``_search``).
-Enumeration is exhaustive, with a configurable cell-count ceiling; exceeding
-the ceiling aborts loudly, never truncates silently.
+Enumeration is exhaustive up to the ceiling of the ``twocat.cell_ceiling`` scope
+a search or build starts in; exceeding it aborts loudly, never truncates silently.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .subsets import (
     union,
 )
 from .twocat import (
-    DEFAULT_CELL_CEILING,
     Cell,
     CellCeilingExceeded,
     FieldEndpoints,
@@ -61,6 +60,7 @@ from .twocat import (
     InternedCell,
     TwoFunctor,
     ValidationReport,
+    current_cell_ceiling,
     tabulate,
     vertical_inverse,
     vseq,
@@ -477,7 +477,7 @@ def _placement_order(n: int, paired: bool) -> tuple:
     return tuple(order)
 
 
-def _search(asg: dict, n: int, component, pair, build, stage: str, ceiling: int) -> list:
+def _search(asg: dict, n: int, component, pair, build, stage: str) -> list:
     """The one placement search behind the three enumerators.
 
     Slots are placed in ``_placement_order``, writing into ``asg``, which the
@@ -495,7 +495,8 @@ def _search(asg: dict, n: int, component, pair, build, stage: str, ceiling: int)
     value; the enumerators cache only what candidates and laws compose
     (filler lists, 2-cell candidate lists, the compatibility square's
     sides), never a verdict.  The output is sorted by the reprs of the
-    placed values."""
+    placed values, and the search stops at the ceiling in force at its start."""
+    ceiling = current_cell_ceiling()
     order = _placement_order(n, pair is not None)
     k = len(nonempty_subsets_of(n))
     plan = ([(key, *component, None, closes) for key, closes in order[:k]]
@@ -527,7 +528,7 @@ def _search(asg: dict, n: int, component, pair, build, stage: str, ceiling: int)
     return [cell for _, cell in out]
 
 
-def enumerate_systems(C, n: int, ceiling: int) -> list[SubsetSystem]:
+def enumerate_systems(C, n: int) -> list[SubsetSystem]:
     """Objects of the level at n: each closed pair of x must admit a
     connecting cell, and each cocycle is checked once its last c is placed."""
     asg: dict = {}
@@ -544,11 +545,10 @@ def enumerate_systems(C, n: int, ceiling: int) -> list[SubsetSystem]:
         (lambda st: connecting(*st), partial(_system_cocycle_holds, C, x, c),
          partial(swapped_c, C, x, c)),
         lambda: mk_system(n, tuple(map(x, subs)), tuple(starmap(c, pairs))),
-        "object enumeration", ceiling)
+        "object enumeration")
 
 
-def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
-                          ceiling: int) -> list[SystemMap]:
+def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool) -> list[SystemMap]:
     """1-cells src -> tgt.  Strict: each square is checked once its f_{s+t}
     is placed.  Cubical: each square of f must admit an invertible filler,
     and each filling-cell cocycle is checked once its last gamma is placed.
@@ -581,7 +581,7 @@ def enumerate_system_maps(C, src: SubsetSystem, tgt: SubsetSystem, gray: bool,
         asg, n, component, pair,
         lambda: mk_system_map(n, src, tgt, tuple(map(f, subs)),
                               tuple(starmap(gamma, pairs)) if gray else None),
-        "1-cell enumeration", ceiling)
+        "1-cell enumeration")
 
 
 def _two_cell_caches(C) -> tuple:
@@ -593,7 +593,7 @@ def _two_cell_caches(C) -> tuple:
             cache(partial(_compat_right, C)))
 
 
-def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, ceiling: int,
+def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap,
                                caches: tuple | None = None) -> list[SystemTwoCell]:
     """2-cells u => v: each compatibility square is checked once its
     component at s+t is placed.  ``caches`` are the ``_two_cell_caches``
@@ -610,22 +610,23 @@ def enumerate_system_two_cells(C, u: SystemMap, v: SystemMap, ceiling: int,
          partial(_compat_square_holds, left, right, u, v, asg.__getitem__)),
         None,
         lambda: mk_system_two_cell(n, u, v, tuple(asg[s] for s in nonempty_subsets_of(n))),
-        "2-cell enumeration", ceiling)
+        "2-cell enumeration")
 
 
 # -- level builders ----------------------------------------------------------------
 
 
-def _build_level(C, n: int, gray: bool, name: str, ceiling: int,
+def _build_level(C, n: int, gray: bool, name: str,
                  systems: list | None = None) -> FiniteTwoCategory:
+    ceiling = current_cell_ceiling()
     if systems is None:
-        systems = enumerate_systems(C, n, ceiling)
+        systems = enumerate_systems(C, n)
     formula = LazyKtLevel(C)
     one: dict = {}
     total = len(systems)
     for a in systems:
         for b in systems:
-            for mp in enumerate_system_maps(C, a, b, gray, ceiling):
+            for mp in enumerate_system_maps(C, a, b, gray):
                 one[mp] = (a, b, formula.is_id1(mp))
                 total += 1
                 if total > ceiling:
@@ -638,27 +639,25 @@ def _build_level(C, n: int, gray: bool, name: str, ceiling: int,
         caches = _two_cell_caches(C)
         for u in cells:
             for v in cells:
-                for cell in enumerate_system_two_cells(C, u, v, ceiling, caches):
+                for cell in enumerate_system_two_cells(C, u, v, caches):
                     two[cell] = (u, v, formula.is_id2(cell))
                     total += 1
                     if total > ceiling:
                         raise CellCeilingExceeded("level build", total, ceiling)
-    return FiniteTwoCategory(name, systems, one, two, formula=formula, ceiling=ceiling)
+    return FiniteTwoCategory(name, systems, one, two, formula=formula)
 
 
-def ko_level(C: PermutativeGrayMonoid, n: int,
-             ceiling: int = DEFAULT_CELL_CEILING) -> FiniteTwoCategory:
+def ko_level(C: PermutativeGrayMonoid, n: int) -> FiniteTwoCategory:
     """The level at n+ over a cubical carrier, with filling cells."""
-    return _build_level(C, n, True, f"Ko({C.name})({n})", ceiling)
+    return _build_level(C, n, True, f"Ko({C.name})({n})")
 
 
-def kt_level(C: PermutativeTwoCategory, n: int,
-             ceiling: int = DEFAULT_CELL_CEILING) -> FiniteTwoCategory:
+def kt_level(C: PermutativeTwoCategory, n: int) -> FiniteTwoCategory:
     """The level at n+ over a product carrier, with strictly commuting squares.
 
     Also accepts any carrier exposing a genuine product sum (for example the
     bounded inverse-construction fragment)."""
-    return _build_level(C, n, False, f"K({C.name})({n})", ceiling)
+    return _build_level(C, n, False, f"K({C.name})({n})")
 
 
 # -- reindexing, functoriality, truncations ------------------------------------------
@@ -743,19 +742,17 @@ def _truncation(C, N: int, name: str, levels: list) -> GammaTruncation:
                            lambda phi: ko_phi(C, phi, levels[phi.m], levels[phi.n]))
 
 
-def _gamma_truncation(C, N: int, gray: bool, name: str, ceiling: int) -> GammaTruncation:
+def _gamma_truncation(C, N: int, gray: bool, name: str) -> GammaTruncation:
     build = ko_level if gray else kt_level
-    return _truncation(C, N, name, [build(C, m, ceiling) for m in range(N + 1)])
+    return _truncation(C, N, name, [build(C, m) for m in range(N + 1)])
 
 
-def ko_gamma(C: PermutativeGrayMonoid, N: int,
-             ceiling: int = DEFAULT_CELL_CEILING) -> GammaTruncation:
-    return _gamma_truncation(C, N, True, f"Ko({C.name})", ceiling)
+def ko_gamma(C: PermutativeGrayMonoid, N: int) -> GammaTruncation:
+    return _gamma_truncation(C, N, True, f"Ko({C.name})")
 
 
-def kt_gamma(C: PermutativeTwoCategory, N: int,
-             ceiling: int = DEFAULT_CELL_CEILING) -> GammaTruncation:
-    return _gamma_truncation(C, N, False, f"K({C.name})", ceiling)
+def kt_gamma(C: PermutativeTwoCategory, N: int) -> GammaTruncation:
+    return _gamma_truncation(C, N, False, f"K({C.name})")
 
 
 def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
@@ -797,8 +794,7 @@ def ko_map(M: MonoidalFunctor, level_src: FiniteTwoCategory,
         name=f"K({M.name})")
 
 
-def kt_to_ko(C: PermutativeTwoCategory, n: int,
-             ceiling: int = DEFAULT_CELL_CEILING) -> TwoFunctor:
+def kt_to_ko(C: PermutativeTwoCategory, n: int) -> TwoFunctor:
     """The inclusion of the strict level into the cubical one over promote(C)."""
     P = promote(C)
 
@@ -808,7 +804,7 @@ def kt_to_ko(C: PermutativeTwoCategory, n: int,
         return mk_system_map(n, mp.src, mp.tgt, mp.f,
                              tuple(starmap(partial(mp.gamma_at, P), disjoint_pairs(n))))
 
-    return tabulate(kt_level(C, n, ceiling), ko_level(P, n, ceiling), (
+    return tabulate(kt_level(C, n), ko_level(P, n), (
         IDENTITY_MAPS[0], widen,
         lambda a: mk_system_two_cell(n, widen(a.src), widen(a.tgt), a.alpha)),
         name=f"inc({C.name},{n})")
@@ -901,8 +897,7 @@ class LazyKtGamma:
         return L.id1(sys) if dim == 1 else L.id2(L.id1(sys))
 
 
-def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]],
-                            name: str = "", ceiling: int = DEFAULT_CELL_CEILING):
+def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]], name: str = ""):
     """The full reindexing-closed subdiagram of the K-theory of a carrier
     generated by the given level objects.
 
@@ -928,7 +923,7 @@ def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]],
                     per_level[phi.n].append(img)
                     changed = True
     levels = [
-        _build_level(C, m, False, f"{name}({m})", ceiling, systems=per_level[m])
+        _build_level(C, m, False, f"{name}({m})", systems=per_level[m])
         for m in range(N + 1)
     ]
     return _truncation(C, N, name or f"K({C.name})|gen", levels)

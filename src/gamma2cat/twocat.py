@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from operator import attrgetter, eq, getitem, itemgetter
 from typing import Hashable, Iterable, Mapping
@@ -115,9 +117,22 @@ class ValidationReport:
         return head + "\n" + body + more
 
 
-# the bound every builder takes by default on the cells it lists and the
-# cells plus table entries it fills; no library default reads the environment
+# the bound on the cells a builder lists and the cells plus table entries it
+# fills, outside any ``cell_ceiling`` scope; no library code reads the environment
 DEFAULT_CELL_CEILING = 1_000_000
+_CELL_CEILING: ContextVar[int] = ContextVar("cell_ceiling", default=DEFAULT_CELL_CEILING)
+current_cell_ceiling = _CELL_CEILING.get  # the innermost scope's bound, or the default
+
+
+@contextmanager
+def cell_ceiling(limit: int):
+    """Bound the builds started in the block by ``limit`` cells, which a category
+    built inside keeps; the enclosing bound is restored on exit, also on raise."""
+    token = _CELL_CEILING.set(limit)
+    try:
+        yield
+    finally:
+        _CELL_CEILING.reset(token)
 
 
 class CellCeilingExceeded(Exception):
@@ -136,9 +151,9 @@ class FiniteTwoCategory:
     ``one_cells`` / ``two_cells`` map identifiers to ``(src, tgt, is_identity)``
     triples.  The tables are either given in full, or computed from
     ``formula``, an object with the methods ``comp1``, ``vcomp`` and
-    ``hcomp2`` of the composites.  ``ceiling`` bounds the cells plus table
-    entries that ``fill`` may hold.  Instances are treated as immutable once
-    validated.
+    ``hcomp2`` of the composites.  The cell ceiling in force at construction
+    bounds the cells plus table entries that ``fill`` may hold.  Instances are
+    treated as immutable once validated.
     """
 
     def __init__(
@@ -151,7 +166,6 @@ class FiniteTwoCategory:
         hcomp1: Mapping[tuple[Cell, Cell], Cell] | None = None,
         hcomp2: Mapping[tuple[Cell, Cell], Cell] | None = None,
         formula=None,
-        ceiling: int | None = None,
     ):
         self.name = name
         self.objects = list(objects)
@@ -165,7 +179,7 @@ class FiniteTwoCategory:
         self.hcomp1_table = dict(hcomp1 or {})
         self.hcomp2_table = dict(hcomp2 or {})
         self._formula = formula
-        self._ceiling = ceiling
+        self._ceiling = current_cell_ceiling()
         self._id1: dict[Cell, Cell] = {}
         self._id2: dict[Cell, Cell] = {}
         self._hom1: dict[tuple[Cell, Cell], list[Cell]] = {}
@@ -255,11 +269,10 @@ class FiniteTwoCategory:
         if F is None:
             return
         h1_dom, v_dom, h2_dom = _domains(self)
-        if self._ceiling is not None:
-            total = sum(self.counts()) + sum(
-                len(firsts) for dom in (v_dom, h1_dom, h2_dom) for _, firsts in dom)
-            if total > self._ceiling:
-                raise CellCeilingExceeded("table fill", total, self._ceiling)
+        total = sum(self.counts()) + sum(
+            len(firsts) for dom in (v_dom, h1_dom, h2_dom) for _, firsts in dom)
+        if total > self._ceiling:
+            raise CellCeilingExceeded("table fill", total, self._ceiling)
         self.vcomp_table = _complete(self.vcomp_table, v_dom, F.vcomp)
         self.hcomp1_table = _complete(self.hcomp1_table, h1_dom, F.comp1)
         self.hcomp2_table = _complete(self.hcomp2_table, h2_dom, F.hcomp2)
@@ -996,15 +1009,16 @@ class CommaFormula:
                 self.S.hcomp2(b[3], a[3]), self.T.hcomp2(b[4], a[4]))
 
 
-def comma(S: FiniteTwoCategory, T: FiniteTwoCategory, F: tuple, tags: tuple, name: str,
-          ceiling: int = DEFAULT_CELL_CEILING) -> FiniteTwoCategory:
+def comma(S: FiniteTwoCategory, T: FiniteTwoCategory, F: tuple, tags: tuple,
+          name: str) -> FiniteTwoCategory:
     """The comma 2-category (id_T | F) of the cell maps ``F = (F0, F1, F2)``
     from S to T, its cells tagged by ``tags``.
 
     Objects are listed by x, then a, then f; 1-cells hom by hom, the S-leg
     before the T-leg; the 2-cells of each 1-cell over the 1-cells of its own
     hom.  Raises ``CellCeilingExceeded`` as soon as the cells listed pass
-    ``ceiling``, which also bounds the ``fill`` of the result."""
+    the cell ceiling, which also bounds the ``fill`` of the result."""
+    ceiling = current_cell_ceiling()
     F0, F1, F2 = F
     tag0, tag1, tag2 = tags
     objs = [(tag0, x, f, a) for x in S.objects for a in T.objects
@@ -1048,8 +1062,7 @@ def comma(S: FiniteTwoCategory, T: FiniteTwoCategory, F: tuple, tags: tuple, nam
                             two[(tag2, k1, k2, be, al)] = (
                                 k1, k2, k1 == k2 and S.is_id2(be) and T.is_id2(al))
             listed()
-    return FiniteTwoCategory(name, objs, one, two, formula=CommaFormula(S, T, tags),
-                             ceiling=ceiling)
+    return FiniteTwoCategory(name, objs, one, two, formula=CommaFormula(S, T, tags))
 
 
 def into_comma(C, tags: tuple, obj, s_maps: tuple, t_maps: tuple) -> tuple:
@@ -1114,16 +1127,16 @@ class PathObject:
     i: TwoFunctor
 
 
-def path_object(C: FiniteTwoCategory, ceiling: int = DEFAULT_CELL_CEILING) -> PathObject:
+def path_object(C: FiniteTwoCategory) -> PathObject:
     """The arrow 2-category of C, the comma (id | id), with its two
     evaluations and the section.
 
     An object ``("p0", y, f, x)`` is a 1-cell f: x -> y of C.  ``e0``
     evaluates at the source (the T-leg), ``e1`` at the target (the S-leg),
-    and ``i`` sends each object to its identity 1-cell.  ``ceiling`` bounds
-    the comma's cells and table entries, as in ``comma``.
+    and ``i`` sends each object to its identity 1-cell.  The cell ceiling
+    bounds the comma's cells and table entries, as in ``comma``.
     """
-    total = comma(C, C, IDENTITY_MAPS, PATH_TAGS, f"{C.name}^arrow", ceiling)
+    total = comma(C, C, IDENTITY_MAPS, PATH_TAGS, f"{C.name}^arrow")
     return PathObject(C, total, tabulate(total, C, T_LEG, "e0"),
                       tabulate(total, C, S_LEG, "e1"),
                       tabulate(C, total, comma_section(C, C, IDENTITY_MAPS, PATH_TAGS), "i"))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gamma2cat.subsets import PointedMap, all_pointed_maps, nonempty_subsets_of
 from gamma2cat.monoidal import fixture, promote
-from gamma2cat.twocat import CellCeilingExceeded, validate_two_category
+from gamma2cat.twocat import CellCeilingExceeded, cell_ceiling, validate_two_category
 from gamma2cat.ktheory import (
     LazyKtGamma,
     kt_gamma,
@@ -351,10 +351,11 @@ def test_triangle_counit_after_unit(name):
 
 def test_an_explicit_zero_ceiling_is_not_replaced_by_the_default():
     # a ceiling of 0 admits no cell, so both builds stop at their first level
-    with pytest.raises(CellCeilingExceeded):
-        triangle_K(fixture("F1"), 2, 0)
-    with pytest.raises(CellCeilingExceeded):
-        bounded_unit_target(ko_gamma(promote(fixture("F2")), 2), 2, 2, 0)
+    X = ko_gamma(promote(fixture("F2")), 2)
+    with cell_ceiling(0), pytest.raises(CellCeilingExceeded):
+        triangle_K(fixture("F1"), 2)
+    with cell_ceiling(0), pytest.raises(CellCeilingExceeded):
+        bounded_unit_target(X, 2, 2)
 
 
 def test_triangle_counit_after_unit_image_f1():
@@ -373,10 +374,11 @@ def test_bounded_fragment_stops_at_the_ceiling(f2_gamma2):
     # the (2, 2) fragment over Ko(F2) lists 43 + 1,561 + 1,561 = 3,165 cells
     from gamma2cat.inversek import validate_p_truncation
     for scan in (triangle_P, validate_p_truncation):
-        with pytest.raises(CellCeilingExceeded) as exc:
-            scan(f2_gamma2, 2, 2, 3164)
+        with cell_ceiling(3164), pytest.raises(CellCeilingExceeded) as exc:
+            scan(f2_gamma2, 2, 2)
         assert (exc.value.stage, exc.value.count) == ("bounded fragment", 3165)
-    assert triangle_P(f2_gamma2, 2, 2, 3165).checked == 3165
+    with cell_ceiling(3165):
+        assert triangle_P(f2_gamma2, 2, 2).checked == 3165
 
 
 def test_triangle_p_split_one_cell_spot_check(f2_gamma2):

@@ -12,8 +12,10 @@ from gamma2cat.subsets import (PointedMap, all_pointed_maps, disjoint_pairs, dis
                                segal_injection, subset_key, union)
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import (
+    cell_ceiling,
     internal_equivalence_classes,
     is_isomorphism_of_two_categories,
+    product_two_category,
     two_equivalence_check,
     validate_two_category,
     validate_two_functor,
@@ -224,16 +226,21 @@ def test_diagram_validation_counts_every_instance(f5):
 
 
 def test_cell_ceiling_aborts(f5):
-    with pytest.raises(CellCeilingExceeded):
-        ko_level(f5, 2, ceiling=10)
+    with cell_ceiling(10), pytest.raises(CellCeilingExceeded):
+        ko_level(f5, 2)
 
 
 def test_fill_counts_composites_against_the_ceiling(f5):
-    level = ko_level(f5, 2, ceiling=2000)  # 290 cells pass enumeration
+    # a level, or a product, keeps the bound of the scope it was built in
+    with cell_ceiling(2000):
+        level = ko_level(f5, 2)  # 290 cells pass enumeration
+        cube = product_two_category([f5.base] * 3)  # 73 cells
     with pytest.raises(CellCeilingExceeded) as exc:
         level.fill()
     assert exc.value.count == 290 + 35328
     assert _entries(level) == 0
+    with pytest.raises(CellCeilingExceeded, match="table fill: 4745 > 2000"):
+        cube.fill()
 
 
 def _entries(level):
@@ -278,7 +285,7 @@ def test_formula_level_refuses_non_composable_pairs(f5):
 def test_partition_cell_three_blocks_on_cubical_systems(f5):
     # systems at three elements over the cubical carrier, without building
     # the whole level: canonical peeling agrees with the other association
-    systems = enumerate_systems(f5, 3, 10**6)
+    systems = enumerate_systems(f5, 3)
     assert systems
     full = (1, 2, 3)
     for sys in systems[:8]:
@@ -361,11 +368,11 @@ def _brute_force_two_cells(C, u, v):
 def test_system_and_one_cell_enumeration_agrees_with_brute_force(name, m):
     compared = 0
     for C, gray in _carriers(name):
-        systems = enumerate_systems(C, m, 10**6)
+        systems = enumerate_systems(C, m)
         assert systems == _brute_force_systems(C, m)
         for a in systems:
             for b in systems:
-                got = enumerate_system_maps(C, a, b, gray, 10**6)
+                got = enumerate_system_maps(C, a, b, gray)
                 assert got == _brute_force_maps(C, a, b, gray)
                 compared += len(got)
     assert compared > 0
@@ -380,7 +387,7 @@ def test_pruned_two_cell_enumeration_agrees_with_brute_force(name):
             ones = list(build(C, m).one_src)
             for u in ones:
                 for v in ones:
-                    got = enumerate_system_two_cells(C, u, v, 10**6)
+                    got = enumerate_system_two_cells(C, u, v)
                     assert got == _brute_force_two_cells(C, u, v)
                     compared += bool(got)
     assert compared > 0
@@ -389,24 +396,24 @@ def test_pruned_two_cell_enumeration_agrees_with_brute_force(name):
 def test_pruned_enumeration_keeps_counts_and_ceilings(f3):
     P = promote(f3)
     assert ko_level(P, 3).counts() == (1, 16, 2048)
-    with pytest.raises(CellCeilingExceeded) as exc:
-        ko_level(P, 3, ceiling=2000)
+    with cell_ceiling(2000), pytest.raises(CellCeilingExceeded) as exc:
+        ko_level(P, 3)
     assert exc.value.stage == "level build"
     level = ko_level(P, 2)
     u = next(f for f in level.one_src if len(level.two_cells_between(f, f)) > 1)
-    with pytest.raises(CellCeilingExceeded) as exc:
-        enumerate_system_two_cells(P, u, u, 1)
+    with cell_ceiling(1), pytest.raises(CellCeilingExceeded) as exc:
+        enumerate_system_two_cells(P, u, u)
     assert exc.value.stage == "2-cell enumeration"
 
 
 def test_strict_one_cell_enumeration_respects_the_ceiling():
     C = fixture("F4")
     (sys,) = kt_level(C, 1).objects
-    with pytest.raises(CellCeilingExceeded) as exc:
-        enumerate_system_maps(C, sys, sys, False, 1)
+    with cell_ceiling(1), pytest.raises(CellCeilingExceeded) as exc:
+        enumerate_system_maps(C, sys, sys, False)
     assert exc.value.stage == "1-cell enumeration"
-    with pytest.raises(CellCeilingExceeded) as exc:
-        kt_level(C, 1, ceiling=1)
+    with cell_ceiling(1), pytest.raises(CellCeilingExceeded) as exc:
+        kt_level(C, 1)
     assert exc.value.stage == "1-cell enumeration"
 
 
@@ -474,9 +481,9 @@ def test_placement_order_closes_each_validator_instance_once(monkeypatch, n):
     # the listing is what the validators check: their law helpers, recorded
     # on valid cells, see exactly its law instances, and their counts match
     P, F2 = promote(fixture("F2")), fixture("F2")
-    sys, strict = enumerate_systems(P, n, 10**6)[-1], enumerate_systems(F2, n, 10**6)[-1]
-    mp = enumerate_system_maps(P, sys, sys, True, 10**6)[0]
-    smp = enumerate_system_maps(F2, strict, strict, False, 10**6)[0]
+    sys, strict = enumerate_systems(P, n)[-1], enumerate_systems(F2, n)[-1]
+    mp = enumerate_system_maps(P, sys, sys, True)[0]
+    smp = enumerate_system_maps(F2, strict, strict, False)[0]
     seen = []
     for helper, kind in _LAW_KINDS.items():
         def spy(*args, real=getattr(ktheory, helper), kind=kind):
@@ -510,25 +517,25 @@ def _other_parallel(C, cell, dim):
 
 def _systems(name, n):
     C = promote(fixture(name))
-    return lambda: enumerate_systems(C, n, 10**6), lambda: _brute_force_systems(C, n)
+    return lambda: enumerate_systems(C, n), lambda: _brute_force_systems(C, n)
 
 
 def _maps(name, gray, targets):
     """The 1-cells from the first system at 3 to the first ``targets``."""
     C = promote(fixture(name)) if gray else fixture(name)
-    systems = enumerate_systems(C, 3, 10**6)
+    systems = enumerate_systems(C, 3)
     pairs = [(systems[0], b) for b in systems[:targets]]
-    return (lambda: [mp for a, b in pairs for mp in enumerate_system_maps(C, a, b, gray, 10**6)],
+    return (lambda: [mp for a, b in pairs for mp in enumerate_system_maps(C, a, b, gray)],
             lambda: [mp for a, b in pairs for mp in _brute_force_maps(C, a, b, gray)])
 
 
 def _two_cells(name, maps):
     """The 2-cells between the first ``maps`` 1-cells at 3 of one hom."""
     C = promote(fixture(name))
-    sys = enumerate_systems(C, 3, 10**6)[0]
-    ones = enumerate_system_maps(C, sys, sys, True, 10**6)[:maps]
+    sys = enumerate_systems(C, 3)[0]
+    ones = enumerate_system_maps(C, sys, sys, True)[:maps]
     pairs = [(u, v) for u in ones for v in ones]
-    return (lambda: [a for u, v in pairs for a in enumerate_system_two_cells(C, u, v, 10**6)],
+    return (lambda: [a for u, v in pairs for a in enumerate_system_two_cells(C, u, v)],
             lambda: [a for u, v in pairs for a in _brute_force_two_cells(C, u, v)])
 
 
@@ -698,8 +705,8 @@ def test_validators_reject_one_corrupted_component(name, n, slot, key, value, de
                                                    kind, words):
     C = promote(fixture(name))
     subs, pairs, canon = nonempty_subsets_of(n), disjoint_pairs(n), _canonical_pairs(n)
-    sys = enumerate_systems(C, n, 10**6)[0]
-    mp = enumerate_system_maps(C, sys, sys, True, 10**6)[0]
+    sys = enumerate_systems(C, n)[0]
+    mp = enumerate_system_maps(C, sys, sys, True)[0]
     if slot in ("x", "c"):
         x = {s: sys.x_at(C, s) for s in subs}
         c = {p: sys.c_at(C, *p) for p in pairs}
@@ -731,7 +738,7 @@ def test_validator_reads_strictness_off_the_map():
     # a map without filling cells is judged by its strict squares, also over
     # a cubical carrier: m1 at the union breaks the square at each pair
     C = promote(fixture("F4"))
-    sys = enumerate_systems(C, 2, 10**6)[0]
+    sys = enumerate_systems(C, 2)[0]
     f = {s: C.id1(sys.x_at(C, s)) for s in nonempty_subsets_of(2)} | {(1, 2): "m1"}
     rep = validate_system_map(C, mk_system_map(2, sys, sys, tuple(f.values()), None))
     assert [(i.kind, i.message) for i in rep.issues] == [
@@ -781,11 +788,11 @@ def test_built_transitions_equal_the_eager_reindexing(name):
 def test_missing_reindexed_system_raises_when_built(f2, monkeypatch):
     real = ktheory.ko_level
 
-    def cut(C, n, ceiling=10**6):
-        level = real(C, n, ceiling)
+    def cut(C, n):
+        level = real(C, n)
         if n != 1:
             return level
-        return ktheory._build_level(C, 1, True, level.name, ceiling, systems=level.objects[1:])
+        return ktheory._build_level(C, 1, True, level.name, systems=level.objects[1:])
 
     monkeypatch.setattr(ktheory, "ko_level", cut)
     X = ko_gamma(promote(f2), 2)

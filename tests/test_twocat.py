@@ -1,10 +1,13 @@
+import ast
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gamma2cat
 from gamma2cat.adjunction import bounded_unit_target
 from gamma2cat.gamma import E_TAGS, e_construction, identity_lax_map
 from gamma2cat.inversek import GrothPerm
@@ -13,6 +16,7 @@ from gamma2cat.monoidal import fixture, promote
 from gamma2cat.subsets import all_pointed_maps
 from gamma2cat.twocat import (
     CELL_OPERATIONS,
+    DEFAULT_CELL_CEILING,
     ENUMERATION_OPERATIONS,
     IDENTITY_MAPS,
     PATH_TAGS,
@@ -22,7 +26,9 @@ from gamma2cat.twocat import (
     Transformation2,
     TwoFunctor,
     ValidationReport,
+    cell_ceiling,
     comma,
+    current_cell_ceiling,
     identity_functor,
     internal_equivalence_classes,
     is_isomorphism_of_two_categories,
@@ -459,12 +465,10 @@ def _parallel_swaps(C, rng, limit):
             yield changes
 
 
-def test_single_entry_mutations_match_the_naive_scan():
-    # every parallel swap of the fixture bases, fewer of the levels, whose
-    # issue messages are long
-    rng = random.Random(7)
-    cases = [(fixture(n).base, 50) for n in ("F1", "F2", "F3", "F4", "F5", "M3")]
-    cases += [(ko_level(fixture(n), 2), limit) for n, limit in (("F3", 8), ("F4", 48), ("M3", 8))]
+def _swaps_match_the_naive_scan(cases, rng) -> tuple[int, int]:
+    """The mutations tried and caught over up to ``limit`` parallel swaps of
+    each ``(C, limit)``, each judged alike by the validator and the naive
+    scan, which pass C itself."""
     mutations = caught = 0
     for C, limit in cases:
         C.fill()
@@ -477,7 +481,16 @@ def test_single_entry_mutations_match_the_naive_scan():
             assert ([str(i) for i in rep.issues], rep.checked) == (issues, checked)
             mutations += 1
             caught += bool(issues)
-    assert (mutations, caught) == (100, 99)
+    return mutations, caught
+
+
+def test_single_entry_mutations_match_the_naive_scan():
+    # every parallel swap of the fixture bases, fewer of the levels, whose
+    # issue messages are long
+    rng = random.Random(7)
+    cases = [(fixture(n).base, 50) for n in ("F1", "F2", "F3", "F4", "F5", "M3")]
+    cases += [(ko_level(fixture(n), 2), limit) for n, limit in (("F3", 8), ("F4", 48), ("M3", 8))]
+    assert _swaps_match_the_naive_scan(cases, rng) == (100, 99)
 
 
 def _z2_arrow_to_a_point():
@@ -516,19 +529,7 @@ def test_block_layouts_match_the_naive_scan():
         assert min(blocks[1].values()) == 1
         if C is small:
             assert [min(b.values()) for b in blocks] == [1, 1, 1]
-    rng = random.Random(11)
-    mutations = caught = 0
-    for C, limit in ((many, 12), (small, 50)):
-        assert _naive_axiom_scan(C) == ([], validate_two_category(C).checked)
-        for changes in _parallel_swaps(C, rng, limit):
-            mutated = _retabulated(C, f"{C.name}-mut", **{
-                tname: {**getattr(C, tname), **entries} for tname, entries in changes.items()})
-            rep = validate_two_category(mutated)
-            issues, checked = _naive_axiom_scan(mutated)
-            assert ([str(i) for i in rep.issues], rep.checked) == (issues, checked)
-            mutations += 1
-            caught += bool(issues)
-    assert (mutations, caught) == (30, 30)
+    assert _swaps_match_the_naive_scan(((many, 12), (small, 50)), random.Random(11)) == (30, 30)
 
 
 def _naive_functor_scan(F) -> tuple[list[str], int]:
@@ -727,6 +728,30 @@ def test_comma_enumeration_stops_at_the_ceiling():
     # the arrow 2-category of F5 has 2 + 8 + 16 cells; the count is taken
     # after each hom of 1-cells and after the 2-cells of each 1-cell
     B = fixture("F5").base
-    assert sum(comma(B, B, IDENTITY_MAPS, PATH_TAGS, "arrow", 26).counts()) == 26
-    with pytest.raises(CellCeilingExceeded, match="comma enumeration: 20 > 18"):
-        comma(B, B, IDENTITY_MAPS, PATH_TAGS, "arrow", 18)
+    with cell_ceiling(26):
+        with pytest.raises(CellCeilingExceeded, match="comma enumeration: 20 > 18"), cell_ceiling(18):
+            comma(B, B, IDENTITY_MAPS, PATH_TAGS, "arrow")
+        assert sum(comma(B, B, IDENTITY_MAPS, PATH_TAGS, "arrow").counts()) == 26
+    assert current_cell_ceiling() == DEFAULT_CELL_CEILING
+
+
+def _ceiling_breaches(tree) -> list[int]:
+    """Lines of ``ceiling`` parameters and ``_CELL_CEILING.set`` calls outside their owners."""
+    def inside(name):
+        return {id(n) for o in ast.walk(tree) if getattr(o, "name", "") == name for n in ast.walk(o)}
+    params, sets = inside("CellCeilingExceeded"), inside("cell_ceiling")
+    return [n.lineno for n in ast.walk(tree) if (
+        isinstance(n, ast.arg) and n.arg == "ceiling" and id(n) not in params
+        or isinstance(n, ast.Call) and ast.unparse(n.func) == "_CELL_CEILING.set"
+        and id(n) not in sets)]
+
+
+def test_no_function_takes_a_ceiling_and_only_the_scope_sets_it():
+    found = {p.name: _ceiling_breaches(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(Path(gamma2cat.__file__).parent.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan itself sees a parameter, a lambda's and a set, and allows the owners
+    assert sorted(_ceiling_breaches(ast.parse(
+        "def ko_level(C, n, ceiling=10):\n    f = lambda *, ceiling: 0\n_CELL_CEILING.set(5)\n"
+        "class CellCeilingExceeded:\n    def __init__(self, stage, count, ceiling):\n        pass\n"
+        "def cell_ceiling(limit):\n    _CELL_CEILING.set(limit)"))) == [1, 2, 3]
