@@ -26,9 +26,15 @@ a cell that is undeclared or not of the dimension its table lists.
 
 Saving canonicalizes cell identifiers, so load(save(d)) is byte-identical
 for canonicalized documents.  Reports are byte-deterministic unless
-``report --timings`` asks for wall-clock times; ``report`` runs ``BATTERY``,
-the named checks of acceptance criteria 1-10, which the acceptance tests run
-too.
+``report --timings`` asks for wall-clock times.
+
+One table, ``COMMANDS``, gives each subcommand its parameters, its fixture
+and its run; the parser and every report are built from it.  ``report`` runs
+``BATTERY``, the named checks of acceptance criteria 1-10, which the
+acceptance tests run too; six of its rows are runs of table commands at
+their defaults.  A validator-backed line passes only when the validator
+examined at least one instance, and otherwise carries its witness or ``no
+instance checked``, in ``segal`` and ``path-object`` as everywhere.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import os
 import random
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -436,34 +443,24 @@ def resolve_fixture(name: str, path: str | None, validate: bool = True):
 
 
 @dataclass
-class Check:
-    name: str
-    status: str  # pass | fail
-    detail: str = ""
-
-
-@dataclass
 class Report:
     command: str
     params: dict
-    checks: list[Check] = field(default_factory=list)
+    checks: list  # (check name, ok, detail) lines
     counters: dict = field(default_factory=dict)
     timings: dict | None = None
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, "pass" if ok else "fail", detail))
+        return all(ok for _, ok, _ in self.checks)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
         for k in sorted(self.params):
             lines.append(f"param {k} = {self.params[k]}")
-        for c in self.checks:
-            detail = f"  ({c.detail})" if c.detail else ""
-            lines.append(f"{c.status.upper():4} {c.name}{detail}")
+        for name, ok, detail in self.checks:
+            detail = f"  ({detail})" if detail else ""
+            lines.append(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
         for k in sorted(self.counters):
             lines.append(f"count {k} = {self.counters[k]}")
         if self.timings is not None:
@@ -477,8 +474,8 @@ class Report:
             "command": self.command,
             "params": self.params,
             "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail}
-                for c in self.checks
+                {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+                for name, ok, detail in self.checks
             ],
             "counters": self.counters,
             "result": "pass" if self.ok else "fail",
@@ -499,23 +496,168 @@ def env_cell_ceiling() -> int:
     return int(text)
 
 
-# -- the acceptance battery: criteria 1-10, run by ``report`` and the tests ------
-# Each criterion is ``(number, stage, run)``; ``run()`` builds its inputs and
-# returns its ``(check name, ok, detail)`` lines.  A validator-backed check
-# passes only when at least one instance was examined.
-
-
 def _examined(name: str, *reps):
+    """A validator-backed line: it passes only when every report is clean and
+    examined at least one instance; else it carries the first witness."""
     bad = next((r for r in reps if not (r.ok and r.checked > 0)), None)
     return name, bad is None, "" if bad is None else str(bad.first() or "no instance checked")
 
 
+# -- the command table: one entry per subcommand, read by the parser and report --
+# A command's fixture resolver maps ``(name, file)`` to the structure its
+# ``run(F, **params)`` reads; ``run`` returns the report's lines and counters
+# (and ``report`` its stage timings).
+
+
+REQUIRED = object()  # the default of a parameter that must be given
+
+
+@dataclass(frozen=True)
+class Command:
+    params: dict  # name -> default: an int, False for a flag, or REQUIRED (an int)
+    fixture: Callable | None  # None: the command reads no fixture
+    run: Callable
+
+
+def _raw(name: str, path: str | None):
+    # validation is this command's own check, so files are loaded raw
+    return resolve_fixture(name, path, validate=False)
+
+
+def _gray(name: str, path: str | None = None):
+    F = resolve_fixture(name, path)
+    if isinstance(F, PermutativeGrayMonoid):
+        return F
+    if isinstance(F, PermutativeTwoCategory):
+        return promote(F)
+    raise FixtureError("fixture carries no permutative structure")
+
+
+def _product(builder: str):
+    def resolve(name: str, path: str | None):
+        F = resolve_fixture(name, path)
+        if not isinstance(F, PermutativeTwoCategory):
+            raise FixtureError(f"{builder} needs a product-flavored fixture")
+        return F
+    return resolve
+
+
+CELL_COUNTS = ("objects", "one_cells", "two_cells")
+
+
+def _counted(*checks):
+    """Lines of named validator reports, counting the instances they examined."""
+    return ([_examined(name, r) for name, r in checks],
+            {"instances": sum(r.checked for _, r in checks)})
+
+
+def _validate(F):
+    name, check = VALIDATORS[type(F)]
+    return _counted((name, check(F)))
+
+
+def _level(lvl):
+    axioms = _examined("level-axioms", validate_two_category(lvl))
+    return [axioms], dict(zip(CELL_COUNTS, lvl.counts()))
+
+
+def _segal_lines(sp):
+    """One line per Segal comparison of a special check: its kind, or its witness."""
+    return [(f"segal-{n}", r.ok,
+             ("isomorphism" if r.bijective_on_cells else "equivalence") if r.ok
+             else (r.witness or ""))
+            for n, r in sorted(sp.per_level.items())]
+
+
+def _segal(C, max):
+    X = ko_gamma(C, max)
+    diagram = _examined("diagram-valid", validate_gamma(X))
+    return [diagram, *_segal_lines(special_check(X))], {}
+
+
+def _very_special(C, max):
+    vs = very_special_check(ko_gamma(C, max))
+    return [("very-special", vs.ok,
+             f"group of order {len(vs.elements)}" if vs.ok else vs.reason)], {}
+
+
+def _triangle_k(C, max):
+    return _counted(("triangle-counit-after-unit", triangle_K(C, max)))
+
+
+def _triangle_p(C, max_len, max_entry):
+    X = ko_gamma(C, max(2, max_entry))
+    return _counted(("triangle-counit-after-unit-image", triangle_P(X, max_len, max_entry)))
+
+
+def _espan(C, cap):
+    eta, _ = bounded_unit_target(ko_gamma(C, cap), cap, cap)
+    span = e_construction(eta)
+    return _counted(("span-identities", validate_espan(span)),
+                    ("retraction-adjunction", e_adjunction_check(span)))
+
+
+def _path_object(F):
+    base = getattr(F, "base", F)
+    po = path_object(base)
+    total = _examined("total-valid", validate_two_category(po.total))
+    evaluations = _examined("evaluations-valid",
+                            *(validate_two_functor(G) for G in (po.e0, po.e1, po.i)))
+    splits = (po.i.then(po.e0).omap == {x: x for x in base.objects}
+              and po.i.then(po.e1).fmap == {f: f for f in base.one_src})
+    return ([total, evaluations, ("section-splits", splits, "")],
+            dict(zip(CELL_COUNTS, po.total.counts())))
+
+
+def _report(_, timings):
+    """The acceptance battery, one timed stage per criterion."""
+    lines, times = [], {}
+    for _number, stage, criterion in BATTERY:
+        t0 = time.perf_counter()
+        lines += criterion()
+        times[stage] = time.perf_counter() - t0
+    return lines, {}, times if timings else None
+
+
+COMMANDS = {
+    "validate": Command({}, _raw, _validate),
+    "ko": Command({"level": REQUIRED}, _gray, lambda C, level: _level(ko_level(C, level))),
+    "kt": Command({"level": REQUIRED}, _product("the strict level builder"),
+                  lambda C, level: _level(kt_level(C, level))),
+    "segal": Command({"max": 3}, _gray, _segal),
+    "very-special": Command({"max": 2}, _gray, _very_special),
+    "triangle-k": Command({"max": 2}, _product("the triangle scan"), _triangle_k),
+    "triangle-p": Command({"max_len": 2, "max_entry": 2}, _gray, _triangle_p),
+    "espan": Command({"cap": 2}, _gray, _espan),
+    "path-object": Command({}, resolve_fixture, _path_object),
+    "report": Command({"timings": False}, None, _report),
+}
+PARAM_HELP = {"timings": "include wall-clock times (breaks byte determinism)"}
+
+
+# -- the acceptance battery: criteria 1-10, run by ``report`` and the tests ------
+# Each criterion is ``(number, stage, run)``; ``run()`` builds its inputs and
+# returns its ``(check name, ok, detail)`` lines.
+
+
+def _command_rows(command: str, fixtures, detail: str = ""):
+    """Rows that run ``command`` at its defaults, one per fixture: a row passes
+    when every line of the run passes and reads ``detail``."""
+    c = COMMANDS[command]
+    rows = []
+    for name in fixtures:
+        lines = c.run(c.fixture(name, None), **c.params)[0]
+        bad = next((d for _, ok, d in lines if not ok or d != detail), None)
+        rows.append((f"{command}-{name}", bad is None, bad or ""))
+    return rows
+
+
 def _f2_gamma2():
-    return ko_gamma(promote(resolve_fixture("F2", None)), 2)
+    return ko_gamma(_gray("F2"), 2)
 
 
 def _level_counts():
-    P = promote(resolve_fixture("F2", None))
+    P = _gray("F2")
     levels = [ko_level(P, n) for n in range(4)]
     counts = [len(lvl.objects) for lvl in levels]
     trivial = all(P.is_id1(c) for lvl in levels for system in lvl.objects for c in system.c)
@@ -526,7 +668,7 @@ def _level_counts():
 def _level_one():
     failed = []
     for name in ("F1", "F2", "F3", "F4", "F5", "M3"):
-        C = _as_gray(resolve_fixture(name, None))
+        C = _gray(name)
         cmp1 = level_one_comparison(C, ko_level(C, 1))
         if not (validate_two_functor(cmp1).ok and is_isomorphism_of_two_categories(cmp1)):
             failed.append(name)
@@ -536,34 +678,12 @@ def _level_one():
 def _specialness():
     lines = []
     for name, cap in (("F1", 3), ("F2", 3), ("F3", 3), ("F5", 2)):
-        sp = special_check(ko_gamma(_as_gray(resolve_fixture(name, None)), cap))
+        segal = _segal_lines(special_check(ko_gamma(_gray(name), cap)))
         # the F5 comparison at level two is an equivalence but no isomorphism
-        ok = sp.ok and (name != "F5" or not sp.per_level[2].bijective_on_cells)
+        ok = all(ok for _, ok, _ in segal) and (
+            name != "F5" or ("segal-2", True, "equivalence") in segal)
         lines.append((f"special-{name}", ok, ""))
     return lines
-
-
-def _very_special():
-    vs = very_special_check(_f2_gamma2())
-    e, x = vs.identity, next((c for c in vs.elements if c != vs.identity), None)
-    # the group of order two: x + x = e and e + x = x
-    ok = vs.ok and len(vs.elements) == 2 and vs.table[(x, x)] == e and vs.table[(e, x)] == x
-    return [("very-special-F2", ok, "")]
-
-
-def _triangle_k():
-    return [_examined(f"triangle-k-{name}", triangle_K(resolve_fixture(name, None), 2))
-            for name in ("F1", "F2", "F3")]
-
-
-def _triangle_p():
-    return [_examined("triangle-p-F2", triangle_P(_f2_gamma2(), 2, 2))]
-
-
-def _espan():
-    eta, _ = bounded_unit_target(_f2_gamma2(), 2, 2)
-    span = e_construction(eta)
-    return [_examined("espan-F2", validate_espan(span), e_adjunction_check(span))]
 
 
 def _inverse_permutativity():
@@ -627,142 +747,17 @@ BATTERY = (
     (1, "ko-counts", _level_counts),
     (2, "level-one", _level_one),
     (3, "specialness", _specialness),
-    (4, "very-special", _very_special),
-    (5, "triangle-k", _triangle_k),
-    (6, "triangle-p", _triangle_p),
-    (7, "espan", _espan),
+    (4, "very-special", lambda: _command_rows("very-special", ["F2"], "group of order 2")),
+    (5, "triangle-k", lambda: _command_rows("triangle-k", ["F1", "F2", "F3"])),
+    (6, "triangle-p", lambda: _command_rows("triangle-p", ["F2"])),
+    (7, "espan", lambda: _command_rows("espan", ["F2"])),
     (8, "inverse-permutativity", _inverse_permutativity),
     (9, "lambda-coherence", _lambda_coherence),
     (10, "mutation-screen", _mutation_screen),
 )
 
 
-# -- commands -----------------------------------------------------------------------
-
-
-def _as_gray(F):
-    if isinstance(F, PermutativeGrayMonoid):
-        return F
-    if isinstance(F, PermutativeTwoCategory):
-        return promote(F)
-    raise FixtureError("fixture carries no permutative structure")
-
-
-def cmd_validate(args) -> Report:
-    # validation is this command's own check, so files are loaded raw
-    rep = Report("validate", {"fixture": args.fixture})
-    F = resolve_fixture(args.fixture, args.file, validate=False)
-    name, check = VALIDATORS[type(F)]
-    r = check(F)
-    rep.add(name, r.ok, str(r.first() or ""))
-    rep.counters["instances"] = r.checked
-    return rep
-
-
-def _level_report(command: str, args, lvl) -> Report:
-    rep = Report(command, {"fixture": args.fixture, "level": args.level})
-    r = validate_two_category(lvl)
-    rep.add("level-axioms", r.ok, str(r.first() or ""))
-    rep.counters.update(zip(("objects", "one_cells", "two_cells"), lvl.counts()))
-    return rep
-
-
-def cmd_ko(args) -> Report:
-    C = _as_gray(resolve_fixture(args.fixture, args.file))
-    return _level_report("ko", args, ko_level(C, args.level))
-
-
-def cmd_kt(args) -> Report:
-    C = resolve_fixture(args.fixture, args.file)
-    if not isinstance(C, PermutativeTwoCategory):
-        raise FixtureError("the strict level builder needs a product-flavored fixture")
-    return _level_report("kt", args, kt_level(C, args.level))
-
-
-def cmd_segal(args) -> Report:
-    rep = Report("segal", {"fixture": args.fixture, "max": args.max})
-    C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, args.max)
-    rep.add("diagram-valid", validate_gamma(X).ok)
-    sp = special_check(X)
-    for n, r in sorted(sp.per_level.items()):
-        kind = "isomorphism" if r.bijective_on_cells else "equivalence"
-        rep.add(f"segal-{n}", r.ok, kind if r.ok else (r.witness or ""))
-    return rep
-
-
-def cmd_very_special(args) -> Report:
-    rep = Report("very-special", {"fixture": args.fixture, "max": args.max})
-    C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, args.max)
-    vs = very_special_check(X)
-    rep.add("very-special", vs.ok, vs.reason if not vs.ok else f"group of order {len(vs.elements)}")
-    return rep
-
-
-def cmd_triangle_k(args) -> Report:
-    rep = Report("triangle-k", {"fixture": args.fixture, "max": args.max})
-    C = resolve_fixture(args.fixture, args.file)
-    if not isinstance(C, PermutativeTwoCategory):
-        raise FixtureError("the triangle scan needs a product-flavored fixture")
-    r = triangle_K(C, args.max)
-    rep.add("triangle-counit-after-unit", r.ok, str(r.first() or ""))
-    rep.counters["instances"] = r.checked
-    return rep
-
-
-def cmd_triangle_p(args) -> Report:
-    rep = Report("triangle-p", {"fixture": args.fixture, "max_len": args.max_len,
-                                "max_entry": args.max_entry})
-    C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, max(2, args.max_entry))
-    r = triangle_P(X, args.max_len, args.max_entry)
-    rep.add("triangle-counit-after-unit-image", r.ok, str(r.first() or ""))
-    rep.counters["instances"] = r.checked
-    return rep
-
-
-def cmd_espan(args) -> Report:
-    rep = Report("espan", {"fixture": args.fixture, "cap": args.cap})
-    C = _as_gray(resolve_fixture(args.fixture, args.file))
-    X = ko_gamma(C, args.cap)
-    eta, _ = bounded_unit_target(X, args.cap, args.cap)
-    span = e_construction(eta)
-    r = validate_espan(span)
-    rep.add("span-identities", r.ok, str(r.first() or ""))
-    ra = e_adjunction_check(span)
-    rep.add("retraction-adjunction", ra.ok, str(ra.first() or ""))
-    rep.counters["instances"] = r.checked + ra.checked
-    return rep
-
-
-def cmd_path_object(args) -> Report:
-    rep = Report("path-object", {"fixture": args.fixture})
-    F = resolve_fixture(args.fixture, args.file)
-    base = F.base if hasattr(F, "base") else F
-    po = path_object(base)
-    rep.add("total-valid", validate_two_category(po.total).ok)
-    rep.add("evaluations-valid",
-            validate_two_functor(po.e0).ok and validate_two_functor(po.e1).ok
-            and validate_two_functor(po.i).ok)
-    ok_split = po.i.then(po.e0).omap == {x: x for x in base.objects} and \
-        po.i.then(po.e1).fmap == {f: f for f in base.one_src}
-    rep.add("section-splits", ok_split)
-    rep.counters.update(zip(("objects", "one_cells", "two_cells"), po.total.counts()))
-    return rep
-
-
-def cmd_report(args) -> Report:
-    """The acceptance battery, one timed stage per criterion."""
-    rep = Report("report", {}, timings={})
-    for _, stage, criterion in BATTERY:
-        t0 = time.perf_counter()
-        for name, ok, detail in criterion():
-            rep.add(name, ok, detail)
-        rep.timings[stage] = time.perf_counter() - t0
-    if not args.timings:
-        rep.timings = None
-    return rep
+# -- dispatch ------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -771,31 +766,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gamma2cat", parents=[shared],
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, fixture=True):
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name, parents=[shared])
-        if fixture:
+        if command.fixture:
             sp.add_argument("--fixture", required=True)
             sp.add_argument("--file", default=None,
                             help="fixture file overriding the catalogue")
-        sp.set_defaults(fn=fn)
-        return sp
-
-    add("validate", cmd_validate)
-    add("ko", cmd_ko).add_argument("--level", type=int, required=True)
-    add("kt", cmd_kt).add_argument("--level", type=int, required=True)
-    add("segal", cmd_segal).add_argument("--max", type=int, default=3)
-    add("very-special", cmd_very_special).add_argument("--max", type=int, default=2)
-    add("triangle-k", cmd_triangle_k).add_argument("--max", type=int, default=2)
-    sp = add("triangle-p", cmd_triangle_p)
-    sp.add_argument("--max-len", type=int, default=2)
-    sp.add_argument("--max-entry", type=int, default=2)
-    add("espan", cmd_espan).add_argument("--cap", type=int, default=2)
-    add("path-object", cmd_path_object)
-    add("report", cmd_report, fixture=False).add_argument(
-        "--timings", action="store_true",
-        help="include wall-clock times (breaks byte determinism)")
+        for param, default in command.params.items():
+            flag = "--" + param.replace("_", "-")
+            if isinstance(default, bool):
+                sp.add_argument(flag, action="store_true", help=PARAM_HELP[param])
+            elif default is REQUIRED:
+                sp.add_argument(flag, type=int, required=True)
+            else:
+                sp.add_argument(flag, type=int, default=default)
     return p
+
+
+def execute(args) -> Report:
+    """Run a parsed command; a command with a fixture lists it and its
+    parameters in the report."""
+    command = COMMANDS[args.command]
+    params = {p: getattr(args, p) for p in command.params}
+    if command.fixture is None:
+        return Report(args.command, {}, *command.run(None, **params))
+    F = command.fixture(args.fixture, args.file)
+    return Report(args.command, {"fixture": args.fixture, **params}, *command.run(F, **params))
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -806,8 +802,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         # validate builds nothing, so a malformed ceiling does not stop it
-        with cell_ceiling(DEFAULT_CELL_CEILING if args.fn is cmd_validate else env_cell_ceiling()):
-            report: Report = args.fn(args)
+        with cell_ceiling(DEFAULT_CELL_CEILING if args.command == "validate"
+                          else env_cell_ceiling()):
+            report = execute(args)
     except CellCeilingExceeded as exc:
         sys.stderr.write(f"resource ceiling: {exc}\n")
         return 3

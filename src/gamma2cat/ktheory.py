@@ -897,13 +897,14 @@ class LazyKtGamma:
         return L.id1(sys) if dim == 1 else L.id2(L.id1(sys))
 
 
-def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]], name: str = ""):
+def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]], name: str):
     """The full reindexing-closed subdiagram of the K-theory of a carrier
     generated by the given level objects.
 
     Levels are full on the closure of the seeds under every transition map
     within the cap; this is the canonical finite fragment containing a given
-    family of systems when the whole level is too large to tabulate.
+    family of systems when the whole level is too large to tabulate.  The
+    truncation is called ``name`` and its level ``m`` ``name(m)``.
     """
     per_level: list[list[SubsetSystem]] = [[] for _ in range(N + 1)]
     seen: list[set] = [set() for _ in range(N + 1)]
@@ -926,4 +927,4 @@ def generated_kt_truncation(C, N: int, seeds: dict[int, list[SubsetSystem]], nam
         _build_level(C, m, False, f"{name}({m})", systems=per_level[m])
         for m in range(N + 1)
     ]
-    return _truncation(C, N, name or f"K({C.name})|gen", levels)
+    return _truncation(C, N, name, levels)

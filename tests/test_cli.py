@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gamma2cat
+from gamma2cat import cli
 from gamma2cat.cli import (
     BATTERY,
     VALIDATORS,
@@ -16,7 +17,7 @@ from gamma2cat.cli import (
     FixtureError,
     build_parser,
     builtin_document,
-    cmd_report,
+    execute,
     fixtures_dir,
     load,
     resolve_fixture,
@@ -24,7 +25,7 @@ from gamma2cat.cli import (
     save,
     shipped_fixtures,
 )
-from gamma2cat.gamma import validate_gamma
+from gamma2cat.gamma import VerySpecialReport, validate_gamma
 from gamma2cat.ktheory import ko_gamma
 from gamma2cat.monoidal import (
     PermutativeGrayMonoid,
@@ -271,6 +272,39 @@ def test_exit_code_two_on_unknown_fixture(capsys):
     assert run(["validate", "--fixture", "F2", "--timings"]) == 2
 
 
+@pytest.mark.parametrize("argv, builder", [
+    (["kt", "--fixture", "F5", "--level", "2"], "the strict level builder"),
+    (["kt", "--fixture", "F5", "--level", "3"], "the strict level builder"),
+    (["triangle-k", "--fixture", "F5"], "the triangle scan"),
+], ids=["kt-level2", "kt-level3", "triangle-k"])
+def test_product_flavored_commands_refuse_a_cubical_fixture(argv, builder, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"usage error: {builder} needs a product-flavored fixture")
+
+
+@pytest.mark.parametrize("empty, detail", [(False, "[axiom] fails"),
+                                           (True, "no instance checked")],
+                         ids=["issue", "empty"])
+@pytest.mark.parametrize("argv, validator, check", [
+    (["segal", "--fixture", "F2", "--max", "2"], "validate_gamma", "diagram-valid"),
+    (["path-object", "--fixture", "F4"], "validate_two_category", "total-valid"),
+    (["path-object", "--fixture", "F4"], "validate_two_functor", "evaluations-valid"),
+], ids=["segal", "path-object-total", "path-object-evaluations"])
+def test_a_validator_line_passes_only_on_examined_instances(monkeypatch, argv, validator,
+                                                            check, empty, detail):
+    stub = ValidationReport("stub", checked=0 if empty else 1)
+    if not empty:
+        stub.add("axiom", "fails")
+    real = getattr(cli, validator)
+    # loading a shipped fixture validates its carrier through the same name
+    monkeypatch.setattr(cli, validator,
+                        lambda S: real(S) if S.name in shipped_fixtures() else stub)
+    code, out = _capture(argv)
+    assert code == 1
+    assert f"FAIL {check}  ({detail})\n" in out
+
+
 def test_exit_code_three_on_resource_ceiling(monkeypatch):
     monkeypatch.setenv("GAMMA2CAT_CELL_CEILING", "3")
     assert run(["ko", "--fixture", "F5", "--level", "2"]) == 3
@@ -440,37 +474,25 @@ def test_sum_table_naming_a_cell_of_the_wrong_dimension_is_refused(name, field, 
     assert f"usage error: line {at + 1}: {message}" in capsys.readouterr().err
 
 
-REPORT_TEXT = """\
-command: report
-PASS ko-level-counts  ([1, 2, 4, 8])
-PASS level-one-comparison
-PASS special-F1
-PASS special-F2
-PASS special-F3
-PASS special-F5
-PASS very-special-F2
-PASS triangle-k-F1
-PASS triangle-k-F2
-PASS triangle-k-F3
-PASS triangle-p-F2
-PASS espan-F2
-PASS inverse-permutativity
-PASS lambda-coherence
-PASS mutation-screen
-result: pass
-"""
-
-
 def test_report_runs_the_battery():
-    rep = cmd_report(build_parser().parse_args(["report", "--timings"]))
-    # one time per criterion, specialness included
+    rep = execute(build_parser().parse_args(["report", "--timings"]))
+    # one time per criterion, specialness included; the default text is
+    # pinned by the golden transcript ``report``
     assert list(rep.timings) == [stage for _, stage, _ in BATTERY]
     assert "specialness" in rep.timings
-    # exit code 0 (run() returns 0 exactly when the report is ok) and the
-    # default text, byte for byte
     assert rep.ok
-    rep.timings = None
-    assert rep.to_text() == REPORT_TEXT
+
+
+def test_battery_rows_judge_the_command_lines(monkeypatch):
+    # the rows of criteria 4 and 5 are runs of very-special and triangle-k
+    # at their defaults, judged by the lines those commands print
+    monkeypatch.setattr(cli, "very_special_check",
+                        lambda X: VerySpecialReport(True, "", ["e", "x", "y"], {}, "e"))
+    monkeypatch.setattr(cli, "triangle_K", lambda C, nmax: ValidationReport(C.name))
+    rows = {n: run for n, _, run in BATTERY}
+    assert rows[4]() == [("very-special-F2", False, "group of order 3")]
+    assert rows[5]() == [(f"triangle-k-{name}", False, "no instance checked")
+                         for name in ("F1", "F2", "F3")]
 
 
 def test_mutation_screen_fails_when_a_mutation_is_accepted(monkeypatch):
