@@ -40,12 +40,17 @@ from gamma2cat.adjunction import (
     validate_unit_cell,
 )
 from gamma2cat.gamma import (
+    e_adjunction_check,
+    e_construction,
     identity_lax_map,
     is_identity_transformation,
     lax_map_from_functors,
+    validate_espan,
+    validate_gamma,
     validate_lax_map,
     validate_transformation_gamma,
 )
+from gamma2cat.ktheory import validate_system, validate_system_map, validate_system_two_cell
 
 
 def test_pi_s_examples():
@@ -528,3 +533,39 @@ def test_p_of_unit_stores_no_ill_typed_component(f2_gamma2):
         with pytest.raises(ValueError, match="not composable"):
             peta.on(2, bad)
     assert _caches(peta)["_whisker"] == 0
+
+
+# -- instance counts ----------------------------------------------------------------
+
+
+def _unit_span(fx):
+    return e_construction(fx("f2_unit_target")[0])
+
+
+def _systems(fx):
+    F5, L = fx("f5"), fx("f5_level2")
+    return (sum(validate_system(F5, s).checked for s in L.objects),
+            sum(validate_system_map(F5, f).checked for f in L.one_src),
+            sum(validate_system_two_cell(F5, a).checked for a in L.two_src))
+
+
+# the instances each validator counts on valid input, over Ko(F2) at cap 2
+# unless named: a count changes only with the laws a validator checks
+INSTANCE_COUNTS = {
+    "gamma": (lambda fx: validate_gamma(fx("f2_gamma2")).checked, 810),
+    "lax-unit": (lambda fx: validate_lax_map(fx("f2_unit_target")[0]).checked, 1018),
+    "lax-identity": (lambda fx: validate_lax_map(identity_lax_map(fx("f2_gamma2"))).checked, 1018),
+    "lambda-unit": (lambda fx: validate_transformation_gamma(
+        lambda_of(unit_map(fx("f2_gamma2")))).checked, 92),
+    "espan-unit": (lambda fx: validate_espan(_unit_span(fx)).checked, 38620),
+    "e-adjunction-unit": (lambda fx: e_adjunction_check(_unit_span(fx)).checked, 344),
+    "triangle-K-F1": (lambda fx: triangle_K(fixture("F1"), 2).checked, 32),
+    "triangle-K-F2": (lambda fx: triangle_K(fixture("F2"), 2).checked, 92),
+    "systems-Ko(F5)-level-2": (_systems, (8, 224, 1280)),
+}
+
+
+@pytest.mark.parametrize("name", INSTANCE_COUNTS)
+def test_validator_instance_counts(name, request):
+    count, checked = INSTANCE_COUNTS[name]
+    assert count(request.getfixturevalue) == checked

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from gamma2cat.cli import (
     execute,
     fixtures_dir,
     load,
+    mutation_sample,
     resolve_fixture,
     run,
     save,
@@ -515,3 +517,14 @@ def test_triangle_commands():
     assert code == 0
     code, _ = _capture(["triangle-p", "--fixture", "F2", "--max-len", "2", "--max-entry", "2"])
     assert code == 0
+
+
+def test_mutation_reports_are_pinned():
+    # every report of the mutation corpus: its subject, its instance count and
+    # each issue's kind and text, in order
+    digest, reports, issues = hashlib.sha256(), 0, 0
+    for _, r in mutation_sample():
+        digest.update(repr((r.subject, r.checked, [(i.kind, i.message) for i in r.issues])).encode())
+        reports, issues = reports + 1, issues + len(r.issues)
+    assert (reports, issues) == (300, 2129)
+    assert digest.hexdigest() == "e32dd10263d604fc93441ade5c61aa8115c50cc093427c36bab2d4078f63dbf6"
