@@ -22,7 +22,7 @@ from .subsets import (
     nonempty_subsets_of,
     union,
 )
-from .twocat import ValidationReport, vertical_inverse, vseq, whisker_l, whisker_r
+from .twocat import ValidationReport, scan_laws, vertical_inverse, vseq, whisker_l, whisker_r
 from .monoidal import sum_many_obj, sum_many_two, sum_one_cells
 from .ktheory import (
     LazyKtGamma,
@@ -528,20 +528,19 @@ def triangle_K(C, nmax: int) -> ValidationReport:
     for m in range(nmax + 1):
         L = KC.level(m)
         for dim, (cells, back) in enumerate(zip((L.objects, L.one_src, L.two_src), k_eps)):
-            for cell in cells:
-                rep.checked += 1
-                if back(eta_on_cell(KC, PKC, m, dim, cell)) != cell:
-                    rep.add("triangle", f"level {m} dim {dim}: {cell!r} not fixed")
+            scan_laws(rep, zip(cells), ("triangle", f"level {m} dim {dim} triangle",
+                      lambda cell: back(eta_on_cell(KC, PKC, m, dim, cell)) == cell,
+                      lambda cell: f"level {m} dim {dim}: {cell!r} not fixed"))
     for phi in KC.all_maps():
-        for x in KC.level(phi.m).objects:
-            rep.checked += 1
+        subsets = nonempty_subsets_of(phi.n)
+
+        def collapsed(x):
             structure = eta_phi(KC, PKC, phi, x)
-            mapped = [
-                eps.on_groth(1, structure.f_at(PKC, s))
-                for s in nonempty_subsets_of(phi.n)
-            ]
-            if not all(C.is_id1(v) for v in mapped):
-                rep.add("triangle-lax", f"unit structure cell at {phi} not collapsed at {x!r}")
+            mapped = [eps.on_groth(1, structure.f_at(PKC, s)) for s in subsets]
+            return all(C.is_id1(v) for v in mapped)
+
+        scan_laws(rep, zip(KC.level(phi.m).objects), ("triangle-lax", "structure cell collapse",
+                  collapsed, f"unit structure cell at {phi} not collapsed"))
     return rep
 
 
@@ -561,10 +560,9 @@ def triangle_P(X, L: int, E: int) -> ValidationReport:
     for dim, buckets in enumerate(B.cells):
         what = ("object", "1-cell", "2-cell")[dim]
         for cells in buckets.values():
-            for c in cells:
-                rep.checked += 1
-                if eps.on_groth(dim, peta.on(dim, c)) != c:
-                    rep.add("triangle", f"{what} {c!r} not fixed")
+            scan_laws(rep, zip(cells), ("triangle", f"{what} triangle",
+                      lambda c: eps.on_groth(dim, peta.on(dim, c)) == c,
+                      lambda c: f"{what} {c!r} not fixed"))
     return rep
 
 

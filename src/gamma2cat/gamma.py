@@ -43,6 +43,7 @@ from .twocat import (
     product_two_category,
     pi0,
     scan_functor,
+    scan_laws,
     scan_naturality,
     tabulate,
     tabulate_comma,
@@ -108,29 +109,22 @@ def validate_gamma(X: GammaTruncation) -> ValidationReport:
     if L0.counts() != (1, 1, 1):
         rep.add("reduced", f"level 0 has cell counts {L0.counts()}, want (1, 1, 1)")
     for m in range(X.cap + 1):
-        lrep = validate_two_category(X.level(m))
-        rep.checked += lrep.checked
-        if not lrep.ok:
-            rep.add("level", f"level {m} invalid: {lrep.first()}")
+        rep.add_summary("level", f"level {m} invalid", validate_two_category(X.level(m)))
     for phi in X.all_maps():
         F = X.transition(phi)
         if F is None:
             rep.add("structure", f"missing transition functor for {phi}")
             continue
-        frep = validate_two_functor(F)
-        rep.checked += frep.checked
-        if not frep.ok:
-            rep.add("functor", f"transition at {phi} invalid: {frep.first()}")
+        rep.add_summary("functor", f"transition at {phi} invalid", validate_two_functor(F))
     if rep.issues:
         return rep
-    for m in range(X.cap + 1):
-        rep.checked += 1
-        if X.transition(pointed_identity(m)) != identity_functor(X.level(m)):
-            rep.add("functoriality", f"identity map at level {m} is not the identity")
-    for phi, psi in composable_maps(X.cap):
-        rep.checked += 1
-        if X.transition(phi.then(psi)) != X.transition(phi).then(X.transition(psi)):
-            rep.add("functoriality", f"composition fails at {psi} after {phi}")
+    scan_laws(rep, zip(range(X.cap + 1)), ("functoriality", "identity map",
+              lambda m: X.transition(pointed_identity(m)) == identity_functor(X.level(m)),
+              lambda m: f"identity map at level {m} is not the identity"))
+    scan_laws(rep, composable_maps(X.cap), ("functoriality", "composition",
+              lambda phi, psi: X.transition(phi.then(psi))
+              == X.transition(phi).then(X.transition(psi)),
+              lambda phi, psi: f"composition fails at {psi} after {phi}"))
     return rep
 
 
@@ -216,12 +210,10 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
         return rep
 
     for m in range(X.cap + 1):
-        T = Y.level(m)
-        ident = pointed_identity(m)
-        for x in X.level(m).objects:
-            rep.checked += 1
-            if not T.is_id1(h.lax(ident, x)):
-                rep.add("lax-unit", f"structure cell at identity map not trivial at {x!r}")
+        T, ident = Y.level(m), pointed_identity(m)
+        scan_laws(rep, zip(X.level(m).objects), ("lax-unit", "identity structure cell",
+                  lambda x: T.is_id1(h.lax(ident, x)),
+                  "structure cell at identity map not trivial"))
 
     for phi in X.all_maps():
         m, n = phi.m, phi.n
@@ -229,11 +221,13 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
         S = X.level(m)
         # typing and 2-naturality of h_phi
         hm, hn, xs, ys = h.cell_maps(m), h.cell_maps(n), X.star(phi), Y.star(phi)
-        for x in S.objects:
+
+        def typed(x):
             cell = h.lax(phi, x)
-            rep.checked += 1
-            if T.src1(cell) != ys[0](hm[0](x)) or T.tgt1(cell) != hn[0](xs[0](x)):
-                rep.add("lax", f"structure cell at {phi} has wrong endpoints at {x!r}")
+            return T.src1(cell) == ys[0](hm[0](x)) and T.tgt1(cell) == hn[0](xs[0](x))
+
+        scan_laws(rep, zip(S.objects), ("lax", f"structure cell typing of {phi}", typed,
+                                        f"structure cell at {phi} has wrong endpoints"))
         if rep.issues:
             return rep
         scan_naturality(rep, S, T, partial(h.lax, phi), then_maps(hm, ys),
@@ -243,11 +237,9 @@ def validate_lax_map(h: GammaLaxMap) -> ValidationReport:
         T = Y.level(psi.n)
         comp = phi.then(psi)
         x_phi, y_psi = X.star(phi)[0], Y.star(psi)[1]
-        for x in X.level(phi.m).objects:
-            rep.checked += 1
-            pasted = T.comp1(h.lax(psi, x_phi(x)), y_psi(h.lax(phi, x)))
-            if h.lax(comp, x) != pasted:
-                rep.add("lax-pasting", f"pasting law fails at {psi} after {phi}, object {x!r}")
+        scan_laws(rep, zip(X.level(phi.m).objects), ("lax-pasting", "pasting law",
+                  lambda x: h.lax(comp, x) == T.comp1(h.lax(psi, x_phi(x)), y_psi(h.lax(phi, x))),
+                  "pasting law fails"), where=lambda args: f"{psi} after {phi}, object {args[0]!r}")
     return rep
 
 
@@ -279,11 +271,13 @@ def validate_transformation_gamma(t: GammaTransformation) -> ValidationReport:
         S = X.level(m)
         T = Y.level(m)
         h0, k0 = t.h.cell_maps(m)[0], t.k.cell_maps(m)[0]
-        for x in S.objects:
+
+        def typed(x):
             c = t.at(m, x)
-            rep.checked += 1
-            if T.src1(c) != h0(x) or T.tgt1(c) != k0(x):
-                rep.add("structure", f"component at level {m}, {x!r} has wrong endpoints")
+            return T.src1(c) == h0(x) and T.tgt1(c) == k0(x)
+
+        scan_laws(rep, zip(S.objects), ("structure", f"level {m} component typing", typed,
+                  lambda x: f"component at level {m}, {x!r} has wrong endpoints"))
         if rep.issues:
             return rep
         scan_naturality(rep, S, T, partial(t.at, m), t.h.cell_maps(m),
@@ -292,12 +286,10 @@ def validate_transformation_gamma(t: GammaTransformation) -> ValidationReport:
         m, n = phi.m, phi.n
         T = Y.level(n)
         x_phi, y_phi = X.star(phi)[0], Y.star(phi)[1]
-        for x in X.level(m).objects:
-            rep.checked += 1
-            lhs = T.comp1(t.k.lax(phi, x), y_phi(t.at(m, x)))
-            rhs = T.comp1(t.at(n, x_phi(x)), t.h.lax(phi, x))
-            if lhs != rhs:
-                rep.add("modification", f"square fails at {phi}, object {x!r}")
+        scan_laws(rep, zip(X.level(m).objects), ("modification", "square",
+                  lambda x: T.comp1(t.k.lax(phi, x), y_phi(t.at(m, x)))
+                  == T.comp1(t.at(n, x_phi(x)), t.h.lax(phi, x)),
+                  "square fails"), where=lambda args: f"{phi}, object {args[0]!r}")
     return rep
 
 
@@ -582,10 +574,7 @@ def validate_espan(span: ESpan) -> ValidationReport:
     X: GammaTruncation = span.k.source
     Z: GammaTruncation = span.k.target
     Ek = span.Ek
-    grep = validate_gamma(Ek)
-    rep.checked += grep.checked
-    if not grep.ok:
-        rep.add("structure", f"E-levels invalid: {grep.first()}")
+    if not rep.add_summary("structure", "E-levels invalid", validate_gamma(Ek)):
         return rep
     e0 = span.path.evaluation(0)
     e1 = span.path.evaluation(1)
@@ -595,25 +584,18 @@ def validate_espan(span: ESpan) -> ValidationReport:
                 (L.objects, L.one_src, L.two_src), span.nu_bar.cell_maps(m),
                 span.nu.cell_maps(m), e0.cell_maps(m), span.k.cell_maps(m),
                 span.omega.cell_maps(m), e1.cell_maps(m)):
-            for cell in cells:
-                rep.checked += 2
-                nb = nu_bar(cell)
-                if nu(cell) != ev0(nb):
-                    rep.add("span", f"nu != e0 . nu_bar at level {m}, {cell!r}")
-                if k(omega(cell)) != ev1(nb):
-                    rep.add("span", f"k . omega != e1 . nu_bar at level {m}, {cell!r}")
+            scan_laws(rep, zip(cells, map(nu_bar, cells)),
+                      ("span", "nu leg", lambda c, nb: nu(c) == ev0(nb), "nu != e0 . nu_bar"),
+                      ("span", "k leg", lambda c, nb: k(omega(c)) == ev1(nb),
+                       "k . omega != e1 . nu_bar"), where=lambda args: f"level {m}, {args[0]!r}")
     for phi in Ek.all_maps():
-        T = Z.level(phi.n)
-        for cell in Ek.level(phi.m).objects:
-            rep.checked += 2
-            if not X.level(phi.n).is_id1(span.omega.lax(phi, cell)):
-                rep.add("span", f"omega not strict at {phi}, {cell!r}")
-            if not T.is_id1(span.nu.lax(phi, cell)):
-                rep.add("span", f"nu not strict at {phi}, {cell!r}")
-    vrep = validate_lax_map(span.nu_bar)
-    rep.checked += vrep.checked
-    if not vrep.ok:
-        rep.add("span", f"nu_bar not a lax map: {vrep.first()}")
+        S, T = X.level(phi.n), Z.level(phi.n)
+        scan_laws(rep, zip(Ek.level(phi.m).objects),
+                  ("span", "omega strictness", lambda c: S.is_id1(span.omega.lax(phi, c)),
+                   "omega not strict"),
+                  ("span", "nu strictness", lambda c: T.is_id1(span.nu.lax(phi, c)),
+                   "nu not strict"), where=lambda args: f"{phi}, {args[0]!r}")
+    rep.add_summary("span", "nu_bar not a lax map", validate_lax_map(span.nu_bar))
     return rep
 
 
@@ -656,31 +638,30 @@ def e_adjunction_check(span: ESpan) -> ValidationReport:
         L = Ek.level(m)
         S = X.level(m)
         section, omega = sec.cell_maps(m), span.omega.cell_maps(m)
+
+        def at_level(args):
+            return f"level {m}, {args[0]!r}"
+
         # omega . section = identity
         for cells, s, w in zip((S.objects, S.one_src, S.two_src), section, omega):
-            for cell in cells:
-                rep.checked += 1
-                if w(s(cell)) != cell:
-                    rep.add("retraction", f"omega.section != id at level {m}, {cell!r}")
+            scan_laws(rep, zip(cells), ("retraction", "retraction",
+                      lambda c: w(s(c)) == c, "omega.section != id"), where=at_level)
 
         def unit_at(o):
             _, x, f, a = o
             return ("e1c", o, section[0](x), S.id1(x), f)
 
-        for o in L.objects:
-            u = unit_at(o)
-            rep.checked += 2
-            if u not in L.one_src:
-                rep.add("unit", f"comparison cell missing at level {m}, {o!r}")
-                continue
-            # triangle 1: omega of the comparison cell is an identity
-            if not S.is_id1(omega[1](u)):
-                rep.add("triangle", f"omega(unit) not identity at level {m}, {o!r}")
-            # triangle 2: the comparison cell at a section image is an identity
-        for x in S.objects:
-            rep.checked += 1
-            if not L.is_id1(unit_at(section[0](x))):
-                rep.add("triangle", f"unit at section image not identity at level {m}, {x!r}")
+        # triangle 1 (omega of the comparison cell is an identity) reads only a 1-cell
+        scan_laws(rep, zip(L.objects, map(unit_at, L.objects)),
+                  ("unit", "comparison cell", lambda o, u: u in L.one_src,
+                   "comparison cell missing"),
+                  ("triangle", "triangle 1", lambda o, u:
+                   u not in L.one_src or S.is_id1(omega[1](u)), "omega(unit) not identity"),
+                  where=at_level)
+        # triangle 2: the comparison cell at a section image is an identity
+        scan_laws(rep, zip(S.objects), ("triangle", "triangle 2",
+                  lambda x: L.is_id1(unit_at(section[0](x))),
+                  "unit at section image not identity"), where=at_level)
         # the comparison cells are 2-natural from the identity to section . omega
         scan_naturality(rep, L, L, unit_at, ident.cell_maps(m), back.cell_maps(m),
                         "naturality", f"comparison at level {m}")

@@ -61,6 +61,7 @@ from .twocat import (
     TwoFunctor,
     ValidationReport,
     current_cell_ceiling,
+    scan_laws,
     tabulate,
     vertical_inverse,
     vseq,
@@ -297,21 +298,19 @@ def validate_system(C, sys: SubsetSystem) -> ValidationReport:
     for s in nonempty_subsets_of(n):
         if not C.has_obj(x(s)):
             rep.add("structure", f"value at {s} outside the carrier")
-    for (s, t) in disjoint_pairs(n):
+
+    def typed(s, t):
         cst = c(s, t)
-        rep.checked += 1
-        if C.src1(cst) != x(union(s, t)) or C.tgt1(cst) != C.sum_obj(x(s), x(t)):
-            rep.add("structure", f"c at {(s, t)} has wrong endpoints")
+        return C.src1(cst) == x(union(s, t)) and C.tgt1(cst) == C.sum_obj(x(s), x(t))
+
+    scan_laws(rep, disjoint_pairs(n), ("structure", "c typing", typed,
+              lambda s, t: f"c at {(s, t)} has wrong endpoints"))
     if rep.issues:
         return rep
-    for (s, t) in disjoint_pairs(n):
-        rep.checked += 1
-        if c(t, s) != swapped_c(C, x, c, s, t):
-            rep.add("symmetry", f"braiding compatibility fails at {(s, t)}")
-    for (s, t, u) in disjoint_triples(n):
-        rep.checked += 1
-        if not _system_cocycle_holds(C, x, c, s, t, u):
-            rep.add("cocycle", f"associativity fails at {(s, t, u)}")
+    scan_laws(rep, disjoint_pairs(n), ("symmetry", "braiding compatibility", lambda s, t:
+              c(t, s) == swapped_c(C, x, c, s, t), "braiding compatibility fails"), where=repr)
+    scan_laws(rep, disjoint_triples(n), ("cocycle", "associativity",
+              partial(_system_cocycle_holds, C, x, c), "associativity fails"), where=repr)
     return rep
 
 
@@ -320,36 +319,42 @@ def validate_system_map(C, mp: SystemMap) -> ValidationReport:
     n = mp.n
     src, tgt = mp.src, mp.tgt
     f, gamma = partial(mp.f_at, C), partial(mp.gamma_at, C)
-    for s in nonempty_subsets_of(n):
+
+    def typed(s):
         fs = f(s)
-        rep.checked += 1
-        if C.src1(fs) != src.x_at(C, s) or C.tgt1(fs) != tgt.x_at(C, s):
-            rep.add("structure", f"component at {s} has wrong endpoints")
+        return C.src1(fs) == src.x_at(C, s) and C.tgt1(fs) == tgt.x_at(C, s)
+
+    scan_laws(rep, zip(nonempty_subsets_of(n)), ("structure", "component typing", typed,
+              lambda s: f"component at {s} has wrong endpoints"))
     if rep.issues:
         return rep
     if mp.gamma is None:
-        for (s, t) in disjoint_pairs(n):
-            rep.checked += 1
-            if not _strict_square_holds(C, src, tgt, f, s, t, union(s, t)):
-                rep.add("square", f"strict square fails at {(s, t)}")
+        scan_laws(rep, disjoint_pairs(n), ("square", "strict square", lambda s, t:
+                  _strict_square_holds(C, src, tgt, f, s, t, union(s, t)), "strict square fails"),
+                  where=repr)
         return rep
-    for (s, t) in disjoint_pairs(n):
+
+    @cache  # read by both laws of one instance
+    def filling_typed(s, t):
         g = gamma(s, t)
-        rep.checked += 1
-        if C.src2(g) != _gamma_source(C, src, f, s, t) or C.tgt2(g) != _gamma_target(C, tgt, f, s, t):
-            rep.add("structure", f"filling cell at {(s, t)} has wrong endpoints")
-        elif vertical_inverse(C, g) is None:
-            rep.add("structure", f"filling cell at {(s, t)} not invertible")
+        return (C.src2(g) == _gamma_source(C, src, f, s, t)
+                and C.tgt2(g) == _gamma_target(C, tgt, f, s, t))
+
+    # one instance per filling cell: its endpoints, and then its inverse
+    scan_laws(rep, disjoint_pairs(n),
+              ("structure", "filling cell typing", filling_typed,
+               lambda s, t: f"filling cell at {(s, t)} has wrong endpoints"),
+              ("structure", "filling cell inverse", lambda s, t:
+               not filling_typed(s, t) or vertical_inverse(C, gamma(s, t)) is not None,
+               lambda s, t: f"filling cell at {(s, t)} not invertible"), per=1)
     if rep.issues:
         return rep
-    for (s, t) in disjoint_pairs(n):
-        rep.checked += 1
-        if gamma(t, s) != swapped_gamma(C, src, tgt, f, gamma, s, t):
-            rep.add("swap", f"swapped filling cell disagrees at {(s, t)}")
-    for (s, t, u) in disjoint_triples(n):
-        rep.checked += 1
-        if not _filling_cocycle_holds(C, src, tgt, f, gamma, s, t, u):
-            rep.add("cocycle", f"filling-cell associativity fails at {(s, t, u)}")
+    scan_laws(rep, disjoint_pairs(n), ("swap", "swapped filling cell", lambda s, t:
+              gamma(t, s) == swapped_gamma(C, src, tgt, f, gamma, s, t),
+              "swapped filling cell disagrees"), where=repr)
+    scan_laws(rep, disjoint_triples(n), ("cocycle", "filling-cell associativity",
+              partial(_filling_cocycle_holds, C, src, tgt, f, gamma),
+              "filling-cell associativity fails"), where=repr)
     return rep
 
 
@@ -357,18 +362,19 @@ def validate_system_two_cell(C, cell: SystemTwoCell) -> ValidationReport:
     rep = ValidationReport(f"system 2-cell (n={cell.n})")
     n = cell.n
     alpha = partial(cell.alpha_at, C)
-    for s in nonempty_subsets_of(n):
+
+    def typed(s):
         a = alpha(s)
-        rep.checked += 1
-        if C.src2(a) != cell.src.f_at(C, s) or C.tgt2(a) != cell.tgt.f_at(C, s):
-            rep.add("structure", f"component at {s} has wrong endpoints")
+        return C.src2(a) == cell.src.f_at(C, s) and C.tgt2(a) == cell.tgt.f_at(C, s)
+
+    scan_laws(rep, zip(nonempty_subsets_of(n)), ("structure", "component typing", typed,
+              lambda s: f"component at {s} has wrong endpoints"))
     if rep.issues:
         return rep
     left, right = partial(_compat_left, C), partial(_compat_right, C)
-    for (s, t) in disjoint_pairs(n):
-        rep.checked += 1
-        if not _compat_square_holds(left, right, cell.src, cell.tgt, alpha, s, t, union(s, t)):
-            rep.add("compat", f"component compatibility fails at {(s, t)}")
+    scan_laws(rep, disjoint_pairs(n), ("compat", "component compatibility", lambda s, t:
+              _compat_square_holds(left, right, cell.src, cell.tgt, alpha, s, t, union(s, t)),
+              "component compatibility fails"), where=repr)
     return rep
 
 

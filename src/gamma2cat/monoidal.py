@@ -31,6 +31,7 @@ from .twocat import (
     ValidationReport,
     identity_functor,
     scan_functor,
+    scan_laws,
     scan_naturality,
     then_maps,
     validate_two_category,
@@ -205,6 +206,22 @@ def sum_many_obj(C, objs: list[Cell]) -> Cell:
     return acc
 
 
+def _sum_slotwise(C, cells: list, ones, lsum, rsum, comp) -> Cell:
+    """The canonical sum of nonempty ``cells`` over the 1-cells ``ones``, slot 1
+    moving first: each cell padded by the left folds of the targets before it
+    (a running fold) and of the sources after it, composed by ``comp``."""
+    if len(cells) == 1:
+        return cells[0]
+    ones = list(ones)
+    sources = list(map(C.src1, ones))
+    left = C.unit_obj()
+    total = rsum(lsum(left, cells[0]), sum_many_obj(C, sources[1:]))
+    for i in range(1, len(cells)):
+        left = C.sum_obj(left, C.tgt1(ones[i - 1]))
+        total = comp(rsum(lsum(left, cells[i]), sum_many_obj(C, sources[i + 1:])), total)
+    return total
+
+
 def sum_one_cells(C, fs: list[Cell]) -> Cell:
     """Iterated canonical sum of 1-cells: slot 1 moves first, then slot 2, ...
 
@@ -213,30 +230,14 @@ def sum_one_cells(C, fs: list[Cell]) -> Cell:
     """
     if not fs:
         return C.id1(C.unit_obj())
-    if len(fs) == 1:
-        return fs[0]
-    total = None
-    for i, f in enumerate(fs):
-        left = sum_many_obj(C, [C.tgt1(x) for x in fs[:i]])
-        right = sum_many_obj(C, [C.src1(x) for x in fs[i + 1:]])
-        emb = C.rsum_one(C.lsum_one(left, f), right)
-        total = emb if total is None else C.comp1(emb, total)
-    return total
+    return _sum_slotwise(C, fs, fs, C.lsum_one, C.rsum_one, C.comp1)
 
 
 def sum_many_two(C, als: list[Cell]) -> Cell:
     """Iterated canonical sum of 2-cells, matching ``sum_one_cells``."""
     if not als:
         return C.id2(C.id1(C.unit_obj()))
-    if len(als) == 1:
-        return als[0]
-    total = None
-    for i, al in enumerate(als):
-        left = sum_many_obj(C, [C.tgt1(C.src2(x)) for x in als[:i]])
-        right = sum_many_obj(C, [C.src1(C.src2(x)) for x in als[i + 1:]])
-        emb = C.rsum_two(C.lsum_two(left, al), right)
-        total = emb if total is None else C.hcomp2(emb, total)
-    return total
+    return _sum_slotwise(C, als, map(C.src2, als), C.lsum_two, C.rsum_two, C.hcomp2)
 
 
 # -- validation ----------------------------------------------------------------
@@ -244,6 +245,8 @@ def sum_many_two(C, als: list[Cell]) -> Cell:
 # ``CELL_OPERATIONS`` and the sum operations, and over the instance domains the
 # carrier supplies: a tabulated carrier's come from its base (``Domains.of``),
 # the bounded inverse construction lists its own (``inversek.BoundedGroth``).
+# Every law here, and every hand-listed law of the functor validators below,
+# is counted and reported by ``twocat.scan_laws``.
 
 
 @dataclass
@@ -278,49 +281,27 @@ class Domains:
                 yield from itertools.product(*(buckets[key] for key in keys))
 
 
-def _at(args) -> str:
-    return repr(args[0]) if len(args) == 1 else "(" + ",".join(map(repr, args)) + ")"
-
-
-def _at_pairs(args) -> str:
-    (b2, b1), (a2, a1) = args
-    return f"({b2!r},{b1!r};{a2!r},{a1!r})"
-
-
-def _scan(rep, kind, name, fails, instances, holds, per=1, where=_at) -> None:
-    """Check ``holds`` at every instance, counting ``per`` (the equations it
-    checks) each.  A failure is the ``kind`` issue ``"{fails} at {where}"``;
-    an instance whose cells do not compose, which only a lazily evaluated
-    carrier can meet, is an ill-typed instance of ``name``."""
-    for args in instances:
-        rep.checked += per
-        try:
-            if not holds(*args):
-                rep.add(kind, f"{fails} at {where(args)}")
-        except (ValueError, KeyError) as exc:
-            rep.add(kind, f"{name} at {where(args)}: ill-typed instance ({exc})")
-
-
 def scan_object_monoid(rep, C, D: Domains) -> None:
     """The object sum is associative with two-sided unit ``C.unit_obj()``."""
     e, add = C.unit_obj(), C.sum_obj
-    _scan(rep, "monoid", "object associativity", "object sum not associative",
-          D.tuples(D.objects, 3), lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)))
-    _scan(rep, "monoid", "object unit", "object sum not unital",
-          D.tuples(D.objects, 1), lambda a: add(e, a) == a and add(a, e) == a)
+    scan_laws(rep, D.tuples(D.objects, 3), ("monoid", "object associativity",
+              lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)), "object sum not associative"))
+    scan_laws(rep, D.tuples(D.objects, 1), ("monoid", "object unit",
+              lambda a: add(e, a) == a and add(a, e) == a, "object sum not unital"))
 
 
 def scan_braiding(rep, C, D: Domains) -> None:
     """The braiding is an involution, trivial at the unit, and satisfies the
     hexagon ``beta(a, b+c) = (1_b + beta(a, c)) . (beta(a, b) + 1_c)``."""
     e, add, beta, comp1, id1 = C.unit_obj(), C.sum_obj, C.beta_obj, C.comp1, C.id1
-    _scan(rep, "braiding", "involution", "beta^2 != id", D.tuples(D.objects, 2),
-          lambda a, b: comp1(beta(b, a), beta(a, b)) == id1(add(a, b)))
-    _scan(rep, "braiding", "unit braiding", "unit braiding not the identity",
-          D.tuples(D.objects, 1), lambda a: beta(e, a) == id1(a) and beta(a, e) == id1(a), per=2)
-    _scan(rep, "braiding", "hexagon", "hexagon fails", D.tuples(D.objects, 3),
-          lambda a, b, c: beta(a, add(b, c))
-          == comp1(C.lsum_one(b, beta(a, c)), C.rsum_one(beta(a, b), c)))
+    scan_laws(rep, D.tuples(D.objects, 2), ("braiding", "involution",
+              lambda a, b: comp1(beta(b, a), beta(a, b)) == id1(add(a, b)), "beta^2 != id"))
+    scan_laws(rep, D.tuples(D.objects, 1), ("braiding", "unit braiding",
+              lambda a: beta(e, a) == id1(a) and beta(a, e) == id1(a),
+              "unit braiding not the identity"), per=2)
+    scan_laws(rep, D.tuples(D.objects, 3), ("braiding", "hexagon",
+              lambda a, b, c: beta(a, add(b, c))
+              == comp1(C.lsum_one(b, beta(a, c)), C.rsum_one(beta(a, b), c)), "hexagon fails"))
 
 
 def scan_product_sum(rep, C, D: Domains) -> None:
@@ -331,33 +312,35 @@ def scan_product_sum(rep, C, D: Domains) -> None:
     id1, id2, comp1, beta = C.id1, C.id2, C.comp1, C.beta_obj
     src1, tgt1, src2 = C.src1, C.tgt1, C.src2
     one, two = C.sum_one, C.sum_two
-    _scan(rep, "sum-functor", "identity 1-cell preservation", "identity 1-cells not preserved",
-          D.tuples(D.objects, 2), lambda a, b: one(id1(a), id1(b)) == id1(C.sum_obj(a, b)))
-    _scan(rep, "sum-functor", "identity 2-cell preservation", "identity 2-cells not preserved",
-          D.tuples(D.ones, 2), lambda f, g: two(id2(f), id2(g)) == id2(one(f, g)))
+    scan_laws(rep, D.tuples(D.objects, 2), ("sum-functor", "identity 1-cell preservation",
+              lambda a, b: one(id1(a), id1(b)) == id1(C.sum_obj(a, b)),
+              "identity 1-cells not preserved"))
+    scan_laws(rep, D.tuples(D.ones, 2), ("sum-functor", "identity 2-cell preservation",
+              lambda f, g: two(id2(f), id2(g)) == id2(one(f, g)), "identity 2-cells not preserved"))
     for what, op, add, pairs in (("1-cell composition", comp1, one, D.comp1),
                                  ("vertical composition", C.vcomp, two, D.vcomp),
                                  ("horizontal composition", C.hcomp2, two, D.hcomp2)):
         if pairs is not None:
-            _scan(rep, "sum-functor", f"{what} preservation", f"{what} not preserved",
-                  D.tuples(pairs, 2), lambda p, q, op=op, add=add:
-                  add(op(*p), op(*q)) == op(add(p[0], q[0]), add(p[1], q[1])),
-                  where=_at_pairs)
+            scan_laws(rep, D.tuples(pairs, 2), ("sum-functor", f"{what} preservation",
+                      lambda p, q: add(op(*p), op(*q)) == op(add(p[0], q[0]), add(p[1], q[1])),
+                      f"{what} not preserved"),
+                      where=lambda pq: "({!r},{!r};{!r},{!r})".format(*pq[0], *pq[1]))
     scan_object_monoid(rep, C, D)
     ide = id1(C.unit_obj())
     for dim, unit, add, cells in (("1-cell", ide, one, D.ones), ("2-cell", id2(ide), two, D.twos)):
-        _scan(rep, "monoid", f"{dim} unit", f"{dim} sum not unital", D.tuples(cells, 1),
-              lambda f, unit=unit, add=add: add(unit, f) == f and add(f, unit) == f)
-        _scan(rep, "monoid", f"{dim} associativity", f"{dim} sum not associative",
-              D.tuples(cells, 3), lambda f, g, h, add=add: add(add(f, g), h) == add(f, add(g, h)))
+        scan_laws(rep, D.tuples(cells, 1), ("monoid", f"{dim} unit",
+                  lambda f: add(unit, f) == f and add(f, unit) == f, f"{dim} sum not unital"))
+        scan_laws(rep, D.tuples(cells, 3), ("monoid", f"{dim} associativity",
+                  lambda f, g, h: add(add(f, g), h) == add(f, add(g, h)),
+                  f"{dim} sum not associative"))
     scan_braiding(rep, C, D)
-    _scan(rep, "braiding", "naturality", "naturality square fails", D.tuples(D.ones, 2),
-          lambda f, g: comp1(beta(tgt1(f), tgt1(g)), one(f, g))
-          == comp1(one(g, f), beta(src1(f), src1(g))))
-    _scan(rep, "braiding", "2-cell naturality", "naturality on 2-cells fails",
-          D.tuples(D.twos, 2), lambda a, b:
-          C.hcomp2(two(b, a), id2(beta(src1(src2(a)), src1(src2(b)))))
-          == C.hcomp2(id2(beta(tgt1(src2(a)), tgt1(src2(b)))), two(a, b)))
+    scan_laws(rep, D.tuples(D.ones, 2), ("braiding", "naturality",
+              lambda f, g: comp1(beta(tgt1(f), tgt1(g)), one(f, g))
+              == comp1(one(g, f), beta(src1(f), src1(g))), "naturality square fails"))
+    scan_laws(rep, D.tuples(D.twos, 2), ("braiding", "2-cell naturality",
+              lambda a, b: C.hcomp2(two(b, a), id2(beta(src1(src2(a)), src1(src2(b)))))
+              == C.hcomp2(id2(beta(tgt1(src2(a)), tgt1(src2(b)))), two(a, b)),
+              "naturality on 2-cells fails"))
 
 
 def _endpoint_rule(C, t: Table):
@@ -459,61 +442,60 @@ def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
     e, add = C.unit, C.sum_obj
     for dim, lsum, rsum, cells in (("1-cell", C.lsum_one, C.rsum_one, ones),
                                    ("2-cell", C.lsum_two, C.rsum_two, twos)):
-        _scan(rep, "cubical", f"{dim} unit", f"unit {dim} sums fail", zip(cells),
-              lambda c, lsum=lsum, rsum=rsum: lsum(e, c) == c and rsum(c, e) == c, per=2)
+        scan_laws(rep, zip(cells), ("cubical", f"{dim} unit",
+                  lambda c: lsum(e, c) == c and rsum(c, e) == c, f"unit {dim} sums fail"), per=2)
         triples = list(itertools.product(objs, objs, cells))
-        _scan(rep, "cubical", f"left {dim} associativity", f"left {dim} sums not associative",
-              triples, lambda a, b, c, lsum=lsum: lsum(a, lsum(b, c)) == lsum(add(a, b), c))
-        _scan(rep, "cubical", f"right {dim} associativity", f"right {dim} sums not associative",
-              triples, lambda a, b, c, rsum=rsum: rsum(rsum(c, a), b) == rsum(c, add(a, b)))
-        _scan(rep, "cubical", f"left/right {dim} sums", f"left/right {dim} sums do not commute",
-              triples, lambda a, b, c, lsum=lsum, rsum=rsum:
-              lsum(a, rsum(c, b)) == rsum(lsum(a, c), b))
+        scan_laws(rep, triples, ("cubical", f"left {dim} associativity",
+                  lambda a, b, c: lsum(a, lsum(b, c)) == lsum(add(a, b), c),
+                  f"left {dim} sums not associative"))
+        scan_laws(rep, triples, ("cubical", f"right {dim} associativity",
+                  lambda a, b, c: rsum(rsum(c, a), b) == rsum(c, add(a, b)),
+                  f"right {dim} sums not associative"))
+        scan_laws(rep, triples, ("cubical", f"left/right {dim} sums",
+                  lambda a, b, c: lsum(a, rsum(c, b)) == rsum(lsum(a, c), b),
+                  f"left/right {dim} sums do not commute"))
 
-    # interchanger axioms
-    for (f, g), sg in C.sigma_table.items():
-        rep.checked += 1
-        if B.one_identity[f] or B.one_identity[g]:
-            if not B.two_identity[sg]:
-                rep.add("interchanger", f"sigma({f!r},{g!r}) must be the identity")
-        if vertical_inverse(B, sg) is None:
-            rep.add("interchanger", f"sigma({f!r},{g!r}) not invertible")
+    # interchanger axioms, one instance per interchanger
+    ident, ident2 = B.one_identity, B.two_identity
+    scan_laws(rep, ((f, g, sg) for (f, g), sg in C.sigma_table.items()),
+              ("interchanger", "interchanger unit",
+               lambda f, g, sg: not (ident[f] or ident[g]) or ident2[sg],
+               lambda f, g, sg: f"sigma({f!r},{g!r}) must be the identity"),
+              ("interchanger", "interchanger inverse",
+               lambda f, g, sg: vertical_inverse(B, sg) is not None,
+               lambda f, g, sg: f"sigma({f!r},{g!r}) not invertible"), per=1)
     if rep.issues:
         return rep
-    # naturality in both slots
-    for a1 in twos:
-        for a2 in twos:
-            f1, g1 = B.two_src[a1], B.two_tgt[a1]
-            f2, g2 = B.two_src[a2], B.two_tgt[a2]
-            x, x2 = B.one_src[f1], B.one_tgt[f1]
-            y, y2 = B.one_src[f2], B.one_tgt[f2]
-            rep.checked += 1
-            first = B.hcomp2(C.rsum_two(a1, y2), C.lsum_two(x, a2))
-            second = B.hcomp2(C.lsum_two(x2, a2), C.rsum_two(a1, y))
-            if B.vcomp(C.sigma(g1, g2), first) != B.vcomp(second, C.sigma(f1, f2)):
-                rep.add("interchanger", f"naturality fails at ({a1!r},{a2!r})")
-    # composites in the first slot
-    for (h1, f1) in B.hcomp1_table:
-        for g in ones:
-            rep.checked += 1
-            x2 = B.one_tgt[f1]
-            y, y2 = B.one_src[g], B.one_tgt[g]
-            lhs = C.sigma(B.comp1(h1, f1), g)
-            stepA = whisker_l(B, C.rsum_one(h1, y2), C.sigma(f1, g))
-            stepB = whisker_r(B, C.sigma(h1, g), C.rsum_one(f1, y))
-            if lhs != B.vcomp(stepB, stepA):
-                rep.add("interchanger", f"first-slot composite fails at ({h1!r},{f1!r},{g!r})")
-    # composites in the second slot
-    for (h2, g2) in B.hcomp1_table:
-        for f in ones:
-            rep.checked += 1
-            x, x2 = B.one_src[f], B.one_tgt[f]
-            y2 = B.one_tgt[g2]
-            lhs = C.sigma(f, B.comp1(h2, g2))
-            stepA = whisker_r(B, C.sigma(f, h2), C.lsum_one(x, g2))
-            stepB = whisker_l(B, C.lsum_one(x2, h2), C.sigma(f, g2))
-            if lhs != B.vcomp(stepB, stepA):
-                rep.add("interchanger", f"second-slot composite fails at ({f!r},{h2!r},{g2!r})")
+
+    def natural(a1, a2):
+        f1, g1 = B.two_src[a1], B.two_tgt[a1]
+        f2, g2 = B.two_src[a2], B.two_tgt[a2]
+        x, x2 = B.one_src[f1], B.one_tgt[f1]
+        y, y2 = B.one_src[f2], B.one_tgt[f2]
+        first = B.hcomp2(C.rsum_two(a1, y2), C.lsum_two(x, a2))
+        second = B.hcomp2(C.lsum_two(x2, a2), C.rsum_two(a1, y))
+        return B.vcomp(C.sigma(g1, g2), first) == B.vcomp(second, C.sigma(f1, f2))
+
+    def first_slot(h1, f1, g):
+        y, y2 = B.one_src[g], B.one_tgt[g]
+        stepA = whisker_l(B, C.rsum_one(h1, y2), C.sigma(f1, g))
+        stepB = whisker_r(B, C.sigma(h1, g), C.rsum_one(f1, y))
+        return C.sigma(B.comp1(h1, f1), g) == B.vcomp(stepB, stepA)
+
+    def second_slot(f, h2, g2):
+        x, x2 = B.one_src[f], B.one_tgt[f]
+        stepA = whisker_r(B, C.sigma(f, h2), C.lsum_one(x, g2))
+        stepB = whisker_l(B, C.lsum_one(x2, h2), C.sigma(f, g2))
+        return C.sigma(f, B.comp1(h2, g2)) == B.vcomp(stepB, stepA)
+
+    # naturality in both slots, and composites in the first and second slot
+    scan_laws(rep, itertools.product(twos, twos),
+              ("interchanger", "interchanger naturality", natural, "naturality fails"))
+    scan_laws(rep, ((h1, f1, g) for h1, f1 in B.hcomp1_table for g in ones),
+              ("interchanger", "first-slot composite", first_slot, "first-slot composite fails"))
+    scan_laws(rep, ((f, h2, g2) for h2, g2 in B.hcomp1_table for f in ones),
+              ("interchanger", "second-slot composite", second_slot,
+               "second-slot composite fails"))
 
     scan_braiding(rep, C, D)
 
@@ -525,13 +507,13 @@ def validate_pgm(C: PermutativeGrayMonoid) -> ValidationReport:
         scan_naturality(rep, B, B, lambda x, b=b: C.beta_obj(b, x), one_sided(C, b, True),
                         one_sided(C, b, False), "quasi-strict", f"beta({b!r},-)")
     # interchangers against braiding components are identities
-    for (a, b), bc in C.beta_table.items():
-        for g in ones:
-            rep.checked += 2
-            if not B.two_identity[C.sigma(bc, g)]:
-                rep.add("quasi-strict", f"sigma(beta({a!r},{b!r}), {g!r}) not the identity")
-            if not B.two_identity[C.sigma(g, bc)]:
-                rep.add("quasi-strict", f"sigma({g!r}, beta({a!r},{b!r})) not the identity")
+    scan_laws(rep, ((a, b, bc, g) for (a, b), bc in C.beta_table.items() for g in ones),
+              ("quasi-strict", "interchanger with a braiding, left",
+               lambda a, b, bc, g: ident2[C.sigma(bc, g)],
+               lambda a, b, bc, g: f"sigma(beta({a!r},{b!r}), {g!r}) not the identity"),
+              ("quasi-strict", "interchanger with a braiding, right",
+               lambda a, b, bc, g: ident2[C.sigma(g, bc)],
+               lambda a, b, bc, g: f"sigma({g!r}, beta({a!r},{b!r})) not the identity"))
     return rep
 
 
@@ -668,16 +650,14 @@ def validate_monoidal_functor(M: MonoidalFunctor) -> ValidationReport:
     if rep.issues:
         return rep
 
-    rep.checked += 1
-    if not E.one_identity[M.theta0]:
-        rep.add("normal", "unit comparison must be the identity")
+    scan_laws(rep, [()], ("normal", "unit comparison", lambda: E.one_identity[M.theta0],
+                          lambda: "unit comparison must be the identity"))
     if M.variant == "strict":
         # with identity comparisons the oplax laws below are the preservation
         # of the sums (theta-naturality), of sigma and of beta (the squares)
-        for x, y in itertools.product(B.objects, B.objects):
-            rep.checked += 1
-            if M.theta[(x, y)] != E.id1(D.sum_obj(F.omap[x], F.omap[y])):
-                rep.add("strict", f"sum comparison at ({x!r},{y!r}) not the identity")
+        scan_laws(rep, itertools.product(B.objects, B.objects), ("strict", "sum comparison",
+                  lambda x, y: M.theta[(x, y)] == E.id1(D.sum_obj(F.omap[x], F.omap[y])),
+                  lambda x, y: f"sum comparison at ({x!r},{y!r}) not the identity"))
 
     # 2-naturality of theta(-, b): F.(- (+) b) => (- (+) Fb).F, and its mirror
     maps = F.cell_maps()
@@ -689,37 +669,32 @@ def validate_monoidal_functor(M: MonoidalFunctor) -> ValidationReport:
         scan_naturality(rep, B, E, lambda x, b=b: M.theta[(b, x)],
                         then_maps(one_sided(C, b, True), maps),
                         then_maps(maps, one_sided(D, fb, True)), "naturality", f"theta({b!r},-)")
-    # interchanger compatibility
-    for f, g in itertools.product(B.one_src, B.one_src):
-        x, y = B.one_src[f], B.one_src[g]
-        x2, y2 = B.one_tgt[f], B.one_tgt[g]
-        rep.checked += 1
-        lhs = E.hcomp2(D.sigma(F.fmap[f], F.fmap[g]), E.id2(M.theta[(x, y)]))
-        rhs = E.hcomp2(E.id2(M.theta[(x2, y2)]), F.amap[C.sigma(f, g)])
-        if lhs != rhs:
-            rep.add("naturality", f"theta vs interchanger fails at ({f!r},{g!r})")
+    omap, fmap, theta, t0 = F.omap, F.fmap, M.theta, M.theta0
+    objs, src, tgt = B.objects, B.one_src, B.one_tgt
 
+    def interchanger(f, g):
+        lhs = E.hcomp2(D.sigma(fmap[f], fmap[g]), E.id2(theta[(src[f], src[g])]))
+        return lhs == E.hcomp2(E.id2(theta[(tgt[f], tgt[g])]), F.amap[C.sigma(f, g)])
+
+    def associative(x, y, z):
+        lhs = E.comp1(D.rsum_one(theta[(x, y)], omap[z]), theta[(C.sum_obj(x, y), z)])
+        return lhs == E.comp1(D.lsum_one(omap[x], theta[(y, z)]), theta[(x, C.sum_obj(y, z))])
+
+    scan_laws(rep, itertools.product(src, src), ("naturality", "theta vs interchanger",
+              interchanger, "theta vs interchanger fails"))
     # unit triangles, associativity square, braiding square
-    for x in B.objects:
-        fx = F.omap[x]
-        rep.checked += 2
-        if E.comp1(D.rsum_one(M.theta0, fx), M.theta[(e_c, x)]) != E.id1(fx):
-            rep.add("diagram", f"left unit triangle fails at {x!r}")
-        if E.comp1(D.lsum_one(fx, M.theta0), M.theta[(x, e_c)]) != E.id1(fx):
-            rep.add("diagram", f"right unit triangle fails at {x!r}")
-    for x, y, z in itertools.product(B.objects, B.objects, B.objects):
-        rep.checked += 1
-        fx, fz = F.omap[x], F.omap[z]
-        lhs = E.comp1(D.rsum_one(M.theta[(x, y)], fz), M.theta[(C.sum_obj(x, y), z)])
-        rhs = E.comp1(D.lsum_one(fx, M.theta[(y, z)]), M.theta[(x, C.sum_obj(y, z))])
-        if lhs != rhs:
-            rep.add("diagram", f"associativity square fails at ({x!r},{y!r},{z!r})")
-    for x, y in itertools.product(B.objects, B.objects):
-        rep.checked += 1
-        lhs = E.comp1(D.beta_obj(F.omap[x], F.omap[y]), M.theta[(x, y)])
-        rhs = E.comp1(M.theta[(y, x)], F.fmap[C.beta_obj(x, y)])
-        if lhs != rhs:
-            rep.add("diagram", f"braiding square fails at ({x!r},{y!r})")
+    scan_laws(rep, zip(objs),
+              ("diagram", "left unit triangle", lambda x: E.comp1(
+                  D.rsum_one(t0, omap[x]), theta[(e_c, x)]) == E.id1(omap[x]),
+               "left unit triangle fails"),
+              ("diagram", "right unit triangle", lambda x: E.comp1(
+                  D.lsum_one(omap[x], t0), theta[(x, e_c)]) == E.id1(omap[x]),
+               "right unit triangle fails"))
+    scan_laws(rep, itertools.product(objs, objs, objs),
+              ("diagram", "associativity square", associative, "associativity square fails"))
+    scan_laws(rep, itertools.product(objs, objs), ("diagram", "braiding square",
+              lambda x, y: E.comp1(D.beta_obj(omap[x], omap[y]), theta[(x, y)])
+              == E.comp1(theta[(y, x)], fmap[C.beta_obj(x, y)]), "braiding square fails"))
     return rep
 
 

@@ -32,11 +32,13 @@ A strict 2-functor is given by plain cell maps, one triple (objects,
 diagram (``star``) and the levels of a lax map (``cell_maps``) in ``gamma``
 hand out the same triples.  A diagram's transitions are built whole on first
 use (``gamma.GammaTruncation.transition``).
-Transformations are 2-natural only.  The two laws are written once, in
-``scan_functor`` and ``scan_naturality``; the level validators here, the
-diagram validators of ``gamma`` and the cubical and monoidal-functor
-validators of ``monoidal`` (one-sided sums, quasi-strictness, comparison
-cells) all check them through these two scans.
+Transformations are 2-natural only.  Every validator of the package counts
+and reports its law instances here: one instance at a time through the law
+runner ``scan_laws``, or a bucket at a time, compared in lockstep, through
+the table-backed scans (the axioms of ``validate_two_category``, and the two
+laws of 2-functors and 2-natural transformations, written once in
+``scan_functor`` and ``scan_naturality`` for every level, diagram, cubical
+and monoidal-functor validator).
 """
 
 from __future__ import annotations
@@ -108,6 +110,14 @@ class ValidationReport:
         self.issues.extend(other.issues)
         self.checked += other.checked
 
+    def add_summary(self, kind: str, prefix: str, sub: "ValidationReport") -> bool:
+        """Count ``sub``'s instances and, when it failed, add the one ``kind``
+        issue ``"{prefix}: {its first issue}"``; whether ``sub`` passed."""
+        self.checked += sub.checked
+        if not sub.ok:
+            self.add(kind, f"{prefix}: {sub.first()}")
+        return sub.ok
+
     def __str__(self) -> str:
         head = f"{self.subject}: {'valid' if self.ok else 'INVALID'} ({self.checked} instances checked)"
         if self.ok:
@@ -115,6 +125,32 @@ class ValidationReport:
         body = "\n".join("  " + str(i) for i in self.issues[:40])
         more = "" if len(self.issues) <= 40 else f"\n  ... {len(self.issues) - 40} more"
         return head + "\n" + body + more
+
+
+def _at(args: tuple) -> str:
+    """An instance's place in a message: its one cell, or its cells in parentheses."""
+    return repr(args[0]) if len(args) == 1 else "(" + ",".join(map(repr, args)) + ")"
+
+
+def scan_laws(rep: ValidationReport, instances: Iterable[tuple], *laws: tuple,
+              per: int | None = None, where=_at) -> None:
+    """Check the laws ``(kind, name, holds, fails)`` at each instance ``args``
+    in turn, counting ``per`` for it (one per law unless given).  A failure of
+    ``holds(*args)`` is the ``kind`` issue ``fails(*args)``, or ``"{fails} at
+    {where(args)}"`` for a text; an instance whose cells do not compose (a
+    ``ValueError`` or ``KeyError``) is an ill-typed instance of the law
+    ``name``; any other exception, ``CellCeilingExceeded`` included, propagates."""
+    count = 0
+    for count, args in enumerate(instances, 1):
+        for kind, name, holds, fails in laws:
+            try:
+                if holds(*args):
+                    continue
+            except (ValueError, KeyError) as exc:
+                rep.add(kind, f"{name} at {where(args)}: ill-typed instance ({exc})")
+                continue
+            rep.add(kind, fails(*args) if callable(fails) else f"{fails} at {where(args)}")
+    rep.checked += count * (len(laws) if per is None else per)
 
 
 # the bound on the cells a builder lists and the cells plus table entries it

@@ -13,6 +13,7 @@ from gamma2cat.monoidal import (
     fixture,
     identity_monoidal_functor,
     promote,
+    sum_many_two,
     sum_one_cells,
     validate_monoidal_functor,
     validate_permutative,
@@ -71,6 +72,18 @@ def test_sum_one_cells_examples():
     P2 = promote(fixture("F2"))
     for f in P2.base.one_src:
         assert sum_one_cells(P2, [f, P2.base.id1("o0")]) == f
+    # 2-cells: slot 1 moves first, each slot padded by the sums around it
+    e = F5.unit_obj()
+    assert sum_many_two(F5, []) == F5.id2(F5.id1(e))
+    for a, b in itertools.product(F5.base.two_src, repeat=2):
+        first = F5.rsum_two(F5.lsum_two(e, a), F5.sum_obj(e, F5.src1(F5.src2(b))))
+        second = F5.rsum_two(F5.lsum_two(F5.sum_obj(e, F5.tgt1(F5.src2(a))), b), e)
+        assert sum_many_two(F5, [a, b]) == F5.hcomp2(second, first)
+    # and the sum of 2-cells lies over the sum of their source 1-cells
+    for als in itertools.product(F5.base.two_src, repeat=3):
+        assert F5.src2(sum_many_two(F5, list(als))) == sum_one_cells(F5, list(map(F5.src2, als)))
+    for a in P2.base.two_src:
+        assert sum_many_two(P2, [a, P2.base.id2(P2.base.id1("o0"))]) == a
 
 
 @pytest.mark.parametrize("name", ["F2", "F5"])

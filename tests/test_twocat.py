@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import gamma2cat
 from gamma2cat.adjunction import bounded_unit_target
-from gamma2cat.gamma import E_TAGS, e_construction, identity_lax_map
+from gamma2cat.gamma import (E_TAGS, e_construction, identity_lax_map, identity_transformation,
+                             validate_transformation_gamma)
 from gamma2cat.inversek import GrothPerm
 from gamma2cat.ktheory import LazyKtLevel, ko_gamma, ko_level, kt_level
 from gamma2cat.monoidal import fixture, promote
@@ -755,3 +756,54 @@ def test_no_function_takes_a_ceiling_and_only_the_scope_sets_it():
         "def ko_level(C, n, ceiling=10):\n    f = lambda *, ceiling: 0\n_CELL_CEILING.set(5)\n"
         "class CellCeilingExceeded:\n    def __init__(self, stage, count, ceiling):\n        pass\n"
         "def cell_ceiling(limit):\n    _CELL_CEILING.set(limit)"))) == [1, 2, 3]
+
+
+# -- the law runner --------------------------------------------------------------
+
+
+def _checked_writes(tree) -> list[int]:
+    """Lines that assign or add to an attribute named ``checked``."""
+    return [n.lineno for n in ast.walk(tree) if (
+        isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute)
+        and n.target.attr == "checked"
+        or isinstance(n, ast.Assign) and any(
+            isinstance(t, ast.Attribute) and t.attr == "checked" for t in n.targets))]
+
+
+def test_only_twocat_writes_an_instance_count():
+    found = {p.name: _checked_writes(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(Path(gamma2cat.__file__).parent.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "twocat.py"} == {}
+    assert found["twocat.py"]
+    # the scan itself sees both kinds of write, and not a read or a keyword
+    assert _checked_writes(ast.parse(
+        "rep.checked += 1\nrep.checked = 0\nn = rep.checked\n"
+        "r = ValidationReport('s', checked=2)\nchecked = 3\n")) == [1, 2]
+
+
+@pytest.mark.parametrize("exc", [KeyError("dangling"), ValueError("dangling"),
+                                 CellCeilingExceeded("table fill", 2, 1)])
+def test_an_ill_typed_instance_is_reported_and_a_ceiling_propagates(exc, f2_gamma2, monkeypatch):
+    # the modification square of a transformation reads the structure cells of
+    # its lax maps; one that does not compose at one pointed map fails there
+    h = identity_lax_map(f2_gamma2)
+    t = identity_transformation(h)
+    before = validate_transformation_gamma(t)
+    phi = next(p for p in f2_gamma2.all_maps() if p.m == 1 and p.n == 2)
+    lax = h.lax
+
+    def failing(psi, x):
+        if psi == phi:
+            raise exc
+        return lax(psi, x)
+
+    monkeypatch.setattr(h, "lax", failing)
+    if isinstance(exc, CellCeilingExceeded):
+        with pytest.raises(CellCeilingExceeded):
+            validate_transformation_gamma(t)
+        return
+    rep = validate_transformation_gamma(t)
+    assert before.ok and rep.checked == before.checked
+    assert [str(i) for i in rep.issues] == [
+        f"[modification] square at {phi}, object {x!r}: ill-typed instance ({exc})"
+        for x in f2_gamma2.level(1).objects]
