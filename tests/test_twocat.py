@@ -36,6 +36,7 @@ from gamma2cat.twocat import (
     path_object,
     pi0,
     product_two_category,
+    scan_naturality,
     terminal_two_category,
     constant_functor_to_terminal,
     transformation_to_path_functor,
@@ -602,6 +603,45 @@ def test_functor_swaps_match_the_naive_scan(name, swap):
         assert ([str(i) for i in rep.issues], rep.checked) == _naive_functor_scan(G)
         swapped += 1
     assert swapped == 9
+
+
+def _naive_naturality_scan(S, T, comp, F, G, kind, what) -> tuple[list[str], int]:
+    """The 2-naturality squares one instance at a time, as ``scan_naturality``
+    once checked them: the issue strings and count."""
+    _, F1, F2 = F
+    _, G1, G2 = G
+    rep = ValidationReport("naive")
+    rep.checked += len(S.one_src) + len(S.two_src)
+    for f, x in S.one_src.items():
+        if T.comp1(G1(f), comp(x)) != T.comp1(comp(S.one_tgt[f]), F1(f)):
+            rep.add(kind, f"{what} not natural at 1-cell {f!r}")
+    for a, f in S.two_src.items():
+        lhs = T.hcomp2(G2(a), T.id2(comp(S.one_src[f])))
+        if lhs != T.hcomp2(T.id2(comp(S.one_tgt[f])), F2(a)):
+            rep.add(kind, f"{what} not natural at 2-cell {a!r}")
+    return [str(i) for i in rep.issues], rep.checked
+
+
+def test_naturality_swaps_match_the_naive_scan():
+    # the identity-valued components from the identity to the functor onto the
+    # identity cells, and each with one component swapped for a parallel 1-cell
+    swapped = 0
+    for C in [fixture(n).base for n in ("F3", "F4", "F5")] + [ko_level(fixture("F3"), 2)]:
+        C.fill()
+        ident, G = identity_functor(C), _trivializing_functor(C, "collapse")
+        ids = {x: C.id1(x) for x in C.objects}
+        variants = [ids] + [{**ids, x: p} for x in C.objects
+                            for p in C.one_cells_between(x, x) if p != ids[x]]
+        for comps in variants:
+            args = (C, C, comps.__getitem__, ident.cell_maps(), G.cell_maps(),
+                    "naturality", "components")
+            rep = ValidationReport("scan")
+            scan_naturality(rep, *args)
+            issues, checked = _naive_naturality_scan(*args)
+            assert checked == len(C.one_src) + len(C.two_src)
+            assert ([str(i) for i in rep.issues], rep.checked) == (issues, checked)
+        swapped += len(variants) - 1
+    assert swapped == 3
 
 
 # -- the 2-category protocol ---------------------------------------------------
