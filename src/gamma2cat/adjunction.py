@@ -34,9 +34,6 @@ from .ktheory import (
     partition_cell,
     partition_filling,
     reindex_system,
-    validate_system,
-    validate_system_map,
-    validate_system_two_cell,
 )
 from .inversek import (
     AMorphism,
@@ -106,16 +103,6 @@ def pointed_to_block(pm: PointedMap) -> AMorphism:
         raise ValueError("map hits the basepoint; not a block map")
     table = (tuple((0, v) for v in pm.imgs),) if pm.m else ()
     return mk_amorphism(src, tgt, table)
-
-
-def check_projection_coherence(X, m: int, s: Subset, t: Subset, x) -> bool:
-    """Splitting the union projection recovers the pair of projections."""
-    st = union(s, t)
-    pushed = ax_apply(X, pi_st(s, t), 0, (X.star(pi_s(m, st))[0](x),))
-    want = tuple(
-        X.star(pi_s(m, b))[0](x) for b in (s, t) if b
-    )
-    return pushed == want
 
 
 # -- the unit ---------------------------------------------------------------------
@@ -206,16 +193,6 @@ def unit_map(X, PX: GrothPerm | None = None, KPX=None) -> GammaLaxMap:
         return eta_phi(X, PX, phi, x)
 
     return GammaLaxMap(X, KPX, maps, lax, name=f"unit({X.name})")
-
-
-def validate_unit_cell(X, PX: GrothPerm, m: int, dim: int, cell) -> ValidationReport:
-    """Re-validate a unit image as a K-level cell over the inverse construction."""
-    out = eta_on_cell(X, PX, m, dim, cell)
-    if dim == 0:
-        return validate_system(PX, out)
-    if dim == 1:
-        return validate_system_map(PX, out)
-    return validate_system_two_cell(PX, out)
 
 
 # -- the naturality transformation --------------------------------------------------

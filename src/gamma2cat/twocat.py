@@ -33,12 +33,14 @@ diagram (``star``) and the levels of a lax map (``cell_maps``) in ``gamma``
 hand out the same triples.  A diagram's transitions are built whole on first
 use (``gamma.GammaTruncation.transition``).
 Transformations are 2-natural only.  Every validator of the package counts
-and reports its law instances here: one instance at a time through the law
-runner ``scan_laws``, or a bucket at a time, compared in lockstep, through
-the table-backed scans (the axioms of ``validate_two_category``, and the two
-laws of 2-functors and 2-natural transformations, written once in
-``scan_functor`` and ``scan_naturality`` for every level, diagram, cubical
-and monoidal-functor validator).
+and reports its law instances through one runner, ``scan_laws``: one
+instance at a time, or, for the table-backed laws (associativity and
+interchange in ``validate_two_category``, the compositions in
+``scan_functor``), a bucket at a time whose two sides are compared as
+tuples built in C, walked only when they differ.  The laws of 2-functors
+and 2-natural transformations are written once, in ``scan_functor`` and
+``scan_naturality``, for every level, diagram, cubical and monoidal-functor
+validator.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from operator import attrgetter, eq, getitem, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Hashable, Iterable, Mapping
 
 Cell = Hashable
@@ -133,14 +135,34 @@ def _at(args: tuple) -> str:
 
 
 def scan_laws(rep: ValidationReport, instances: Iterable[tuple], *laws: tuple,
-              per: int | None = None, where=_at) -> None:
+              per: int | None = None, where=_at, sides: tuple | None = None) -> None:
     """Check the laws ``(kind, name, holds, fails)`` at each instance ``args``
     in turn, counting ``per`` for it (one per law unless given).  A failure of
     ``holds(*args)`` is the ``kind`` issue ``fails(*args)``, or ``"{fails} at
     {where(args)}"`` for a text; an instance whose cells do not compose (a
     ``ValueError`` or ``KeyError``) is an ill-typed instance of the law
-    ``name``; any other exception, ``CellCeilingExceeded`` included, propagates."""
-    count = 0
+    ``name``; any other exception, ``CellCeilingExceeded`` included, propagates.
+
+    With ``sides``, ``instances`` yields buckets ``(cells, *shared)``, whose
+    instances are ``(c, *shared)`` for c in ``cells``, and ``sides`` is two
+    iterables in step with them: each bucket's two sides, tuples built in C
+    with one item per instance.  A bucket whose sides agree is counted
+    without a walk; only one whose sides differ is walked, instance by
+    instance, and one whose sides cannot be built (a ``ValueError`` or
+    ``KeyError``) is walked with every later bucket."""
+    agreed = count = 0
+    if sides is not None:
+        buckets, walked = iter(instances), []
+        try:
+            # the sides are drawn first, so a bucket whose sides raise is left in buckets
+            for lhs, rhs, bucket in zip(*sides, buckets):
+                if lhs == rhs:
+                    agreed += len(lhs)
+                else:
+                    walked.append(bucket)
+        except (ValueError, KeyError):
+            walked.extend(buckets)
+        instances = ((c, *shared) for cells, *shared in walked for c in cells)
     for count, args in enumerate(instances, 1):
         for kind, name, holds, fails in laws:
             try:
@@ -150,7 +172,7 @@ def scan_laws(rep: ValidationReport, instances: Iterable[tuple], *laws: tuple,
                 rep.add(kind, f"{name} at {where(args)}: ill-typed instance ({exc})")
                 continue
             rep.add(kind, fails(*args) if callable(fails) else f"{fails} at {where(args)}")
-    rep.checked += count * (len(laws) if per is None else per)
+    rep.checked += (agreed + count) * (len(laws) if per is None else per)
 
 
 # the bound on the cells a builder lists and the cells plus table entries it
@@ -431,8 +453,9 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
 
     Structural problems (dangling references, non-total tables, missing
     identities) are reported first; the axiom scan runs only on structurally
-    sound input.  It checks every law instance, a bucket of instances in
-    lockstep at a time, and lists the failures in instance order.
+    sound input.  It counts every law instance through ``scan_laws``, the
+    associativity and interchange instances a bucket at a time, and lists
+    the failures in instance order.
     """
     rep = ValidationReport(f"2-category {C.name}")
     objset = set(C.objects)
@@ -518,9 +541,9 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     #   itemgetters gather b1*a1, b2*a2 and vb*va, and each vertical
     #   composite is read from the vcomp row of b1*a1 at the place of b2*a2.
     # Each bucket (every third cell for one entry, every right pair for one
-    # left pair) is compared as two tuples in C; only a bucket that differs
-    # is walked again, instance by instance, so the issues keep the order of
-    # a one-instance-at-a-time scan.
+    # left pair) goes to ``scan_laws`` as its two sides, tuples built in C;
+    # only a bucket that differs is walked, instance by instance, so the
+    # issues keep the order of a one-instance-at-a-time scan.
     one = list(C.one_src)
     two = list(C.two_src)
     obj_ix = {x: i for i, x in enumerate(C.objects)}
@@ -542,27 +565,27 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
     v, pv = V.rows, V.pos
     h2, p2 = H2.rows, H2.pos
 
-    # unit laws
-    for fi in range(n1):
-        rep.checked += 2
-        if h1[id1_of[o_src[fi]]][p1[fi]] != fi:
-            rep.add("unit", f"f . id != f for 1-cell {one[fi]!r}")
-        if h1[fi][p1[id1_of[o_tgt[fi]]]] != fi:
-            rep.add("unit", f"id . f != f for 1-cell {one[fi]!r}")
-    for ai in range(n2):
-        rep.checked += 4
-        if v[id2_of[t_src[ai]]][pv[ai]] != ai:
-            rep.add("unit", f"a . id2 != a (vertical) for {two[ai]!r}")
-        if v[ai][pv[id2_of[t_tgt[ai]]]] != ai:
-            rep.add("unit", f"id2 . a != a (vertical) for {two[ai]!r}")
-        if h2[id2_of[id1_of[s_obj[ai]]]][p2[ai]] != ai:
-            rep.add("unit", f"a * id != a (horizontal) for {two[ai]!r}")
-        if h2[ai][p2[id2_of[id1_of[e_obj[ai]]]]] != ai:
-            rep.add("unit", f"id * a != a (horizontal) for {two[ai]!r}")
-    for gi, fi, gfi in zip(H1.seconds, H1.firsts, H1.values):
-        rep.checked += 1
-        if h2[id2_of[fi]][p2[id2_of[gi]]] != id2_of[gfi]:
-            rep.add("unit", f"id2(g)*id2(f) != id2(g.f) for ({one[gi]!r},{one[fi]!r})")
+    # unit laws, one instance per 1-cell, 2-cell and hcomp1 entry
+    scan_laws(rep, enumerate(one),
+              ("unit", "right unit of 1-cells", lambda fi, f: h1[id1_of[o_src[fi]]][p1[fi]] == fi,
+               lambda fi, f: f"f . id != f for 1-cell {f!r}"),
+              ("unit", "left unit of 1-cells", lambda fi, f: h1[fi][p1[id1_of[o_tgt[fi]]]] == fi,
+               lambda fi, f: f"id . f != f for 1-cell {f!r}"))
+    scan_laws(rep, enumerate(two),
+              ("unit", "right vertical unit", lambda ai, a: v[id2_of[t_src[ai]]][pv[ai]] == ai,
+               lambda ai, a: f"a . id2 != a (vertical) for {a!r}"),
+              ("unit", "left vertical unit", lambda ai, a: v[ai][pv[id2_of[t_tgt[ai]]]] == ai,
+               lambda ai, a: f"id2 . a != a (vertical) for {a!r}"),
+              ("unit", "right horizontal unit",
+               lambda ai, a: h2[id2_of[id1_of[s_obj[ai]]]][p2[ai]] == ai,
+               lambda ai, a: f"a * id != a (horizontal) for {a!r}"),
+              ("unit", "left horizontal unit",
+               lambda ai, a: h2[ai][p2[id2_of[id1_of[e_obj[ai]]]]] == ai,
+               lambda ai, a: f"id * a != a (horizontal) for {a!r}"))
+    scan_laws(rep, zip(H1.seconds, H1.firsts, H1.values),
+              ("unit", "identity 2-cells of composites",
+               lambda gi, fi, gfi: h2[id2_of[fi]][p2[id2_of[gi]]] == id2_of[gfi],
+               lambda gi, fi, gfi: f"id2(g)*id2(f) != id2(g.f) for ({one[gi]!r},{one[fi]!r})"))
 
     # associativity, over each entry (b, a) and the block of third cells c
     _scan_assoc(rep, "vcomp", two, V)
@@ -576,6 +599,10 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
               for key, cells in homs.items()}
     gathers = {key: tuple(_gather(map(p2.__getitem__, cs)) for cs in zip(*right))
                for key, right in vpairs.items()}
+    law = ("interchange", "interchange",
+           lambda b, a2, a1, va: v[h2[a1][p2[b[1]]]][pv[h2[a2][p2[b[0]]]]] == h2[va][p2[b[2]]],
+           lambda b, a2, a1, va: f"interchange fails at "
+                                 f"({two[b[0]]!r},{two[b[1]]!r};{two[a2]!r},{two[a1]!r})")
     for (x, y), left in vpairs.items():
         for (y2, z), right in vpairs.items():
             if y2 != y:
@@ -585,14 +612,10 @@ def validate_two_category(C: FiniteTwoCategory) -> ValidationReport:
             # vcomp rows of b1*a and the places of b2*a in such rows
             v_rows = {a: tuple(map(v.__getitem__, g1(h2[a]))) for a in homs[(x, y)]}
             places = {a: tuple(map(pv.__getitem__, g2(h2[a]))) for a in homs[(x, y)]}
-            rep.checked += len(left) * len(right)
-            for (a2, a1, va) in left:
-                if tuple(map(getitem, v_rows[a1], places[a2])) == gv(h2[va]):
-                    continue
-                for (b2, b1, vb) in right:
-                    if v[h2[a1][p2[b1]]][pv[h2[a2][p2[b2]]]] != h2[va][p2[vb]]:
-                        rep.add("interchange", f"interchange fails at "
-                                f"({two[b2]!r},{two[b1]!r};{two[a2]!r},{two[a1]!r})")
+            # a bucket per left pair: every right pair b = (b2, b1, vb)
+            scan_laws(rep, ((right, *pair) for pair in left), law, sides=(
+                (tuple(map(getitem, v_rows[a1], places[a2])) for a2, a1, _ in left),
+                (gv(h2[va]) for _, _, va in left)))
     return rep
 
 
@@ -638,19 +661,15 @@ def _scan_assoc(rep: ValidationReport, name: str, cells: list, T: _BlockTable) -
     R, pos = T.rows, T.pos
     # (c.b).a over the block is R[a] gathered at the positions of R[b]'s values
     G = [_gather(map(pos.__getitem__, row)) for row in R]
-    rep.checked += sum(map(len, map(R.__getitem__, T.values)))
-    if all(map(eq, map(R.__getitem__, T.values),
-               map(itemgetter.__call__, map(G.__getitem__, T.seconds),
-                   map(R.__getitem__, T.firsts)))):
-        return
-    for bi, ai, bai in zip(T.seconds, T.firsts, T.values):
-        row_ba, row_b, row_a = R[bai], R[bi], R[ai]
-        if row_ba == G[bi](row_a):
-            continue
-        for ci, c_ba, c_b in zip(T.blocks[T.row_key[bi]], row_ba, row_b):
-            if c_ba != row_a[pos[c_b]]:
-                rep.add("assoc", f"{name} not associative at "
-                                 f"({cells[ci]!r},{cells[bi]!r},{cells[ai]!r})")
+    scan_laws(rep, zip(map(T.blocks.__getitem__, map(T.row_key.__getitem__, T.seconds)),
+                       T.seconds, T.firsts, T.values),
+              ("assoc", f"{name} associativity",
+               lambda ci, bi, ai, bai: R[bai][pos[ci]] == R[ai][pos[R[bi][pos[ci]]]],
+               lambda ci, bi, ai, bai: f"{name} not associative at "
+                                       f"({cells[ci]!r},{cells[bi]!r},{cells[ai]!r})"),
+              sides=(map(R.__getitem__, T.values),
+                     map(itemgetter.__call__, map(G.__getitem__, T.seconds),
+                         map(R.__getitem__, T.firsts))))
 
 
 def _check_domain(rep: ValidationReport, name: str, table: Mapping, domain: list) -> None:
@@ -761,41 +780,40 @@ def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
                  where: str = "") -> None:
     """Check that the cell maps ``F = (f0, f1, f2)``, on objects, 1-cells
     and 2-cells, form a strict 2-functor S -> T: endpoints first and, when
-    they all agree, identities and the three compositions, one instance
-    each.  Failures are ``functor`` issues whose messages begin with
-    ``where``."""
+    they all agree, identities and the three compositions, each table one
+    bucket of the runner.  Failures are ``functor`` issues whose messages
+    begin with ``where``."""
     f0, f1, f2 = F
     S.fill()
+    one_src, one_tgt, two_src, two_tgt = S.one_src, S.one_tgt, S.two_src, S.two_tgt
     before = len(rep.issues)
-    rep.checked += len(S.one_src) + len(S.two_src)
-    for f, x in S.one_src.items():
-        ff = f1(f)
-        if T.src1(ff) != f0(x) or T.tgt1(ff) != f0(S.one_tgt[f]):
-            rep.add("functor", f"{where}1-cell {f!r}: image endpoints disagree")
-    for a, f in S.two_src.items():
-        fa = f2(a)
-        if T.src2(fa) != f1(f) or T.tgt2(fa) != f1(S.two_tgt[a]):
-            rep.add("functor", f"{where}2-cell {a!r}: image endpoints disagree")
+    scan_laws(rep, zip(one_src), (
+        "functor", f"{where}1-cell image endpoints",
+        lambda f: T.src1(ff := f1(f)) == f0(one_src[f]) and T.tgt1(ff) == f0(one_tgt[f]),
+        lambda f: f"{where}1-cell {f!r}: image endpoints disagree"))
+    scan_laws(rep, zip(two_src), (
+        "functor", f"{where}2-cell image endpoints",
+        lambda a: T.src2(fa := f2(a)) == f1(two_src[a]) and T.tgt2(fa) == f1(two_tgt[a]),
+        lambda a: f"{where}2-cell {a!r}: image endpoints disagree"))
     if len(rep.issues) > before:
         return
-    rep.checked += (len(S.objects) + len(S.one_src) + len(S.hcomp1_table)
-                    + len(S.vcomp_table) + len(S.hcomp2_table))
-    for x in S.objects:
-        if f1(S.id1(x)) != T.id1(f0(x)):
-            rep.add("functor", f"{where}identity 1-cell of {x!r} not preserved")
-    for f in S.one_src:
-        if f2(S.id2(f)) != T.id2(f1(f)):
-            rep.add("functor", f"{where}identity 2-cell of {f!r} not preserved")
-    # each table in lockstep, walked entry by entry only when it disagrees
+    scan_laws(rep, zip(S.objects), (
+        "functor", f"{where}identity 1-cells", lambda x: f1(S.id1(x)) == T.id1(f0(x)),
+        lambda x: f"{where}identity 1-cell of {x!r} not preserved"))
+    scan_laws(rep, zip(one_src), (
+        "functor", f"{where}identity 2-cells", lambda f: f2(S.id2(f)) == T.id2(f1(f)),
+        lambda f: f"{where}identity 2-cell of {f!r} not preserved"))
+    # each table one bucket of its entries (b, a); the sides are built inside
+    # the runner, so a cell map that raises there has the table walked
     for table, fc, op, what in ((S.hcomp1_table, f1, T.comp1, "1-cell"),
                                 (S.vcomp_table, f2, T.vcomp, "vertical"),
                                 (S.hcomp2_table, f2, T.hcomp2, "horizontal")):
-        if list(map(fc, table.values())) == list(map(
-                op, map(fc, map(_first, table)), map(fc, map(_second, table)))):
-            continue
-        for (b, a), c in table.items():
-            if fc(c) != op(fc(b), fc(a)):
-                rep.add("functor", f"{where}{what} composition not preserved at ({b!r},{a!r})")
+        scan_laws(rep, [(table,)], (
+            "functor", f"{where}{what} composition",
+            lambda ba: fc(table[ba]) == op(fc(ba[0]), fc(ba[1])),
+            lambda ba: f"{where}{what} composition not preserved at {_at(ba)}"),
+            sides=(map(tuple, [map(fc, table.values())]), map(tuple, [map(
+                op, map(fc, map(_first, table)), map(fc, map(_second, table)))])))
 
 
 def scan_naturality(rep: ValidationReport, S: FiniteTwoCategory, T, comp, F, G,
@@ -807,15 +825,16 @@ def scan_naturality(rep: ValidationReport, S: FiniteTwoCategory, T, comp, F, G,
     2-cell.  Failures are ``kind`` issues naming ``what``."""
     _, F1, F2 = F
     _, G1, G2 = G
-    one_src, one_tgt = S.one_src, S.one_tgt
-    rep.checked += len(one_src) + len(S.two_src)
-    for f, x in one_src.items():
-        if T.comp1(G1(f), comp(x)) != T.comp1(comp(one_tgt[f]), F1(f)):
-            rep.add(kind, f"{what} not natural at 1-cell {f!r}")
-    for a, f in S.two_src.items():
-        lhs = T.hcomp2(G2(a), T.id2(comp(one_src[f])))
-        if lhs != T.hcomp2(T.id2(comp(one_tgt[f])), F2(a)):
-            rep.add(kind, f"{what} not natural at 2-cell {a!r}")
+    one_src, one_tgt, two_src = S.one_src, S.one_tgt, S.two_src
+    scan_laws(rep, zip(one_src), (
+        kind, f"{what} square at 1-cells",
+        lambda f: T.comp1(G1(f), comp(one_src[f])) == T.comp1(comp(one_tgt[f]), F1(f)),
+        lambda f: f"{what} not natural at 1-cell {f!r}"))
+    scan_laws(rep, zip(two_src), (
+        kind, f"{what} square at 2-cells",
+        lambda a: (T.hcomp2(G2(a), T.id2(comp(one_src[two_src[a]])))
+                   == T.hcomp2(T.id2(comp(one_tgt[two_src[a]])), F2(a))),
+        lambda a: f"{what} not natural at 2-cell {a!r}"))
 
 
 # -- 2-functors ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamma2cat.subsets import PointedMap, all_pointed_maps, nonempty_subsets_of
+from gamma2cat.subsets import PointedMap, all_pointed_maps, disjoint_pairs, nonempty_subsets_of
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.twocat import CellCeilingExceeded, cell_ceiling, validate_two_category
 from gamma2cat.ktheory import (
@@ -26,7 +26,6 @@ from gamma2cat.inversek import (
 from gamma2cat.adjunction import (
     Counit,
     bounded_unit_target,
-    check_projection_coherence,
     eta_on_cell,
     eta_phi,
     lambda_of,
@@ -37,7 +36,6 @@ from gamma2cat.adjunction import (
     triangle_K,
     triangle_P,
     unit_map,
-    validate_unit_cell,
 )
 from gamma2cat.gamma import (
     e_adjunction_check,
@@ -93,14 +91,17 @@ def test_phi_s_square_always_commutes(data):
 
 
 def test_projection_coherence_on_levels(f2_gamma2):
+    # the unit on an object pushes each union projection forward and raises
+    # unless it splits into the pair of projections, over every disjoint pair
+    # of nonempty subsets; a fresh carrier for each object misses the cache
     X = f2_gamma2
     for m in range(3):
+        subs = nonempty_subsets_of(m)
+        assert disjoint_pairs(m) == tuple((s, t) for s in subs for t in subs
+                                          if not set(s) & set(t))
         for x in X.level(m).objects:
-            for s in nonempty_subsets_of(m):
-                for t in nonempty_subsets_of(m):
-                    if set(s) & set(t):
-                        continue
-                    assert check_projection_coherence(X, m, s, t, x)
+            PX = GrothPerm(X)
+            assert validate_system(PX, eta_on_cell(X, PX, m, 0, x)).ok
 
 
 def test_eta_level_zero_unique(f2_gamma2):
@@ -126,11 +127,11 @@ def test_eta_images_distinct_and_validated(f2_gamma2):
     assert len(set(images)) == len(images) == 4
     for m in range(3):
         for x in X.level(m).objects:
-            assert validate_unit_cell(X, PX, m, 0, x).ok
+            assert validate_system(PX, eta_on_cell(X, PX, m, 0, x)).ok
         for f in X.level(m).one_src:
-            assert validate_unit_cell(X, PX, m, 1, f).ok
+            assert validate_system_map(PX, eta_on_cell(X, PX, m, 1, f)).ok
         for a in X.level(m).two_src:
-            assert validate_unit_cell(X, PX, m, 2, a).ok
+            assert validate_system_two_cell(PX, eta_on_cell(X, PX, m, 2, a)).ok
 
 
 def test_eta_phi_identity_is_identity(f2_gamma2):

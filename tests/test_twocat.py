@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamma2cat
+from gamma2cat import twocat
 from gamma2cat.adjunction import bounded_unit_target
 from gamma2cat.gamma import (E_TAGS, e_construction, identity_lax_map, identity_transformation,
-                             validate_transformation_gamma)
+                             validate_gamma, validate_transformation_gamma)
 from gamma2cat.inversek import GrothPerm
 from gamma2cat.ktheory import LazyKtLevel, ko_gamma, ko_level, kt_level
 from gamma2cat.monoidal import fixture, promote
@@ -36,6 +37,8 @@ from gamma2cat.twocat import (
     path_object,
     pi0,
     product_two_category,
+    scan_functor,
+    scan_laws,
     scan_naturality,
     terminal_two_category,
     constant_functor_to_terminal,
@@ -801,29 +804,84 @@ def test_no_function_takes_a_ceiling_and_only_the_scope_sets_it():
 # -- the law runner --------------------------------------------------------------
 
 
-def _checked_writes(tree) -> list[int]:
-    """Lines that assign or add to an attribute named ``checked``."""
-    return [n.lineno for n in ast.walk(tree) if (
-        isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute)
-        and n.target.attr == "checked"
-        or isinstance(n, ast.Assign) and any(
-            isinstance(t, ast.Attribute) and t.attr == "checked" for t in n.targets))]
+def _checked_writes(tree) -> list[tuple[str, int]]:
+    """The enclosing function and line of each assignment or addition to an
+    attribute named ``checked``."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            if (isinstance(child, ast.AugAssign) and isinstance(child.target, ast.Attribute)
+                    and child.target.attr == "checked"
+                    or isinstance(child, ast.Assign) and any(
+                        isinstance(t, ast.Attribute) and t.attr == "checked" for t in child.targets)):
+                out.append((owner, child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
 
 
 def test_only_twocat_writes_an_instance_count():
     found = {p.name: _checked_writes(ast.parse(p.read_text(encoding="utf-8")))
              for p in sorted(Path(gamma2cat.__file__).parent.glob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines and name != "twocat.py"} == {}
-    assert found["twocat.py"]
-    # the scan itself sees both kinds of write, and not a read or a keyword
+    writers = {(name, owner) for name, writes in found.items() for owner, _ in writes}
+    assert writers == {("twocat.py", "scan_laws"), ("twocat.py", "merge"),
+                       ("twocat.py", "add_summary")}
+    assert len(found["twocat.py"]) == 3
+    # the scan itself sees both kinds of write with their function, and not a
+    # read or a keyword
     assert _checked_writes(ast.parse(
-        "rep.checked += 1\nrep.checked = 0\nn = rep.checked\n"
-        "r = ValidationReport('s', checked=2)\nchecked = 3\n")) == [1, 2]
+        "rep.checked += 1\ndef f(rep):\n    rep.checked = 0\n    n = rep.checked\n"
+        "    r = ValidationReport('s', checked=2)\n    checked = 3\n"
+        "    def g():\n        rep.checked += 1\n")) == [(None, 1), ("f", 3), ("g", 8)]
+
+
+def _raising_at(maps: tuple, dim: int, cell, exc) -> tuple:
+    """The cell maps ``maps`` with the one of dimension ``dim`` raising ``exc`` at ``cell``."""
+    def failing(c):
+        if c == cell:
+            raise exc
+        return maps[dim](c)
+    return maps[:dim] + (failing,) + maps[dim + 1:]
+
+
+def _ill_typed_or_raised(exc, run) -> ValidationReport | None:
+    """The report that ``run`` fills, or None once a ceiling has propagated from it."""
+    rep = ValidationReport("ill-typed")
+    if isinstance(exc, CellCeilingExceeded):
+        with pytest.raises(CellCeilingExceeded):
+            run(rep)
+        return None
+    run(rep)
+    return rep
 
 
 @pytest.mark.parametrize("exc", [KeyError("dangling"), ValueError("dangling"),
                                  CellCeilingExceeded("table fill", 2, 1)])
 def test_an_ill_typed_instance_is_reported_and_a_ceiling_propagates(exc, f2_gamma2, monkeypatch):
+    # a strict 2-functor whose 1-cell map does not answer at one 1-cell fails
+    # the endpoint laws there and at the 2-cell on it, and the scan stops
+    # before the identities
+    C = fixture("F4").base
+    maps = _raising_at(identity_functor(C).cell_maps(), 1, "m1", exc)
+    rep = _ill_typed_or_raised(exc, lambda rep: scan_functor(rep, C, C, maps))
+    if rep is not None:
+        assert rep.checked == len(C.one_src) + len(C.two_src)
+        assert [str(i) for i in rep.issues] == [
+            f"[functor] 1-cell image endpoints at 'm1': ill-typed instance ({exc})",
+            f"[functor] 2-cell image endpoints at 'a1': ill-typed instance ({exc})"]
+    # the 1-cell squares of components whose target functor does not answer
+    # at one 1-cell, beside the square at a 2-cell that fails as before
+    G = _raising_at(_trivializing_functor(C, "collapse").cell_maps(), 1, "m1", exc)
+    rep = _ill_typed_or_raised(exc, lambda rep: scan_naturality(
+        rep, C, C, C.id1, identity_functor(C).cell_maps(), G, "naturality", "components"))
+    if rep is not None:
+        assert rep.checked == len(C.one_src) + len(C.two_src)
+        assert [str(i) for i in rep.issues] == [
+            f"[naturality] components square at 1-cells at 'm1': ill-typed instance ({exc})",
+            "[naturality] components not natural at 2-cell 'a1'"]
     # the modification square of a transformation reads the structure cells of
     # its lax maps; one that does not compose at one pointed map fails there
     h = identity_lax_map(f2_gamma2)
@@ -847,3 +905,65 @@ def test_an_ill_typed_instance_is_reported_and_a_ceiling_propagates(exc, f2_gamm
     assert [str(i) for i in rep.issues] == [
         f"[modification] square at {phi}, object {x!r}: ill-typed instance ({exc})"
         for x in f2_gamma2.level(1).objects]
+
+
+def _hold_calls(monkeypatch) -> Counter:
+    """Calls of each law's ``holds``, by law name, for the scans run after it:
+    every law passed to the runner, called or not, has an entry."""
+    calls = Counter()
+    run = twocat.scan_laws
+
+    def counted(name, holds):
+        def call(*args):
+            calls[name] += 1
+            return holds(*args)
+        return call
+
+    def counting(rep, instances, *laws, **options):
+        calls.update({name: 0 for _, name, _, _ in laws})
+        run(rep, instances, *((kind, name, counted(name, holds), fails)
+                              for kind, name, holds, fails in laws), **options)
+
+    monkeypatch.setattr(twocat, "scan_laws", counting)
+    return calls
+
+
+_BUCKETED = ("associativity", "interchange", "composition")
+
+
+def test_passing_buckets_are_counted_without_a_walk(monkeypatch):
+    F5 = fixture("F5")
+    level, diagram = ko_level(F5, 2), ko_gamma(F5, 2)
+    counts = (validate_two_category(level).checked, validate_gamma(diagram).checked)
+    calls = _hold_calls(monkeypatch)
+    reps = (validate_two_category(level), validate_gamma(diagram))
+    assert all(rep.ok for rep in reps) and tuple(rep.checked for rep in reps) == counts
+    bucketed = {name: n for name, n in calls.items() if name.endswith(_BUCKETED)}
+    assert {name.rsplit(": ", 1)[-1] for name in bucketed} == {
+        "vcomp associativity", "hcomp1 associativity", "hcomp2 associativity", "interchange",
+        "1-cell composition", "vertical composition", "horizontal composition"}
+    assert sum(bucketed.values()) == 0
+    # the per-instance laws are walked, and a failing bucket is too
+    assert calls["right unit of 1-cells"] > 0
+    C = fixture("F3").base
+    broken = _retabulated(C, "F3x", vcomp_table={**C.vcomp_table, ("a1", "a1"): "a1"})
+    calls.clear()
+    assert not validate_two_category(broken).ok
+    assert calls["interchange"] > 0
+
+
+def test_a_bucket_is_walked_only_when_its_sides_differ():
+    law = ("law", "sum", lambda c, s: c == s, "differs")
+    rep = ValidationReport("buckets")
+    buckets = [((1, 1), 1), ((2, 3), 2), ((4,), 4)]
+    scan_laws(rep, buckets, law, sides=([(1, 1), (2, 3), (4,)], [(1, 1), (2, 2), (4,)]))
+    assert ([str(i) for i in rep.issues], rep.checked) == (["[law] differs at (3,2)"], 5)
+    # sides that cannot be built walk that bucket and every later one
+
+    def sides():
+        yield (1, 1)
+        raise KeyError("unbuilt")
+
+    rep = ValidationReport("buckets")
+    scan_laws(rep, buckets, law, sides=(sides(), [(1, 1), (2, 2), (4,)]))
+    assert ([str(i) for i in rep.issues], rep.checked) == (["[law] differs at (3,2)"], 5)
