@@ -811,7 +811,7 @@ def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
         scan_laws(rep, [(table,)], (
             "functor", f"{where}{what} composition",
             lambda ba: fc(table[ba]) == op(fc(ba[0]), fc(ba[1])),
-            lambda ba: f"{where}{what} composition not preserved at {_at(ba)}"),
+            f"{where}{what} composition not preserved"), where=lambda args: _at(*args),
             sides=(map(tuple, [map(fc, table.values())]), map(tuple, [map(
                 op, map(fc, map(_first, table)), map(fc, map(_second, table)))])))
 
