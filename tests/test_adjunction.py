@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import weakref
 
@@ -404,6 +405,28 @@ def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
         cell = mk_groth_one(split, src, tgt,
                             tuple(X.level(1).id1(x) for x in pushed))
         assert eps.on_groth(1, peta.on(1, cell)) == cell
+
+
+@pytest.mark.parametrize("name, dims, count, digest", [
+    ("F2", 3, 3165, "f1aa5be22b310a73ce988ebe5d4055c752e51be617322081c7ec559965abb26f"),
+    # the F3 fragment's 26,355 2-cells would take about 15 s
+    ("F3", 2, 560, "fe1a5c95332ce622a1aa4082d5171afcb8b5b947468ab40f2256e4885ad412ad"),
+])
+def test_images_through_p_of_the_unit_and_the_counit_are_pinned(name, dims, count, digest):
+    # each cell of the (2, 2) fragment, its image under P(eta) and that
+    # image's image under the counit, in the fragment's listing order
+    X = ko_gamma(promote(fixture(name)), 2)
+    PX = GrothPerm(X)
+    KPX = LazyKtGamma(PX, X.cap)
+    peta = POfLax(unit_map(X, PX, KPX), PX, GrothPerm(KPX))
+    eps = Counit(PX)
+    h, seen = hashlib.sha256(), 0
+    for dim, buckets in enumerate(BoundedGroth(X, 2, 2).cells[:dims]):
+        for c in (c for cells in buckets.values() for c in cells):
+            image = peta.on(dim, c)
+            h.update(repr((c, image, eps.on_groth(dim, image))).encode())
+            seen += 1
+    assert (seen, h.hexdigest()) == (count, digest)
 
 
 # -- caches of the inverse construction's maps ------------------------------------
