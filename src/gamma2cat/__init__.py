@@ -65,7 +65,6 @@ from .ktheory import (
 )
 from .inversek import (
     AMorphism,
-    BlockwiseLax,
     BoundedGroth,
     GrothPerm,
     POfLax,

@@ -198,10 +198,10 @@ def unit_map(X, PX: GrothPerm | None = None, KPX=None) -> GammaLaxMap:
 # -- the naturality transformation --------------------------------------------------
 
 
-def _systemwise(on) -> tuple:
+def _systemwise(maps) -> tuple:
     """The cell maps of K-theory levels that map each component of a cell
-    through the strict carrier cell map ``on(dim, c)``."""
-    on0, on1, on2 = (partial(on, dim) for dim in range(3))
+    through the strict carrier cell-map triple ``maps``."""
+    on0, on1, on2 = maps
 
     def obj(sys):
         return mk_system(sys.n, tuple(map(on0, sys.x)), tuple(map(on1, sys.c)))
@@ -219,7 +219,7 @@ def _systemwise(on) -> tuple:
 def k_of_p_of_lax(ph, KPX, KPY) -> GammaLaxMap:
     """Apply a strict monoidal functor between inverse constructions
     levelwise to K-theory systems."""
-    maps = _systemwise(ph.on)
+    maps = _systemwise(ph.maps)
     return strict_lax_map(KPX, KPY, lambda m: maps, name="KP(h)")
 
 
@@ -237,8 +237,7 @@ def lambda_of(h: GammaLaxMap) -> GammaTransformation:
     KPY = LazyKtGamma(PY, Y.cap, name="KPY")
     eta_x = unit_map(X, PX, KPX)
     eta_y = unit_map(Y, PY, KPY)
-    ph = POfLax(h, PX, PY)
-    kph = k_of_p_of_lax(ph, KPX, KPY)
+    kph = k_of_p_of_lax(POfLax(h), KPX, KPY)
     left = compose_lax(eta_y, h)
     right = compose_lax(kph, eta_x)
 
@@ -257,7 +256,8 @@ def lambda_of(h: GammaLaxMap) -> GammaTransformation:
 
 class Counit:
     """Evaluation-then-sum from the K-theory of a permutative carrier back to
-    the carrier.
+    the carrier, as the cell-map triple ``maps`` on the Grothendieck
+    construction.
 
     On strict system maps every component is a strict 2-functor and every
     structure cell strictly 2-natural; on system maps with filling cells the
@@ -271,26 +271,14 @@ class Counit:
         # structure cells keyed by (block map, interned systems): the
         # triangle scans ask for the same ones many times over
         self.laxity = cache(self.laxity)
+        self.maps = (self._on_obj, self._on_one, self._on_two)
 
-    # -- evaluation at the full subset
-
-    def full_eval(self, m: int, dim: int, cell):
+    def _full_sum(self, total, at: str, mvec: tuple, cells: tuple):
+        """The sum ``total`` of the components ``cells``, each evaluated by
+        its method ``at`` at its full subset."""
         C = self.C
-        full = tuple(range(1, m + 1))
-        if dim == 0:
-            return cell.x_at(C, full)
-        if dim == 1:
-            return cell.f_at(C, full)
-        return cell.alpha_at(C, full)
-
-    def on_tuple(self, mvec: tuple, dim: int, cells: tuple):
-        C = self.C
-        evs = [self.full_eval(m, dim, c) for m, c in zip(mvec, cells)]
-        if dim == 0:
-            return sum_many_obj(C, evs)
-        if dim == 1:
-            return sum_one_cells(C, evs)
-        return sum_many_two(C, evs)
+        return total(C, [getattr(c, at)(C, tuple(range(1, m + 1)))
+                         for m, c in zip(mvec, cells)])
 
     # -- structure cells along block maps
 
@@ -307,10 +295,7 @@ class Counit:
         factors = [sys.x_at(C, p) for sys, parts in zip(systems, dec.parts) for p in parts]
         out = C.comp1(perm_beta(C, factors, _block_order(dec)), total)
         pushed = ax_apply(self.diagram, phim, 0, systems)
-        want_tgt = sum_many_obj(C, [
-            sys.x_at(C, tuple(range(1, n + 1))) for n, sys in zip(phim.tgt, pushed)
-        ])
-        if C.tgt1(out) != want_tgt:
+        if C.tgt1(out) != self._full_sum(sum_many_obj, "x_at", phim.tgt, pushed):
             raise AssertionError("structure cell endpoint mismatch")
         return out
 
@@ -325,15 +310,16 @@ class Counit:
 
     # -- action on cells of the Grothendieck construction
 
-    def on_groth(self, dim: int, cell):
-        C = self.C
-        if dim == 0:
-            return self.on_tuple(cell.mvec, 0, cell.xs)
-        if dim == 1:
-            main = self.on_tuple(cell.tgt.mvec, 1, cell.fs)
-            return C.comp1(main, self.laxity(cell.phim, cell.src.xs))
-        main = self.on_tuple(cell.src.tgt.mvec, 2, cell.alphas)
-        return whisker_r(C, main, self.laxity(cell.src.phim, cell.src.src.xs))
+    def _on_obj(self, cell):
+        return self._full_sum(sum_many_obj, "x_at", cell.mvec, cell.xs)
+
+    def _on_one(self, cell):
+        main = self._full_sum(sum_one_cells, "f_at", cell.tgt.mvec, cell.fs)
+        return self.C.comp1(main, self.laxity(cell.phim, cell.src.xs))
+
+    def _on_two(self, cell):
+        main = self._full_sum(sum_many_two, "alpha_at", cell.src.tgt.mvec, cell.alphas)
+        return whisker_r(self.C, main, self.laxity(cell.src.phim, cell.src.src.xs))
 
     # -- pseudonaturality for cubical carriers
 
@@ -348,11 +334,9 @@ class Counit:
         tgt_systems = tuple(mp.tgt for mp in sysmaps)
         lax_src = self.laxity(phim, src_systems)
         lax_tgt = self.laxity(phim, tgt_systems)
-        f_total = self.on_tuple(phim.src, 1, sysmaps)
+        f_total = self._full_sum(sum_one_cells, "f_at", phim.src, sysmaps)
         pushed = ax_apply(self.diagram, phim, 1, sysmaps)
-        g_total = sum_one_cells(C, [
-            mp.f_at(C, tuple(range(1, n + 1))) for n, mp in zip(phim.tgt, pushed)
-        ])
+        g_total = self._full_sum(sum_one_cells, "f_at", phim.tgt, pushed)
         if all(mp.gamma is None for mp in sysmaps):
             lhs = C.comp1(lax_tgt, f_total)
             rhs = C.comp1(g_total, lax_src)
@@ -499,8 +483,8 @@ def triangle_K(C, nmax: int) -> ValidationReport:
     rep = ValidationReport(f"triangle (counit after unit) for {C.name}")
     KC = kt_gamma(C, nmax)
     PKC = GrothPerm(KC)
-    eps = Counit(C)
-    k_eps = _systemwise(eps.on_groth)
+    eps = Counit(C).maps
+    k_eps = _systemwise(eps)
 
     for m in range(nmax + 1):
         L = KC.level(m)
@@ -513,7 +497,7 @@ def triangle_K(C, nmax: int) -> ValidationReport:
 
         def collapsed(x):
             structure = eta_phi(KC, PKC, phi, x)
-            mapped = [eps.on_groth(1, structure.f_at(PKC, s)) for s in subsets]
+            mapped = [eps[1](structure.f_at(PKC, s)) for s in subsets]
             return all(C.is_id1(v) for v in mapped)
 
         scan_laws(rep, zip(KC.level(phi.m).objects), ("triangle-lax", "structure cell collapse",
@@ -528,17 +512,13 @@ def triangle_P(X, L: int, E: int) -> ValidationReport:
     rep = ValidationReport(f"triangle (counit after unit image) for {X.name}")
     PX = GrothPerm(X)
     B = BoundedGroth(X, L, E)
-    KPX = LazyKtGamma(PX, X.cap)
-    eta = unit_map(X, PX, KPX)
-    PKPX = GrothPerm(KPX)
-    peta = POfLax(eta, PX, PKPX)
-    eps = Counit(PX)
+    peta = POfLax(unit_map(X, PX, LazyKtGamma(PX, X.cap)))
 
-    for dim, buckets in enumerate(B.cells):
-        what = ("object", "1-cell", "2-cell")[dim]
+    for what, buckets, there, back in zip(("object", "1-cell", "2-cell"), B.cells,
+                                          peta.maps, Counit(PX).maps):
         for cells in buckets.values():
             scan_laws(rep, zip(cells), ("triangle", f"{what} triangle",
-                      lambda c: eps.on_groth(dim, peta.on(dim, c)) == c,
+                      lambda c: back(there(c)) == c,
                       lambda c: f"{what} {c!r} not fixed"))
     return rep
 

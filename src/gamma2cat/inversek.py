@@ -505,35 +505,15 @@ def _composable(buckets: dict, lengths) -> dict:
 # -- extension to lax maps ---------------------------------------------------------
 
 
-class BlockwiseLax:
-    """A lax map applied blockwise: component 2-functors are products of the
-    level maps; the structure cell at a block map is assembled from the
-    blockwise pointed maps, with the unit-insertion components taken at the
-    unique point."""
+class POfLax:
+    """The strict symmetric monoidal 2-functor between the Grothendieck
+    constructions induced by a lax map of diagrams, as the cell-map triple
+    ``maps``.  Component 2-functors are products of the level maps; the
+    structure cell at a block map is assembled from the blockwise pointed
+    maps, with the unit-insertion components taken at the unique point."""
 
     def __init__(self, h):
         self.h = h  # a lax map of reduced diagrams
-
-    def apply(self, mvec: tuple, dim: int, cells: tuple) -> tuple:
-        cell_maps = self.h.cell_maps
-        return tuple(cell_maps(m)[dim](c) for m, c in zip(mvec, cells))
-
-    def lax(self, phim: AMorphism, xs: tuple) -> tuple:
-        h = self.h
-        out = []
-        for i, pm in decompose(phim).sources:
-            out.append(h.lax(pm, h.source.point(0) if i is None else xs[i]))
-        return tuple(out)
-
-
-class POfLax:
-    """The strict symmetric monoidal 2-functor between the Grothendieck
-    constructions induced by a lax map of diagrams."""
-
-    def __init__(self, h, PX: GrothPerm, PY: GrothPerm):
-        self.ah = BlockwiseLax(h)
-        self.PX = PX
-        self.PY = PY
         # images of objects and 1-cells, keyed by the interned cell: every
         # 2-cell and 1-cell image maps its endpoints again.  Top-level
         # 2-cells do not recur, so their images are not kept; their
@@ -541,34 +521,37 @@ class POfLax:
         # (level, component 2-cell, structure 1-cell).
         for op in ("_on_obj", "_on_one", "_whisker"):
             setattr(self, op, cache(getattr(self, op)))
+        self.maps = (self._on_obj, self._on_one, self._on_two)
 
-    def on(self, dim: int, cell):
-        if dim == 0:
-            return self._on_obj(cell)
-        if dim == 1:
-            return self._on_one(cell)
-        lax = self.ah.lax(cell.src.phim, cell.src.src.xs)
+    def lax(self, phim: AMorphism, xs: tuple) -> tuple:
+        h = self.h
+        return tuple(h.lax(pm, h.source.point(0) if i is None else xs[i])
+                     for i, pm in decompose(phim).sources)
+
+    def _on_obj(self, cell: GrothObj) -> GrothObj:
+        cell_maps = self.h.cell_maps
+        return mk_groth_obj(cell.mvec, tuple(
+            cell_maps(m)[0](x) for m, x in zip(cell.mvec, cell.xs)))
+
+    def _on_one(self, cell: GrothOne) -> GrothOne:
+        h = self.h
+        lax = self.lax(cell.phim, cell.src.xs)
+        fs = tuple(
+            h.target.level(m).comp1(h.cell_maps(m)[1](f), l)
+            for m, f, l in zip(cell.tgt.mvec, cell.fs, lax)
+        )
+        return mk_groth_one(cell.phim, self._on_obj(cell.src), self._on_obj(cell.tgt), fs)
+
+    def _on_two(self, cell: GrothTwo) -> GrothTwo:
+        lax = self.lax(cell.src.phim, cell.src.src.xs)
         alphas = tuple(map(self._whisker, cell.src.tgt.mvec, cell.alphas, lax))
         return mk_groth_two(self._on_one(cell.src), self._on_one(cell.tgt), alphas)
 
     def _whisker(self, m: int, al, l):
         """A component of a 2-cell image: the level map's image of ``al``
         whiskered by the structure 1-cell ``l``."""
-        Ym = self.PY.X.level(m)
-        return Ym.hcomp2(self.ah.h.cell_maps(m)[2](al), Ym.id2(l))
-
-    def _on_obj(self, cell: GrothObj) -> GrothObj:
-        return mk_groth_obj(cell.mvec, self.ah.apply(cell.mvec, 0, cell.xs))
-
-    def _on_one(self, cell: GrothOne) -> GrothOne:
-        Y = self.PY.X
-        h = self.ah.h
-        lax = self.ah.lax(cell.phim, cell.src.xs)
-        fs = tuple(
-            Y.level(m).comp1(h.cell_maps(m)[1](f), l)
-            for m, f, l in zip(cell.tgt.mvec, cell.fs, lax)
-        )
-        return mk_groth_one(cell.phim, self._on_obj(cell.src), self._on_obj(cell.tgt), fs)
+        Ym = self.h.target.level(m)
+        return Ym.hcomp2(self.h.cell_maps(m)[2](al), Ym.id2(l))
 
 
 # -- bounded validation --------------------------------------------------------------

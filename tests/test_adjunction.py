@@ -195,7 +195,7 @@ def test_lambda_cube_for_unit(f2_gamma2):
 
 def test_counit_unit_object(f2):
     eps = Counit(promote(f2))
-    assert eps.on_groth(0, mk_groth_obj((), ())) == "o0"
+    assert eps.maps[0](mk_groth_obj((), ())) == "o0"
 
 
 def test_counit_single_evaluation(f2, f2_gamma2):
@@ -203,7 +203,7 @@ def test_counit_single_evaluation(f2, f2_gamma2):
     eps = Counit(P2)
     for sys in f2_gamma2.level(2).objects:
         cell = mk_groth_obj((2,), (sys,))
-        assert eps.on_groth(0, cell) == sys.x_at(P2, (1, 2))
+        assert eps.maps[0](cell) == sys.x_at(P2, (1, 2))
 
 
 def test_counit_split_block_map_is_connecting_cell(f2, f2_gamma2):
@@ -276,15 +276,15 @@ def test_counit_strict_monoidality(f2, f2_gamma2):
     for u in objs[:12]:
         for v in objs[:12]:
             P = GrothPerm(X)
-            lhs = eps.on_groth(0, P.sum_obj(u, v))
-            rhs = P2.sum_obj(eps.on_groth(0, u), eps.on_groth(0, v))
+            lhs = eps.maps[0](P.sum_obj(u, v))
+            rhs = P2.sum_obj(eps.maps[0](u), eps.maps[0](v))
             assert lhs == rhs
     P = GrothPerm(X)
     for o1 in objs[1:4]:
         for o2 in objs[1:4]:
             cell = P.beta_obj(o1, o2)
-            lhs = eps.on_groth(1, cell)
-            rhs = P2.beta_obj(eps.on_groth(0, o1), eps.on_groth(0, o2))
+            lhs = eps.maps[1](cell)
+            rhs = P2.beta_obj(eps.maps[0](o1), eps.maps[0](o2))
             assert lhs == rhs
 
 
@@ -395,7 +395,7 @@ def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
     KPX = LazyKtGamma(PX, 2)
     from gamma2cat.inversek import mk_groth_one
     eta = unit_map(X, PX, KPX)
-    peta = POfLax(eta, PX, GrothPerm(KPX))
+    peta = POfLax(eta)
     eps = Counit(PX)
     split = pi_st((1,), (2,))
     for sys in X.level(2).objects:
@@ -404,7 +404,7 @@ def test_triangle_p_split_one_cell_spot_check(f2_gamma2):
         tgt = mk_groth_obj((1, 1), pushed)
         cell = mk_groth_one(split, src, tgt,
                             tuple(X.level(1).id1(x) for x in pushed))
-        assert eps.on_groth(1, peta.on(1, cell)) == cell
+        assert eps.maps[1](peta.maps[1](cell)) == cell
 
 
 @pytest.mark.parametrize("name, dims, count, digest", [
@@ -418,13 +418,13 @@ def test_images_through_p_of_the_unit_and_the_counit_are_pinned(name, dims, coun
     X = ko_gamma(promote(fixture(name)), 2)
     PX = GrothPerm(X)
     KPX = LazyKtGamma(PX, X.cap)
-    peta = POfLax(unit_map(X, PX, KPX), PX, GrothPerm(KPX))
+    peta = POfLax(unit_map(X, PX, KPX))
     eps = Counit(PX)
     h, seen = hashlib.sha256(), 0
     for dim, buckets in enumerate(BoundedGroth(X, 2, 2).cells[:dims]):
         for c in (c for cells in buckets.values() for c in cells):
-            image = peta.on(dim, c)
-            h.update(repr((c, image, eps.on_groth(dim, image))).encode())
+            image = peta.maps[dim](c)
+            h.update(repr((c, image, eps.maps[dim](image))).encode())
             seen += 1
     assert (seen, h.hexdigest()) == (count, digest)
 
@@ -442,8 +442,7 @@ def _triangle_p_maps(X):
     PX = GrothPerm(X)
     KPX = LazyKtGamma(PX, X.cap)
     eta = unit_map(X, PX, KPX)
-    PKPX = GrothPerm(KPX)
-    return PX, (lambda: POfLax(eta, PX, PKPX)), (lambda: Counit(PX))
+    return PX, (lambda: POfLax(eta)), (lambda: Counit(PX))
 
 
 def test_memoized_maps_return_the_cells_of_fresh_instances(f2_gamma2):
@@ -456,12 +455,12 @@ def test_memoized_maps_return_the_cells_of_fresh_instances(f2_gamma2):
     for dim, buckets in enumerate(B.cells):
         for cells in buckets.values():
             for c in cells:
-                image = peta.on(dim, c)
-                assert image is new_peta().on(dim, c)
-                assert peta.on(dim, c) is image
-                back = eps.on_groth(dim, image)
-                assert back is new_eps().on_groth(dim, image)
-                assert eps.on_groth(dim, image) is back
+                image = peta.maps[dim](c)
+                assert image is new_peta().maps[dim](c)
+                assert peta.maps[dim](c) is image
+                back = eps.maps[dim](image)
+                assert back is new_eps().maps[dim](image)
+                assert eps.maps[dim](image) is back
                 if dim == 1:
                     args = (image.phim, image.src.xs)
                     lax = eps.laxity(*args)
@@ -487,7 +486,7 @@ def test_memos_live_with_their_instance(f2_gamma2):
     peta, eps = new_peta(), new_eps()
     for dim, buckets in enumerate(BoundedGroth(X, 1, 2).cells):
         for c in (c for cells in buckets.values() for c in cells):
-            eps.on_groth(dim, peta.on(dim, c))
+            eps.maps[dim](peta.maps[dim](c))
             if dim == 2:
                 PX.sum_two(c, c)
     assert _caches(PX)["sum_two"] and _caches(peta)["_on_one"] and _caches(eps)["laxity"]
@@ -505,14 +504,14 @@ def test_caches_are_freed_with_their_instance(f2_gamma2):
     peta, eps, B = new_peta(), new_eps(), BoundedGroth(X, 2, 2)
     for dim, buckets in enumerate(B.cells):
         for c in (c for cells in buckets.values() for c in cells):
-            assert eps.on_groth(dim, peta.on(dim, c)) == c
+            assert eps.maps[dim](peta.maps[dim](c)) == c
     o = next(o for o in B.objects_iter() if o.mvec)
     u = B.id1(o)
     B.comp1(u, u)
     B.beta_obj(o, o)
     block_caches = (B.a_compose, B.push_plan, B.beta_obj)
     assert all(c.cache_info().currsize > 0 for c in block_caches)
-    eta = peta.ah.h
+    eta = peta.h
     dropped = [weakref.ref(o) for o in (peta, eps, eta.target, eta, B, *block_caches)]
     kept = weakref.ref(PX)
     del peta, eps, eta, B, block_caches, new_peta, new_eps
@@ -532,15 +531,16 @@ def test_p_of_unit_keeps_whiskered_components_not_two_cells(name, size):
     # fragment's 2-cells, so a per-2-cell memo would show
     X = ko_gamma(promote(fixture(name)), 2)
     peta = _triangle_p_maps(X)[1]()
-    Y, h = peta.PY.X, peta.ah.h
+    h = peta.h
+    Y = h.target
     twos = [a for bucket in BoundedGroth(X, 2, 2).cells[2].values() for a in bucket]
     for a in twos:
-        lax = peta.ah.lax(a.src.phim, a.src.src.xs)
+        lax = peta.lax(a.src.phim, a.src.src.xs)
         want = tuple(Y.level(m).hcomp2(h.cell_maps(m)[2](al), Y.level(m).id2(l))
                      for m, al, l in zip(a.src.tgt.mvec, a.alphas, lax))
-        image = peta.on(2, a)
+        image = peta.maps[2](a)
         assert image.alphas == want
-        assert image is mk_groth_two(peta.on(1, a.src), peta.on(1, a.tgt), want)
+        assert image is mk_groth_two(peta.maps[1](a.src), peta.maps[1](a.tgt), want)
     assert _caches(peta)["_whisker"] == size < len(twos)
 
 
@@ -555,7 +555,7 @@ def test_p_of_unit_stores_no_ill_typed_component(f2_gamma2):
     bad = mk_groth_two(a.src, a.tgt, b.alphas)
     for _ in range(2):
         with pytest.raises(ValueError, match="not composable"):
-            peta.on(2, bad)
+            peta.maps[2](bad)
     assert _caches(peta)["_whisker"] == 0
 
 

@@ -143,7 +143,7 @@ def test_every_diagram_and_lax_map_answers_the_protocol(f2_gamma2):
         "evaluation": span.path.evaluation(0), "tilde": transformation_to_path_lax(t, po),
         "E(square)": e_on_square(span, span, ident, ident),
         "E(t)": e_of_transformation(span, span, t), "unit": unit_map(X, PX, KPX),
-        "KP(h)": k_of_p_of_lax(POfLax(ident, PX, PX), KPX, KPX),
+        "KP(h)": k_of_p_of_lax(POfLax(ident), KPX, KPX),
     }
     for name, h in lax_maps.items():
         assert all(callable(getattr(h, op, None)) for op in LAX_MAP_OPERATIONS), name
@@ -353,13 +353,13 @@ def _swapped_legs(monkeypatch):
 
 def _counit_moving(monkeypatch, a, b):
     """Make every counit send the object ``a`` to ``b``."""
-    real = adjunction.Counit.on_groth
+    real = adjunction.Counit._on_obj
 
-    def on_groth(self, dim, cell):
-        out = real(self, dim, cell)
-        return b if dim == 0 and out == a else out
+    def on_obj(self, cell):
+        out = real(self, cell)
+        return b if out == a else out
 
-    monkeypatch.setattr(adjunction.Counit, "on_groth", on_groth)
+    monkeypatch.setattr(adjunction.Counit, "_on_obj", on_obj)
 
 
 def _triangle_k(monkeypatch):

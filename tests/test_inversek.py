@@ -10,7 +10,6 @@ from gamma2cat.monoidal import fixture, promote
 from gamma2cat.ktheory import ko_gamma
 from gamma2cat.inversek import (
     AMorphism,
-    BlockwiseLax,
     BoundedGroth,
     GrothPerm,
     POfLax,
@@ -154,13 +153,13 @@ def test_ax_functorial_and_monoidal(f2_gamma2):
 def test_a_on_lax_strict_gives_identities(f2_gamma2):
     X = f2_gamma2
     P = GrothPerm(X)
-    ah = BlockwiseLax(identity_lax_map(X))
+    ph = POfLax(identity_lax_map(X))
     for mv in bounded_shapes(2, 2):
         for nv in bounded_shapes(2, 2):
             for phim in a_hom(mv, nv):
                 pools = list(itertools.product(*[X.level(m).objects for m in mv]))
                 for xs in pools[:2]:
-                    comps = ah.lax(phim, xs)
+                    comps = ph.lax(phim, xs)
                     for n_j, cell in zip(nv, comps):
                         assert X.level(n_j).is_id1(cell)
 
@@ -169,11 +168,11 @@ def test_a_on_lax_unit_components_match_blockwise(f2_gamma2):
     from gamma2cat.adjunction import unit_map
     X = f2_gamma2
     h = unit_map(X)
-    ah = BlockwiseLax(h)
+    ph = POfLax(h)
     for phim in a_hom((2,), (1, 1)):
         dec = decompose(phim)
         for x in X.level(2).objects:
-            comps = ah.lax(phim, (x,))
+            comps = ph.lax(phim, (x,))
             want = []
             for j, n_j in enumerate(phim.tgt):
                 if j in dec.hit_sets[0]:
@@ -190,12 +189,12 @@ def test_a_on_lax_composition_law(f2_gamma2):
     X = f2_gamma2
     h = unit_map(X)
     kh = compose_lax(identity_lax_map(h.target), h)
-    ah = BlockwiseLax(h)
-    akh = BlockwiseLax(kh)
+    ph = POfLax(h)
+    pkh = POfLax(kh)
     phim = next(iter(a_hom((2,), (1, 1))))
     for x in X.level(2).objects:
-        assert akh.lax(phim, (x,)) is not None
-        assert len(akh.lax(phim, (x,))) == len(ah.lax(phim, (x,)))
+        assert pkh.lax(phim, (x,)) is not None
+        assert len(pkh.lax(phim, (x,))) == len(ph.lax(phim, (x,)))
 
 
 def test_groth_identities(f2_gamma2):
@@ -273,30 +272,30 @@ def test_p_of_lax_identity_and_preservation(f2_gamma2):
     X = f2_gamma2
     P = GrothPerm(X)
     B = BoundedGroth(X, 2, 2)
-    ph = POfLax(identity_lax_map(X), P, P)
+    ph = POfLax(identity_lax_map(X))
     objs = list(B.objects_iter())
     for o in objs[:20]:
-        assert ph.on(0, o) == o
+        assert ph.maps[0](o) == o
     ones = []
     for o1 in objs[:10]:
         for o2 in objs[:10]:
             ones.extend(B.one_cells_between(o1, o2))
     for u in ones[:30]:
-        assert ph.on(1, u) == u
+        assert ph.maps[1](u) == u
     # preservation of composition and braiding under the unit's image
     from gamma2cat.adjunction import unit_map
     from gamma2cat.ktheory import LazyKtGamma
     eta = unit_map(X)
     PKPX = GrothPerm(eta.target)
-    pe = POfLax(eta, P, PKPX)
+    pe = POfLax(eta)
     by_src = {}
     for u in ones:
         by_src.setdefault(u.src, []).append(u)
     pairs = 0
     for u in ones:
         for v in by_src.get(u.tgt, [])[:2]:
-            lhs = pe.on(1, P.comp1(v, u))
-            rhs = PKPX.comp1(pe.on(1, v), pe.on(1, u))
+            lhs = pe.maps[1](P.comp1(v, u))
+            rhs = PKPX.comp1(pe.maps[1](v), pe.maps[1](u))
             assert lhs == rhs
             pairs += 1
             if pairs > 25:
@@ -304,7 +303,7 @@ def test_p_of_lax_identity_and_preservation(f2_gamma2):
         if pairs > 25:
             break
     o1, o2 = objs[1], objs[2]
-    assert pe.on(1, P.beta_obj(o1, o2)) == PKPX.beta_obj(pe.on(0, o1), pe.on(0, o2))
+    assert pe.maps[1](P.beta_obj(o1, o2)) == PKPX.beta_obj(pe.maps[0](o1), pe.maps[0](o2))
 
 
 def test_validate_p_truncation(f2_gamma2, monkeypatch):
