@@ -380,6 +380,7 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             if lname not in doc.categories:
                 raise FixtureError(f"gamma {name}: unknown level category {lname}", g["line"])
             levels.append(doc.categories[lname])
+        pools = [(set(L.objects), L.one_src, L.two_src) for L in levels]
         tables: dict[PointedMap, dict] = {}
         for ln, parts in g["maps"]:
             m, n = number(parts[1], ln), number(parts[2], ln)
@@ -394,6 +395,11 @@ def load(source: str | Path, validate: bool = True) -> FixtureDocument:
             dim, src, tgt = parts[4], parts[5], parts[6]
             if dim not in entry:
                 raise FixtureError(f"unknown map dimension {dim!r}", ln)
+            d = list(entry).index(dim)
+            for cell, k in ((src, m), (tgt, n)):
+                if cell not in pools[k][d]:
+                    raise FixtureError(
+                        f"map entry: {cell} is not {CELL_NOUNS[d]} of {g['levels'][k]}", ln)
             entry[dim][src] = tgt
         maps = {}
         for phi, entry in tables.items():

@@ -265,6 +265,23 @@ def test_line_beyond_its_arity_is_refused(doc, old, new, message, tmp_path, caps
     assert f"usage error: line {at}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("map 1 0 0 one m1 m0", "map 1 0 0 one nosuch m0", "nosuch is not a 1-cell of G.L1"),
+    ("map 0 0 - one m0 m0", "map 0 0 - one m0 nosuch", "nosuch is not a 1-cell of G.L0"),
+    ("map 1 0 0 two a1 a0", "map 1 0 0 two a1 m0", "m0 is not a 2-cell of G.L0"),
+], ids=["source", "target", "target-of-another-dimension"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_map_line_naming_a_cell_outside_its_level_is_refused(old, new, message, validate):
+    # an unvalidated load would store the entry, and ``save`` would then
+    # raise a bare KeyError or drop the line; the loader names the line
+    text = save(FixtureDocument(gammas={"G": ko_gamma(promote(fixture("F2")), 1)}))
+    assert text.count(f"\n{old}\n") == 1
+    bad = text.replace(f"\n{old}\n", f"\n{new}\n")
+    with pytest.raises(FixtureError, match=f"map entry: {message}") as err:
+        load(bad, validate=validate)
+    assert err.value.line == bad.splitlines().index(new) + 1
+
+
 def test_exit_code_two_on_unknown_fixture(capsys):
     # a name is a shipped file's exact stem, never a path or another case
     for name in ("NOPE", "../fixtures/F2", "f2"):
