@@ -370,7 +370,8 @@ class FiniteTwoCategory:
         )
 
     def __hash__(self):
-        return hash((self.name, len(self.objects), len(self.one_src), len(self.two_src)))
+        # equality ignores the name; the counts are what ``fill`` keeps
+        return hash(self.counts())
 
     def __repr__(self) -> str:
         o, m, a = self.counts()

@@ -88,6 +88,16 @@ def test_domain_issues_follow_cell_order():
             + [f"{name} has entry outside composability domain: {k!r}" for k in extra]), name
 
 
+def test_equal_categories_of_other_names_hash_alike():
+    a = disc_z2()
+    b = FiniteTwoCategory("renamed", a.objects, {f: (a.src1(f), a.tgt1(f), a.is_id1(f))
+                                                 for f in a.one_src},
+                          {x: (a.src2(x), a.tgt2(x), a.is_id2(x)) for x in a.two_src},
+                          a.vcomp_table, a.hcomp1_table, a.hcomp2_table)
+    assert a.name != b.name and a == b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_terminal_valid():
     assert validate_two_category(terminal_two_category()).ok
 
