@@ -22,7 +22,8 @@ from .subsets import (
     nonempty_subsets_of,
     union,
 )
-from .twocat import ValidationReport, scan_laws, vertical_inverse, vseq, whisker_l, whisker_r
+from .twocat import (ValidationReport, scan_laws, then_maps, vertical_inverse, vseq, whisker_l,
+                     whisker_r)
 from .monoidal import sum_many_obj, sum_many_two, sum_one_cells
 from .ktheory import (
     LazyKtGamma,
@@ -513,12 +514,12 @@ def triangle_P(X, L: int, E: int) -> ValidationReport:
     PX = GrothPerm(X)
     B = BoundedGroth(X, L, E)
     peta = POfLax(unit_map(X, PX, LazyKtGamma(PX, X.cap)))
+    round_trip = then_maps(peta.maps, Counit(PX).maps)
 
-    for what, buckets, there, back in zip(("object", "1-cell", "2-cell"), B.cells,
-                                          peta.maps, Counit(PX).maps):
+    for what, buckets, back in zip(("object", "1-cell", "2-cell"), B.cells, round_trip):
         for cells in buckets.values():
             scan_laws(rep, zip(cells), ("triangle", f"{what} triangle",
-                      lambda c: back(there(c)) == c,
+                      lambda c: back(c) == c,
                       lambda c: f"{what} {c!r} not fixed"))
     return rep
 

@@ -11,7 +11,9 @@ cell-map triple (objects, 1-cells, 2-cells) of ``twocat.TwoFunctor.cell_maps``:
 ``star(phi)`` is that triple for the transition along a pointed map and
 ``cell_maps(m)`` for the level-m 2-functor of a lax map; both are built on
 first use and kept.  A lax map carries besides these a 2-natural structure
-1-cell per pointed map, ``lax(phi, x)``.
+1-cell per pointed map, ``lax(phi, x)``.  The counit and P of a lax map
+follow the same form: ``adjunction.Counit(C).maps`` and
+``inversek.POfLax(h).maps`` are their triples.
 """
 
 from __future__ import annotations
