@@ -137,7 +137,7 @@ class AMorphismDecomposition:
     each hit block) and the blockwise pointed maps, all aligned.  Per target
     block its source: the covering source block with its pointed map, or, for
     a unit block, ``None`` with the map from the empty set.  Block
-    application, blockwise lax maps and the counit read only this."""
+    application, the structure cells of P(h) and the counit read only this."""
 
     phim: AMorphism
     hit_sets: tuple          # hit_sets[i] = ordered tuple of target blocks j
