@@ -167,24 +167,6 @@ def decompose(phim: AMorphism) -> AMorphismDecomposition:
                                   tuple(sources))
 
 
-def reassemble(dec: AMorphismDecomposition) -> AMorphism:
-    table = []
-    for i, m in enumerate(dec.phim.src):
-        row = []
-        for a in range(1, m + 1):
-            target = None
-            for j, pm in zip(dec.hit_sets[i], dec.pointed[i]):
-                b = pm(a)
-                if b != 0:
-                    target = (j, b)
-                    break
-            if target is None:
-                raise ValueError("decomposition does not cover the source")
-            row.append(target)
-        table.append(tuple(row))
-    return mk_amorphism(dec.phim.src, dec.phim.tgt, tuple(table))
-
-
 # -- blockwise application of a reduced diagram -------------------------------------
 
 

@@ -151,6 +151,28 @@ def composable_maps(cap: int) -> tuple[tuple[PointedMap, PointedMap], ...]:
                  for phi in all_pointed_maps(m, n) for psi in all_pointed_maps(n, p))
 
 
+@lru_cache(maxsize=None)
+def generating_maps(cap: int) -> tuple[PointedMap, ...]:
+    """Pointed maps of which every map m+ -> p+ with m, p <= cap is a
+    composite through sizes <= cap: per size n <= cap, the inclusion
+    (n-1)+ -> n+, the deletion n+ -> (n-1)+ of n, the fold n+ -> (n-1)+ of n
+    onto n-1 (the deletion again at n = 1) and the adjacent transpositions
+    of n+.  A map factors as a permutation moving the points sent to the
+    basepoint last, their deletions, a permutation and folds onto the image,
+    inclusions up to the target and a permutation of the target."""
+    out = []
+    for n in range(1, cap + 1):
+        ids = tuple(range(1, n))
+        out += [PointedMap(n - 1, n, ids), PointedMap(n, n - 1, ids + (0,))]
+        if n > 1:
+            out.append(PointedMap(n, n - 1, ids + (n - 1,)))
+        for i in range(1, n):
+            imgs = list(range(1, n + 1))
+            imgs[i - 1], imgs[i] = i + 1, i
+            out.append(PointedMap(n, n, tuple(imgs)))
+    return tuple(out)
+
+
 def segal_injection(k: int, n: int) -> PointedMap:
     """The map n+ -> 1+ sending only k to the non-basepoint element."""
     return PointedMap(n, 1, tuple(1 if i == k else 0 for i in range(1, n + 1)))

@@ -36,11 +36,12 @@ Transformations are 2-natural only.  Every validator of the package counts
 and reports its law instances through one runner, ``scan_laws``: one
 instance at a time, or, for the table-backed laws (associativity and
 interchange in ``validate_two_category``, the compositions in
-``scan_functor``), a bucket at a time whose two sides are compared as
+``scan_functor_laws``), a bucket at a time whose two sides are compared as
 tuples built in C, walked only when they differ.  The laws of 2-functors
-and 2-natural transformations are written once, in ``scan_functor`` and
-``scan_naturality``, for every level, diagram, cubical and monoidal-functor
-validator.
+and 2-natural transformations are written once, for every level, diagram,
+cubical and monoidal-functor validator: ``scan_functor_cells`` (the image
+endpoints, per cell), ``scan_functor_laws`` (identities and compositions,
+per table entry), ``scan_functor`` (both) and ``scan_naturality``.
 """
 
 from __future__ import annotations
@@ -777,15 +778,14 @@ def then_maps(first: tuple, second: tuple) -> tuple:
     return tuple(lambda c, f=f, g=g: g(f(c)) for f, g in zip(first, second))
 
 
-def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
-                 where: str = "") -> None:
-    """Check that the cell maps ``F = (f0, f1, f2)``, on objects, 1-cells
-    and 2-cells, form a strict 2-functor S -> T: endpoints first and, when
-    they all agree, identities and the three compositions, each table one
-    bucket of the runner.  Failures are ``functor`` issues whose messages
-    begin with ``where``."""
+def scan_functor_cells(rep: ValidationReport, S: FiniteTwoCategory, T, F,
+                       where: str = "") -> bool:
+    """The per-cell part of the strict 2-functor laws for the cell maps
+    ``F = (f0, f1, f2)``, on objects, 1-cells and 2-cells, S -> T: the
+    endpoints of every 1-cell and 2-cell image agree with the images of its
+    endpoints.  Failures are ``functor`` issues whose messages begin with
+    ``where``; whether every endpoint agreed."""
     f0, f1, f2 = F
-    S.fill()
     one_src, one_tgt, two_src, two_tgt = S.one_src, S.one_tgt, S.two_src, S.two_tgt
     before = len(rep.issues)
     scan_laws(rep, zip(one_src), (
@@ -796,12 +796,21 @@ def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
         "functor", f"{where}2-cell image endpoints",
         lambda a: T.src2(fa := f2(a)) == f1(two_src[a]) and T.tgt2(fa) == f1(two_tgt[a]),
         lambda a: f"{where}2-cell {a!r}: image endpoints disagree"))
-    if len(rep.issues) > before:
-        return
+    return len(rep.issues) == before
+
+
+def scan_functor_laws(rep: ValidationReport, S: FiniteTwoCategory, T, F,
+                      where: str = "") -> None:
+    """The per-entry part of the strict 2-functor laws for the cell maps
+    ``F``, whose endpoints agree: identities and the three compositions,
+    each table one bucket of the runner.  Failures are ``functor`` issues
+    whose messages begin with ``where``."""
+    f0, f1, f2 = F
+    S.fill()
     scan_laws(rep, zip(S.objects), (
         "functor", f"{where}identity 1-cells", lambda x: f1(S.id1(x)) == T.id1(f0(x)),
         lambda x: f"{where}identity 1-cell of {x!r} not preserved"))
-    scan_laws(rep, zip(one_src), (
+    scan_laws(rep, zip(S.one_src), (
         "functor", f"{where}identity 2-cells", lambda f: f2(S.id2(f)) == T.id2(f1(f)),
         lambda f: f"{where}identity 2-cell of {f!r} not preserved"))
     # each table one bucket of its entries (b, a); the sides are built inside
@@ -815,6 +824,14 @@ def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
             f"{where}{what} composition not preserved"), where=lambda args: _at(*args),
             sides=(map(tuple, [map(fc, table.values())]), map(tuple, [map(
                 op, map(fc, map(_first, table)), map(fc, map(_second, table)))])))
+
+
+def scan_functor(rep: ValidationReport, S: FiniteTwoCategory, T, F,
+                 where: str = "") -> None:
+    """Check that the cell maps ``F`` form a strict 2-functor S -> T: the
+    per-cell part and, when every endpoint agrees, the per-entry part."""
+    if scan_functor_cells(rep, S, T, F, where):
+        scan_functor_laws(rep, S, T, F, where)
 
 
 def scan_naturality(rep: ValidationReport, S: FiniteTwoCategory, T, comp, F, G,
@@ -887,7 +904,9 @@ def identity_functor(C: FiniteTwoCategory) -> TwoFunctor:
     return tabulate(C, C, IDENTITY_MAPS, f"id_{C.name}")
 
 
-def validate_two_functor(F: TwoFunctor) -> ValidationReport:
+def validate_functor_cells(F: TwoFunctor) -> ValidationReport:
+    """The per-cell part of ``validate_two_functor``: every cell has an image,
+    every image is a target cell, and the image endpoints agree."""
     rep = ValidationReport(f"2-functor {F.name or '?'}")
     C, D = F.source, F.target
     for x in C.objects:
@@ -903,7 +922,16 @@ def validate_two_functor(F: TwoFunctor) -> ValidationReport:
             elif cmap[c] not in target:
                 rep.add("structure", f"image of {c!r} not a target {dim}-cell")
     if not rep.issues:
-        scan_functor(rep, C, D, F.cell_maps())
+        scan_functor_cells(rep, C, D, F.cell_maps())
+    return rep
+
+
+def validate_two_functor(F: TwoFunctor) -> ValidationReport:
+    """The per-cell part and, when it passes, the per-entry part of the
+    strict 2-functor laws (``scan_functor_laws``)."""
+    rep = validate_functor_cells(F)
+    if rep.ok:
+        scan_functor_laws(rep, F.source, F.target, F.cell_maps())
     return rep
 
 

@@ -576,12 +576,12 @@ def _systems(fx):
 # the instances each validator counts on valid input, over Ko(F2) at cap 2
 # unless named: a count changes only with the laws a validator checks
 INSTANCE_COUNTS = {
-    "gamma": (lambda fx: validate_gamma(fx("f2_gamma2")).checked, 810),
+    "gamma": (lambda fx: validate_gamma(fx("f2_gamma2")).checked, 540),
     "lax-unit": (lambda fx: validate_lax_map(fx("f2_unit_target")[0]).checked, 1018),
     "lax-identity": (lambda fx: validate_lax_map(identity_lax_map(fx("f2_gamma2"))).checked, 1018),
     "lambda-unit": (lambda fx: validate_transformation_gamma(
         lambda_of(unit_map(fx("f2_gamma2")))).checked, 92),
-    "espan-unit": (lambda fx: validate_espan(_unit_span(fx)).checked, 38620),
+    "espan-unit": (lambda fx: validate_espan(_unit_span(fx)).checked, 24899),
     "e-adjunction-unit": (lambda fx: e_adjunction_check(_unit_span(fx)).checked, 344),
     "triangle-K-F1": (lambda fx: triangle_K(fixture("F1"), 2).checked, 32),
     "triangle-K-F2": (lambda fx: triangle_K(fixture("F2"), 2).checked, 92),

@@ -428,7 +428,7 @@ def test_reports_byte_deterministic():
     (["kt", "--fixture", "F3", "--level", "2"],
      {"objects": 1, "one_cells": 1, "two_cells": 4}),
     (["path-object", "--fixture", "F4"], {"objects": 2, "one_cells": 8, "two_cells": 8}),
-    (["espan", "--fixture", "F2", "--cap", "2"], {"instances": 38964}),
+    (["espan", "--fixture", "F2", "--cap", "2"], {"instances": 25243}),
     (["triangle-p", "--fixture", "F2"], {"instances": 3165}),
     (["ko", "--fixture", "F4", "--level", "2"],
      {"objects": 2, "one_cells": 16, "two_cells": 16}),

@@ -4,11 +4,13 @@ import pytest
 
 import gamma2cat.adjunction as adjunction
 import gamma2cat.gamma as gamma_module
-from gamma2cat.subsets import PointedMap, all_pointed_maps, pointed_identity
+from gamma2cat.subsets import (PointedMap, all_pointed_maps, generating_maps, maps_up_to,
+                               pointed_identity)
 from gamma2cat.monoidal import fixture, promote
 from gamma2cat.ktheory import LazyKtGamma, ko_gamma, ko_map, kt_gamma
 from gamma2cat.monoidal import MonoidalFunctor
-from gamma2cat.twocat import TwoFunctor, validate_two_category, is_isomorphism_of_two_categories
+from gamma2cat.twocat import (TwoFunctor, is_isomorphism_of_two_categories,
+                              validate_functor_cells, validate_two_category)
 from gamma2cat.inversek import GrothPerm, POfLax, mk_groth_obj
 from gamma2cat.adjunction import k_of_p_of_lax, unit_map
 from gamma2cat.gamma import (
@@ -72,6 +74,43 @@ def test_broken_composition_detected(f2_gamma2):
     broken = GammaTruncation("broken", X.cap, X.levels, bad_maps.get)
     rep = validate_gamma(broken)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("cap, size", [(1, 2), (2, 6), (3, 11), (4, 17)])
+def test_every_pointed_map_within_the_cap_is_a_composite_of_generators(cap, size):
+    generators = generating_maps(cap)
+    assert len(set(generators)) == len(generators) == size
+    assert not any(g.is_identity for g in generators)
+    assert all(g.m <= cap and g.n <= cap for g in generators)
+    # composites of generators after identities, so every factor starts and
+    # ends at a size within the cap
+    reached = {pointed_identity(m) for m in range(cap + 1)}
+    frontier = list(reached)
+    while frontier:
+        frontier = list({phi.then(g) for phi in frontier for g in generators
+                         if g.m == phi.n} - reached)
+        reached.update(frontier)
+    assert reached == set(maps_up_to(cap))
+
+
+def test_corrupted_non_generator_transition_fails_functoriality(f5_gamma2):
+    # one 2-cell image of a non-generator transition moved to a parallel
+    # 2-cell: every per-cell check passes, and only the equalities see it
+    X, phi = f5_gamma2, PointedMap(2, 2, (1, 1))
+    assert phi not in generating_maps(2) and not phi.is_identity
+    F = X.transition(phi)
+    T = F.target
+    a = next(iter(F.amap))
+    image = F.amap[a]
+    other = next(b for b in T.two_cells_between(T.src2(image), T.tgt2(image)) if b != image)
+    bad = TwoFunctor(F.source, T, F.omap, F.fmap, {**F.amap, a: other}, name="corrupted")
+    assert validate_functor_cells(bad).ok
+    corrupted = GammaTruncation("corrupted", 2, X.levels,
+                                lambda psi: bad if psi is phi else X.transition(psi))
+    rep = validate_gamma(corrupted)
+    assert rep.first().kind == "functoriality"
+    assert "composition fails" in rep.first().message
+    assert validate_gamma(X).ok
 
 
 def test_compose_lax_identity_laws(f2_gamma2):

@@ -3,9 +3,9 @@ transcripts committed in ``tests/golden``.
 
 ``golden/commands.txt`` lists one run per line: the transcript's name, the
 exit code and the arguments.  ``golden/slow.txt`` lists, in the same format,
-the passing runs that take seconds each (the largest levels and spans); the
-tests here do not read it, and CI compares those transcripts through the
-installed console script.  The transcripts were written under
+the passing runs that take seconds each (the largest levels, spans and
+diagrams); the tests here do not read it, and CI compares those transcripts
+through the installed console script.  The transcripts were written under
 ``PYTHONHASHSEED=0`` and read the same under other hash seeds.  To rewrite
 them all, of both lists, from the code on the path, after a stated change of
 output:

@@ -25,7 +25,6 @@ from gamma2cat.inversek import (
     mk_groth_obj,
     mk_groth_one,
     mk_groth_two,
-    reassemble,
     validate_p_truncation,
 )
 from gamma2cat.gamma import identity_lax_map
@@ -85,6 +84,26 @@ def test_decompose_identity_and_split():
     # a unit block is sourced from the empty set
     dec = decompose(mk_amorphism((1,), (2, 1), (((1, 1),),)))
     assert dec.sources == ((None, PointedMap(0, 2, ())), (0, PointedMap(1, 1, (1,))))
+
+
+def reassemble(dec) -> AMorphism:
+    """The block morphism a decomposition describes: each source point goes
+    to the one block whose pointed map sends it off the basepoint."""
+    table = []
+    for i, m in enumerate(dec.phim.src):
+        row = []
+        for a in range(1, m + 1):
+            target = None
+            for j, pm in zip(dec.hit_sets[i], dec.pointed[i]):
+                b = pm(a)
+                if b != 0:
+                    target = (j, b)
+                    break
+            if target is None:
+                raise ValueError("decomposition does not cover the source")
+            row.append(target)
+        table.append(tuple(row))
+    return mk_amorphism(dec.phim.src, dec.phim.tgt, tuple(table))
 
 
 def test_decompose_round_trip_exhaustive():
